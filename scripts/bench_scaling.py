@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sdo.generators import tree_plus_chords
+from sdo.generators import path_faults, tree_plus_chords
 from sdo.oracle import build_oracle
 from sdo.query import query
 
@@ -28,16 +28,7 @@ def run(sizes: list[int], seed: int, queries: int) -> None:
         oracle = build_oracle(g, 0)
         build_s = time.perf_counter() - t0
 
-        rng = random.Random(seed + 1)
-        spt = oracle.root.spt_s
-        pool = [v for v in range(g.n) if spt.parent[v] is not None]
-        cases = []
-        for _ in range(queries):
-            t = pool[rng.randrange(len(pool))]
-            hop = t
-            for _ in range(rng.randrange(spt.depth[t])):
-                hop = spt.parent[hop]
-            cases.append((t, (spt.parent[hop], hop)))
+        cases = path_faults(oracle.root.spt_s, queries, random.Random(seed + 1))
         t0 = time.perf_counter()
         for t, e in cases:
             query(oracle, t, e)

@@ -12,24 +12,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sdo.departing import build_dep
-from sdo.generators import tree_plus_chords
-from sdo.graphs import Graph
+from sdo.generators import nested_arcs, tree_plus_chords
 from sdo.oracle import build_oracle
 from sdo.spt import dijkstra, tree_path
-
-
-def nested_arcs(k: int) -> tuple[Graph, int]:
-    pairs = [(i, i + 1) for i in range(k)]
-    t = k + 1
-    nxt = k + 2
-    for j in range(k, -1, -1):
-        prev = j
-        for _ in range(2 * (k - j)):
-            pairs.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        pairs.append((prev, t))
-    return Graph.from_pairs(nxt, pairs), t
 
 
 def main() -> None:

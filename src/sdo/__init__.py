@@ -1,7 +1,7 @@
 """Single-source distance oracle tolerating one edge fault, plus SSRP."""
 
 from .baseline import brute_query, brute_ssrp
-from .departing import DepArray, DepEntry, brute_departing, build_dep, query_dep
+from .departing import DepArray, brute_departing, build_dep
 from .graphs import (
     Distance,
     Edge,
@@ -20,11 +20,9 @@ from .serialize import dump_oracle, load_oracle, save_oracle
 from .spt import (
     PathOnTree,
     ShortestPathTree,
-    build_lca,
     dijkstra,
     edge_on_tree_path,
     find_separator,
-    lca,
     separator_split,
     tree_path,
 )
@@ -32,7 +30,6 @@ from .spt import (
 __all__ = [
     "Distance",
     "DepArray",
-    "DepEntry",
     "Edge",
     "Graph",
     "GraphFormatError",
@@ -47,7 +44,6 @@ __all__ = [
     "brute_query",
     "brute_ssrp",
     "build_dep",
-    "build_lca",
     "build_node",
     "build_oracle",
     "classify",
@@ -56,11 +52,9 @@ __all__ = [
     "edge_on_tree_path",
     "find_separator",
     "is_unreachable",
-    "lca",
     "load_oracle",
     "parse_graph",
     "query",
-    "query_dep",
     "read_graph",
     "replacement_lengths_along_path",
     "save_oracle",

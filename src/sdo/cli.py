@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from .baseline import brute_ssrp
-from .generators import tree_plus_chords, verify_corpus
+from .generators import path_faults, tree_plus_chords, verify_corpus
 from .graphs import UNREACHABLE, GraphFormatError, read_graph, write_graph
 from .oracle import OracleTree, build_oracle
 from .query import query, ssrp
@@ -93,16 +93,7 @@ def cmd_bench(args) -> int:
             (len(a) for node in oracle.nodes() if node.dep for a in node.dep),
             default=0,
         )
-        spt = oracle.root.spt_s
-        pool = [v for v in range(g.n) if spt.parent[v] is not None]
-        cases = []
-        for _ in range(args.queries):
-            t = pool[rng.randrange(len(pool))]
-            hop = t
-            up = rng.randrange(spt.depth[t]) if spt.depth[t] > 1 else 0
-            for _ in range(up):
-                hop = spt.parent[hop]
-            cases.append((t, (spt.parent[hop], hop)))
+        cases = path_faults(oracle.root.spt_s, args.queries, rng)
         t0 = time.perf_counter()
         for t, e in cases:
             query(oracle, t, e)

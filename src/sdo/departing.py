@@ -14,51 +14,22 @@ from array import array
 from dataclasses import dataclass
 
 from .graphs import Distance, Graph, UNREACHABLE
-from .spt import PathOnTree, ShortestPathTree, build_lca, dijkstra
-
-
-@dataclass(frozen=True, slots=True)
-class DepEntry:
-    """One stored candidate: its length, departure point (vertex and path
-    position), destination, and final edge with weight."""
-
-    length: int
-    dp: int
-    dp_depth: int
-    end: int
-    last_edge: int
-    last_edge_weight: int
+from .spt import PathOnTree, ShortestPathTree, dijkstra
 
 
 class DepArray:
     """Candidates for one destination, lengths strictly increasing and
     departure positions strictly decreasing."""
 
-    __slots__ = ("end", "lengths", "dp_depths", "dps", "last_edges", "last_weights")
+    __slots__ = ("end", "lengths", "dp_depths")
 
     def __init__(self, end: int):
         self.end = end
         self.lengths = array("q")
         self.dp_depths = array("q")
-        self.dps = array("q")
-        self.last_edges = array("q")
-        self.last_weights = array("q")
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def __getitem__(self, i: int) -> DepEntry:
-        return DepEntry(
-            length=self.lengths[i],
-            dp=self.dps[i],
-            dp_depth=self.dp_depths[i],
-            end=self.end,
-            last_edge=self.last_edges[i],
-            last_edge_weight=self.last_weights[i],
-        )
-
-    def entries(self) -> list[DepEntry]:
-        return [self[i] for i in range(len(self))]
 
     def query(self, edge_pos: int) -> Distance:
         """Length of the cheapest candidate departing at or above the path
@@ -74,20 +45,6 @@ class DepArray:
         if lo == len(depths):
             return UNREACHABLE
         return self.lengths[lo]
-
-    def _append(self, length: int, dp: int, dp_depth: int, last_edge: int, last_w: int):
-        self.lengths.append(length)
-        self.dp_depths.append(dp_depth)
-        self.dps.append(dp)
-        self.last_edges.append(last_edge)
-        self.last_weights.append(last_w)
-
-    def _replace_last(self, length: int, dp: int, dp_depth: int, last_edge: int, last_w: int):
-        self.lengths[-1] = length
-        self.dp_depths[-1] = dp_depth
-        self.dps[-1] = dp
-        self.last_edges[-1] = last_edge
-        self.last_weights[-1] = last_w
 
 
 @dataclass(slots=True)
@@ -115,7 +72,6 @@ def build_dep(
     highest achievable departure, and later entries trade length for height.
     """
     n = g.n
-    build_lca(spt_s)
     on_path = [False] * n
     for v in path.vertices:
         on_path[v] = True
@@ -127,7 +83,7 @@ def build_dep(
     stats = DepBuildStats()
     stats.max_degree = max((len(a) for a in adj), default=0)
 
-    heap: list[tuple[int, int, int, int, int, int]] = []
+    heap: list[tuple[int, int, int, int, int]] = []
     seq = 0
 
     def push_extensions(v: int, length: int, dp_depth: int) -> None:
@@ -137,7 +93,7 @@ def build_dep(
             w = e.other(v)
             if on_path[w]:
                 continue
-            heapq.heappush(heap, (length + e.weight, dp_depth, -w, seq, w, eid))
+            heapq.heappush(heap, (length + e.weight, dp_depth, -w, seq, w))
             seq += 1
             stats.pushes += 1
 
@@ -148,36 +104,24 @@ def build_dep(
             w = e.other(u)
             if on_path[w]:
                 continue
-            heapq.heappush(heap, (base + e.weight, dpi, -w, seq, w, eid))
+            heapq.heappush(heap, (base + e.weight, dpi, -w, seq, w))
             seq += 1
             stats.pushes += 1
             stats.departure_seeds += 1
 
-    dps_vertices = path.vertices
     while heap:
-        length, dpi, _, _, v, eid = heapq.heappop(heap)
+        length, dpi, _, _, v = heapq.heappop(heap)
         stats.pops += 1
         arr = dep[v]
-        if len(arr.dp_depths):
-            last_dpi = arr.dp_depths[-1]
-            if dpi >= last_dpi:
-                continue
-            dp = dps_vertices[dpi]
-            if length == arr.lengths[-1]:
-                arr._replace_last(length, dp, dpi, eid, edges[eid].weight)
-            else:
-                arr._append(length, dp, dpi, eid, edges[eid].weight)
-        else:
-            arr._append(length, dps_vertices[dpi], dpi, eid, edges[eid].weight)
+        # pops come in (length, dpi) order, so a candidate that does not
+        # depart strictly higher than the last kept one never beats it
+        if arr.dp_depths and dpi >= arr.dp_depths[-1]:
+            continue
+        arr.lengths.append(length)
+        arr.dp_depths.append(dpi)
         stats.accepted += 1
         push_extensions(v, length, dpi)
     return dep, stats
-
-
-def query_dep(dep: list[DepArray], t: int, edge_pos: int) -> Distance:
-    """Best departing length to t for the path edge at ``edge_pos`` (the
-    position of its upper endpoint)."""
-    return dep[t].query(edge_pos)
 
 
 def brute_departing(

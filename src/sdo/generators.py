@@ -1,8 +1,9 @@
-"""Seeded graph families for verification and benchmarks.
+"""Seeded graph families and fault samples for verification and benchmarks.
 
 Spans the regimes the oracle cares about: bridge-heavy trees, trees with few
-or many chords, low-diameter grids, and a gadget family whose best avoiding
-routes rejoin the primary path inside the near side of the split.
+or many chords, low-diameter grids, a gadget family whose best avoiding
+routes rejoin the primary path inside the near side of the split, and nested
+arcs whose departing arrays grow like sqrt(n).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph
+from .spt import ShortestPathTree
 
 
 def random_tree_pairs(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -123,6 +125,41 @@ def gadget_graph(n: int, seed: int) -> Graph:
             next_id += 1
         total = next_id
     return Graph.from_pairs(total, pairs)
+
+
+def nested_arcs(k: int) -> tuple[Graph, int]:
+    """Path u_0..u_k plus arcs to one destination t, the arc from u_j having
+    2(k - j) + 1 edges: every arc is a distinct candidate departing route,
+    so |Dep(t)| = k + 1 while n grows like k**2. Returns (graph, t)."""
+    pairs = [(i, i + 1) for i in range(k)]
+    t = k + 1
+    nxt = k + 2
+    for j in range(k, -1, -1):
+        prev = j
+        for _ in range(2 * (k - j)):
+            pairs.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        pairs.append((prev, t))
+    return Graph.from_pairs(nxt, pairs), t
+
+
+def path_faults(
+    spt: ShortestPathTree, count: int, rng: random.Random
+) -> list[tuple[int, tuple[int, int]]]:
+    """``count`` (t, (x, y)) faults on tree paths: t uniform over the
+    non-source reachable vertices of ``spt``, then a uniform tree edge on the
+    source -> t path."""
+    parent, depth = spt.parent, spt.depth
+    pool = [v for v in range(len(parent)) if parent[v] is not None]
+    cases = []
+    for _ in range(count):
+        t = pool[rng.randrange(len(pool))]
+        hop = t
+        for _ in range(rng.randrange(depth[t])):
+            hop = parent[hop]
+        cases.append((t, (parent[hop], hop)))
+    return cases
 
 
 def verify_corpus(seed: int, count: int, max_n: int):

@@ -17,7 +17,7 @@ from .pathrep import replacement_lengths_along_path
 from .spt import (
     PathOnTree,
     ShortestPathTree,
-    build_lca,
+    build_preorder,
     dijkstra,
     separator_split,
     tree_path,
@@ -220,7 +220,6 @@ def build_node(g: Graph, source: int, depth: int) -> OracleNode:
         return _leaf_node(node)
     assert node.spt_s.reachable_count() == g.n, "node graphs are connected by construction"
 
-    build_lca(node.spt_s)
     split = separator_split(node.spt_s)
     r = split.r
     node.separator = r
@@ -297,6 +296,8 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
         root_source = to_root[source]
 
     root = build_node(root_graph, root_source, 0)
+    # queries test ancestry on the root tree only
+    build_preorder(root.spt_s)
     tree = OracleTree(
         root=root,
         original_graph=g,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 
 from .graphs import Distance, Graph, UNREACHABLE
-from .spt import PathOnTree, ShortestPathTree, build_lca, lca
+from .spt import PathOnTree, ShortestPathTree
 
 
 def replacement_lengths_along_path(
@@ -29,17 +29,18 @@ def replacement_lengths_along_path(
     k = len(path.edge_ids)
     if k == 0:
         return []
-    r = path.bottom
-    build_lca(spt_s)
     dist_s = spt_s.dist
     dist_r = spt_r.dist
     pos_of = path.index_of
     path_edge_ids = set(path.edge_ids)
 
-    # anchor(v): position where the tree path to v leaves the primary path
+    # anchor(v): position where the tree path to v leaves the primary path,
+    # which starts at the tree root; parents come before children in order
+    parent = spt_s.parent
     anchor = [-1] * g.n
     for v in spt_s.order:
-        anchor[v] = pos_of[lca(spt_s, v, r)]
+        pos = pos_of.get(v)
+        anchor[v] = anchor[parent[v]] if pos is None else pos
 
     # events[j]: values whose covering interval starts at fault position j
     events: list[list[tuple[int, int]]] = [[] for _ in range(k)]

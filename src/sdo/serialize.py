@@ -11,8 +11,21 @@ from pathlib import Path
 
 from .oracle import OracleTree
 
-MAGIC = b"SDO1-ORACLE\x00"
+MAGIC = b"SDO2-ORACLE\x00"
 _PROTOCOL = 4
+# What pickle raises on truncated or corrupted bytes.
+_CORRUPT = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    KeyError,
+    MemoryError,
+    OverflowError,
+    TypeError,
+    ValueError,
+)
 
 
 def dump_oracle(oracle: OracleTree) -> bytes:
@@ -27,7 +40,10 @@ def load_oracle(path: str | Path) -> OracleTree:
     blob = Path(path).read_bytes()
     if not blob.startswith(MAGIC):
         raise ValueError(f"{path} is not a serialized oracle")
-    oracle = pickle.loads(blob[len(MAGIC) :])
+    try:
+        oracle = pickle.loads(blob[len(MAGIC) :])
+    except _CORRUPT as exc:
+        raise ValueError(f"{path} is a damaged oracle file: {exc}") from exc
     if not isinstance(oracle, OracleTree):
         raise ValueError(f"{path} does not contain an oracle tree")
     return oracle

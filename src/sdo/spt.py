@@ -1,12 +1,10 @@
-"""Shortest-path trees with canonical tie-breaking, LCA index, tree separator."""
+"""Shortest-path trees with canonical tie-breaking, ancestor tests, tree separator."""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
 from typing import Collection
-
-import numpy as np
 
 from .graphs import Distance, Graph, UNREACHABLE
 
@@ -27,7 +25,8 @@ class ShortestPathTree:
         "parent_edge",
         "depth",
         "order",
-        "_lca",
+        "_tin",
+        "_size",
     )
 
     def __init__(self, graph: Graph, source: int):
@@ -39,7 +38,8 @@ class ShortestPathTree:
         self.parent_edge: list[int | None] = [None] * n
         self.depth: list[int] = [0] * n
         self.order: list[int] = []
-        self._lca: _LcaIndex | None = None
+        self._tin: list[int] | None = None
+        self._size: list[int] | None = None
 
     def reachable(self, v: int) -> bool:
         return self.dist[v] is not UNREACHABLE
@@ -106,107 +106,41 @@ def dijkstra(g: Graph, source: int, banned_edges: Collection[int] = ()) -> Short
     return spt
 
 
-class _LcaIndex:
-    """Euler tour plus numpy sparse table: O(1) LCA, O(1) ancestor tests."""
+def build_preorder(spt: ShortestPathTree) -> None:
+    """Attach preorder numbers and subtree sizes for O(1) ancestor tests.
 
-    __slots__ = ("euler", "first", "tin", "tout", "_table", "_euler_depth")
-
-    def __init__(self, spt: ShortestPathTree):
-        n = spt.graph.n
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in spt.order:
-            p = spt.parent[v]
-            if p is not None:
-                children[p].append(v)
-        for cs in children:
-            cs.sort()
-
-        euler: list[int] = []
-        euler_depth: list[int] = []
-        first = [-1] * n
-        tin = [-1] * n
-        tout = [-1] * n
-        clock = 0
-        stack: list[tuple[int, int]] = [(spt.source, 0)]
-        while stack:
-            v, ci = stack.pop()
-            if ci == 0:
-                tin[v] = clock
-                clock += 1
-                first[v] = len(euler)
-            euler.append(v)
-            euler_depth.append(spt.depth[v])
-            if ci < len(children[v]):
-                stack.append((v, ci + 1))
-                stack.append((children[v][ci], 0))
-            else:
-                tout[v] = clock
-                clock += 1
-
-        self.euler = np.asarray(euler, dtype=np.int32)
-        self._euler_depth = np.asarray(euler_depth, dtype=np.int32)
-        self.first = first
-        self.tin = tin
-        self.tout = tout
-
-        m = len(euler)
-        levels = max(1, m.bit_length())
-        table = np.empty((levels, m), dtype=np.int32)
-        table[0] = np.arange(m, dtype=np.int32)
-        dep = self._euler_depth
-        for k in range(1, levels):
-            half = 1 << (k - 1)
-            span = 1 << k
-            if span > m:
-                table[k] = table[k - 1]
-                continue
-            left = table[k - 1, : m - span + 1]
-            right = table[k - 1, half : m - span + 1 + half]
-            take_left = dep[left] <= dep[right]
-            table[k, : m - span + 1] = np.where(take_left, left, right)
-            table[k, m - span + 1 :] = table[k - 1, m - span + 1 :]
-        self._table = table
-
-    def lca(self, u: int, v: int) -> int:
-        lo, hi = self.first[u], self.first[v]
-        if lo > hi:
-            lo, hi = hi, lo
-        k = (hi - lo + 1).bit_length() - 1
-        a = self._table[k, lo]
-        b = self._table[k, hi - (1 << k) + 1]
-        pos = a if self._euler_depth[a] <= self._euler_depth[b] else b
-        return int(self.euler[pos])
-
-    def is_ancestor(self, u: int, v: int) -> bool:
-        return self.tin[u] <= self.tin[v] and self.tout[v] <= self.tout[u]
-
-
-def build_lca(spt: ShortestPathTree) -> None:
-    """Attach the constant-time LCA/ancestor index to the tree."""
-    if spt._lca is None:
-        spt._lca = _LcaIndex(spt)
-
-
-def lca(spt: ShortestPathTree, u: int, v: int) -> int:
-    """Deepest common ancestor of u and v; both must be reachable."""
-    if not spt.reachable(u) or not spt.reachable(v):
-        raise ValueError("lca undefined for vertices unreachable from the source")
-    build_lca(spt)
-    return spt._lca.lca(u, v)
+    A reverse pass over ``order`` sums subtree sizes; a forward pass hands
+    each child the next free range inside its parent's. Unreachable vertices
+    keep number -1 and size 0, so no ancestor test involving them holds.
+    """
+    n = spt.graph.n
+    parent = spt.parent
+    size = [0] * n
+    for v in reversed(spt.order):
+        size[v] += 1
+        p = parent[v]
+        if p is not None:
+            size[p] += size[v]
+    tin = [-1] * n
+    tin[spt.source] = 0
+    free = [0] * n
+    for v in spt.order:
+        p = parent[v]
+        if p is not None:
+            tin[v] = free[p]
+            free[p] += size[v]
+        free[v] = tin[v] + 1
+    spt._tin = tin
+    spt._size = size
 
 
 def is_ancestor(spt: ShortestPathTree, u: int, v: int) -> bool:
-    """True iff u is an ancestor of v (or u == v) in the tree."""
-    if not spt.reachable(u) or not spt.reachable(v):
-        return False
-    if spt._lca is not None:
-        return spt._lca.is_ancestor(u, v)
-    cur: int | None = v
-    while cur is not None:
-        if cur == u:
-            return True
-        cur = spt.parent[cur]
-    return False
+    """True iff u is an ancestor of v (or u == v) in the tree; False when
+    either vertex is unreachable."""
+    if spt._tin is None:
+        build_preorder(spt)
+    tin = spt._tin
+    return tin[u] <= tin[v] < tin[u] + spt._size[u]
 
 
 @dataclass(slots=True)
@@ -264,8 +198,6 @@ def tree_edge_lower(spt: ShortestPathTree, eid: int) -> int | None:
 def edge_on_tree_path(spt: ShortestPathTree, t: int, e: tuple[int, int]) -> bool:
     """True iff (x, y) is a tree edge whose lower endpoint is an ancestor of t
     (or t itself), i.e. the edge lies on the source -> t tree path."""
-    if not spt.reachable(t):
-        return False
     x, y = e
     if spt.parent[y] == x:
         lower = y

@@ -85,24 +85,6 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def nested_arcs_graph(k: int) -> tuple[Graph, int]:
-    """Path u_0..u_k plus arcs to one destination t, the arc from u_j having
-    2(k - j) + 1 edges: every arc is a distinct candidate departing route,
-    so |Dep(t)| = k + 1 while n grows like k**2."""
-    pairs = [(i, i + 1) for i in range(k)]
-    t = k + 1
-    nxt = k + 2
-    for j in range(k, -1, -1):
-        hops = 2 * (k - j) + 1
-        prev = j
-        for _ in range(hops - 1):
-            pairs.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        pairs.append((prev, t))
-    return Graph.from_pairs(nxt, pairs), t
-
-
 def rejoin_gadget() -> tuple[Graph, int, tuple[int, int], int]:
     """The fixed regression gadget: chain 0-1-2-3 with a bush under 3 keeping
     the separator at 2, a shortcut 0-4-1 rejoining the chain, and leaf 5 on 1.

@@ -17,7 +17,7 @@ import pytest
 
 from sdo.baseline import _sweep, brute_ssrp
 from sdo.departing import brute_departing
-from sdo.generators import tree_plus_chords, verify_corpus
+from sdo.generators import path_faults, tree_plus_chords, verify_corpus
 from sdo.graphs import UNREACHABLE
 from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
@@ -221,30 +221,17 @@ def test_criterion_7_ssrp_equivalence_and_accounting(corpus):
 
 def test_criterion_8_scaling_smoke():
     build_seconds = {}
-    oracle_big = None
-    g_big = None
     for n in (4096, 16384):
         g = tree_plus_chords(n, 2 * n, 42)
         t0 = time.perf_counter()
         oracle = build_oracle(g, 0)
         build_seconds[n] = time.perf_counter() - t0
-        if n == 16384:
-            oracle_big, g_big = oracle, g
 
     ratio = build_seconds[16384] / build_seconds[4096]
-    rng = random.Random(1)
-    spt = oracle_big.root.spt_s
-    pool = [v for v in range(g_big.n) if spt.parent[v] is not None]
-    cases = []
-    for _ in range(10_000):
-        t = pool[rng.randrange(len(pool))]
-        hop = t
-        for _ in range(rng.randrange(spt.depth[t])):
-            hop = spt.parent[hop]
-        cases.append((t, (spt.parent[hop], hop)))
+    cases = path_faults(oracle.root.spt_s, 10_000, random.Random(1))
     t0 = time.perf_counter()
     for t, pair in cases:
-        query(oracle_big, t, pair)
+        query(oracle, t, pair)
     mean_us = (time.perf_counter() - t0) / len(cases) * 1e6
 
     problems = []

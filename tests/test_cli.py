@@ -3,7 +3,7 @@ import pytest
 from sdo.cli import main
 from sdo.generators import tree_plus_chords
 from sdo.oracle import build_oracle
-from sdo.serialize import dump_oracle, load_oracle, save_oracle
+from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
 
 
 @pytest.fixture
@@ -85,7 +85,23 @@ def test_oracle_round_trip_is_bit_exact(tmp_path):
 
 
 def test_load_rejects_foreign_files(tmp_path):
-    p = tmp_path / "junk.oracle"
-    p.write_bytes(b"not an oracle")
-    with pytest.raises(ValueError):
-        load_oracle(p)
+    blob = dump_oracle(build_oracle(tree_plus_chords(20, 8, 3), 0))
+    for junk in (
+        b"not an oracle",
+        blob[:60],
+        MAGIC + b"\x80\x04garbage that is no pickle",
+        b"SDO1-ORACLE\x00" + blob[len(MAGIC) :],
+    ):
+        p = tmp_path / "junk.oracle"
+        p.write_bytes(junk)
+        with pytest.raises(ValueError, match="junk.oracle"):
+            load_oracle(p)
+
+
+def test_query_on_truncated_oracle_exits_2(path3, capsys):
+    assert main(["build", str(path3), "0"]) == 0
+    capsys.readouterr()
+    oracle_path = path3.parent / "p3.graph.oracle"
+    oracle_path.write_bytes(oracle_path.read_bytes()[:60])
+    assert main(["query", str(oracle_path), "0", "1", "1", "2"]) == 2
+    assert "p3.graph.oracle" in capsys.readouterr().err

@@ -1,11 +1,11 @@
 from hypothesis import given, settings, strategies as st
 
 from sdo.departing import DepArray, brute_departing, build_dep
-from sdo.generators import tree_plus_chords
+from sdo.generators import nested_arcs, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
-from sdo.spt import build_lca, dijkstra, lca, tree_path
+from sdo.spt import dijkstra, tree_path
 
-from conftest import nested_arcs_graph
+from conftest import naive_lca
 
 
 def dep_for(g: Graph, s: int, r: int):
@@ -32,9 +32,6 @@ def synthetic_array() -> DepArray:
     for length, dpi in ((4, 2), (9, 0)):
         arr.lengths.append(length)
         arr.dp_depths.append(dpi)
-        arr.dps.append(dpi)
-        arr.last_edges.append(0)
-        arr.last_weights.append(1)
     return arr
 
 
@@ -65,12 +62,12 @@ class TestBuildDep:
     def test_source_adjacent_destination_single_entry(self):
         # chain 0-1-2-3 is the primary path, destination 4 hangs off the source
         g = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
-        _, _, dep, _ = dep_for(g, 0, 3)
-        assert len(dep[4]) == 1
-        entry = dep[4][0]
-        assert entry.length == 1
-        assert entry.dp == 0 and entry.dp_depth == 0
-        assert entry.end == 4
+        _, path, dep, _ = dep_for(g, 0, 3)
+        arr = dep[4]
+        assert len(arr) == 1
+        assert arr.lengths[0] == 1
+        assert arr.dp_depths[0] == 0 and path.vertices[arr.dp_depths[0]] == 0
+        assert arr.end == 4
 
     def test_equal_length_keeps_higher_departure(self):
         # primary 0-1-2; destination 4 reachable at length 2 both through the
@@ -79,10 +76,10 @@ class TestBuildDep:
         g = Graph.from_pairs(5, [(0, 1), (1, 2), (1, 4), (0, 3), (3, 4)])
         spt, path, dep, _ = dep_for(g, 0, 2)
         assert path.vertices == [0, 1, 2]
-        assert len(dep[4]) == 1
-        entry = dep[4][0]
-        assert entry.length == 2
-        assert entry.dp == 0 and entry.dp_depth == 0
+        arr = dep[4]
+        assert len(arr) == 1
+        assert arr.lengths[0] == 2
+        assert arr.dp_depths[0] == 0 and path.vertices[arr.dp_depths[0]] == 0
 
     def test_first_entry_is_shortest_with_high_departure(self):
         for seed in range(8):
@@ -91,13 +88,12 @@ class TestBuildDep:
             r = max(range(g.n), key=lambda v: (spt.depth[v], -v))
             path = tree_path(spt, 0, r)
             dep, _ = build_dep(g, spt, path)
-            build_lca(spt)
             on_path = set(path.vertices)
             for t in range(g.n):
                 if t in on_path:
                     continue
-                assert dep[t][0].length == spt.dist[t]
-                assert dep[t][0].dp_depth <= path.index_of[lca(spt, t, r)]
+                assert dep[t].lengths[0] == spt.dist[t]
+                assert dep[t].dp_depths[0] <= path.index_of[naive_lca(spt, t, r)]
 
     def test_double_monotonicity(self):
         for seed in range(10):
@@ -149,7 +145,7 @@ class TestEquivalence:
             check_against_brute(g, 0, r)
 
     def test_nested_arcs_every_arc_is_a_candidate(self):
-        g, t = nested_arcs_graph(6)
+        g, t = nested_arcs(6)
         spt, path, dep = check_against_brute(g, 0, 6)
         assert len(dep[t]) == 7
         assert list(dep[t].dp_depths) == [6, 5, 4, 3, 2, 1, 0]
@@ -159,7 +155,7 @@ class TestEquivalence:
         # than about 2.5x (square-root behavior; linear would be 4x)
         sizes = {}
         for k in (8, 16, 32):
-            g, t = nested_arcs_graph(k)
+            g, t = nested_arcs(k)
             spt = dijkstra(g, 0)
             dep, _ = build_dep(g, spt, tree_path(spt, 0, k))
             sizes[g.n] = max(len(a) for a in dep)

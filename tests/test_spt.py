@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from sdo.generators import random_tree_pairs, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import (
-    build_lca,
     dijkstra,
     edge_on_tree_path,
     find_separator,
-    lca,
+    is_ancestor,
     separator_balanced,
     separator_split,
     tree_path,
@@ -79,39 +78,18 @@ def test_triangle_inequality_over_edges(n, extra, seed):
             assert abs(du - dv) <= e.weight
 
 
-class TestLca:
-    def test_star_center(self):
-        spt = dijkstra(star_graph(2), 0)
-        assert lca(spt, 1, 2) == 0
-
-    def test_ancestor_case(self):
-        spt = dijkstra(path_graph(3), 0)
-        assert lca(spt, 1, 2) == 1
-
-    def test_unreachable_raises(self):
-        g = Graph.from_pairs(3, [(0, 1)])
-        spt = dijkstra(g, 0)
-        with pytest.raises(ValueError):
-            lca(spt, 0, 2)
-
-    def test_matches_naive_walk_all_pairs_seeded(self):
-        for seed in (1, 2, 3):
-            g = Graph.from_pairs(200, random_tree_pairs(200, random.Random(seed)))
-            spt = dijkstra(g, 0)
-            build_lca(spt)
-            for u in range(0, 200, 7):
-                for v in range(0, 200, 11):
-                    assert lca(spt, u, v) == naive_lca(spt, u, v)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(2, 60), st.integers(0, 10**6), st.data())
-def test_lca_matches_naive_walk(n, seed, data):
-    g = Graph.from_pairs(n, random_tree_pairs(n, random.Random(seed)))
-    spt = dijkstra(g, 0)
-    u = data.draw(st.integers(0, n - 1))
-    v = data.draw(st.integers(0, n - 1))
-    assert lca(spt, u, v) == naive_lca(spt, u, v)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 3))
+def test_is_ancestor_matches_parent_walk(n, seed, cuts):
+    # banning tree edges leaves some vertices unreachable from the source
+    rng = random.Random(seed)
+    g = Graph.from_pairs(n, random_tree_pairs(n, rng))
+    banned = set(rng.sample(range(g.m), k=min(cuts, g.m)))
+    spt = dijkstra(g, rng.randrange(n), banned)
+    for u in range(n):
+        for v in range(n):
+            want = spt.reachable(u) and spt.reachable(v) and naive_lca(spt, u, v) == u
+            assert is_ancestor(spt, u, v) == want, (u, v)
 
 
 class TestSeparator:
@@ -200,7 +178,6 @@ class TestEdgeOnTreePath:
     def test_matches_materialized_path(self):
         g = tree_plus_chords(35, 12, 11)
         spt = dijkstra(g, 0)
-        build_lca(spt)
         for t in range(g.n):
             on_path = set(tree_path(spt, 0, t).edge_ids)
             for eid, e in enumerate(g.edges):
