@@ -78,6 +78,52 @@ def test_triangle_inequality_over_edges(n, extra, seed):
             assert abs(du - dv) <= e.weight
 
 
+def interval_lca(spt, u: int, v: int) -> int:
+    """Lowest common ancestor read off the preorder intervals: climb from u
+    until its interval covers v."""
+    x = u
+    while x is not None and not is_ancestor(spt, x, v):
+        x = spt.parent[x]
+    if x is None:
+        raise ValueError(f"no common ancestor of {u} and {v}")
+    return x
+
+
+class TestLca:
+    def test_star_center(self):
+        spt = dijkstra(star_graph(2), 0)
+        assert interval_lca(spt, 1, 2) == 0
+
+    def test_ancestor_case(self):
+        spt = dijkstra(path_graph(3), 0)
+        assert interval_lca(spt, 1, 2) == 1
+
+    def test_unreachable_raises(self):
+        g = Graph.from_pairs(3, [(0, 1)])
+        spt = dijkstra(g, 0)
+        assert not is_ancestor(spt, 0, 2) and not is_ancestor(spt, 2, 2)
+        with pytest.raises(ValueError):
+            interval_lca(spt, 0, 2)
+
+    def test_matches_naive_walk_all_pairs_seeded(self):
+        for seed in (1, 2, 3):
+            g = Graph.from_pairs(200, random_tree_pairs(200, random.Random(seed)))
+            spt = dijkstra(g, 0)
+            for u in range(0, 200, 7):
+                for v in range(0, 200, 11):
+                    assert interval_lca(spt, u, v) == naive_lca(spt, u, v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 10**6), st.data())
+def test_lca_matches_naive_walk(n, seed, data):
+    g = Graph.from_pairs(n, random_tree_pairs(n, random.Random(seed)))
+    spt = dijkstra(g, 0)
+    u = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.integers(0, n - 1))
+    assert interval_lca(spt, u, v) == naive_lca(spt, u, v)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 3))
 def test_is_ancestor_matches_parent_walk(n, seed, cuts):
