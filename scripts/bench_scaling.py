@@ -28,7 +28,7 @@ def run(sizes: list[int], seed: int, queries: int) -> None:
         oracle = build_oracle(g, 0)
         build_s = time.perf_counter() - t0
 
-        cases = path_faults(oracle.root.spt_s, queries, random.Random(seed + 1))
+        cases = path_faults(oracle.spt, queries, random.Random(seed + 1))
         t0 = time.perf_counter()
         for t, e in cases:
             query(oracle, t, e)

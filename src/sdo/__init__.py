@@ -22,7 +22,6 @@ from .spt import (
     ShortestPathTree,
     dijkstra,
     edge_on_tree_path,
-    find_separator,
     separator_split,
     tree_path,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "dijkstra",
     "dump_oracle",
     "edge_on_tree_path",
-    "find_separator",
     "is_unreachable",
     "load_oracle",
     "parse_graph",

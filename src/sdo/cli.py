@@ -93,7 +93,7 @@ def cmd_bench(args) -> int:
             (len(a) for node in oracle.nodes() if node.dep for a in node.dep),
             default=0,
         )
-        cases = path_faults(oracle.root.spt_s, args.queries, rng)
+        cases = path_faults(oracle.spt, args.queries, rng)
         t0 = time.perf_counter()
         for t, e in cases:
             query(oracle, t, e)

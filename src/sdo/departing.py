@@ -98,16 +98,8 @@ def build_dep(
             stats.pushes += 1
 
     for dpi, u in enumerate(path.vertices):
-        base = dist[u]
-        for eid in adj[u]:
-            e = edges[eid]
-            w = e.other(u)
-            if on_path[w]:
-                continue
-            heapq.heappush(heap, (base + e.weight, dpi, -w, seq, w))
-            seq += 1
-            stats.pushes += 1
-            stats.departure_seeds += 1
+        push_extensions(u, dist[u], dpi)
+    stats.departure_seeds = stats.pushes
 
     while heap:
         length, dpi, _, _, v = heapq.heappop(heap)

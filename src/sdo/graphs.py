@@ -105,9 +105,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def endpoint_other(self, eid: int, x: int) -> int:
-        return self.edges[eid].other(x)
-
     def edge_ids_between(self, x: int, y: int) -> list[int]:
         """All edge ids joining x and y (multigraph: possibly several)."""
         if not (0 <= x < self.n and 0 <= y < self.n):

@@ -1,9 +1,12 @@
 """Recursive construction of the fault-tolerant distance oracle tree.
 
 Each internal node splits its graph at a tree separator, stores the distance
-tables and departing-path arrays needed to answer faults handled at that
-level, and recurses on the two sides after adding weighted shortcut edges
-that preserve all surviving distances inside each side.
+tables and departing-path arrays needed to answer faults on its primary path,
+and recurses on the two sides after adding weighted shortcut edges that
+preserve all surviving distances inside each side. Grafting preserves
+distances from the source, so every node vertex lies at its original vertex's
+input-graph distance, and the oracle keeps that one source tree for the whole
+recursion.
 """
 
 from __future__ import annotations
@@ -45,27 +48,22 @@ class OracleNode:
         "source",
         "depth",
         "is_leaf",
-        "spt_s",
         "base_table",
         "separator",
         "primary_path",
-        "spt_r",
-        "dist_s_avoiding_gn",
-        "dist_r_avoiding_gm",
+        "dist_r",
         "sr_replacements",
         "dep",
         "dep_stats",
         "vertex_side",
         "edge_side",
         "primary_pos_of_edge",
-        "split_sizes",
         "left",
         "right",
         "left_vertex_map",
         "right_vertex_map",
         "left_edge_map",
         "right_edge_map",
-        "right_source",
     )
 
     def __init__(self, graph: Graph, source: int, depth: int):
@@ -73,27 +71,22 @@ class OracleNode:
         self.source = source
         self.depth = depth
         self.is_leaf = False
-        self.spt_s: ShortestPathTree | None = None
         self.base_table: dict[int, list[Distance]] | None = None
         self.separator: int | None = None
         self.primary_path: PathOnTree | None = None
-        self.spt_r: ShortestPathTree | None = None
-        self.dist_s_avoiding_gn: list[Distance] | None = None
-        self.dist_r_avoiding_gm: list[Distance] | None = None
+        self.dist_r: list[Distance] | None = None
         self.sr_replacements: list[Distance] | None = None
         self.dep: list[DepArray] | None = None
         self.dep_stats: DepBuildStats | None = None
         self.vertex_side: list[VertexSide] | None = None
         self.edge_side: list[EdgeSide] | None = None
         self.primary_pos_of_edge: dict[int, int] | None = None
-        self.split_sizes: tuple[int, int, int] | None = None
         self.left: OracleNode | None = None
         self.right: OracleNode | None = None
         self.left_vertex_map: dict[int, int] | None = None
         self.right_vertex_map: dict[int, int] | None = None
         self.left_edge_map: dict[int, int] | None = None
         self.right_edge_map: dict[int, int] | None = None
-        self.right_source: int | None = None
 
     def walk(self):
         """All nodes of the subtree, parents before children."""
@@ -109,13 +102,18 @@ class OracleNode:
 
 @dataclass(slots=True)
 class OracleTree:
-    """The built oracle: root node plus the original-graph bookkeeping."""
+    """The built oracle: root node plus the original-graph bookkeeping.
+
+    ``spt`` is the canonical source tree of the original graph, with its
+    ancestor index; its distances answer every fault that misses the
+    destination's tree path, at the entry and at every level of the descent.
+    """
 
     root: OracleNode
     original_graph: Graph
     original_source: int
+    spt: ShortestPathTree
     to_root_id: list[int | None]
-    from_root_id: list[int]
     to_root_edge: list[int | None]
     node_count: int = 0
     depth: int = 0
@@ -173,7 +171,7 @@ def make_left_child(node: OracleNode) -> tuple[Graph, dict[int, int], dict[int, 
             emap[eid] = len(edges)
             edges.append(Edge(vmap[e.u], vmap[e.v], e.weight, e.virtual))
     rv = vmap[r]
-    avoid = node.dist_r_avoiding_gm
+    avoid = dijkstra(g, r, emap).dist
     for v, lv in vmap.items():
         if v == r:
             continue
@@ -203,7 +201,7 @@ def make_right_child(node: OracleNode) -> tuple[Graph, dict[int, int], dict[int,
         if node.edge_side[eid] == EdgeSide.N_SIDE:
             emap[eid] = len(edges)
             edges.append(Edge(vmap[e.u], vmap[e.v], e.weight, e.virtual))
-    avoid = node.dist_s_avoiding_gn
+    avoid = dijkstra(g, node.source, emap).dist
     for v, lv in vmap.items():
         w = avoid[v]
         if w is not UNREACHABLE:
@@ -215,16 +213,15 @@ def build_node(g: Graph, source: int, depth: int) -> OracleNode:
     """Build one oracle node; the root (depth 0) always attempts a split,
     deeper nodes become brute-force leaves at four vertices or fewer."""
     node = OracleNode(g, source, depth)
-    node.spt_s = dijkstra(g, source)
     if g.n <= 2 or (depth > 0 and g.n <= 4):
         return _leaf_node(node)
-    assert node.spt_s.reachable_count() == g.n, "node graphs are connected by construction"
+    spt_s = dijkstra(g, source)
+    assert spt_s.reachable_count() == g.n, "node graphs are connected by construction"
 
-    split = separator_split(node.spt_s)
+    split = separator_split(spt_s)
     r = split.r
     node.separator = r
-    node.split_sizes = (split.reachable_count, split.size_m, split.size_n)
-    node.primary_path = tree_path(node.spt_s, source, r)
+    node.primary_path = tree_path(spt_s, source, r)
     node.primary_pos_of_edge = {
         eid: pos for pos, eid in enumerate(node.primary_path.edge_ids)
     }
@@ -235,28 +232,16 @@ def build_node(g: Graph, source: int, depth: int) -> OracleNode:
         for v in range(g.n)
     ]
     node.edge_side = [classify(node, eid) for eid in range(g.m)]
-
-    banned_n = [eid for eid, s in enumerate(node.edge_side) if s == EdgeSide.N_SIDE]
-    banned_m = [
-        eid
-        for eid, s in enumerate(node.edge_side)
-        if s in (EdgeSide.M_ON_PRIMARY, EdgeSide.M_OFF_PRIMARY)
-    ]
-    node.spt_r = dijkstra(g, r)
-    node.dist_s_avoiding_gn = dijkstra(g, source, banned_n).dist
-    node.dist_r_avoiding_gm = dijkstra(g, r, banned_m).dist
+    node.dist_r = dijkstra(g, r).dist
 
     path = node.primary_path
     if path.edge_ids:
-        node.sr_replacements = replacement_lengths_along_path(
-            g, node.spt_s, node.spt_r, path
-        )
+        node.sr_replacements = replacement_lengths_along_path(g, spt_s, node.dist_r, path)
         if any(not g.edges[eid].virtual for eid in path.edge_ids):
-            node.dep, node.dep_stats = build_dep(g, node.spt_s, path)
+            node.dep, node.dep_stats = build_dep(g, spt_s, path)
 
     left_g, node.left_vertex_map, node.left_edge_map, left_src = make_left_child(node)
     right_g, node.right_vertex_map, node.right_edge_map, right_src = make_right_child(node)
-    node.right_source = right_src
     node.left = build_node(left_g, left_src, depth + 1)
     node.right = build_node(right_g, right_src, depth + 1)
     return node
@@ -272,38 +257,35 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
         raise ValueError(f"source {source} out of range [0, {g.n})")
     if any(e.virtual for e in g.edges):
         raise ValueError("input graphs must contain only original unit edges")
-    probe = dijkstra(g, source)
-    if probe.reachable_count() == g.n:
+    spt = dijkstra(g, source)
+    build_preorder(spt)
+    if spt.reachable_count() == g.n:
         root_graph = g
         to_root: list[int | None] = list(range(g.n))
-        from_root = list(range(g.n))
         to_root_edge: list[int | None] = list(range(g.m))
         root_source = source
     else:
         to_root = [None] * g.n
-        from_root = []
+        kept = 0
         for v in range(g.n):
-            if probe.reachable(v):
-                to_root[v] = len(from_root)
-                from_root.append(v)
+            if spt.reachable(v):
+                to_root[v] = kept
+                kept += 1
         edges = []
         to_root_edge = [None] * g.m
         for eid, e in enumerate(g.edges):
             if to_root[e.u] is not None and to_root[e.v] is not None:
                 to_root_edge[eid] = len(edges)
                 edges.append(Edge(to_root[e.u], to_root[e.v], e.weight, e.virtual))
-        root_graph = Graph(len(from_root), edges)
+        root_graph = Graph(kept, edges)
         root_source = to_root[source]
 
-    root = build_node(root_graph, root_source, 0)
-    # queries test ancestry on the root tree only
-    build_preorder(root.spt_s)
     tree = OracleTree(
-        root=root,
+        root=build_node(root_graph, root_source, 0),
         original_graph=g,
         original_source=source,
+        spt=spt,
         to_root_id=to_root,
-        from_root_id=from_root,
         to_root_edge=to_root_edge,
     )
     for node in tree.nodes():

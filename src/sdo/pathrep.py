@@ -16,7 +16,7 @@ from .spt import PathOnTree, ShortestPathTree
 def replacement_lengths_along_path(
     g: Graph,
     spt_s: ShortestPathTree,
-    spt_r: ShortestPathTree,
+    dist_r: list[Distance],
     path: PathOnTree,
 ) -> list[Distance]:
     """Table indexed by path-edge position: length of the best detour around
@@ -30,7 +30,6 @@ def replacement_lengths_along_path(
     if k == 0:
         return []
     dist_s = spt_s.dist
-    dist_r = spt_r.dist
     pos_of = path.index_of
     path_edge_ids = set(path.edge_ids)
 

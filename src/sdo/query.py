@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Distance, Graph, UNREACHABLE
+from .graphs import Distance, UNREACHABLE
 from .oracle import EdgeSide, OracleNode, OracleTree, VertexSide
 from .spt import tree_edge_lower, is_ancestor
 
@@ -33,19 +33,22 @@ class SsrpOutput:
 
 
 def _query_node(
-    node: OracleNode, t: int, eid: int, depth: int, left_on_primary: bool
+    node: OracleNode, t: int, eid: int, d0: Distance, depth: int, left_on_primary: bool
 ) -> tuple[Distance, int]:
+    """Descend from ``node`` for destination t and fault eid in its ids;
+    ``d0`` is the unfaulted distance to t, the answer wherever the fault
+    misses t's tree path."""
     while True:
         if node.is_leaf:
             return node.base_table[eid][t], depth
 
         side_e = node.edge_side[eid]
         if side_e == EdgeSide.CROSSING:
-            return node.spt_s.dist[t], depth
+            return d0, depth
 
         if side_e == EdgeSide.N_SIDE:
             if node.vertex_side[t] == VertexSide.M:
-                return node.spt_s.dist[t], depth
+                return d0, depth
             t = node.right_vertex_map[t]
             eid = node.right_edge_map[eid]
             node = node.right
@@ -54,19 +57,18 @@ def _query_node(
 
         if side_e == EdgeSide.M_OFF_PRIMARY:
             if node.vertex_side[t] == VertexSide.N:
-                return node.spt_s.dist[t], depth
+                return d0, depth
             t = node.left_vertex_map[t]
             eid = node.left_edge_map[eid]
             node = node.left
             depth += 1
             continue
 
-        # fault on the primary path
+        # fault on the primary path; a destination on the path has an empty
+        # departing array, which answers UNREACHABLE
         pos = node.primary_pos_of_edge[eid]
-        jump = node.sr_replacements[pos] + node.spt_r.dist[t]
-        on_path = t in node.primary_path.index_of
-        best: Distance = jump
-        if not on_path and node.dep is not None:
+        best: Distance = node.sr_replacements[pos] + node.dist_r[t]
+        if node.dep is not None:
             dep = node.dep[t].query(pos)
             if dep < best:
                 best = dep
@@ -80,6 +82,7 @@ def _query_node(
                 node.left,
                 node.left_vertex_map[t],
                 node.left_edge_map[eid],
+                d0,
                 depth + 1,
                 left_on_primary,
             )
@@ -87,17 +90,6 @@ def _query_node(
                 best = sub
             return best, sub_depth
         return best, depth
-
-
-def resolve_edge_id(g: Graph, spt, x: int, y: int) -> int:
-    """Edge id for a vertex pair; with parallel edges the tree edge wins."""
-    candidates = g.edge_ids_between(x, y)
-    if not candidates:
-        raise ValueError(f"no edge between {x} and {y}")
-    for eid in candidates:
-        if tree_edge_lower(spt, eid) is not None:
-            return eid
-    return min(candidates)
 
 
 def query(
@@ -110,8 +102,9 @@ def query(
     """Length of the shortest source -> t path avoiding edge e = (x, y).
 
     Faults off the t tree path leave the distance unchanged; destinations
-    outside the source's component answer UNREACHABLE. The keyword flag exists
-    only so tests can demonstrate the recursion branch is load-bearing.
+    outside the source's component answer UNREACHABLE. With parallel edges
+    the tree copy fails. The keyword flag exists only so tests can
+    demonstrate the recursion branch is load-bearing.
     """
     g = oracle.original_graph
     x, y = e
@@ -122,18 +115,14 @@ def query(
     if not g.edge_ids_between(x, y):
         raise ValueError(f"no edge between {x} and {y}")
 
-    rt = oracle.to_root_id[t]
-    if rt is None:
-        return QueryResult(UNREACHABLE, 0)
-    root = oracle.root
-    rx, ry = oracle.to_root_id[x], oracle.to_root_id[y]
-    if rx is None or ry is None:
-        return QueryResult(root.spt_s.dist[rt], 0)
-    eid = resolve_edge_id(root.graph, root.spt_s, rx, ry)
-    lower = tree_edge_lower(root.spt_s, eid)
-    if lower is None or not is_ancestor(root.spt_s, lower, rt):
-        return QueryResult(root.spt_s.dist[rt], 0)
-    dist, depth = _query_node(root, rt, eid, 0, _left_recursion_on_primary)
+    spt = oracle.spt
+    lower = tree_edge_lower(spt, x, y)
+    if lower is None or not is_ancestor(spt, lower, t):
+        return QueryResult(spt.dist[t], 0)
+    eid = oracle.to_root_edge[spt.parent_edge[lower]]
+    dist, depth = _query_node(
+        oracle.root, oracle.to_root_id[t], eid, spt.dist[t], 0, _left_recursion_on_primary
+    )
     return QueryResult(dist, depth)
 
 
@@ -141,21 +130,21 @@ def ssrp(oracle: OracleTree) -> SsrpOutput:
     """For every reachable destination and every tree edge above it, the
     avoiding distance; records ordered by destination then edge depth."""
     root = oracle.root
-    spt = root.spt_s
-    unmap = oracle.from_root_id
+    spt = oracle.spt
+    source = oracle.original_source
     records: list[tuple[int, tuple[int, int], Distance]] = []
-    for t_orig in range(oracle.original_graph.n):
-        rt = oracle.to_root_id[t_orig]
-        if rt is None or rt == root.source:
+    for t in range(oracle.original_graph.n):
+        if t == source or not spt.reachable(t):
             continue
         chain: list[tuple[int, int, int]] = []
-        cur = rt
-        while cur != root.source:
+        cur = t
+        while cur != source:
             p = spt.parent[cur]
             chain.append((p, cur, spt.parent_edge[cur]))
             cur = p
         chain.reverse()
+        rt, d0 = oracle.to_root_id[t], spt.dist[t]
         for upper, lower, eid in chain:
-            dist, _ = _query_node(root, rt, eid, 0, True)
-            records.append((t_orig, (unmap[upper], unmap[lower]), dist))
+            dist, _ = _query_node(root, rt, oracle.to_root_edge[eid], d0, 0, True)
+            records.append((t, (upper, lower), dist))
     return SsrpOutput(records)

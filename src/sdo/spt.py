@@ -159,14 +159,6 @@ class PathOnTree:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def top(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def bottom(self) -> int:
-        return self.vertices[-1]
-
 
 def tree_path(spt: ShortestPathTree, u: int, v: int) -> PathOnTree:
     """Ordered u -> v path along the tree; u must be an ancestor of v."""
@@ -185,27 +177,21 @@ def tree_path(spt: ShortestPathTree, u: int, v: int) -> PathOnTree:
     return PathOnTree(verts, eids)
 
 
-def tree_edge_lower(spt: ShortestPathTree, eid: int) -> int | None:
-    """The child endpoint if ``eid`` is a tree edge, else None."""
-    e = spt.graph.edges[eid]
-    if spt.parent_edge[e.u] == eid:
-        return e.u
-    if spt.parent_edge[e.v] == eid:
-        return e.v
+def tree_edge_lower(spt: ShortestPathTree, x: int, y: int) -> int | None:
+    """The child endpoint if the pair (x, y) is joined by a tree edge, else
+    None; with parallel edges the tree copy is the one meant."""
+    if spt.parent[y] == x:
+        return y
+    if spt.parent[x] == y:
+        return x
     return None
 
 
 def edge_on_tree_path(spt: ShortestPathTree, t: int, e: tuple[int, int]) -> bool:
     """True iff (x, y) is a tree edge whose lower endpoint is an ancestor of t
     (or t itself), i.e. the edge lies on the source -> t tree path."""
-    x, y = e
-    if spt.parent[y] == x:
-        lower = y
-    elif spt.parent[x] == y:
-        lower = x
-    else:
-        return False
-    return is_ancestor(spt, lower, t)
+    lower = tree_edge_lower(spt, *e)
+    return lower is not None and is_ancestor(spt, lower, t)
 
 
 @dataclass(slots=True)
@@ -288,11 +274,6 @@ def separator_split(spt: ShortestPathTree) -> SeparatorSplit:
             in_m[w] = True
     size_m = nr - size_n + 1
     return SeparatorSplit(r, in_m, in_n, nr, size_m, size_n)
-
-
-def find_separator(spt: ShortestPathTree) -> int:
-    """Separator vertex r; see separator_split for the balance guarantees."""
-    return separator_split(spt).r
 
 
 def separator_balanced(split: SeparatorSplit) -> bool:

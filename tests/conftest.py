@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 
+from sdo.generators import tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
+from sdo.oracle import VertexSide
 from sdo.spt import ShortestPathTree
 
 
@@ -66,10 +68,28 @@ def min_simple_path(g: Graph, s: int, t: int, banned: frozenset = frozenset()):
     return best[0]
 
 
-def random_connected_graph(n: int, extra: int, seed: int) -> Graph:
-    from sdo.generators import tree_plus_chords
+def ragged_multigraph(n: int, extra: int, seed: int) -> Graph:
+    """tree_plus_chords with about 20% of its edges dropped, which usually
+    leaves several components, and about 30% of the rest doubled; the edge
+    order is shuffled so either copy of a pair can be the tree edge."""
+    rng = random.Random(seed)
+    pairs = []
+    for e in tree_plus_chords(n, extra, seed).edges:
+        if rng.random() < 0.2:
+            continue
+        pairs.append((e.u, e.v))
+        if rng.random() < 0.3:
+            pairs.append((e.v, e.u))
+    rng.shuffle(pairs)
+    return Graph.from_pairs(n, pairs)
 
-    return tree_plus_chords(n, extra, seed)
+
+def split_sizes(node) -> tuple[int, int, int]:
+    """(reachable count, |V_M|, |V_N|) of an internal node, read off its
+    vertex sides; node graphs are connected, so every vertex is reachable."""
+    nm = sum(1 for s in node.vertex_side if s != VertexSide.N)
+    nn = sum(1 for s in node.vertex_side if s != VertexSide.M)
+    return node.graph.n, nm, nn
 
 
 def path_graph(n: int) -> Graph:

@@ -23,7 +23,7 @@ from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import dijkstra, tree_path
 
-from conftest import rejoin_gadget
+from conftest import rejoin_gadget, split_sizes
 
 CORPUS_SEED = 20240601
 CORPUS_COUNT = 210
@@ -36,13 +36,12 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def fault_cases(oracle):
     """(t, (x, y), edge id) for every reachable t and tree edge above it."""
-    root = oracle.root
-    spt = root.spt_s
+    spt = oracle.spt
+    s = oracle.original_source
     for t in range(oracle.original_graph.n):
-        rt = oracle.to_root_id[t]
-        if rt is None or rt == root.source:
+        if t == s or not spt.reachable(t):
             continue
-        path = tree_path(spt, root.source, rt)
+        path = tree_path(spt, s, t)
         for eid, upper, lower in zip(path.edge_ids, path.vertices, path.vertices[1:]):
             yield t, (upper, lower), eid
 
@@ -112,7 +111,8 @@ def test_criterion_3_dep_invariants_and_equivalence(corpus):
                 for i in range(len(lengths) - 1):
                     assert lengths[i] < lengths[i + 1], (label, arr.end)
                     assert depths[i] > depths[i + 1], (label, arr.end)
-            brute = brute_departing(node.graph, node.spt_s, path)
+            spt_s = dijkstra(node.graph, node.source)
+            brute = brute_departing(node.graph, spt_s, path)
             on_path = set(path.vertices)
             for t in range(node.graph.n):
                 if t in on_path:
@@ -181,10 +181,10 @@ def test_criterion_6_structural_bounds(corpus):
         for node in oracle.nodes():
             if node.is_leaf:
                 continue
-            nr, nm, nn = node.split_sizes
+            nr, nm, nn = split_sizes(node)
             lo, hi = nr // 3, -(-2 * nr // 3) + 1
-            assert lo <= nm <= hi, (label, node.split_sizes)
-            assert lo <= nn <= hi, (label, node.split_sizes)
+            assert lo <= nm <= hi, (label, nr, nm, nn)
+            assert lo <= nn <= hi, (label, nr, nm, nn)
             splits += 1
         for t, pair, _ in fault_cases(oracle):
             d = query(oracle, t, pair).recursion_depth
@@ -204,12 +204,8 @@ def test_criterion_7_ssrp_equivalence_and_accounting(corpus):
         got = ssrp(oracle)
         want = brute_ssrp(g, s)
         assert got.records == want.records, label
-        spt = oracle.root.spt_s
-        expected_count = sum(
-            spt.depth[oracle.to_root_id[t]]
-            for t in range(g.n)
-            if oracle.to_root_id[t] is not None
-        )
+        spt = oracle.spt
+        expected_count = sum(spt.depth[t] for t in range(g.n) if spt.reachable(t))
         assert len(got.records) == expected_count, label
         records_total += len(got.records)
     _report(
@@ -228,7 +224,7 @@ def test_criterion_8_scaling_smoke():
         build_seconds[n] = time.perf_counter() - t0
 
     ratio = build_seconds[16384] / build_seconds[4096]
-    cases = path_faults(oracle.root.spt_s, 10_000, random.Random(1))
+    cases = path_faults(oracle.spt, 10_000, random.Random(1))
     t0 = time.perf_counter()
     for t, pair in cases:
         query(oracle, t, pair)

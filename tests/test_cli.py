@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdo.cli import main
@@ -96,6 +98,21 @@ def test_load_rejects_foreign_files(tmp_path):
         p.write_bytes(junk)
         with pytest.raises(ValueError, match="junk.oracle"):
             load_oracle(p)
+
+
+def test_every_single_bit_flip_is_rejected(tmp_path):
+    blob = dump_oracle(build_oracle(tree_plus_chords(30, 15, 5), 0))
+    rng = random.Random(300)
+    p = tmp_path / "flip.oracle"
+    for _ in range(300):
+        bit = rng.randrange(8 * len(blob))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(flipped)
+        with pytest.raises(ValueError, match="flip.oracle"):
+            load_oracle(p)
+    p.write_bytes(blob)
+    assert dump_oracle(load_oracle(p)) == blob
 
 
 def test_query_on_truncated_oracle_exits_2(path3, capsys):

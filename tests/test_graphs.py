@@ -57,11 +57,6 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [Edge(0, 1, -1)])
 
-    def test_endpoint_other(self):
-        g = Graph.from_pairs(3, [(0, 2)])
-        assert g.endpoint_other(0, 0) == 2
-        assert g.endpoint_other(0, 2) == 0
-
 
 class TestTextFormat:
     def test_round_trip(self):

@@ -12,15 +12,38 @@ from sdo.oracle import (
     build_oracle,
     classify,
 )
-from sdo.spt import dijkstra
+from sdo.spt import dijkstra, separator_split
 
-from conftest import path_graph, star_graph
+from conftest import path_graph, ragged_multigraph, split_sizes, star_graph
 
 
 def walk_internal(oracle):
     for node in oracle.nodes():
         if not node.is_leaf:
             yield node
+
+
+def assert_child_distances_equal_parent_distances(oracle):
+    """Every child vertex lies at its parent vertex's source distance, and
+    every node vertex at the input-graph distance of its original vertex."""
+    root = oracle.root
+    original = {rv: v for v, rv in enumerate(oracle.to_root_id) if rv is not None}
+    stack = [(root, original, dijkstra(root.graph, root.source).dist)]
+    while stack:
+        node, original, dist = stack.pop()
+        for v, ov in original.items():
+            assert dist[v] == oracle.spt.dist[ov]
+        if node.is_leaf:
+            continue
+        for child, vmap in (
+            (node.left, node.left_vertex_map),
+            (node.right, node.right_vertex_map),
+        ):
+            child_dist = dijkstra(child.graph, child.source).dist
+            for v, cv in vmap.items():
+                assert child_dist[cv] == dist[v]
+            child_original = {vmap[v]: ov for v, ov in original.items() if v in vmap}
+            stack.append((child, child_original, child_dist))
 
 
 class TestLeaves:
@@ -90,12 +113,7 @@ class TestChildGraphs:
     def test_child_distances_equal_parent_distances(self):
         for seed in (0, 1, 2):
             g = tree_plus_chords(45, 30, seed)
-            oracle = build_oracle(g, 0)
-            for node in walk_internal(oracle):
-                for v, cv in node.left_vertex_map.items():
-                    assert node.left.spt_s.dist[cv] == node.spt_s.dist[v]
-                for v, cv in node.right_vertex_map.items():
-                    assert node.right.spt_s.dist[cv] == node.spt_s.dist[v]
+            assert_child_distances_equal_parent_distances(build_oracle(g, 0))
 
     def test_fresh_shortcuts_incident_to_separator_and_new_source(self):
         g = tree_plus_chords(40, 20, 4)
@@ -116,13 +134,20 @@ class TestChildGraphs:
         root = oracle.root
         m_side = [v for v, s in enumerate(root.vertex_side) if s == VertexSide.M]
         assert m_side
-        assert all(root.dist_r_avoiding_gm[v] is UNREACHABLE for v in m_side)
+        banned_m = [
+            eid
+            for eid, s in enumerate(root.edge_side)
+            if s in (EdgeSide.M_ON_PRIMARY, EdgeSide.M_OFF_PRIMARY)
+        ]
+        avoid = dijkstra(root.graph, root.separator, banned_m).dist
+        assert all(avoid[v] is UNREACHABLE for v in m_side)
         assert not any(e.virtual for e in root.left.graph.edges)
         # the far side keeps exactly one entry edge, to the separator itself
         right_virtuals = [e for e in root.right.graph.edges if e.virtual]
         r_right = root.right_vertex_map[root.separator]
+        d_r = dijkstra(root.graph, root.source).dist[root.separator]
         assert [(e.u, e.v, e.weight) for e in right_virtuals] == [
-            (root.right.source, r_right, root.spt_s.dist[root.separator])
+            (root.right.source, r_right, d_r)
         ]
 
 
@@ -162,10 +187,11 @@ class TestStructure:
     def test_side_partition_counts(self):
         g = tree_plus_chords(60, 35, 12)
         for node in walk_internal(build_oracle(g, 0)):
-            nm = sum(1 for s in node.vertex_side if s != VertexSide.N)
-            nn = sum(1 for s in node.vertex_side if s != VertexSide.M)
-            assert nm + nn == node.graph.n + 1
-            assert (node.split_sizes[1], node.split_sizes[2]) == (nm, nn)
+            nr, nm, nn = split_sizes(node)
+            assert nm + nn == nr + 1
+            split = separator_split(dijkstra(node.graph, node.source))
+            assert split.r == node.separator
+            assert (split.reachable_count, split.size_m, split.size_n) == (nr, nm, nn)
 
     def test_primary_path_inside_m(self):
         g = tree_plus_chords(50, 20, 13)
@@ -177,7 +203,7 @@ class TestStructure:
         for seed in (5, 6, 7):
             g = tree_plus_chords(55, 30, seed)
             for node in build_oracle(g, 0).nodes():
-                spt = node.spt_s
+                spt = dijkstra(node.graph, node.source)
                 for v in range(node.graph.n):
                     pe = spt.parent_edge[v]
                     if pe is not None and node.graph.edges[pe].virtual:
@@ -217,6 +243,14 @@ def test_build_invariants_random(n, extra, seed):
     oracle = build_oracle(g, 0)
     assert oracle.depth <= math.ceil(math.log(n, 1.5)) + 2
     for node in walk_internal(oracle):
-        nr, nm, nn = node.split_sizes
+        nr, nm, nn = split_sizes(node)
         assert nr // 3 <= nm <= -(-2 * nr // 3) + 1
         assert nr // 3 <= nn <= -(-2 * nr // 3) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 30), st.integers(0, 10**6), st.data())
+def test_child_distances_on_disconnected_multigraphs(n, extra, seed, data):
+    g = ragged_multigraph(n, extra, seed)
+    source = data.draw(st.integers(0, n - 1))
+    assert_child_distances_equal_parent_distances(build_oracle(g, source))

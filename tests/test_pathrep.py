@@ -9,7 +9,7 @@ from sdo.spt import dijkstra, tree_path
 def table_for(g: Graph, s: int, r: int):
     spt_s = dijkstra(g, s)
     path = tree_path(spt_s, s, r)
-    return replacement_lengths_along_path(g, spt_s, dijkstra(g, r), path), path
+    return replacement_lengths_along_path(g, spt_s, dijkstra(g, r).dist, path), path
 
 
 def per_edge_dijkstra(g: Graph, s: int, r: int, path):
@@ -38,7 +38,7 @@ def test_empty_path():
     g = Graph.from_pairs(2, [(0, 1)])
     spt = dijkstra(g, 0)
     path = tree_path(spt, 0, 0)
-    assert replacement_lengths_along_path(g, spt, spt, path) == []
+    assert replacement_lengths_along_path(g, spt, spt.dist, path) == []
 
 
 def test_twenty_random_graphs_match_per_edge_dijkstra():

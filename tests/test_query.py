@@ -1,31 +1,26 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdo.baseline import brute_query, brute_ssrp
+from sdo.baseline import _sweep, brute_query, brute_ssrp
 from sdo.generators import tree_plus_chords, verify_corpus
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import tree_path
 
-from conftest import path_graph, rejoin_gadget
+from conftest import path_graph, ragged_multigraph, rejoin_gadget
 
 
 def all_fault_pairs(oracle):
-    """Every (t, tree edge above t) of the root tree, in original ids."""
-    root = oracle.root
-    spt = root.spt_s
-    unmap = oracle.from_root_id
-    unmap_edge = {
-        re: oe for oe, re in enumerate(oracle.to_root_edge) if re is not None
-    }
-    for t_orig in range(oracle.original_graph.n):
-        rt = oracle.to_root_id[t_orig]
-        if rt is None or rt == root.source:
+    """Every (t, tree edge above t) of the source tree."""
+    spt = oracle.spt
+    s = oracle.original_source
+    for t in range(oracle.original_graph.n):
+        if t == s or not spt.reachable(t):
             continue
-        path = tree_path(spt, root.source, rt)
+        path = tree_path(spt, s, t)
         for eid, upper, lower in zip(path.edge_ids, path.vertices, path.vertices[1:]):
-            yield t_orig, (unmap[upper], unmap[lower]), unmap_edge[eid]
+            yield t, (upper, lower), eid
 
 
 class TestQuery:
@@ -46,9 +41,9 @@ class TestQuery:
     def test_monotone_lower_bound(self):
         g = tree_plus_chords(40, 25, 6)
         oracle = build_oracle(g, 0)
-        dist = oracle.root.spt_s.dist
+        dist = oracle.spt.dist
         for t, pair, _ in all_fault_pairs(oracle):
-            assert query(oracle, t, pair).distance >= dist[oracle.to_root_id[t]]
+            assert query(oracle, t, pair).distance >= dist[t]
 
     def test_recursion_depth_bounded_by_tree_depth(self):
         g = tree_plus_chords(70, 45, 10)
@@ -129,7 +124,7 @@ class TestSsrp:
     def test_record_count_is_total_tree_depth(self):
         g = tree_plus_chords(50, 30, 14)
         oracle = build_oracle(g, 0)
-        spt = oracle.root.spt_s
+        spt = oracle.spt
         assert len(ssrp(oracle).records) == sum(
             spt.depth[v] for v in range(g.n) if spt.reachable(v)
         )
@@ -151,6 +146,23 @@ def test_query_equals_brute_everywhere(n, extra, seed):
     oracle = build_oracle(g, 0)
     for t, pair, eid in all_fault_pairs(oracle):
         assert query(oracle, t, pair).distance == brute_query(g, 0, t, eid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 30), st.integers(0, 10**6), st.data())
+def test_disconnected_multigraphs_match_brute(n, extra, seed, data):
+    # a fault on a doubled pair removes the tree copy, the copy whose loss
+    # costs the most, so the answer is the max over the copies
+    g = ragged_multigraph(n, extra, seed)
+    s = data.draw(st.integers(0, n - 1))
+    oracle = build_oracle(g, s)
+    without = [_sweep(g, s, (eid,))[0] for eid in range(g.m)]
+    for e in g.edges:
+        copies = g.edge_ids_between(e.u, e.v)
+        for t in range(g.n):
+            want = max(without[c][t] for c in copies)
+            assert query(oracle, t, (e.u, e.v)).distance == want, (s, t, (e.u, e.v))
+    assert ssrp(oracle).records == brute_ssrp(g, s).records
 
 
 def full_sweep(g, s):

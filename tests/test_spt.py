@@ -8,7 +8,6 @@ from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import (
     dijkstra,
     edge_on_tree_path,
-    find_separator,
     is_ancestor,
     separator_balanced,
     separator_split,
@@ -161,7 +160,7 @@ class TestSeparator:
         g = Graph.from_pairs(2, [(0, 1)])
         spt = dijkstra(g, 0, {0})
         with pytest.raises(ValueError):
-            find_separator(spt)
+            separator_split(spt)
 
     def test_sides_overlap_only_at_r(self):
         g = tree_plus_chords(50, 20, 9)
