@@ -13,7 +13,7 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .oracle import OracleNode, OracleTree, build_node, build_oracle, classify
+from .oracle import OracleNode, OracleTree, build_node, build_oracle
 from .pathrep import replacement_lengths_along_path
 from .query import QueryResult, SsrpOutput, query, ssrp
 from .serialize import dump_oracle, load_oracle, save_oracle
@@ -45,7 +45,6 @@ __all__ = [
     "build_dep",
     "build_node",
     "build_oracle",
-    "classify",
     "dijkstra",
     "dump_oracle",
     "edge_on_tree_path",

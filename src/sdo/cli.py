@@ -102,6 +102,26 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    return parse
+
+
+def _sizes(text: str) -> list[int]:
+    """An argparse type: comma-separated graph sizes, each at least 2."""
+    return [_at_least(2)(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdo",
@@ -129,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="diff the oracle against brute force")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--max-n", type=int, default=120)
+    p.add_argument("--count", type=_at_least(1), default=50)
+    p.add_argument("--max-n", type=_at_least(5), default=120)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="build/query timing table")
-    p.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")], required=True)
+    p.add_argument("--sizes", type=_sizes, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--queries", type=int, default=2000)
+    p.add_argument("--queries", type=_at_least(1), default=2000)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 def _restore_unreachable():
@@ -53,10 +52,12 @@ def is_unreachable(value: Distance) -> bool:
     return value is UNREACHABLE
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     """One undirected edge. ``virtual`` marks weighted shortcut edges added
-    during oracle construction; input graphs contain only original edges."""
+    during oracle construction; input graphs contain only original edges.
+
+    A named tuple, so pickling stores plain constructor arguments and loading
+    an oracle rebuilds its edges without Python-level state hooks."""
 
     u: int
     v: int

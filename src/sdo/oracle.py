@@ -12,7 +12,6 @@ recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 from .departing import DepArray, DepBuildStats, build_dep
 from .graphs import Distance, Edge, Graph, UNREACHABLE
@@ -27,21 +26,16 @@ from .spt import (
 )
 
 
-class EdgeSide(IntEnum):
-    M_ON_PRIMARY = 0
-    M_OFF_PRIMARY = 1
-    N_SIDE = 2
-    CROSSING = 3
-
-
-class VertexSide(IntEnum):
-    M = 0
-    N = 1
-    BOTH = 2
-
-
 class OracleNode:
-    """One recursion level: its graph, separator split, tables, and children."""
+    """One recursion level: its graph, separator split, tables, and children.
+
+    The child id maps are the split. ``left_vertex_map`` holds side M (the
+    source side, with the primary path) and ``right_vertex_map`` side N; the
+    separator is the only vertex in both. Each edge map holds the edges with
+    both ends in its side, so a primary-path edge (also in
+    ``primary_pos_of_edge``) is in ``left_edge_map``, and an edge in neither
+    map crosses the split.
+    """
 
     __slots__ = (
         "graph",
@@ -55,8 +49,6 @@ class OracleNode:
         "sr_replacements",
         "dep",
         "dep_stats",
-        "vertex_side",
-        "edge_side",
         "primary_pos_of_edge",
         "left",
         "right",
@@ -78,8 +70,6 @@ class OracleNode:
         self.sr_replacements: list[Distance] | None = None
         self.dep: list[DepArray] | None = None
         self.dep_stats: DepBuildStats | None = None
-        self.vertex_side: list[VertexSide] | None = None
-        self.edge_side: list[EdgeSide] | None = None
         self.primary_pos_of_edge: dict[int, int] | None = None
         self.left: OracleNode | None = None
         self.right: OracleNode | None = None
@@ -124,22 +114,6 @@ class OracleTree:
         return self.root.walk()
 
 
-def classify(node: OracleNode, eid: int) -> EdgeSide:
-    """Side of one edge of the node graph; an edge incident to the separator
-    (which belongs to both sides) takes its other endpoint's side."""
-    if eid in node.primary_pos_of_edge:
-        return EdgeSide.M_ON_PRIMARY
-    e = node.graph.edges[eid]
-    su, sv = node.vertex_side[e.u], node.vertex_side[e.v]
-    if su == VertexSide.BOTH:
-        return EdgeSide.M_OFF_PRIMARY if sv == VertexSide.M else EdgeSide.N_SIDE
-    if sv == VertexSide.BOTH:
-        return EdgeSide.M_OFF_PRIMARY if su == VertexSide.M else EdgeSide.N_SIDE
-    if su == sv:
-        return EdgeSide.M_OFF_PRIMARY if su == VertexSide.M else EdgeSide.N_SIDE
-    return EdgeSide.CROSSING
-
-
 def _leaf_node(node: OracleNode) -> OracleNode:
     node.is_leaf = True
     g = node.graph
@@ -149,7 +123,32 @@ def _leaf_node(node: OracleNode) -> OracleNode:
     return node
 
 
-def make_left_child(node: OracleNode) -> tuple[Graph, dict[int, int], dict[int, int], int]:
+def _induced(
+    g: Graph, inside: list[bool]
+) -> tuple[dict[int, int], list[Edge], dict[int, int]]:
+    """Vertex map, edges and edge map of the subgraph of ``g`` induced by the
+    vertices marked ``inside``, in the parent's vertex and edge order."""
+    vmap: dict[int, int] = {}
+    for v in range(g.n):
+        if inside[v]:
+            vmap[v] = len(vmap)
+    edges: list[Edge] = []
+    emap: dict[int, int] = {}
+    for eid, e in enumerate(g.edges):
+        a = vmap.get(e.u)
+        if a is None:
+            continue
+        b = vmap.get(e.v)
+        if b is None:
+            continue
+        emap[eid] = len(edges)
+        edges.append(Edge(a, b, e.weight, e.virtual))
+    return vmap, edges, emap
+
+
+def make_left_child(
+    node: OracleNode, in_m: list[bool]
+) -> tuple[Graph, dict[int, int], dict[int, int], int]:
     """Induced side-M graph plus weighted shortcuts from the separator.
 
     Each shortcut (r, v) carries the best r -> v length that avoids every
@@ -157,19 +156,8 @@ def make_left_child(node: OracleNode) -> tuple[Graph, dict[int, int], dict[int, 
     whole side at the recorded cost.
     """
     g = node.graph
-    side = node.vertex_side
     r = node.separator
-    vmap: dict[int, int] = {}
-    for v in range(g.n):
-        if side[v] != VertexSide.N:
-            vmap[v] = len(vmap)
-    edges: list[Edge] = []
-    emap: dict[int, int] = {}
-    for eid, e in enumerate(g.edges):
-        es = node.edge_side[eid]
-        if es in (EdgeSide.M_ON_PRIMARY, EdgeSide.M_OFF_PRIMARY):
-            emap[eid] = len(edges)
-            edges.append(Edge(vmap[e.u], vmap[e.v], e.weight, e.virtual))
+    vmap, edges, emap = _induced(g, in_m)
     rv = vmap[r]
     avoid = dijkstra(g, r, emap).dist
     for v, lv in vmap.items():
@@ -181,7 +169,9 @@ def make_left_child(node: OracleNode) -> tuple[Graph, dict[int, int], dict[int, 
     return Graph(len(vmap), edges), vmap, emap, vmap[node.source]
 
 
-def make_right_child(node: OracleNode) -> tuple[Graph, dict[int, int], dict[int, int], int]:
+def make_right_child(
+    node: OracleNode, in_n: list[bool]
+) -> tuple[Graph, dict[int, int], dict[int, int], int]:
     """Induced side-N graph plus a fresh source with weighted entry edges.
 
     The fresh source is added uniformly (even when the separator equals the
@@ -189,18 +179,8 @@ def make_right_child(node: OracleNode) -> tuple[Graph, dict[int, int], dict[int,
     every side-N edge.
     """
     g = node.graph
-    side = node.vertex_side
-    vmap: dict[int, int] = {}
-    for v in range(g.n):
-        if side[v] != VertexSide.M:
-            vmap[v] = len(vmap)
+    vmap, edges, emap = _induced(g, in_n)
     s_n = len(vmap)
-    edges: list[Edge] = []
-    emap: dict[int, int] = {}
-    for eid, e in enumerate(g.edges):
-        if node.edge_side[eid] == EdgeSide.N_SIDE:
-            emap[eid] = len(edges)
-            edges.append(Edge(vmap[e.u], vmap[e.v], e.weight, e.virtual))
     avoid = dijkstra(g, node.source, emap).dist
     for v, lv in vmap.items():
         w = avoid[v]
@@ -225,13 +205,6 @@ def build_node(g: Graph, source: int, depth: int) -> OracleNode:
     node.primary_pos_of_edge = {
         eid: pos for pos, eid in enumerate(node.primary_path.edge_ids)
     }
-    node.vertex_side = [
-        VertexSide.BOTH
-        if split.in_m[v] and split.in_n[v]
-        else (VertexSide.M if split.in_m[v] else VertexSide.N)
-        for v in range(g.n)
-    ]
-    node.edge_side = [classify(node, eid) for eid in range(g.m)]
     node.dist_r = dijkstra(g, r).dist
 
     path = node.primary_path
@@ -240,8 +213,12 @@ def build_node(g: Graph, source: int, depth: int) -> OracleNode:
         if any(not g.edges[eid].virtual for eid in path.edge_ids):
             node.dep, node.dep_stats = build_dep(g, spt_s, path)
 
-    left_g, node.left_vertex_map, node.left_edge_map, left_src = make_left_child(node)
-    right_g, node.right_vertex_map, node.right_edge_map, right_src = make_right_child(node)
+    left_g, node.left_vertex_map, node.left_edge_map, left_src = make_left_child(
+        node, split.in_m
+    )
+    right_g, node.right_vertex_map, node.right_edge_map, right_src = make_right_child(
+        node, split.in_n
+    )
     node.left = build_node(left_g, left_src, depth + 1)
     node.right = build_node(right_g, right_src, depth + 1)
     return node

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Distance, UNREACHABLE
-from .oracle import EdgeSide, OracleNode, OracleTree, VertexSide
-from .spt import tree_edge_lower, is_ancestor
+from .oracle import OracleNode, OracleTree
+from .spt import is_ancestor, tree_edge_lower
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,78 +33,57 @@ class SsrpOutput:
 
 
 def _query_node(
-    node: OracleNode, t: int, eid: int, d0: Distance, depth: int, left_on_primary: bool
+    node: OracleNode, t: int, eid: int, d0: Distance, depth: int
 ) -> tuple[Distance, int]:
-    """Descend from ``node`` for destination t and fault eid in its ids;
-    ``d0`` is the unfaulted distance to t, the answer wherever the fault
-    misses t's tree path."""
-    while True:
-        if node.is_leaf:
-            return node.base_table[eid][t], depth
+    """Descend from ``node`` for destination t and fault eid in its ids.
 
-        side_e = node.edge_side[eid]
-        if side_e == EdgeSide.CROSSING:
-            return d0, depth
-
-        if side_e == EdgeSide.N_SIDE:
-            if node.vertex_side[t] == VertexSide.M:
-                return d0, depth
-            t = node.right_vertex_map[t]
-            eid = node.right_edge_map[eid]
-            node = node.right
-            depth += 1
-            continue
-
-        if side_e == EdgeSide.M_OFF_PRIMARY:
-            if node.vertex_side[t] == VertexSide.N:
-                return d0, depth
-            t = node.left_vertex_map[t]
-            eid = node.left_edge_map[eid]
-            node = node.left
-            depth += 1
-            continue
-
-        # fault on the primary path; a destination on the path has an empty
-        # departing array, which answers UNREACHABLE
-        pos = node.primary_pos_of_edge[eid]
-        best: Distance = node.sr_replacements[pos] + node.dist_r[t]
-        if node.dep is not None:
-            dep = node.dep[t].query(pos)
-            if dep < best:
-                best = dep
-        recurse_left = (
-            left_on_primary
-            and node.vertex_side[t] != VertexSide.N
-            and t != node.separator
-        )
-        if recurse_left:
-            sub, sub_depth = _query_node(
-                node.left,
-                node.left_vertex_map[t],
-                node.left_edge_map[eid],
-                d0,
-                depth + 1,
-                left_on_primary,
-            )
-            if sub < best:
-                best = sub
-            return best, sub_depth
-        return best, depth
+    At each level the fault lies on the primary path, inside one side (that
+    child's edge map holds it) or across the split. A primary-path fault
+    offers the level's own candidates, and the descent carries the best of
+    them on into side M, where a shorter route may stay. The descent goes on
+    into the side holding the fault while t lies there too; ``d0``, the
+    unfaulted distance to t, answers wherever the fault misses t's tree path.
+    """
+    best: Distance = UNREACHABLE
+    while not node.is_leaf:
+        pos = node.primary_pos_of_edge.get(eid)
+        if pos is not None:
+            # a destination on the path has an empty departing array, which
+            # answers UNREACHABLE
+            cand = node.sr_replacements[pos] + node.dist_r[t]
+            if cand < best:
+                best = cand
+            if node.dep is not None:
+                cand = node.dep[t].query(pos)
+                if cand < best:
+                    best = cand
+            if t == node.separator or t not in node.left_vertex_map:
+                return best, depth
+            child, vmap, emap = node.left, node.left_vertex_map, node.left_edge_map
+        elif eid in node.left_edge_map:
+            child, vmap, emap = node.left, node.left_vertex_map, node.left_edge_map
+        elif eid in node.right_edge_map:
+            child, vmap, emap = node.right, node.right_vertex_map, node.right_edge_map
+        else:
+            return _least(d0, best), depth
+        ct = vmap.get(t)
+        if ct is None:
+            return _least(d0, best), depth
+        node, t, eid, depth = child, ct, emap[eid], depth + 1
+    return _least(node.base_table[eid][t], best), depth
 
 
-def query(
-    oracle: OracleTree,
-    t: int,
-    e: tuple[int, int],
-    *,
-    _left_recursion_on_primary: bool = True,
-) -> QueryResult:
+def _least(d: Distance, best: Distance) -> Distance:
+    """min(d, best); nothing is compared while no candidate is carried."""
+    return d if best is UNREACHABLE or d < best else best
+
+
+def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
     """Length of the shortest source -> t path avoiding edge e = (x, y).
 
     Faults off the t tree path leave the distance unchanged; destinations
     outside the source's component answer UNREACHABLE. With parallel edges
-    the tree copy fails. The keyword flag exists only so tests can
-    demonstrate the recursion branch is load-bearing.
+    the tree copy fails.
     """
     g = oracle.original_graph
     x, y = e
@@ -112,17 +91,17 @@ def query(
         raise ValueError(f"destination {t} out of range [0, {g.n})")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"edge endpoints ({x}, {y}) out of range [0, {g.n})")
-    if not g.edge_ids_between(x, y):
-        raise ValueError(f"no edge between {x} and {y}")
-
     spt = oracle.spt
     lower = tree_edge_lower(spt, x, y)
-    if lower is None or not is_ancestor(spt, lower, t):
+    if lower is None:
+        # a tree edge proves the pair is joined; any other pair needs the scan
+        if not g.edge_ids_between(x, y):
+            raise ValueError(f"no edge between {x} and {y}")
+        return QueryResult(spt.dist[t], 0)
+    if not is_ancestor(spt, lower, t):
         return QueryResult(spt.dist[t], 0)
     eid = oracle.to_root_edge[spt.parent_edge[lower]]
-    dist, depth = _query_node(
-        oracle.root, oracle.to_root_id[t], eid, spt.dist[t], 0, _left_recursion_on_primary
-    )
+    dist, depth = _query_node(oracle.root, oracle.to_root_id[t], eid, spt.dist[t], 0)
     return QueryResult(dist, depth)
 
 
@@ -145,6 +124,6 @@ def ssrp(oracle: OracleTree) -> SsrpOutput:
         chain.reverse()
         rt, d0 = oracle.to_root_id[t], spt.dist[t]
         for upper, lower, eid in chain:
-            dist, _ = _query_node(root, rt, oracle.to_root_edge[eid], d0, 0, True)
+            dist, _ = _query_node(root, rt, oracle.to_root_edge[eid], d0, 0)
             records.append((t, (upper, lower), dist))
     return SsrpOutput(records)

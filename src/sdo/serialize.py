@@ -1,10 +1,10 @@
 """Oracle persistence: a magic header, a SHA-256 digest of the payload, and
 a deterministic pickle payload.
 
-The node tree holds only lists, dicts, arrays and frozen dataclasses, so
-serialize -> load -> serialize reproduces the byte stream exactly. The digest
-is checked before unpickling, so a damaged file fails with ValueError instead
-of loading into an oracle that answers wrongly.
+The node tree holds only lists, dicts, arrays, named tuples and slotted
+classes, so serialize -> load -> serialize reproduces the byte stream exactly.
+The digest is checked before unpickling, so a damaged file fails with
+ValueError instead of loading into an oracle that answers wrongly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .oracle import OracleTree
 
-MAGIC = b"SDO3-ORACLE\x00"
+MAGIC = b"SDO4-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _PROTOCOL = 4
 # What pickle raises on truncated or corrupted bytes.

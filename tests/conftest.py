@@ -11,7 +11,6 @@ import random
 
 from sdo.generators import tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
-from sdo.oracle import VertexSide
 from sdo.spt import ShortestPathTree
 
 
@@ -86,10 +85,9 @@ def ragged_multigraph(n: int, extra: int, seed: int) -> Graph:
 
 def split_sizes(node) -> tuple[int, int, int]:
     """(reachable count, |V_M|, |V_N|) of an internal node, read off its
-    vertex sides; node graphs are connected, so every vertex is reachable."""
-    nm = sum(1 for s in node.vertex_side if s != VertexSide.N)
-    nn = sum(1 for s in node.vertex_side if s != VertexSide.M)
-    return node.graph.n, nm, nn
+    child vertex maps; node graphs are connected, so every vertex is
+    reachable."""
+    return node.graph.n, len(node.left_vertex_map), len(node.right_vertex_map)
 
 
 def path_graph(n: int) -> Graph:
@@ -119,3 +117,12 @@ def rejoin_gadget() -> tuple[Graph, int, tuple[int, int], int]:
     )
     return g, 5, (0, 1), 3
 
+
+def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
+    """The root's own candidates for a primary-path fault, read off its
+    tables: the route through the separator and the departing-array entry."""
+    root = oracle.root
+    eid = oracle.original_graph.edge_ids_between(*fault)[0]
+    pos = root.primary_pos_of_edge[oracle.to_root_edge[eid]]
+    rt = oracle.to_root_id[t]
+    return [root.sr_replacements[pos] + root.dist_r[rt], root.dep[rt].query(pos)]

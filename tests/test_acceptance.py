@@ -23,7 +23,7 @@ from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import dijkstra, tree_path
 
-from conftest import rejoin_gadget, split_sizes
+from conftest import rejoin_gadget, root_primary_candidates, split_sizes
 
 CORPUS_SEED = 20240601
 CORPUS_COUNT = 210
@@ -85,15 +85,17 @@ def test_criterion_2_gadget_regression():
     eid = g.edge_ids_between(*fault)[0]
     brute = _sweep(g, 0, (eid,))[0][t]
     assert brute == expected
-    full = query(oracle, t, fault).distance
+    result = query(oracle, t, fault)
+    full = result.distance
     assert full == brute, (full, brute)
-    crippled = query(oracle, t, fault, _left_recursion_on_primary=False).distance
-    assert crippled != brute, "disabling the recursion branch must change the answer"
+    assert result.recursion_depth >= 1, "the answer must come from the left descent"
+    own = root_primary_candidates(oracle, t, fault)
+    assert min(own) > brute, "the root's own candidates must miss the answer"
     _report(
         2,
         True,
-        f"rejoin gadget answers {full} with the recursion branch, "
-        f"{crippled} without it (brute force: {brute})",
+        f"rejoin gadget answers {full} after the left descent, "
+        f"{min(own)} from the root's own candidates (brute force: {brute})",
     )
 
 

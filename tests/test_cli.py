@@ -75,6 +75,22 @@ def test_bench_prints_table(capsys):
     assert out[0].split() == ["n", "m", "build_s", "max_dep", "query_us"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "--sizes", "32", "--queries", "0"], "--queries"),
+        (["bench", "--sizes", "32,1"], "--sizes"),
+        (["verify", "--max-n", "4"], "--max-n"),
+        (["verify", "--count", "0"], "--count"),
+    ],
+)
+def test_bad_numeric_flag_exits_2_naming_it(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_oracle_round_trip_is_bit_exact(tmp_path):
     g = tree_plus_chords(35, 18, 77)
     oracle = build_oracle(g, 0)

@@ -5,13 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdo.generators import tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
-from sdo.oracle import (
-    EdgeSide,
-    VertexSide,
-    build_node,
-    build_oracle,
-    classify,
-)
+from sdo.oracle import build_node, build_oracle
 from sdo.spt import dijkstra, separator_split
 
 from conftest import path_graph, ragged_multigraph, split_sizes, star_graph
@@ -100,11 +94,7 @@ class TestChildGraphs:
         oracle = build_oracle(g, 0)
         root = oracle.root
         assert root.separator == 1
-        banned = [
-            eid
-            for eid, s in enumerate(root.edge_side)
-            if s in (EdgeSide.M_ON_PRIMARY, EdgeSide.M_OFF_PRIMARY)
-        ]
+        banned = list(root.left_edge_map)
         virtuals = [e for e in root.left.graph.edges if e.virtual]
         lmap = root.left_vertex_map
         assert virtuals == [Edge(lmap[1], lmap[3], 2, virtual=True)]
@@ -132,13 +122,9 @@ class TestChildGraphs:
         # so the left child gains no shortcut edges at all
         oracle = build_oracle(path_graph(9), 0)
         root = oracle.root
-        m_side = [v for v, s in enumerate(root.vertex_side) if s == VertexSide.M]
+        m_side = [v for v in root.left_vertex_map if v not in root.right_vertex_map]
         assert m_side
-        banned_m = [
-            eid
-            for eid, s in enumerate(root.edge_side)
-            if s in (EdgeSide.M_ON_PRIMARY, EdgeSide.M_OFF_PRIMARY)
-        ]
+        banned_m = list(root.left_edge_map)
         avoid = dijkstra(root.graph, root.separator, banned_m).dist
         assert all(avoid[v] is UNREACHABLE for v in m_side)
         assert not any(e.virtual for e in root.left.graph.edges)
@@ -152,6 +138,8 @@ class TestChildGraphs:
 
 
 class TestClassify:
+    """Which child edge map, if any, holds each edge of the root."""
+
     def _root(self):
         g = Graph.from_pairs(
             7, [(3, 4), (4, 1), (1, 0), (0, 6), (5, 2), (2, 6), (2, 3)]
@@ -161,26 +149,25 @@ class TestClassify:
     def test_first_primary_edge(self):
         g, root = self._root()
         eid = g.edge_ids_between(0, 6)[0]
-        assert classify(root, eid) == EdgeSide.M_ON_PRIMARY
+        assert eid in root.primary_pos_of_edge
+        assert eid in root.left_edge_map
+        assert eid not in root.right_edge_map
 
     def test_crossing_edge(self):
         g, root = self._root()
         eid = g.edge_ids_between(3, 4)[0]
-        assert root.vertex_side[3] != root.vertex_side[4]
-        assert classify(root, eid) == EdgeSide.CROSSING
+        assert (3 in root.left_vertex_map) != (4 in root.left_vertex_map)
+        assert (3 in root.right_vertex_map) != (4 in root.right_vertex_map)
+        assert eid not in root.left_edge_map
+        assert eid not in root.right_edge_map
 
     def test_edge_at_separator_takes_other_side(self):
         g, root = self._root()
         assert root.separator == 6
         eid = g.edge_ids_between(2, 6)[0]
-        assert root.vertex_side[2] == VertexSide.N
-        assert classify(root, eid) == EdgeSide.N_SIDE
-
-    def test_every_edge_classified_once(self):
-        for seed in (3, 4):
-            g = tree_plus_chords(30, 18, seed)
-            for node in walk_internal(build_oracle(g, 0)):
-                assert len(node.edge_side) == node.graph.m
+        assert 2 in root.right_vertex_map and 2 not in root.left_vertex_map
+        assert eid in root.right_edge_map
+        assert eid not in root.left_edge_map
 
 
 class TestStructure:
@@ -197,7 +184,7 @@ class TestStructure:
         g = tree_plus_chords(50, 20, 13)
         for node in walk_internal(build_oracle(g, 0)):
             for v in node.primary_path.vertices:
-                assert node.vertex_side[v] != VertexSide.N or v == node.separator
+                assert v in node.left_vertex_map
 
     def test_virtual_tree_edges_only_at_source(self):
         for seed in (5, 6, 7):
@@ -254,3 +241,21 @@ def test_child_distances_on_disconnected_multigraphs(n, extra, seed, data):
     g = ragged_multigraph(n, extra, seed)
     source = data.draw(st.integers(0, n - 1))
     assert_child_distances_equal_parent_distances(build_oracle(g, source))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 30), st.integers(0, 10**6), st.data())
+def test_child_maps_partition_ragged_multigraphs(n, extra, seed, data):
+    g = ragged_multigraph(n, extra, seed)
+    source = data.draw(st.integers(0, n - 1))
+    for node in walk_internal(build_oracle(g, source)):
+        lv, rv = node.left_vertex_map, node.right_vertex_map
+        le, re = node.left_edge_map, node.right_edge_map
+        assert not le.keys() & re.keys()
+        assert all(eid in le for eid in node.primary_pos_of_edge)
+        for eid, e in enumerate(node.graph.edges):
+            if eid not in le and eid not in re:
+                assert (e.u in lv) != (e.v in lv)
+                assert (e.u in rv) != (e.v in rv)
+        assert lv.keys() & rv.keys() == {node.separator}
+        assert lv.keys() | rv.keys() == set(range(node.graph.n))

@@ -8,7 +8,12 @@ from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import tree_path
 
-from conftest import path_graph, ragged_multigraph, rejoin_gadget
+from conftest import (
+    path_graph,
+    ragged_multigraph,
+    rejoin_gadget,
+    root_primary_candidates,
+)
 
 
 def all_fault_pairs(oracle):
@@ -59,6 +64,10 @@ class TestQuery:
             query(oracle, 1, (0, 9))
         with pytest.raises(ValueError):
             query(oracle, 1, (0, 2))
+        # two vertices outside the source's component, not joined by an edge
+        disconnected = build_oracle(Graph.from_pairs(5, [(0, 1), (2, 3), (3, 4)]), 0)
+        with pytest.raises(ValueError):
+            query(disconnected, 1, (2, 4))
 
     def test_unreachable_destination(self):
         g = Graph.from_pairs(5, [(0, 1), (2, 3), (3, 4)])
@@ -94,10 +103,12 @@ class TestGadget:
         oracle = build_oracle(g, 0)
         eid = g.edge_ids_between(*fault)[0]
         assert brute_query(g, 0, t, eid) == expected
-        assert query(oracle, t, fault).distance == expected
-        crippled = query(oracle, t, fault, _left_recursion_on_primary=False)
-        assert crippled.distance != expected
-        assert crippled.distance > expected
+        result = query(oracle, t, fault)
+        assert result.distance == expected
+        assert result.recursion_depth >= 1
+        own = min(root_primary_candidates(oracle, t, fault))
+        assert own != expected
+        assert own > expected
 
 
 class TestSsrp:
