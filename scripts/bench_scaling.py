@@ -14,6 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sdo.cli import _at_least, _sizes
 from sdo.generators import path_faults, tree_plus_chords
 from sdo.oracle import build_oracle
 from sdo.query import query
@@ -45,9 +46,8 @@ def run(sizes: list[int], seed: int, queries: int) -> None:
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="4096,16384",
-                    type=lambda s: [int(x) for x in s.split(",")])
+    ap.add_argument("--sizes", default="4096,16384", type=_sizes)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--queries", type=int, default=10_000)
+    ap.add_argument("--queries", type=_at_least(1), default=10_000)
     args = ap.parse_args()
     run(args.sizes, args.seed, args.queries)

@@ -21,10 +21,9 @@ class DepArray:
     """Candidates for one destination, lengths strictly increasing and
     departure positions strictly decreasing."""
 
-    __slots__ = ("end", "lengths", "dp_depths")
+    __slots__ = ("lengths", "dp_depths")
 
-    def __init__(self, end: int):
-        self.end = end
+    def __init__(self):
         self.lengths = array("q")
         self.dp_depths = array("q")
 
@@ -79,7 +78,7 @@ def build_dep(
     dist = spt_s.dist
     adj = g.adj
     edges = g.edges
-    dep = [DepArray(v) for v in range(n)]
+    dep = [DepArray() for _ in range(n)]
     stats = DepBuildStats()
     stats.max_degree = max((len(a) for a in adj), default=0)
 

@@ -3,10 +3,11 @@
 Each internal node splits its graph at a tree separator, stores the distance
 tables and departing-path arrays needed to answer faults on its primary path,
 and recurses on the two sides after adding weighted shortcut edges that
-preserve all surviving distances inside each side. Grafting preserves
-distances from the source, so every node vertex lies at its original vertex's
-input-graph distance, and the oracle keeps that one source tree for the whole
-recursion.
+preserve all surviving distances inside each side. The root is the input
+graph itself, and a vertex the source cannot reach enters neither side.
+Grafting preserves distances from the source, so every node vertex lies at
+its original vertex's input-graph distance, and the oracle keeps that one
+source tree for the whole recursion.
 """
 
 from __future__ import annotations
@@ -92,19 +93,19 @@ class OracleNode:
 
 @dataclass(slots=True)
 class OracleTree:
-    """The built oracle: root node plus the original-graph bookkeeping.
+    """The built oracle: root node, input graph and source, and their tree.
 
-    ``spt`` is the canonical source tree of the original graph, with its
-    ancestor index; its distances answer every fault that misses the
-    destination's tree path, at the entry and at every level of the descent.
+    The root node is built on ``original_graph`` itself, so queries enter it
+    with input vertex and edge ids. ``spt`` is the canonical source tree of
+    the input graph, with its ancestor index; it is the root's own tree, and
+    its distances answer every fault that misses the destination's tree path,
+    at the entry and at every level of the descent.
     """
 
     root: OracleNode
     original_graph: Graph
     original_source: int
     spt: ShortestPathTree
-    to_root_id: list[int | None]
-    to_root_edge: list[int | None]
     node_count: int = 0
     depth: int = 0
     total_dep_entries: int = 0
@@ -114,11 +115,16 @@ class OracleTree:
         return self.root.walk()
 
 
-def _leaf_node(node: OracleNode) -> OracleNode:
+def _leaf_node(node: OracleNode, spt_s: ShortestPathTree) -> OracleNode:
+    """Tabulate the source distances avoiding each original edge the source
+    reaches (an edge with one reached end has both); a fault elsewhere never
+    descends here."""
     node.is_leaf = True
     g = node.graph
     node.base_table = {
-        eid: dijkstra(g, node.source, (eid,)).dist for eid in g.original_edge_ids()
+        eid: dijkstra(g, node.source, (eid,)).dist
+        for eid in g.original_edge_ids()
+        if spt_s.reachable(g.edges[eid].u)
     }
     return node
 
@@ -189,14 +195,14 @@ def make_right_child(
     return Graph(len(vmap) + 1, edges), vmap, emap, s_n
 
 
-def build_node(g: Graph, source: int, depth: int) -> OracleNode:
-    """Build one oracle node; the root (depth 0) always attempts a split,
-    deeper nodes become brute-force leaves at four vertices or fewer."""
+def build_node(spt_s: ShortestPathTree, depth: int) -> OracleNode:
+    """Build the oracle node for ``spt_s``, the canonical tree of the node's
+    graph from its source. The node is a brute-force leaf when its source
+    reaches at most two vertices at the root, or at most four deeper."""
+    g, source = spt_s.graph, spt_s.source
     node = OracleNode(g, source, depth)
-    if g.n <= 2 or (depth > 0 and g.n <= 4):
-        return _leaf_node(node)
-    spt_s = dijkstra(g, source)
-    assert spt_s.reachable_count() == g.n, "node graphs are connected by construction"
+    if spt_s.reachable_count() <= (4 if depth else 2):
+        return _leaf_node(node, spt_s)
 
     split = separator_split(spt_s)
     r = split.r
@@ -219,16 +225,17 @@ def build_node(g: Graph, source: int, depth: int) -> OracleNode:
     right_g, node.right_vertex_map, node.right_edge_map, right_src = make_right_child(
         node, split.in_n
     )
-    node.left = build_node(left_g, left_src, depth + 1)
-    node.right = build_node(right_g, right_src, depth + 1)
+    node.left = build_node(dijkstra(left_g, left_src), depth + 1)
+    node.right = build_node(dijkstra(right_g, right_src), depth + 1)
     return node
 
 
 def build_oracle(g: Graph, source: int) -> OracleTree:
     """Build the oracle for ``g`` from ``source``.
 
-    Vertices outside the source's component are excluded up front; queries
-    about them answer UNREACHABLE.
+    The root node is built on ``g`` itself, with the input graph's canonical
+    source tree. Vertices the source cannot reach enter neither child, and
+    queries about them answer UNREACHABLE at the entry.
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
@@ -236,34 +243,8 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
         raise ValueError("input graphs must contain only original unit edges")
     spt = dijkstra(g, source)
     build_preorder(spt)
-    if spt.reachable_count() == g.n:
-        root_graph = g
-        to_root: list[int | None] = list(range(g.n))
-        to_root_edge: list[int | None] = list(range(g.m))
-        root_source = source
-    else:
-        to_root = [None] * g.n
-        kept = 0
-        for v in range(g.n):
-            if spt.reachable(v):
-                to_root[v] = kept
-                kept += 1
-        edges = []
-        to_root_edge = [None] * g.m
-        for eid, e in enumerate(g.edges):
-            if to_root[e.u] is not None and to_root[e.v] is not None:
-                to_root_edge[eid] = len(edges)
-                edges.append(Edge(to_root[e.u], to_root[e.v], e.weight, e.virtual))
-        root_graph = Graph(kept, edges)
-        root_source = to_root[source]
-
     tree = OracleTree(
-        root=build_node(root_graph, root_source, 0),
-        original_graph=g,
-        original_source=source,
-        spt=spt,
-        to_root_id=to_root,
-        to_root_edge=to_root_edge,
+        root=build_node(spt, 0), original_graph=g, original_source=source, spt=spt
     )
     for node in tree.nodes():
         tree.node_count += 1

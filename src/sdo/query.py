@@ -100,8 +100,7 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
         return QueryResult(spt.dist[t], 0)
     if not is_ancestor(spt, lower, t):
         return QueryResult(spt.dist[t], 0)
-    eid = oracle.to_root_edge[spt.parent_edge[lower]]
-    dist, depth = _query_node(oracle.root, oracle.to_root_id[t], eid, spt.dist[t], 0)
+    dist, depth = _query_node(oracle.root, t, spt.parent_edge[lower], spt.dist[t], 0)
     return QueryResult(dist, depth)
 
 
@@ -122,8 +121,8 @@ def ssrp(oracle: OracleTree) -> SsrpOutput:
             chain.append((p, cur, spt.parent_edge[cur]))
             cur = p
         chain.reverse()
-        rt, d0 = oracle.to_root_id[t], spt.dist[t]
+        d0 = spt.dist[t]
         for upper, lower, eid in chain:
-            dist, _ = _query_node(root, rt, oracle.to_root_edge[eid], d0, 0)
+            dist, _ = _query_node(root, t, eid, d0, 0)
             records.append((t, (upper, lower), dist))
     return SsrpOutput(records)

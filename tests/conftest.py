@@ -11,7 +11,7 @@ import random
 
 from sdo.generators import tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
-from sdo.spt import ShortestPathTree
+from sdo.spt import ShortestPathTree, dijkstra
 
 
 def bellman_ford(g: Graph, source: int, banned: set[int] | frozenset = frozenset()):
@@ -84,10 +84,10 @@ def ragged_multigraph(n: int, extra: int, seed: int) -> Graph:
 
 
 def split_sizes(node) -> tuple[int, int, int]:
-    """(reachable count, |V_M|, |V_N|) of an internal node, read off its
-    child vertex maps; node graphs are connected, so every vertex is
-    reachable."""
-    return node.graph.n, len(node.left_vertex_map), len(node.right_vertex_map)
+    """(reachable count, |V_M|, |V_N|) of an internal node: the vertices its
+    source reaches, and the sides read off its child vertex maps."""
+    reached = dijkstra(node.graph, node.source).reachable_count()
+    return reached, len(node.left_vertex_map), len(node.right_vertex_map)
 
 
 def path_graph(n: int) -> Graph:
@@ -123,6 +123,5 @@ def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
     tables: the route through the separator and the departing-array entry."""
     root = oracle.root
     eid = oracle.original_graph.edge_ids_between(*fault)[0]
-    pos = root.primary_pos_of_edge[oracle.to_root_edge[eid]]
-    rt = oracle.to_root_id[t]
-    return [root.sr_replacements[pos] + root.dist_r[rt], root.dep[rt].query(pos)]
+    pos = root.primary_pos_of_edge[eid]
+    return [root.sr_replacements[pos] + root.dist_r[t], root.dep[t].query(pos)]

@@ -107,12 +107,12 @@ def test_criterion_3_dep_invariants_and_equivalence(corpus):
                 continue
             nodes_checked += 1
             path = node.primary_path
-            for arr in node.dep:
+            for end, arr in enumerate(node.dep):
                 lengths = arr.lengths
                 depths = arr.dp_depths
                 for i in range(len(lengths) - 1):
-                    assert lengths[i] < lengths[i + 1], (label, arr.end)
-                    assert depths[i] > depths[i + 1], (label, arr.end)
+                    assert lengths[i] < lengths[i + 1], (label, end)
+                    assert depths[i] > depths[i + 1], (label, end)
             spt_s = dijkstra(node.graph, node.source)
             brute = brute_departing(node.graph, spt_s, path)
             on_path = set(path.vertices)

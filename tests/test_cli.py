@@ -1,4 +1,9 @@
+import hashlib
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +11,20 @@ from sdo.cli import main
 from sdo.generators import tree_plus_chords
 from sdo.oracle import build_oracle
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
+
+
+CALLS = []
+
+
+def _record_call(*args):
+    CALLS.append(args)
+
+
+class _Payload:
+    """Unpickles by calling ``_record_call``."""
+
+    def __reduce__(self):
+        return (_record_call, ("loaded",))
 
 
 @pytest.fixture
@@ -116,6 +135,19 @@ def test_load_rejects_foreign_files(tmp_path):
             load_oracle(p)
 
 
+def test_load_calls_no_foreign_global(tmp_path):
+    payload = pickle.dumps(_Payload(), protocol=4)
+    p = tmp_path / "foreign.oracle"
+    p.write_bytes(MAGIC + hashlib.sha256(payload).digest() + payload)
+    CALLS.clear()
+    with pytest.raises(ValueError, match="foreign.oracle"):
+        load_oracle(p)
+    assert CALLS == []
+    # plain pickle would have run it
+    pickle.loads(payload)
+    assert CALLS == [("loaded",)]
+
+
 def test_every_single_bit_flip_is_rejected(tmp_path):
     blob = dump_oracle(build_oracle(tree_plus_chords(30, 15, 5), 0))
     rng = random.Random(300)
@@ -138,3 +170,15 @@ def test_query_on_truncated_oracle_exits_2(path3, capsys):
     oracle_path.write_bytes(oracle_path.read_bytes()[:60])
     assert main(["query", str(oracle_path), "0", "1", "1", "2"]) == 2
     assert "p3.graph.oracle" in capsys.readouterr().err
+
+
+def test_bench_scaling_rejects_zero_queries():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--queries", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "argument --queries" in proc.stderr

@@ -28,7 +28,7 @@ def check_against_brute(g: Graph, s: int, r: int):
 
 
 def synthetic_array() -> DepArray:
-    arr = DepArray(end=9)
+    arr = DepArray()
     for length, dpi in ((4, 2), (9, 0)):
         arr.lengths.append(length)
         arr.dp_depths.append(dpi)
@@ -55,7 +55,7 @@ class TestQueryDep:
             assert arr.query(pos) == want
 
     def test_empty_array(self):
-        assert DepArray(end=0).query(3) is UNREACHABLE
+        assert DepArray().query(3) is UNREACHABLE
 
 
 class TestBuildDep:
@@ -67,7 +67,6 @@ class TestBuildDep:
         assert len(arr) == 1
         assert arr.lengths[0] == 1
         assert arr.dp_depths[0] == 0 and path.vertices[arr.dp_depths[0]] == 0
-        assert arr.end == 4
 
     def test_equal_length_keeps_higher_departure(self):
         # primary 0-1-2; destination 4 reachable at length 2 both through the

@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdo.baseline import brute_ssrp
 from sdo.generators import tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_node, build_oracle
+from sdo.query import query, ssrp
 from sdo.spt import dijkstra, separator_split
 
 from conftest import path_graph, ragged_multigraph, split_sizes, star_graph
@@ -21,7 +23,7 @@ def assert_child_distances_equal_parent_distances(oracle):
     """Every child vertex lies at its parent vertex's source distance, and
     every node vertex at the input-graph distance of its original vertex."""
     root = oracle.root
-    original = {rv: v for v, rv in enumerate(oracle.to_root_id) if rv is not None}
+    original = {v: v for v in range(root.graph.n)}
     stack = [(root, original, dijkstra(root.graph, root.source).dist)]
     while stack:
         node, original, dist = stack.pop()
@@ -48,14 +50,14 @@ class TestLeaves:
         assert root.base_table == {0: [0, UNREACHABLE]}
 
     def test_small_non_root_nodes_are_leaves(self):
-        node = build_node(path_graph(4), 0, depth=1)
+        node = build_node(dijkstra(path_graph(4), 0), depth=1)
         assert node.is_leaf
         assert node.left is None and node.right is None
         assert set(node.base_table) == {0, 1, 2}
 
     def test_leaf_tables_match_banned_dijkstra(self):
         g = tree_plus_chords(4, 2, 8)
-        node = build_node(g, 0, depth=3)
+        node = build_node(dijkstra(g, 0), depth=3)
         for eid, dist in node.base_table.items():
             assert dist == dijkstra(g, 0, {eid}).dist
 
@@ -211,10 +213,32 @@ class TestStructure:
 
     def test_disconnected_vertices_excluded(self):
         g = Graph.from_pairs(6, [(0, 1), (1, 2), (3, 4)])
+        root = build_oracle(g, 0).root
+        assert root.graph is g
+        assert not root.is_leaf
+        for v in (3, 4, 5):
+            assert v not in root.left_vertex_map
+            assert v not in root.right_vertex_map
+
+    def test_isolated_source_in_a_large_graph_is_a_leaf(self):
+        # the other 19,999 vertices form a path the source cannot reach
+        n = 20_000
+        g = Graph.from_pairs(n, [(v, v + 1) for v in range(1, n - 1)])
         oracle = build_oracle(g, 0)
-        assert oracle.to_root_id[3] is None
-        assert oracle.to_root_id[4] is None
-        assert oracle.root.graph.n == 3
+        assert oracle.root.is_leaf
+        assert oracle.root.base_table == {}
+        assert ssrp(oracle).records == []
+
+    def test_source_with_one_neighbour_in_a_large_graph(self):
+        n = 20_000
+        g = Graph.from_pairs(n, [(0, 1)] + [(v, v + 1) for v in range(2, n - 1)])
+        oracle = build_oracle(g, 0)
+        root = oracle.root
+        assert root.is_leaf
+        assert list(root.base_table) == [oracle.spt.parent_edge[1]]
+        assert ssrp(oracle).records == brute_ssrp(g, 0).records
+        assert query(oracle, 1, (0, 1)).distance is UNREACHABLE
+        assert query(oracle, 5, (5, 6)).distance is UNREACHABLE
 
     def test_rejects_virtual_input(self):
         from sdo.graphs import Edge
@@ -251,11 +275,17 @@ def test_child_maps_partition_ragged_multigraphs(n, extra, seed, data):
     for node in walk_internal(build_oracle(g, source)):
         lv, rv = node.left_vertex_map, node.right_vertex_map
         le, re = node.left_edge_map, node.right_edge_map
+        spt = dijkstra(node.graph, node.source)
         assert not le.keys() & re.keys()
         assert all(eid in le for eid in node.primary_pos_of_edge)
         for eid, e in enumerate(node.graph.edges):
             if eid not in le and eid not in re:
-                assert (e.u in lv) != (e.v in lv)
-                assert (e.u in rv) != (e.v in rv)
+                # the edge crosses the split or lies outside the component
+                if spt.reachable(e.u):
+                    assert (e.u in lv) != (e.v in lv)
+                    assert (e.u in rv) != (e.v in rv)
+                else:
+                    assert e.u not in lv and e.u not in rv
+                    assert e.v not in lv and e.v not in rv
         assert lv.keys() & rv.keys() == {node.separator}
-        assert lv.keys() | rv.keys() == set(range(node.graph.n))
+        assert lv.keys() | rv.keys() == set(spt.order)
