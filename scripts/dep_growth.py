@@ -11,6 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sdo.cli import _sizes
 from sdo.departing import build_dep
 from sdo.generators import nested_arcs, tree_plus_chords
 from sdo.oracle import build_oracle
@@ -19,8 +20,7 @@ from sdo.spt import dijkstra, tree_path
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="64,256,1024",
-                    type=lambda s: [int(x) for x in s.split(",")])
+    ap.add_argument("--sizes", default="64,256,1024", type=_sizes)
     ap.add_argument("--seeds", default="11,12,13,14,15",
                     type=lambda s: [int(x) for x in s.split(",")])
     args = ap.parse_args()

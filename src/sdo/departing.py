@@ -50,7 +50,6 @@ class DepArray:
 class DepBuildStats:
     """Heap accounting for the construction cost bound."""
 
-    departure_seeds: int = 0
     accepted: int = 0
     pushes: int = 0
     pops: int = 0
@@ -69,6 +68,8 @@ def build_dep(
     it departs strictly above the incumbent yields the doubly monotone arrays:
     the first entry kept for a destination is a shortest route with the
     highest achievable departure, and later entries trade length for height.
+    Whether a destination keeps a candidate depends only on its own earlier
+    pops, so ties between destinations may pop in any order.
     """
     n = g.n
     on_path = [False] * n
@@ -82,26 +83,22 @@ def build_dep(
     stats = DepBuildStats()
     stats.max_degree = max((len(a) for a in adj), default=0)
 
-    heap: list[tuple[int, int, int, int, int]] = []
-    seq = 0
+    heap: list[tuple[int, int, int]] = []
 
     def push_extensions(v: int, length: int, dp_depth: int) -> None:
-        nonlocal seq
         for eid in adj[v]:
             e = edges[eid]
             w = e.other(v)
             if on_path[w]:
                 continue
-            heapq.heappush(heap, (length + e.weight, dp_depth, -w, seq, w))
-            seq += 1
+            heapq.heappush(heap, (length + e.weight, dp_depth, w))
             stats.pushes += 1
 
     for dpi, u in enumerate(path.vertices):
         push_extensions(u, dist[u], dpi)
-    stats.departure_seeds = stats.pushes
 
     while heap:
-        length, dpi, _, _, v = heapq.heappop(heap)
+        length, dpi, v = heapq.heappop(heap)
         stats.pops += 1
         arr = dep[v]
         # pops come in (length, dpi) order, so a candidate that does not

@@ -2,8 +2,9 @@
 
 Spans the regimes the oracle cares about: bridge-heavy trees, trees with few
 or many chords, low-diameter grids, a gadget family whose best avoiding
-routes rejoin the primary path inside the near side of the split, and nested
-arcs whose departing arrays grow like sqrt(n).
+routes rejoin the primary path inside the near side of the split,
+disconnected multigraphs with parallel edges, and nested arcs whose
+departing arrays grow like sqrt(n).
 """
 
 from __future__ import annotations
@@ -65,6 +66,22 @@ def tree_plus_chords(n: int, chords: int, seed: int) -> Graph:
         present.add(key)
         pairs.append((u, v))
         added += 1
+    return Graph.from_pairs(n, pairs)
+
+
+def ragged_multigraph(n: int, extra: int, seed: int) -> Graph:
+    """tree_plus_chords with about 20% of its edges dropped, which usually
+    leaves several components, and about 30% of the rest doubled; the edge
+    order is shuffled so either copy of a pair can be the tree edge."""
+    rng = random.Random(seed)
+    pairs = []
+    for e in tree_plus_chords(n, extra, seed).edges:
+        if rng.random() < 0.2:
+            continue
+        pairs.append((e.u, e.v))
+        if rng.random() < 0.3:
+            pairs.append((e.v, e.u))
+    rng.shuffle(pairs)
     return Graph.from_pairs(n, pairs)
 
 
@@ -188,10 +205,13 @@ def verify_corpus(seed: int, count: int, max_n: int):
             rows = max(2, n // cols)
             g = grid_graph(rows, cols)
             label = f"grid({rows}x{cols})"
-        else:
+        elif family == 5:
             g = gadget_graph(n, sub)
             label = f"gadget(n={n},seed={sub})"
+        else:
+            g = ragged_multigraph(n, n // 2, sub)
+            label = f"ragged(n={n},seed={sub})"
         source = rng.randrange(g.n)
         yield label, g, source
         produced += 1
-        family = (family + 1) % 6
+        family = (family + 1) % 7

@@ -109,7 +109,6 @@ class OracleTree:
     node_count: int = 0
     depth: int = 0
     total_dep_entries: int = 0
-    total_vertex_slots: int = 0
 
     def nodes(self):
         return self.root.walk()
@@ -198,7 +197,8 @@ def make_right_child(
 def build_node(spt_s: ShortestPathTree, depth: int) -> OracleNode:
     """Build the oracle node for ``spt_s``, the canonical tree of the node's
     graph from its source. The node is a brute-force leaf when its source
-    reaches at most two vertices at the root, or at most four deeper."""
+    reaches at most two vertices at the root, or at most four deeper. Faults
+    are input edges, so a primary path without one builds no tables."""
     g, source = spt_s.graph, spt_s.source
     node = OracleNode(g, source, depth)
     if spt_s.reachable_count() <= (4 if depth else 2):
@@ -207,17 +207,14 @@ def build_node(spt_s: ShortestPathTree, depth: int) -> OracleNode:
     split = separator_split(spt_s)
     r = split.r
     node.separator = r
-    node.primary_path = tree_path(spt_s, source, r)
+    node.primary_path = path = tree_path(spt_s, source, r)
     node.primary_pos_of_edge = {
-        eid: pos for pos, eid in enumerate(node.primary_path.edge_ids)
+        eid: pos for pos, eid in enumerate(path.edge_ids) if not g.edges[eid].virtual
     }
-    node.dist_r = dijkstra(g, r).dist
-
-    path = node.primary_path
-    if path.edge_ids:
+    if node.primary_pos_of_edge:
+        node.dist_r = dijkstra(g, r).dist
         node.sr_replacements = replacement_lengths_along_path(g, spt_s, node.dist_r, path)
-        if any(not g.edges[eid].virtual for eid in path.edge_ids):
-            node.dep, node.dep_stats = build_dep(g, spt_s, path)
+        node.dep, node.dep_stats = build_dep(g, spt_s, path)
 
     left_g, node.left_vertex_map, node.left_edge_map, left_src = make_left_child(
         node, split.in_m
@@ -249,7 +246,6 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
     for node in tree.nodes():
         tree.node_count += 1
         tree.depth = max(tree.depth, node.depth)
-        tree.total_vertex_slots += node.graph.n
         if node.dep is not None:
             tree.total_dep_entries += sum(len(a) for a in node.dep)
     return tree

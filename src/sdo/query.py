@@ -42,7 +42,8 @@ def _query_node(
     offers the level's own candidates, and the descent carries the best of
     them on into side M, where a shorter route may stay. The descent goes on
     into the side holding the fault while t lies there too; ``d0``, the
-    unfaulted distance to t, answers wherever the fault misses t's tree path.
+    unfaulted distance to t, answers wherever the fault misses t's tree path:
+    every candidate is a walk from the source, so none beats ``d0``.
     """
     best: Distance = UNREACHABLE
     while not node.is_leaf:
@@ -53,10 +54,9 @@ def _query_node(
             cand = node.sr_replacements[pos] + node.dist_r[t]
             if cand < best:
                 best = cand
-            if node.dep is not None:
-                cand = node.dep[t].query(pos)
-                if cand < best:
-                    best = cand
+            cand = node.dep[t].query(pos)
+            if cand < best:
+                best = cand
             if t == node.separator or t not in node.left_vertex_map:
                 return best, depth
             child, vmap, emap = node.left, node.left_vertex_map, node.left_edge_map
@@ -65,10 +65,10 @@ def _query_node(
         elif eid in node.right_edge_map:
             child, vmap, emap = node.right, node.right_vertex_map, node.right_edge_map
         else:
-            return _least(d0, best), depth
+            return d0, depth
         ct = vmap.get(t)
         if ct is None:
-            return _least(d0, best), depth
+            return d0, depth
         node, t, eid, depth = child, ct, emap[eid], depth + 1
     return _least(node.base_table[eid][t], best), depth
 

@@ -3,12 +3,13 @@ a deterministic pickle payload.
 
 The node tree holds only lists, dicts, arrays, named tuples and slotted
 classes, so serialize -> load -> serialize reproduces the byte stream exactly.
-The digest is checked before unpickling, so a damaged file fails with
-ValueError instead of loading into an oracle that answers wrongly. Unpickling
-resolves only the globals an oracle holds (its own classes, ``array`` and the
-UNREACHABLE restorer); a payload naming any other global fails with
-ValueError before anything it names is called, so loading runs no foreign
-code.
+A level keeps primary-path tables only if its path holds an input edge. The
+magic names the layout version. The digest is checked before unpickling, so
+a damaged file fails with ValueError instead of loading into an oracle that
+answers wrongly. Unpickling resolves only the globals an oracle holds (its
+own classes, ``array`` and the UNREACHABLE restorer); a payload naming any
+other global fails with ValueError before anything it names is called, so
+loading runs no foreign code.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .oracle import OracleTree
 
-MAGIC = b"SDO5-ORACLE\x00"
+MAGIC = b"SDO6-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _PROTOCOL = 4
 # What pickle raises on truncated or corrupted bytes.

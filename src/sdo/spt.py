@@ -241,33 +241,28 @@ def separator_split(spt: ShortestPathTree) -> SeparatorSplit:
     if target > nr - 1:
         target = nr - 1
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    for w in order:
-        p = parent[w]
-        if p is not None:
-            children[p].append(w)
-
+    in_n = [False] * n
     if size[c] >= target:
         r = c
-        n_roots = [c]
+        in_n[c] = True
         size_n = size[c]
     else:
         r = v
         size_n = 1
-        n_roots = []
-        for ch in sorted(children[v], key=lambda w: (-size[w], w)):
-            n_roots.append(ch)
+        children = [w for w in order if parent[w] == v]
+        for ch in sorted(children, key=lambda w: (-size[w], w)):
+            in_n[ch] = True
             size_n += size[ch]
             if size_n >= target:
                 break
 
-    in_n = [False] * n
+    # order lists parents first, so one pass spreads N down from its roots;
+    # r joins after it, or a stop vertex r would pull all its children in
+    for w in order:
+        p = parent[w]
+        if p is not None and in_n[p]:
+            in_n[w] = True
     in_n[r] = True
-    stack = list(n_roots)
-    while stack:
-        w = stack.pop()
-        in_n[w] = True
-        stack.extend(children[w])
     in_m = [False] * n
     for w in order:
         if not in_n[w] or w == r:

@@ -7,9 +7,6 @@ exhaustive path enumeration on tiny graphs.
 
 from __future__ import annotations
 
-import random
-
-from sdo.generators import tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import ShortestPathTree, dijkstra
 
@@ -65,22 +62,6 @@ def min_simple_path(g: Graph, s: int, t: int, banned: frozenset = frozenset()):
 
     go(s, {s}, 0)
     return best[0]
-
-
-def ragged_multigraph(n: int, extra: int, seed: int) -> Graph:
-    """tree_plus_chords with about 20% of its edges dropped, which usually
-    leaves several components, and about 30% of the rest doubled; the edge
-    order is shuffled so either copy of a pair can be the tree edge."""
-    rng = random.Random(seed)
-    pairs = []
-    for e in tree_plus_chords(n, extra, seed).edges:
-        if rng.random() < 0.2:
-            continue
-        pairs.append((e.u, e.v))
-        if rng.random() < 0.3:
-            pairs.append((e.v, e.u))
-    rng.shuffle(pairs)
-    return Graph.from_pairs(n, pairs)
 
 
 def split_sizes(node) -> tuple[int, int, int]:

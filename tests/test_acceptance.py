@@ -157,19 +157,35 @@ def test_criterion_4_dep_size_sublinearity():
 
 
 def test_criterion_5_replacement_table_equivalence(corpus):
-    edges_checked = 0
+    edges_checked = bare_levels = 0
     for label, g, s, oracle in corpus:
         for node in oracle.nodes():
-            if node.is_leaf or not node.primary_path.edge_ids:
+            if node.is_leaf:
                 continue
-            for pos, eid in enumerate(node.primary_path.edge_ids):
-                want = dijkstra(node.graph, node.source, {eid}).dist[node.separator]
+            path = node.primary_path
+            assert node.primary_pos_of_edge == {
+                eid: pos
+                for pos, eid in enumerate(path.edge_ids)
+                if not node.graph.edges[eid].virtual
+            }, (label, node.depth)
+            if not node.primary_pos_of_edge:
+                # no fault can land on this path, so it keeps no tables
+                tables = (node.dist_r, node.sr_replacements, node.dep, node.dep_stats)
+                assert tables == (None, None, None, None), (label, node.depth)
+                bare_levels += 1
+                continue
+            r = node.separator
+            assert node.dist_r == dijkstra(node.graph, r).dist, (label, node.depth)
+            for pos, eid in enumerate(path.edge_ids):
+                want = dijkstra(node.graph, node.source, {eid}).dist[r]
                 assert node.sr_replacements[pos] == want, (label, node.depth, pos)
                 edges_checked += 1
+    assert bare_levels > 0
     _report(
         5,
         True,
-        f"{edges_checked} primary edges: replacement table equals banned Dijkstra",
+        f"{edges_checked} primary edges: replacement table equals banned Dijkstra; "
+        f"{bare_levels} levels without an input path edge keep no tables",
     )
 
 

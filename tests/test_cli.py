@@ -128,6 +128,7 @@ def test_load_rejects_foreign_files(tmp_path):
         blob[:60],
         MAGIC + b"\x80\x04garbage that is no pickle",
         b"SDO1-ORACLE\x00" + blob[len(MAGIC) :],
+        b"SDO5-ORACLE\x00" + blob[len(MAGIC) :],
     ):
         p = tmp_path / "junk.oracle"
         p.write_bytes(junk)
@@ -172,13 +173,13 @@ def test_query_on_truncated_oracle_exits_2(path3, capsys):
     assert "p3.graph.oracle" in capsys.readouterr().err
 
 
-def test_bench_scaling_rejects_zero_queries():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
+def test_dep_growth_rejects_zero_size():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "dep_growth.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--queries", "0"],
+        [sys.executable, str(script), "--sizes", "0"],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 2
-    assert "argument --queries" in proc.stderr
+    assert "argument --sizes" in proc.stderr

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdo.baseline import brute_ssrp
-from sdo.generators import tree_plus_chords
+from sdo.generators import ragged_multigraph, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_node, build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import dijkstra, separator_split
 
-from conftest import path_graph, ragged_multigraph, split_sizes, star_graph
+from conftest import path_graph, split_sizes, star_graph
 
 
 def walk_internal(oracle):
@@ -81,6 +81,7 @@ class TestDegenerateSeparator:
         assert root.separator == root.source == 0
         assert len(root.primary_path) == 1
         assert root.primary_path.edge_ids == []
+        assert root.dist_r is None
         assert root.sr_replacements is None
         assert root.dep is None
         assert root.left is not None and root.right is not None
@@ -278,6 +279,12 @@ def test_child_maps_partition_ragged_multigraphs(n, extra, seed, data):
         spt = dijkstra(node.graph, node.source)
         assert not le.keys() & re.keys()
         assert all(eid in le for eid in node.primary_pos_of_edge)
+        assert all(not node.graph.edges[eid].virtual for eid in node.primary_pos_of_edge)
+        tables = (node.dist_r, node.sr_replacements, node.dep, node.dep_stats)
+        if node.primary_pos_of_edge:
+            assert None not in tables
+        else:
+            assert tables == (None, None, None, None)
         for eid, e in enumerate(node.graph.edges):
             if eid not in le and eid not in re:
                 # the edge crosses the split or lies outside the component

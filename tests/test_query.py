@@ -2,18 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdo.baseline import _sweep, brute_query, brute_ssrp
-from sdo.generators import tree_plus_chords, verify_corpus
+from sdo.generators import ragged_multigraph, tree_plus_chords, verify_corpus
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import tree_path
 
-from conftest import (
-    path_graph,
-    ragged_multigraph,
-    rejoin_gadget,
-    root_primary_candidates,
-)
+from conftest import path_graph, rejoin_gadget, root_primary_candidates
 
 
 def all_fault_pairs(oracle):
