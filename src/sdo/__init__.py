@@ -1,7 +1,6 @@
 """Single-source distance oracle tolerating one edge fault, plus SSRP."""
 
 from .baseline import brute_query, brute_ssrp
-from .departing import DepArray, brute_departing, build_dep
 from .graphs import (
     Distance,
     Edge,
@@ -13,8 +12,7 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .oracle import OracleNode, OracleTree, build_node, build_oracle
-from .pathrep import replacement_lengths_along_path
+from .oracle import OracleTree, build_oracle
 from .query import QueryResult, SsrpOutput, query, ssrp
 from .serialize import dump_oracle, load_oracle, save_oracle
 from .spt import (
@@ -28,22 +26,17 @@ from .spt import (
 
 __all__ = [
     "Distance",
-    "DepArray",
     "Edge",
     "Graph",
     "GraphFormatError",
-    "OracleNode",
     "OracleTree",
     "PathOnTree",
     "QueryResult",
     "ShortestPathTree",
     "SsrpOutput",
     "UNREACHABLE",
-    "brute_departing",
     "brute_query",
     "brute_ssrp",
-    "build_dep",
-    "build_node",
     "build_oracle",
     "dijkstra",
     "dump_oracle",
@@ -53,7 +46,6 @@ __all__ = [
     "parse_graph",
     "query",
     "read_graph",
-    "replacement_lengths_along_path",
     "save_oracle",
     "separator_split",
     "ssrp",

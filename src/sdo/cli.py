@@ -1,4 +1,4 @@
-"""Command line front end: build, query, ssrp, verify, bench."""
+"""Command line front end: build, query, ssrp, stats, verify, bench."""
 
 from __future__ import annotations
 
@@ -55,6 +55,16 @@ def cmd_ssrp(args) -> int:
     return 0
 
 
+def cmd_stats(args) -> int:
+    store = load_oracle(args.oracle).store
+    n, source, nodes, depth, entries = store.meta
+    print(f"n={n} source={source} nodes={nodes} depth={depth} dep_entries={entries}")
+    print(f"{'array':<12} {'type':>4} {'length':>10} {'bytes':>10}")
+    for name, a in store.arrays():
+        print(f"{name:<12} {a.typecode:>4} {len(a):>10} {len(a) * a.itemsize:>10}")
+    return 0
+
+
 def cmd_verify(args) -> int:
     for i, (label, g, source) in enumerate(
         verify_corpus(args.seed, args.count, args.max_n)
@@ -89,10 +99,8 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         oracle = build_oracle(g, 0)
         build_s = time.perf_counter() - t0
-        max_dep = max(
-            (len(a) for node in oracle.nodes() if node.dep for a in node.dep),
-            default=0,
-        )
+        off = oracle.store.dep_off
+        max_dep = max((b - a for a, b in zip(off, off[1:])), default=0)
         cases = path_faults(oracle.spt, args.queries, rng)
         t0 = time.perf_counter()
         for t, e in cases:
@@ -146,6 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph file or .oracle file")
     p.add_argument("source", type=int)
     p.set_defaults(func=cmd_ssrp)
+
+    p = sub.add_parser("stats", help="print what an .oracle file stores")
+    p.add_argument("oracle")
+    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("verify", help="diff the oracle against brute force")
     p.add_argument("--seed", type=int, default=0)

@@ -5,6 +5,10 @@ fault and never returns to it. For each destination off the path we keep the
 short list of candidate routes whose lengths strictly increase while their
 departure points climb strictly toward the source; a fault is then answered by
 a binary search for the first candidate departing at or above it.
+
+``build_dep`` writes a level's arrays in CSR form, one ``DepTable``: every
+array concatenated plus one offset per destination, so an empty array costs
+one offset and the oracle's flat store takes the table as it is.
 """
 
 from __future__ import annotations
@@ -46,6 +50,34 @@ class DepArray:
         return self.lengths[lo]
 
 
+class DepTable:
+    """One level's candidate arrays in CSR form. Destination t owns entries
+    ``offsets[t]:offsets[t + 1]`` of ``lengths`` and ``dp_depths``, stored by
+    rising departure position (so falling length), the order in which the
+    query store's binary search reads them. Indexing or iterating yields
+    ``DepArray`` copies, shortest candidate first."""
+
+    __slots__ = ("offsets", "lengths", "dp_depths")
+
+    def __init__(self, offsets: array, lengths: array, dp_depths: array):
+        self.offsets = offsets
+        self.lengths = lengths
+        self.dp_depths = dp_depths
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, t: int) -> DepArray:
+        a, b = self.offsets[t], self.offsets[t + 1]
+        arr = DepArray()
+        arr.lengths = array("q", reversed(self.lengths[a:b]))
+        arr.dp_depths = array("q", reversed(self.dp_depths[a:b]))
+        return arr
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+
 @dataclass(slots=True)
 class DepBuildStats:
     """Heap accounting for the construction cost bound."""
@@ -58,7 +90,7 @@ class DepBuildStats:
 
 def build_dep(
     g: Graph, spt_s: ShortestPathTree, path: PathOnTree
-) -> tuple[list[DepArray], DepBuildStats]:
+) -> tuple[DepTable, DepBuildStats]:
     """Grow all candidate arrays with one best-first pass.
 
     The heap is seeded with every single-edge departure from the path (one
@@ -69,7 +101,9 @@ def build_dep(
     the first entry kept for a destination is a shortest route with the
     highest achievable departure, and later entries trade length for height.
     Whether a destination keeps a candidate depends only on its own earlier
-    pops, so ties between destinations may pop in any order.
+    pops, so ties between destinations may pop in any order. Accepted
+    candidates are appended in pop order and grouped by destination at the
+    end, with one counting sort.
     """
     n = g.n
     on_path = [False] * n
@@ -79,9 +113,14 @@ def build_dep(
     dist = spt_s.dist
     adj = g.adj
     edges = g.edges
-    dep = [DepArray() for _ in range(n)]
     stats = DepBuildStats()
     stats.max_degree = max((len(a) for a in adj), default=0)
+    # departure position of each destination's last kept candidate; the path
+    # length is above every position
+    last_dpi = [len(path.vertices)] * n
+    kept_v = array("i")
+    kept_length = array("q")
+    kept_dpi = array("i")
 
     heap: list[tuple[int, int, int]] = []
 
@@ -100,16 +139,39 @@ def build_dep(
     while heap:
         length, dpi, v = heapq.heappop(heap)
         stats.pops += 1
-        arr = dep[v]
         # pops come in (length, dpi) order, so a candidate that does not
         # depart strictly higher than the last kept one never beats it
-        if arr.dp_depths and dpi >= arr.dp_depths[-1]:
+        if dpi >= last_dpi[v]:
             continue
-        arr.lengths.append(length)
-        arr.dp_depths.append(dpi)
-        stats.accepted += 1
+        last_dpi[v] = dpi
+        kept_v.append(v)
+        kept_length.append(length)
+        kept_dpi.append(dpi)
         push_extensions(v, length, dpi)
-    return dep, stats
+    stats.accepted = len(kept_v)
+    return _group_by_destination(n, kept_v, kept_length, kept_dpi), stats
+
+
+def _group_by_destination(
+    n: int, vs: array, lengths: array, dpis: array
+) -> DepTable:
+    """Counting sort of the kept candidates by destination. A destination's
+    candidates were kept by falling departure position, so each segment is
+    filled from its end to list them by rising position."""
+    offsets = array("i", bytes(4 * (n + 1)))
+    for v in vs:
+        offsets[v + 1] += 1
+    for v in range(n):
+        offsets[v + 1] += offsets[v]
+    fill = offsets[1:]
+    out_lengths = array("q", bytes(8 * len(vs)))
+    out_dpis = array("i", bytes(4 * len(vs)))
+    for v, length, dpi in zip(vs, lengths, dpis):
+        p = fill[v] - 1
+        fill[v] = p
+        out_lengths[p] = length
+        out_dpis[p] = dpi
+    return DepTable(offsets, out_lengths, out_dpis)
 
 
 def brute_departing(

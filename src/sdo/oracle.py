@@ -7,14 +7,15 @@ preserve all surviving distances inside each side. The root is the input
 graph itself, and a vertex the source cannot reach enters neither side.
 Grafting preserves distances from the source, so every node vertex lies at
 its original vertex's input-graph distance, and the oracle keeps that one
-source tree for the whole recursion.
+source tree for the whole recursion. Once built, the tree is frozen into a
+``QueryStore`` of flat arrays, the only thing queries read and files hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .departing import DepArray, DepBuildStats, build_dep
+from .departing import DepBuildStats, DepTable, build_dep
 from .graphs import Distance, Edge, Graph, UNREACHABLE
 from .pathrep import replacement_lengths_along_path
 from .spt import (
@@ -25,6 +26,7 @@ from .spt import (
     separator_split,
     tree_path,
 )
+from .store import QueryStore, freeze
 
 
 class OracleNode:
@@ -69,7 +71,7 @@ class OracleNode:
         self.primary_path: PathOnTree | None = None
         self.dist_r: list[Distance] | None = None
         self.sr_replacements: list[Distance] | None = None
-        self.dep: list[DepArray] | None = None
+        self.dep: DepTable | None = None
         self.dep_stats: DepBuildStats | None = None
         self.primary_pos_of_edge: dict[int, int] | None = None
         self.left: OracleNode | None = None
@@ -93,22 +95,32 @@ class OracleNode:
 
 @dataclass(slots=True)
 class OracleTree:
-    """The built oracle: root node, input graph and source, and their tree.
+    """The oracle: its query store, plus the build state on a built oracle.
 
-    The root node is built on ``original_graph`` itself, so queries enter it
-    with input vertex and edge ids. ``spt`` is the canonical source tree of
-    the input graph, with its ancestor index; it is the root's own tree, and
-    its distances answer every fault that misses the destination's tree path,
-    at the entry and at every level of the descent.
+    ``store`` holds every table a query reads. A built oracle also keeps its
+    build state: the root node (built on ``original_graph`` itself, so with
+    input vertex and edge ids) and ``spt``, the canonical source tree of the
+    input graph, with its ancestor index. A loaded oracle has only the store
+    and the source; its build-state fields are None.
     """
 
-    root: OracleNode
-    original_graph: Graph
+    store: QueryStore
     original_source: int
-    spt: ShortestPathTree
-    node_count: int = 0
-    depth: int = 0
-    total_dep_entries: int = 0
+    root: OracleNode | None = None
+    original_graph: Graph | None = None
+    spt: ShortestPathTree | None = None
+
+    @property
+    def node_count(self) -> int:
+        return self.store.meta[2]
+
+    @property
+    def depth(self) -> int:
+        return self.store.meta[3]
+
+    @property
+    def total_dep_entries(self) -> int:
+        return self.store.meta[4]
 
     def nodes(self):
         return self.root.walk()
@@ -232,7 +244,8 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
 
     The root node is built on ``g`` itself, with the input graph's canonical
     source tree. Vertices the source cannot reach enter neither child, and
-    queries about them answer UNREACHABLE at the entry.
+    queries about them answer UNREACHABLE at the entry. The built tree is
+    then frozen into the query store.
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
@@ -240,12 +253,11 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
         raise ValueError("input graphs must contain only original unit edges")
     spt = dijkstra(g, source)
     build_preorder(spt)
-    tree = OracleTree(
-        root=build_node(spt, 0), original_graph=g, original_source=source, spt=spt
+    root = build_node(spt, 0)
+    return OracleTree(
+        store=freeze(g, spt, root),
+        original_source=source,
+        root=root,
+        original_graph=g,
+        spt=spt,
     )
-    for node in tree.nodes():
-        tree.node_count += 1
-        tree.depth = max(tree.depth, node.depth)
-        if node.dep is not None:
-            tree.total_dep_entries += sum(len(a) for a in node.dep)
-    return tree

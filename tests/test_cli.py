@@ -12,6 +12,8 @@ from sdo.generators import tree_plus_chords
 from sdo.oracle import build_oracle
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
 
+DIGEST = 32
+
 
 CALLS = []
 
@@ -129,6 +131,7 @@ def test_load_rejects_foreign_files(tmp_path):
         MAGIC + b"\x80\x04garbage that is no pickle",
         b"SDO1-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO5-ORACLE\x00" + blob[len(MAGIC) :],
+        b"SDO6-ORACLE\x00" + blob[len(MAGIC) :],
     ):
         p = tmp_path / "junk.oracle"
         p.write_bytes(junk)
@@ -183,3 +186,84 @@ def test_dep_growth_rejects_zero_size():
     )
     assert proc.returncode == 2
     assert "argument --sizes" in proc.stderr
+
+
+def test_stats_lists_every_array(path3, capsys):
+    assert main(["build", str(path3), "0"]) == 0
+    capsys.readouterr()
+    oracle_path = path3.parent / "p3.graph.oracle"
+    assert main(["stats", str(oracle_path)]) == 0
+    meta, header, *rows = capsys.readouterr().out.splitlines()
+    assert meta == "n=3 source=0 nodes=3 depth=1 dep_entries=1"
+    assert header.split() == ["array", "type", "length", "bytes"]
+    names = [row.split()[0] for row in rows]
+    assert names[:3] == ["meta", "parent", "parent_edge"] and "dep_off" in names
+    # the payload is a 4-byte array count and a 21-byte entry per array,
+    # then the arrays
+    arrays = oracle_path.stat().st_size - len(MAGIC) - DIGEST - 4 - 21 * len(rows)
+    assert sum(int(row.split()[3]) for row in rows) == arrays
+
+
+def test_stats_on_junk_exits_2(tmp_path, capsys):
+    junk = tmp_path / "junk.oracle"
+    junk.write_bytes(b"not an oracle at all")
+    assert main(["stats", str(junk)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "junk.oracle" in err
+    assert "Traceback" not in err
+
+
+def _sealed(payload: bytes) -> bytes:
+    """An oracle file around ``payload`` with a correct digest."""
+    return MAGIC + hashlib.sha256(payload).digest() + payload
+
+
+def _child_vertex_out_of_range(oracle, payload):
+    oracle.store.lchild[0] = 10**6
+
+
+def _child_node_points_upward(oracle, payload):
+    left = oracle.store.left
+    left[max(i for i in range(len(left)) if left[i] >= 0)] = 0
+
+
+def _departing_segment_not_monotone(oracle, payload):
+    s = oracle.store
+    t = next(t for t in range(len(s.dep_off) - 1) if s.dep_off[t + 1] - s.dep_off[t] >= 2)
+    a = s.dep_off[t]
+    s.dep_dpi[a], s.dep_dpi[a + 1] = s.dep_dpi[a + 1], s.dep_dpi[a]
+
+
+# The payload header: a 4-byte count, then per array a 12-byte name, a
+# 1-byte typecode and an 8-byte length; the first array is "meta".
+def _header_length_disagrees(oracle, payload):
+    length = int.from_bytes(payload[17:25], "little")
+    return payload[:17] + (length + 1).to_bytes(8, "little") + payload[25:]
+
+
+def _unknown_typecode(oracle, payload):
+    return payload[:16] + b"Z" + payload[17:]
+
+
+@pytest.mark.parametrize(
+    "craft, reason",
+    [
+        (_child_vertex_out_of_range, "child vertex id out of range"),
+        (_child_node_points_upward, "child out of preorder"),
+        (_departing_segment_not_monotone, "not doubly monotone"),
+        (_header_length_disagrees, "do not fill the payload"),
+        (_unknown_typecode, "does not match the oracle's array table"),
+    ],
+)
+def test_crafted_file_with_valid_digest_is_rejected(craft, reason, tmp_path, capsys):
+    target = tmp_path / "crafted.oracle"
+    save_oracle(build_oracle(tree_plus_chords(60, 60, 9), 0), target)
+    oracle = load_oracle(target)
+    payload = target.read_bytes()[len(MAGIC) + DIGEST :]
+    crafted = craft(oracle, payload)
+    target.write_bytes(dump_oracle(oracle) if crafted is None else _sealed(crafted))
+    with pytest.raises(ValueError, match="crafted.oracle") as exc:
+        load_oracle(target)
+    assert reason in str(exc.value)
+    assert main(["query", str(target), "0", "1", "0", "1"]) == 2
+    assert "crafted.oracle" in capsys.readouterr().err

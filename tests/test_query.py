@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from sdo.generators import ragged_multigraph, tree_plus_chords, verify_corpus
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
+from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
 
 from conftest import path_graph, rejoin_gadget, root_primary_candidates
@@ -169,6 +173,40 @@ def test_disconnected_multigraphs_match_brute(n, extra, seed, data):
             want = max(without[c][t] for c in copies)
             assert query(oracle, t, (e.u, e.v)).distance == want, (s, t, (e.u, e.v))
     assert ssrp(oracle).records == brute_ssrp(g, s).records
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 30), st.integers(0, 10**6), st.data())
+def test_loaded_oracle_answers_like_the_built_one(n, extra, seed, data):
+    g = ragged_multigraph(n, extra, seed)
+    s = data.draw(st.integers(0, n - 1))
+    built = build_oracle(g, s)
+    for node in built.nodes():
+        # the store gives original edges slots ebase + eid
+        virtual = [e.virtual for e in node.graph.edges]
+        assert virtual == sorted(virtual), "original edges come first"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.oracle"
+        save_oracle(built, path)
+        loaded = load_oracle(path)
+    for e in g.edges:
+        for t in range(g.n):
+            want = query(built, t, (e.u, e.v))
+            got = query(loaded, t, (e.u, e.v))
+            assert got == want, (s, t, (e.u, e.v))
+            d = got.distance
+            assert d is UNREACHABLE or (type(d) is int and 0 <= d < 2**62)
+    records = ssrp(loaded).records
+    assert records == ssrp(built).records
+    assert all(d is UNREACHABLE or d < 2**62 for _, _, d in records)
+
+
+def test_separate_builds_dump_identical_bytes():
+    families = set()
+    for label, g, s in verify_corpus(seed=8, count=14, max_n=60):
+        families.add(label.split("(")[0])
+        assert dump_oracle(build_oracle(g, s)) == dump_oracle(build_oracle(g, s)), label
+    assert len(families) == 7
 
 
 def full_sweep(g, s):
