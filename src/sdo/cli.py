@@ -14,6 +14,7 @@ from .graphs import UNREACHABLE, GraphFormatError, read_graph, write_graph
 from .oracle import OracleTree, build_oracle
 from .query import query, ssrp
 from .serialize import load_oracle, save_oracle
+from .spt import dijkstra
 
 
 def _load_or_build(path: str, source: int) -> OracleTree:
@@ -30,6 +31,14 @@ def _load_or_build(path: str, source: int) -> OracleTree:
 
 def _fmt(d) -> str:
     return "INF" if d is UNREACHABLE else str(d)
+
+
+def _record(records: list, i: int) -> str:
+    """Record ``i`` as ``[t=.. e=(x,y) d=..]``, or ``none`` past the end."""
+    if i >= len(records):
+        return "none"
+    t, (x, y), d = records[i]
+    return f"[t={t} e=({x},{y}) d={_fmt(d)}]"
 
 
 def cmd_build(args) -> int:
@@ -79,10 +88,9 @@ def cmd_verify(args) -> int:
                 (k for k, (a, b) in enumerate(zip(got, want)) if a != b),
                 min(len(got), len(want)),
             )
-            t, (x, y), expected = want[idx] if idx < len(want) else got[idx]
             print(
-                f"MISMATCH case {i} {label} source={source}: "
-                f"t={t} e=({x},{y}) expected={_fmt(expected)}; graph -> {dump}",
+                f"MISMATCH case {i} {label} source={source} record {idx}: "
+                f"got={_record(got, idx)} expected={_record(want, idx)}; graph -> {dump}",
                 file=sys.stderr,
             )
             return 1
@@ -101,7 +109,7 @@ def cmd_bench(args) -> int:
         build_s = time.perf_counter() - t0
         off = oracle.store.dep_off
         max_dep = max((b - a for a, b in zip(off, off[1:])), default=0)
-        cases = path_faults(oracle.spt, args.queries, rng)
+        cases = path_faults(dijkstra(g, 0), args.queries, rng)
         t0 = time.perf_counter()
         for t, e in cases:
             query(oracle, t, e)

@@ -1,4 +1,4 @@
-"""Candidate departing paths: per-destination sorted arrays and their queries.
+"""Candidate departing paths: per-destination sorted arrays.
 
 A departing route for a fault on the primary path leaves the path above the
 fault and never returns to it. For each destination off the path we keep the
@@ -22,32 +22,17 @@ from .spt import PathOnTree, ShortestPathTree, dijkstra
 
 
 class DepArray:
-    """Candidates for one destination, lengths strictly increasing and
-    departure positions strictly decreasing."""
+    """A copy of one destination's candidates, for inspection: lengths
+    strictly increasing and departure positions strictly decreasing."""
 
     __slots__ = ("lengths", "dp_depths")
 
-    def __init__(self):
-        self.lengths = array("q")
-        self.dp_depths = array("q")
+    def __init__(self, lengths: array, dp_depths: array):
+        self.lengths = lengths
+        self.dp_depths = dp_depths
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def query(self, edge_pos: int) -> Distance:
-        """Length of the cheapest candidate departing at or above the path
-        vertex with position ``edge_pos`` (the fault's upper endpoint)."""
-        depths = self.dp_depths
-        lo, hi = 0, len(depths)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if depths[mid] <= edge_pos:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(depths):
-            return UNREACHABLE
-        return self.lengths[lo]
 
 
 class DepTable:
@@ -69,10 +54,9 @@ class DepTable:
 
     def __getitem__(self, t: int) -> DepArray:
         a, b = self.offsets[t], self.offsets[t + 1]
-        arr = DepArray()
-        arr.lengths = array("q", reversed(self.lengths[a:b]))
-        arr.dp_depths = array("q", reversed(self.dp_depths[a:b]))
-        return arr
+        return DepArray(
+            array("q", reversed(self.lengths[a:b])), array("q", reversed(self.dp_depths[a:b]))
+        )
 
     def __iter__(self):
         return (self[t] for t in range(len(self)))
@@ -80,12 +64,11 @@ class DepTable:
 
 @dataclass(slots=True)
 class DepBuildStats:
-    """Heap accounting for the construction cost bound."""
+    """Heap accounting of one pass; the heap drains, so pops equal pushes."""
 
     accepted: int = 0
     pushes: int = 0
     pops: int = 0
-    max_degree: int = 0
 
 
 def build_dep(
@@ -114,7 +97,6 @@ def build_dep(
     adj = g.adj
     edges = g.edges
     stats = DepBuildStats()
-    stats.max_degree = max((len(a) for a in adj), default=0)
     # departure position of each destination's last kept candidate; the path
     # length is above every position
     last_dpi = [len(path.vertices)] * n
@@ -138,7 +120,6 @@ def build_dep(
 
     while heap:
         length, dpi, v = heapq.heappop(heap)
-        stats.pops += 1
         # pops come in (length, dpi) order, so a candidate that does not
         # depart strictly higher than the last kept one never beats it
         if dpi >= last_dpi[v]:
@@ -149,6 +130,7 @@ def build_dep(
         kept_dpi.append(dpi)
         push_extensions(v, length, dpi)
     stats.accepted = len(kept_v)
+    stats.pops = stats.pushes
     return _group_by_destination(n, kept_v, kept_length, kept_dpi), stats
 
 

@@ -54,10 +54,7 @@ def is_unreachable(value: Distance) -> bool:
 
 class Edge(NamedTuple):
     """One undirected edge. ``virtual`` marks weighted shortcut edges added
-    during oracle construction; input graphs contain only original edges.
-
-    A named tuple, so pickling stores plain constructor arguments and loading
-    an oracle rebuilds its edges without Python-level state hooks."""
+    during oracle construction; input graphs contain only original edges."""
 
     u: int
     v: int
@@ -111,9 +108,6 @@ class Graph:
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise ValueError(f"vertex pair ({x}, {y}) out of range")
         return [eid for eid in self.adj[x] if self.edges[eid].other(x) == y]
-
-    def original_edge_ids(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if not e.virtual]
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":

@@ -26,7 +26,7 @@ from .spt import (
     separator_split,
     tree_path,
 )
-from .store import QueryStore, freeze
+from .store import QueryStore, _original_count, freeze
 
 
 class OracleNode:
@@ -95,20 +95,17 @@ class OracleNode:
 
 @dataclass(slots=True)
 class OracleTree:
-    """The oracle: its query store, plus the build state on a built oracle.
-
-    ``store`` holds every table a query reads. A built oracle also keeps its
-    build state: the root node (built on ``original_graph`` itself, so with
-    input vertex and edge ids) and ``spt``, the canonical source tree of the
-    input graph, with its ancestor index. A loaded oracle has only the store
-    and the source; its build-state fields are None.
+    """The oracle: ``store`` holds every table a query reads. A built oracle
+    also keeps ``root``, the recursion tree, whose graph is the input graph
+    itself; a loaded oracle has only the store, and ``root`` is None.
     """
 
     store: QueryStore
-    original_source: int
     root: OracleNode | None = None
-    original_graph: Graph | None = None
-    spt: ShortestPathTree | None = None
+
+    @property
+    def original_source(self) -> int:
+        return self.store.meta[1]
 
     @property
     def node_count(self) -> int:
@@ -134,7 +131,7 @@ def _leaf_node(node: OracleNode, spt_s: ShortestPathTree) -> OracleNode:
     g = node.graph
     node.base_table = {
         eid: dijkstra(g, node.source, (eid,)).dist
-        for eid in g.original_edge_ids()
+        for eid in range(_original_count(g))
         if spt_s.reachable(g.edges[eid].u)
     }
     return node
@@ -250,14 +247,8 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
     if any(e.virtual for e in g.edges):
-        raise ValueError("input graphs must contain only original unit edges")
+        raise ValueError("input graphs must contain only original edges")
     spt = dijkstra(g, source)
     build_preorder(spt)
     root = build_node(spt, 0)
-    return OracleTree(
-        store=freeze(g, spt, root),
-        original_source=source,
-        root=root,
-        original_graph=g,
-        spt=spt,
-    )
+    return OracleTree(freeze(spt, root), root)

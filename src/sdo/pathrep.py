@@ -30,7 +30,7 @@ def replacement_lengths_along_path(
     if k == 0:
         return []
     dist_s = spt_s.dist
-    pos_of = path.index_of
+    pos_of = {v: i for i, v in enumerate(path.vertices)}
     path_edge_ids = set(path.edge_ids)
 
     # anchor(v): position where the tree path to v leaves the primary path,

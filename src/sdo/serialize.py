@@ -97,4 +97,4 @@ def load_oracle(path: str | Path) -> OracleTree:
         store = _read_store(payload)
     except ValueError as exc:
         raise ValueError(f"{path} is a damaged oracle file: {exc}") from exc
-    return OracleTree(store=store, original_source=store.meta[1])
+    return OracleTree(store)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Collection
+from dataclasses import dataclass
+from typing import Container
 
 from .graphs import Distance, Graph, UNREACHABLE
 
@@ -48,8 +48,11 @@ class ShortestPathTree:
         return len(self.order)
 
 
-def dijkstra(g: Graph, source: int, banned_edges: Collection[int] = ()) -> ShortestPathTree:
+def dijkstra(g: Graph, source: int, banned_edges: Container[int] = ()) -> ShortestPathTree:
     """Shortest paths in ``g`` minus ``banned_edges``.
+
+    ``banned_edges`` is not copied, only tested with ``in``: pass a set, a
+    dict keyed by edge id or a one-element tuple.
 
     Ties break on (distance, original-before-virtual, source-predecessor-first
     among virtual, predecessor id, vertex id, edge id), so repeated builds are
@@ -58,7 +61,6 @@ def dijkstra(g: Graph, source: int, banned_edges: Collection[int] = ()) -> Short
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
-    banned = banned_edges if isinstance(banned_edges, (set, frozenset)) else set(banned_edges)
     spt = ShortestPathTree(g, source)
     dist = spt.dist
     parent = spt.parent
@@ -86,7 +88,7 @@ def dijkstra(g: Graph, source: int, banned_edges: Collection[int] = ()) -> Short
             parent_edge[v] = eid
             depth[v] = depth[pred] + 1
         for e2 in adj[v]:
-            if e2 in banned:
+            if e2 in banned_edges:
                 continue
             edge = edges[e2]
             w = edge.other(v)
@@ -145,16 +147,11 @@ def is_ancestor(spt: ShortestPathTree, u: int, v: int) -> bool:
 
 @dataclass(slots=True)
 class PathOnTree:
-    """A top-to-bottom tree path: vertices, the tree edges between them, and
-    the inverse position map."""
+    """A top-to-bottom tree path: its vertices, and the tree edges between
+    them (``edge_ids[i]`` joins ``vertices[i]`` and ``vertices[i + 1]``)."""
 
     vertices: list[int]
     edge_ids: list[int]
-    index_of: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index_of:
-            self.index_of = {v: i for i, v in enumerate(self.vertices)}
 
     def __len__(self) -> int:
         return len(self.vertices)

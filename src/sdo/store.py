@@ -90,16 +90,17 @@ def _ints(values: list[Distance]) -> list[int]:
 
 
 def _original_count(g: Graph) -> int:
-    """Edges before the first shortcut; all of them are original."""
+    """Edges before the first shortcut: the original edges, which can fail."""
     for eid, e in enumerate(g.edges):
         if e.virtual:
             return eid
     return g.m
 
 
-def freeze(g: Graph, spt: ShortestPathTree, root: OracleNode) -> QueryStore:
-    """The store of the oracle built on ``g`` from ``spt.source``."""
+def freeze(spt: ShortestPathTree, root: OracleNode) -> QueryStore:
+    """The store of the oracle built on ``spt.graph`` from ``spt.source``."""
     s = QueryStore()
+    g = spt.graph
     n = g.n
     s.parent = array("i", [-1 if p is None else p for p in spt.parent])
     s.parent_edge = array("i", [-1 if e is None else e for e in spt.parent_edge])

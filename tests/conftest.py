@@ -64,6 +64,20 @@ def min_simple_path(g: Graph, s: int, t: int, banned: frozenset = frozenset()):
     return best[0]
 
 
+def source_tree(oracle) -> ShortestPathTree:
+    """The canonical source tree of a built oracle's input graph."""
+    return dijkstra(oracle.root.graph, oracle.original_source)
+
+
+def best_departing(arr, pos: int):
+    """The departing answer by definition: the least candidate length among
+    those departing at or above path position ``pos``, else UNREACHABLE."""
+    return min(
+        (length for length, dpi in zip(arr.lengths, arr.dp_depths) if dpi <= pos),
+        default=UNREACHABLE,
+    )
+
+
 def split_sizes(node) -> tuple[int, int, int]:
     """(reachable count, |V_M|, |V_N|) of an internal node: the vertices its
     source reaches, and the sides read off its child vertex maps."""
@@ -103,6 +117,6 @@ def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
     """The root's own candidates for a primary-path fault, read off its
     tables: the route through the separator and the departing-array entry."""
     root = oracle.root
-    eid = oracle.original_graph.edge_ids_between(*fault)[0]
+    eid = root.graph.edge_ids_between(*fault)[0]
     pos = root.primary_pos_of_edge[eid]
-    return [root.sr_replacements[pos] + root.dist_r[t], root.dep[t].query(pos)]
+    return [root.sr_replacements[pos] + root.dist_r[t], best_departing(root.dep[t], pos)]

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from sdo import cli
 from sdo.cli import main
 from sdo.generators import tree_plus_chords
 from sdo.oracle import build_oracle
+from sdo.query import SsrpOutput
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
 
 DIGEST = 32
@@ -87,6 +89,35 @@ def test_verify_deterministic_output(capsys):
     first = capsys.readouterr().out
     main(["verify", "--seed", "11", "--count", "3", "--max-n", "20"])
     assert capsys.readouterr().out == first
+
+
+def _extra_record(records):
+    return records + [(0, (0, 1), 99)]
+
+
+def _changed_distance(records):
+    t, e, _ = records[0]
+    return [(t, e, 12345)] + records[1:]
+
+
+@pytest.mark.parametrize(
+    "tamper, got, expected",
+    [
+        (_extra_record, "got=[t=0 e=(0,1) d=99]", "expected=none"),
+        (_changed_distance, "d=12345]", "expected=[t="),
+    ],
+)
+def test_verify_mismatch_prints_both_sides(tamper, got, expected, monkeypatch, tmp_path, capsys):
+    real_ssrp = cli.ssrp
+    monkeypatch.setattr(cli, "ssrp", lambda oracle: SsrpOutput(tamper(real_ssrp(oracle).records)))
+    # a failing case writes its graph to the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--seed", "11", "--count", "1", "--max-n", "25"]) == 1
+    err = capsys.readouterr().err
+    assert "MISMATCH case 0" in err
+    assert got in err and expected in err
+    assert err.index("got=") < err.index("expected=")
+    assert list(tmp_path.glob("verify_fail_seed11_case0.graph"))
 
 
 def test_bench_prints_table(capsys):

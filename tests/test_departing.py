@@ -1,11 +1,15 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdo.departing import DepArray, brute_departing, build_dep
+from sdo.baseline import brute_query, brute_ssrp
+from sdo.departing import brute_departing, build_dep
 from sdo.generators import nested_arcs, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
+from sdo.oracle import build_oracle
+from sdo.query import query, ssrp
 from sdo.spt import dijkstra, tree_path
 
-from conftest import naive_lca
+from conftest import best_departing, naive_lca
 
 
 def dep_for(g: Graph, s: int, r: int):
@@ -23,39 +27,8 @@ def check_against_brute(g: Graph, s: int, r: int):
         if t in on_path:
             continue
         for pos in range(len(path.edge_ids)):
-            assert dep[t].query(pos) == brute[t][pos], (t, pos)
+            assert best_departing(dep[t], pos) == brute[t][pos], (t, pos)
     return spt, path, dep
-
-
-def synthetic_array() -> DepArray:
-    arr = DepArray()
-    for length, dpi in ((4, 2), (9, 0)):
-        arr.lengths.append(length)
-        arr.dp_depths.append(dpi)
-    return arr
-
-
-class TestQueryDep:
-    def test_interval_semantics(self):
-        arr = synthetic_array()
-        # edge at position 0 needs departure at or above the top vertex
-        assert arr.query(0) == 9
-        assert arr.query(1) == 9
-        assert arr.query(2) == 4
-        assert arr.query(3) == 4
-
-    def test_linear_scan_agreement(self):
-        arr = synthetic_array()
-        for pos in range(5):
-            want = UNREACHABLE
-            for i in range(len(arr)):
-                if arr.dp_depths[i] <= pos:
-                    want = arr.lengths[i]
-                    break
-            assert arr.query(pos) == want
-
-    def test_empty_array(self):
-        assert DepArray().query(3) is UNREACHABLE
 
 
 class TestBuildDep:
@@ -92,7 +65,7 @@ class TestBuildDep:
                 if t in on_path:
                     continue
                 assert dep[t].lengths[0] == spt.dist[t]
-                assert dep[t].dp_depths[0] <= path.index_of[naive_lca(spt, t, r)]
+                assert dep[t].dp_depths[0] <= path.vertices.index(naive_lca(spt, t, r))
 
     def test_double_monotonicity(self):
         for seed in range(10):
@@ -112,8 +85,35 @@ class TestBuildDep:
         r = max(range(g.n), key=lambda v: (spt.depth[v], -v))
         path = tree_path(spt, 0, r)
         _, stats = build_dep(g, spt, path)
-        budget = (stats.accepted + len(path.vertices)) * stats.max_degree
+        max_degree = max(len(a) for a in g.adj)
+        budget = (stats.accepted + len(path.vertices)) * max_degree
         assert stats.pops <= stats.pushes <= budget
+
+
+def longest_stored_segment(oracle) -> int:
+    off = oracle.store.dep_off
+    return max(b - a for a, b in zip(off, off[1:]))
+
+
+class TestStoreSegments:
+    """The query store's binary search over departing segments longer than
+    the few entries random sparse graphs give."""
+
+    @pytest.mark.parametrize("k, longest", [(4, 3), (8, 4), (16, 6)])
+    def test_nested_arcs_ssrp_equals_brute(self, k, longest):
+        g, _ = nested_arcs(k)
+        oracle = build_oracle(g, 0)
+        assert longest_stored_segment(oracle) >= longest
+        assert ssrp(oracle).records == brute_ssrp(g, 0).records
+
+    def test_every_path_fault_to_the_arcs_destination(self):
+        k = 32
+        g, t = nested_arcs(k)
+        oracle = build_oracle(g, 0)
+        assert longest_stored_segment(oracle) >= 10
+        for j in range(k):
+            eid = g.edge_ids_between(j, j + 1)[0]
+            assert query(oracle, t, (j, j + 1)).distance == brute_query(g, 0, t, eid), j
 
 
 class TestBruteDeparting:

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdo.baseline import brute_ssrp
-from sdo.generators import ragged_multigraph, tree_plus_chords
+from sdo.generators import nested_arcs, ragged_multigraph, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_node, build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import dijkstra, separator_split
 
-from conftest import path_graph, split_sizes, star_graph
+from conftest import path_graph, source_tree, split_sizes, star_graph
 
 
 def walk_internal(oracle):
@@ -24,11 +24,12 @@ def assert_child_distances_equal_parent_distances(oracle):
     every node vertex at the input-graph distance of its original vertex."""
     root = oracle.root
     original = {v: v for v in range(root.graph.n)}
+    input_dist = source_tree(oracle).dist
     stack = [(root, original, dijkstra(root.graph, root.source).dist)]
     while stack:
         node, original, dist = stack.pop()
         for v, ov in original.items():
-            assert dist[v] == oracle.spt.dist[ov]
+            assert dist[v] == input_dist[ov]
         if node.is_leaf:
             continue
         for child, vmap in (
@@ -97,7 +98,7 @@ class TestChildGraphs:
         oracle = build_oracle(g, 0)
         root = oracle.root
         assert root.separator == 1
-        banned = list(root.left_edge_map)
+        banned = set(root.left_edge_map)
         virtuals = [e for e in root.left.graph.edges if e.virtual]
         lmap = root.left_vertex_map
         assert virtuals == [Edge(lmap[1], lmap[3], 2, virtual=True)]
@@ -127,7 +128,7 @@ class TestChildGraphs:
         root = oracle.root
         m_side = [v for v in root.left_vertex_map if v not in root.right_vertex_map]
         assert m_side
-        banned_m = list(root.left_edge_map)
+        banned_m = set(root.left_edge_map)
         avoid = dijkstra(root.graph, root.separator, banned_m).dist
         assert all(avoid[v] is UNREACHABLE for v in m_side)
         assert not any(e.virtual for e in root.left.graph.edges)
@@ -236,7 +237,7 @@ class TestStructure:
         oracle = build_oracle(g, 0)
         root = oracle.root
         assert root.is_leaf
-        assert list(root.base_table) == [oracle.spt.parent_edge[1]]
+        assert list(root.base_table) == [source_tree(oracle).parent_edge[1]]
         assert ssrp(oracle).records == brute_ssrp(g, 0).records
         assert query(oracle, 1, (0, 1)).distance is UNREACHABLE
         assert query(oracle, 5, (5, 6)).distance is UNREACHABLE
@@ -246,6 +247,26 @@ class TestStructure:
 
         with pytest.raises(ValueError):
             build_oracle(Graph(2, [Edge(0, 1, 2, virtual=True)]), 0)
+
+
+def test_space_bound_as_exact_counts():
+    """The paper's O~(n sqrt n) size, read off the store: departing entries
+    per n**1.5 and vertex slots per n log2 n stay bounded and do not grow
+    with n within a family."""
+    families = {
+        "nested_arcs": [nested_arcs(k)[0] for k in (8, 16, 32)],
+        "tree_plus_chords": [tree_plus_chords(n, 2 * n, 42) for n in (512, 1024, 2048)],
+    }
+    for family, graphs in families.items():
+        ratios = []
+        for g in graphs:
+            store = build_oracle(g, 0).store
+            n = g.n
+            ratios.append((len(store.dep_len) / n**1.5, store.vbase[-1] / (n * math.log2(n))))
+        print(family, " ".join(f"n={g.n}: {e:.3f} {v:.3f}" for g, (e, v) in zip(graphs, ratios)))
+        assert all(e <= 1.5 and v <= 1.5 for e, v in ratios), (family, ratios)
+        assert ratios[-1][0] <= ratios[0][0], (family, ratios)
+        assert ratios[-1][1] <= ratios[0][1], (family, ratios)
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,20 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from sdo.baseline import _sweep, brute_query, brute_ssrp
 from sdo.generators import ragged_multigraph, tree_plus_chords, verify_corpus
-from sdo.graphs import Graph, UNREACHABLE
+from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
 
-from conftest import path_graph, rejoin_gadget, root_primary_candidates
+from conftest import path_graph, rejoin_gadget, root_primary_candidates, source_tree
 
 
 def all_fault_pairs(oracle):
     """Every (t, tree edge above t) of the source tree."""
-    spt = oracle.spt
+    spt = source_tree(oracle)
     s = oracle.original_source
-    for t in range(oracle.original_graph.n):
+    for t in range(oracle.root.graph.n):
         if t == s or not spt.reachable(t):
             continue
         path = tree_path(spt, s, t)
@@ -45,7 +45,7 @@ class TestQuery:
     def test_monotone_lower_bound(self):
         g = tree_plus_chords(40, 25, 6)
         oracle = build_oracle(g, 0)
-        dist = oracle.spt.dist
+        dist = source_tree(oracle).dist
         for t, pair, _ in all_fault_pairs(oracle):
             assert query(oracle, t, pair).distance >= dist[t]
 
@@ -134,7 +134,7 @@ class TestSsrp:
     def test_record_count_is_total_tree_depth(self):
         g = tree_plus_chords(50, 30, 14)
         oracle = build_oracle(g, 0)
-        spt = oracle.spt
+        spt = source_tree(oracle)
         assert len(ssrp(oracle).records) == sum(
             spt.depth[v] for v in range(g.n) if spt.reachable(v)
         )
@@ -236,3 +236,18 @@ def full_sweep(g, s):
 )
 def test_all_edges_all_destinations(make, source):
     full_sweep(make(), source)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 30), st.integers(0, 30), st.integers(0, 10**6), st.data())
+def test_weighted_inputs_answer_exactly(n, extra, seed, data):
+    # the library API takes any non-negative integer weights, zero included
+    base = tree_plus_chords(n, extra, seed)
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=base.m, max_size=base.m))
+    g = Graph(n, [Edge(e.u, e.v, w) for e, w in zip(base.edges, weights)])
+    oracle = build_oracle(g, 0)
+    for eid, e in enumerate(g.edges):
+        want = _sweep(g, 0, (eid,))[0]
+        for t in range(n):
+            assert query(oracle, t, (e.u, e.v)).distance == want[t], (t, eid)
+    assert ssrp(oracle).records == brute_ssrp(g, 0).records

@@ -183,7 +183,6 @@ class TestTreePath:
         p = tree_path(spt, 0, 2)
         assert p.vertices == [0, 1, 2]
         assert p.edge_ids == [0, 1]
-        assert p.index_of == {0: 0, 1: 1, 2: 2}
 
     def test_trivial_path(self):
         spt = dijkstra(path_graph(3), 0)
