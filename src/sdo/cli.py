@@ -101,7 +101,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     rng = random.Random(args.seed)
-    print(f"{'n':>8} {'m':>8} {'build_s':>9} {'max_dep':>8} {'query_us':>9}")
+    print(f"{'n':>8} {'m':>8} {'build_s':>9} {'max_dep':>8} {'query_us':>9} {'ssrp_s':>8}")
     for n in args.sizes:
         g = tree_plus_chords(n, 2 * n, rng.randrange(1 << 30))
         t0 = time.perf_counter()
@@ -114,7 +114,10 @@ def cmd_bench(args) -> int:
         for t, e in cases:
             query(oracle, t, e)
         per_query_us = (time.perf_counter() - t0) / len(cases) * 1e6
-        print(f"{g.n:>8} {g.m:>8} {build_s:>9.3f} {max_dep:>8} {per_query_us:>9.2f}")
+        t0 = time.perf_counter()
+        ssrp(oracle)
+        ssrp_s = time.perf_counter() - t0
+        print(f"{g.n:>8} {g.m:>8} {build_s:>9.3f} {max_dep:>8} {per_query_us:>9.2f} {ssrp_s:>8.3f}")
     return 0
 
 
@@ -173,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(5), default=120)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="build/query timing table")
+    p = sub.add_parser("bench", help="build/query/ssrp timing table")
     p.add_argument("--sizes", type=_sizes, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--queries", type=_at_least(1), default=2000)

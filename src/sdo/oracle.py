@@ -26,7 +26,7 @@ from .spt import (
     separator_split,
     tree_path,
 )
-from .store import QueryStore, _original_count, freeze
+from .store import INF, QueryStore, _original_count, freeze
 
 
 class OracleNode:
@@ -242,12 +242,16 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
     The root node is built on ``g`` itself, with the input graph's canonical
     source tree. Vertices the source cannot reach enter neither child, and
     queries about them answer UNREACHABLE at the entry. The built tree is
-    then frozen into the query store.
+    then frozen into the query store. The weights must sum below ``INF``,
+    so every finite distance, and the sum of any two, fits the store's
+    64-bit integers.
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
     if any(e.virtual for e in g.edges):
         raise ValueError("input graphs must contain only original edges")
+    if sum(e.weight for e in g.edges) >= INF:
+        raise ValueError(f"edge weights must sum below 2**62 = {INF}")
     spt = dijkstra(g, source)
     build_preorder(spt)
     root = build_node(spt, 0)

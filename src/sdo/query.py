@@ -1,18 +1,24 @@
 """Fault queries and full single-source enumeration over the query store.
 
 Both read only the oracle's ``QueryStore``, so a built and a loaded oracle
-answer through the same code. Inside, distances are integers with INF for
-UNREACHABLE; the answers turn INF back into UNREACHABLE.
+answer through the same code. ``query`` walks the recursion tree for one
+fault in plain Python (``_query_node``); ``ssrp`` walks it for all its
+records at once (``_descend``), one round of numpy operations per level over
+zero-copy views of the store arrays. Inside, distances are integers with INF
+for UNREACHABLE; the answers turn INF back into UNREACHABLE.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
+
+import numpy as np
 
 from .graphs import Distance, UNREACHABLE
 from .oracle import OracleTree
-from .store import INF, LEFT, PRIMARY, RIGHT, QueryStore
+from .store import CROSS, INF, LEFT, PRIMARY, RIGHT, QueryStore, _view
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,25 +141,109 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
     return QueryResult(UNREACHABLE if d >= INF else d, depth)
 
 
+def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> np.ndarray:
+    """``_query_node`` for every record at once: one round of array
+    operations per level, over the records still descending.
+
+    Each level mirrors the scalar cases: a leaf reads its row, CROSS answers
+    ``d0``, PRIMARY folds its candidates into ``best`` and stops at the
+    separator or where t has no left copy, and LEFT/RIGHT move to the child
+    (``d0`` where t has no copy there). Answered records leave the arrays.
+    Returns the distances with INF for UNREACHABLE, in the order of ``t``.
+    """
+    left, right, sep = _view(store.left), _view(store.right), _view(store.sep)
+    vbase, ebase, srbase = _view(store.vbase), _view(store.ebase), _view(store.srbase)
+    lchild, rchild, dist_r = _view(store.lchild), _view(store.rchild), _view(store.dist_r)
+    eside, echild, epos = _view(store.eside), _view(store.echild), _view(store.epos)
+    sr, rows = _view(store.sr), _view(store.rows)
+    dep_off, dep_len = _view(store.dep_off), _view(store.dep_len)
+    # One sorted key per departing entry, slot * K + position + 1, so a
+    # single searchsorted finds bisect_right within every segment at once.
+    # K leaves room for any path position; clipping keeps a segment's keys
+    # inside its slot's range without reordering them.
+    k = int(np.diff(srbase).max()) + 2
+    owner = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64), np.diff(dep_off))
+    key = owner * k + np.clip(_view(store.dep_dpi), -1, k - 2) + 1
+
+    out = d0.copy()
+    idx = np.arange(len(t))
+    node = np.zeros(len(t), dtype=np.intp)
+    best = np.full(len(t), INF, dtype=np.int64)
+    while len(idx):
+        child = left[node]
+        es = ebase[node] + eid
+        leaf = child < 0
+        if leaf.any():
+            row = echild[es[leaf]]
+            hit = row >= 0
+            at = np.flatnonzero(leaf)[hit]
+            out[idx[at]] = np.minimum(rows[row[hit] + t[at]], best[at])
+            inner = ~leaf
+            idx, node, t, es, best, child = (
+                idx[inner], node[inner], t[inner], es[inner], best[inner], child[inner])
+        vs = vbase[node] + t
+        side = eside[es]
+        to_right = side == RIGHT
+        ct = np.where(to_right, rchild[vs], lchild[vs])
+        child = np.where(to_right, right[node], child)
+        go = (side != CROSS) & (ct >= 0)
+        prim = np.flatnonzero(side == PRIMARY)
+        if len(prim):
+            pn, pvs = node[prim], vs[prim]
+            pos = epos[es[prim]]
+            # saturating sr + dist_r: INF + INF would wrap in int64
+            b = dist_r[pvs]
+            cand = np.minimum(sr[srbase[pn] + pos], INF - b) + b
+            i = np.searchsorted(key, pvs.astype(np.int64) * k + pos + 1, side="right")
+            has = np.flatnonzero(i > dep_off[pvs])
+            cand[has] = np.minimum(cand[has], dep_len[i[has] - 1])
+            pb = np.minimum(best[prim], cand)
+            best[prim] = pb
+            stop = (t[prim] == sep[pn]) | (ct[prim] < 0)
+            out[idx[prim[stop]]] = pb[stop]
+            go[prim[stop]] = False
+        idx, node, t, eid, best = idx[go], child[go], ct[go], echild[es[go]], best[go]
+    return out
+
+
 def ssrp(oracle: OracleTree) -> SsrpOutput:
     """For every reachable destination and every tree edge above it, the
-    avoiding distance; records ordered by destination then edge depth."""
+    avoiding distance; records ordered by destination then edge depth.
+
+    All records descend together (``_descend``). Climbing the source tree
+    from every destination at once gives each its depth; record (t, j-th
+    edge up from t) then lands at slot ``off[t] + depth[t] - 1 - j``, where
+    ``off`` sums the depths before t, which is the record order without a
+    sort.
+    """
     store = oracle.store
-    parent, parent_edge, dist = store.parent, store.parent_edge, store.dist
+    parent, dist = _view(store.parent), _view(store.dist)
     source = oracle.original_source
-    records: list[tuple[int, tuple[int, int], Distance]] = []
-    for t in range(len(dist)):
-        d0 = dist[t]
-        if t == source or d0 >= INF:
-            continue
-        chain: list[tuple[int, int, int]] = []
-        cur = t
-        while cur != source:
-            p = parent[cur]
-            chain.append((p, cur, parent_edge[cur]))
-            cur = p
-        chain.reverse()
-        for upper, lower, eid in chain:
-            d, _ = _query_node(store, t, eid, d0, 0)
-            records.append((t, (upper, lower), UNREACHABLE if d >= INF else d))
-    return SsrpOutput(records)
+    ts = np.flatnonzero(dist < INF)
+    ts = ts[ts != source]
+    if not len(ts):
+        return SsrpOutput([])
+    depth = np.zeros(len(ts), dtype=np.int64)
+    climb = []
+    live, cur = np.arange(len(ts)), ts
+    while len(live):
+        climb.append((live, cur))
+        depth[live] += 1
+        cur = parent[cur]
+        up = cur != source
+        live, cur = live[up], cur[up]
+    end = np.cumsum(depth)
+    lower = np.empty(end[-1], dtype=np.intp)
+    for j, (live, cur) in enumerate(climb):
+        lower[end[live] - 1 - j] = cur
+    t = np.repeat(ts, depth)
+    d = _descend(store, t, _view(store.parent_edge)[lower], dist[t])
+    ds = d.tolist()
+    for i in np.flatnonzero(d >= INF).tolist():
+        ds[i] = UNREACHABLE
+    # Every record below one tree edge shares that edge's (x, y) tuple: one
+    # tuple per vertex, not one per record, nearly halves the objects the
+    # garbage collector tracks and collects while the list grows.
+    edge = list(zip(parent.tolist(), range(len(parent))))
+    tcol = chain.from_iterable(map(repeat, ts.tolist(), depth.tolist()))
+    return SsrpOutput(list(zip(tcol, map(edge.__getitem__, lower.tolist()), ds)))

@@ -21,6 +21,8 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, eq, ge, le, lt, sub
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .graphs import UNREACHABLE
 
 if TYPE_CHECKING:
@@ -177,15 +179,21 @@ def _non_decreasing(a: array) -> bool:
     return all(map(le, a, islice(a, 1, None)))
 
 
+def _view(a: array) -> np.ndarray:
+    """A zero-copy numpy view of one store array."""
+    return np.frombuffer(a, dtype=a.typecode)
+
+
 def _within_inf(a: array) -> bool:
-    return not a or max(a) <= INF
+    v = _view(a)
+    return not len(v) or (v.min() >= 0 and v.max() <= INF)
 
 
 def check(s: QueryStore) -> None:
     """Raise ValueError unless the arrays form a store that every query can
     walk without leaving an array: consistent lengths, child nodes after
     their parent in preorder (so no cycle), child ids and positions inside
-    the child, doubly monotone departing segments, distances within INF."""
+    the child, doubly monotone departing segments, distances in [0, INF]."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -213,7 +221,7 @@ def check(s: QueryStore) -> None:
     need(s.dep_off[-1] == len(s.dep_len) == len(s.dep_dpi) == entries,
          "dep_off does not end at the departing entries")
     for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
-        need(_within_inf(getattr(s, name)), f"{name} holds a distance above INF")
+        need(_within_inf(getattr(s, name)), f"{name} holds a distance outside [0, INF]")
     need(all(map(lt, s.edge_keys, islice(s.edge_keys, 1, None))), "edge_keys not sorted")
     need(not s.edge_keys or (s.edge_keys[0] >= 0 and s.edge_keys[-1] < n * n),
          "edge key out of range")

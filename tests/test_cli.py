@@ -124,7 +124,7 @@ def test_bench_prints_table(capsys):
     assert main(["bench", "--sizes", "32,64", "--queries", "50"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3
-    assert out[0].split() == ["n", "m", "build_s", "max_dep", "query_us"]
+    assert out[0].split() == ["n", "m", "build_s", "max_dep", "query_us", "ssrp_s"]
 
 
 @pytest.mark.parametrize(
@@ -265,6 +265,10 @@ def _departing_segment_not_monotone(oracle, payload):
     s.dep_dpi[a], s.dep_dpi[a + 1] = s.dep_dpi[a + 1], s.dep_dpi[a]
 
 
+def _negative_distance(oracle, payload):
+    oracle.store.dist_r[0] = -1
+
+
 # The payload header: a 4-byte count, then per array a 12-byte name, a
 # 1-byte typecode and an 8-byte length; the first array is "meta".
 def _header_length_disagrees(oracle, payload):
@@ -282,6 +286,7 @@ def _unknown_typecode(oracle, payload):
         (_child_vertex_out_of_range, "child vertex id out of range"),
         (_child_node_points_upward, "child out of preorder"),
         (_departing_segment_not_monotone, "not doubly monotone"),
+        (_negative_distance, "dist_r holds a distance outside [0, INF]"),
         (_header_length_disagrees, "do not fill the payload"),
         (_unknown_typecode, "does not match the oracle's array table"),
     ],

@@ -8,9 +8,10 @@ from sdo.baseline import _sweep, brute_query, brute_ssrp
 from sdo.generators import ragged_multigraph, tree_plus_chords, verify_corpus
 from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.oracle import build_oracle
-from sdo.query import query, ssrp
+from sdo.query import _query_node, query, ssrp
 from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
+from sdo.store import INF, PRIMARY, check
 
 from conftest import path_graph, rejoin_gadget, root_primary_candidates, source_tree
 
@@ -251,3 +252,63 @@ def test_weighted_inputs_answer_exactly(n, extra, seed, data):
         for t in range(n):
             assert query(oracle, t, (e.u, e.v)).distance == want[t], (t, eid)
     assert ssrp(oracle).records == brute_ssrp(g, 0).records
+
+
+@pytest.mark.parametrize("weight", [2**62, 2**63])
+def test_weights_summing_to_inf_are_rejected(weight):
+    g = Graph(3, [Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, weight)])
+    with pytest.raises(ValueError, match="sum below"):
+        build_oracle(g, 0)
+
+
+def test_weights_summing_just_below_inf_answer_exactly():
+    g = Graph(3, [Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 2**62 - 3)])
+    oracle = build_oracle(g, 0)
+    assert query(oracle, 2, (1, 2)).distance == brute_query(g, 0, 2, 1) == 2**62 - 3
+    assert ssrp(oracle).records == brute_ssrp(g, 0).records
+
+
+def assert_ssrp_matches_the_scalar_descent(oracle):
+    """Every ssrp record, answered by the batched descent, equals
+    ``_query_node`` run for that record alone on the same store."""
+    store = oracle.store
+    for t, (x, y), d in ssrp(oracle).records:
+        want, _ = _query_node(store, t, store.parent_edge[y], store.dist[t], 0)
+        assert d == (UNREACHABLE if want >= INF else want), (t, x, y)
+        assert d is UNREACHABLE or d >= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 30), st.integers(0, 10**6), st.data())
+def test_batched_descent_equals_the_scalar_one(n, extra, seed, data):
+    base = ragged_multigraph(n, extra, seed)
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=base.m, max_size=base.m))
+    g = Graph(n, [Edge(e.u, e.v, w) for e, w in zip(base.edges, weights)])
+    built = build_oracle(g, data.draw(st.integers(0, n - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.oracle"
+        save_oracle(built, path)
+        loaded = load_oracle(path)
+    assert_ssrp_matches_the_scalar_descent(built)
+    assert_ssrp_matches_the_scalar_descent(loaded)
+
+
+def test_inf_candidates_saturate_in_the_batched_descent():
+    # sr and dist_r may both hold INF; their sum must stay INF, not wrap
+    # around int64 to a negative length. The root's slots start at 0.
+    oracle = build_oracle(tree_plus_chords(60, 40, 5), 0)
+    store = oracle.store
+    t, (x, y), _ = next(
+        r for r in ssrp(oracle).records if store.eside[store.parent_edge[r[1][1]]] == PRIMARY
+    )
+    store.sr[store.epos[store.parent_edge[y]]] = INF
+    store.dist_r[t] = INF
+    check(store)
+    assert_ssrp_matches_the_scalar_descent(oracle)
+
+
+def test_ssrp_equals_brute_force_at_n_1024():
+    g = tree_plus_chords(1024, 2048, 42)
+    records = ssrp(build_oracle(g, 0)).records
+    assert len(records) == 4060
+    assert records == brute_ssrp(g, 0).records
