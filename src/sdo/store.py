@@ -1,13 +1,14 @@
-"""The query store: the built oracle frozen into flat integer arrays.
+"""The query store: the oracle as flat integer arrays.
 
 Each array concatenates one table kind over all recursion nodes, numbered in
-preorder with the root at 0. A node owns the vertex slots
-``vbase[i]:vbase[i + 1]`` and the edge slots ``ebase[i]:ebase[i + 1]``, one
-per vertex and per original edge of its graph. Every node graph numbers its
-original edges first (the root holds only input edges, grafting keeps the
-parent's order and appends shortcuts), so slot ``ebase[i] + eid`` belongs to
-edge ``eid``; shortcuts are never faults and get no slot. Queries, on built
-and loaded oracles alike, read only these arrays.
+preorder with the root at 0; the build appends each level's rows before its
+children's. A node owns the vertex slots ``vbase[i]:vbase[i + 1]`` and the
+edge slots ``ebase[i]:ebase[i + 1]``, one per vertex and per original edge
+of its graph. Every node graph numbers its original edges first (the root
+holds only input edges, grafting keeps the parent's order and appends
+shortcuts), so slot ``ebase[i] + eid`` belongs to edge ``eid``; shortcuts
+are never faults and get no slot. Queries, on built and loaded oracles
+alike, read only these arrays.
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
@@ -19,15 +20,15 @@ from __future__ import annotations
 from array import array
 from itertools import chain, compress, count, islice, repeat
 from operator import add, eq, ge, le, lt, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .graphs import UNREACHABLE
 
 if TYPE_CHECKING:
+    from .departing import DepTable
     from .graphs import Distance, Graph
-    from .oracle import OracleNode
     from .spt import ShortestPathTree
 
 INF = 2**62
@@ -99,8 +100,9 @@ def _original_count(g: Graph) -> int:
     return g.m
 
 
-def freeze(spt: ShortestPathTree, root: OracleNode) -> QueryStore:
-    """The store of the oracle built on ``spt.graph`` from ``spt.source``."""
+def open_store(spt: ShortestPathTree) -> QueryStore:
+    """A store holding the source-tree arrays of the oracle built on
+    ``spt.graph`` from ``spt.source``, ready for ``append_node``."""
     s = QueryStore()
     g = spt.graph
     n = g.n
@@ -110,68 +112,86 @@ def freeze(spt: ShortestPathTree, root: OracleNode) -> QueryStore:
     s.tin = array("i", spt._tin)
     s.size = array("i", spt._size)
     s.edge_keys = array("q", sorted({min(e.u, e.v) * n + max(e.u, e.v) for e in g.edges}))
-
-    nodes = list(root.walk())
-    index = {id(node): i for i, node in enumerate(nodes)}
-    no_row = array("i", [-1])
-    no_dist = array("q", [INF])
-    cross = array("b", [CROSS])
+    s.meta = array("q", [n, spt.source, 0, 0, 0])
     s.dep_off.append(0)
-    depth = 0
-    for node in nodes:
-        graph = node.graph
-        nv, ne = graph.n, _original_count(graph)
-        depth = max(depth, node.depth)
-        s.vbase.append(len(s.lchild))
-        s.ebase.append(len(s.eside))
-        s.srbase.append(len(s.sr))
-        side = cross * ne
-        child = no_row * ne
-        pos = no_row * ne
-        lchild = no_row * nv
-        rchild = no_row * nv
-        if node.is_leaf:
-            s.left.append(-1)
-            s.right.append(-1)
-            s.sep.append(-1)
-            for eid, row in node.base_table.items():
-                child[eid] = len(s.rows)
-                s.rows.extend(_ints(row))
-        else:
-            s.left.append(index[id(node.left)])
-            s.right.append(index[id(node.right)])
-            s.sep.append(node.separator)
-            for v, cv in node.left_vertex_map.items():
-                lchild[v] = cv
-            for v, cv in node.right_vertex_map.items():
-                rchild[v] = cv
-            for code, emap in ((LEFT, node.left_edge_map), (RIGHT, node.right_edge_map)):
-                for eid, ce in emap.items():
-                    if eid < ne:
-                        side[eid] = code
-                        child[eid] = ce
-            for eid, p in node.primary_pos_of_edge.items():
-                side[eid] = PRIMARY
-                pos[eid] = p
-        s.lchild.extend(lchild)
-        s.rchild.extend(rchild)
-        s.eside.extend(side)
-        s.echild.extend(child)
-        s.epos.extend(pos)
-        if node.dep is None:
-            s.dist_r.extend(no_dist * nv)
-            s.dep_off.extend(array("i", [len(s.dep_len)]) * nv)
-        else:
-            s.dist_r.extend(_ints(node.dist_r))
-            s.sr.extend(_ints(node.sr_replacements))
-            base = len(s.dep_len)
-            s.dep_off.extend([base + o for o in islice(node.dep.offsets, 1, None)])
-            s.dep_len.extend(node.dep.lengths)
-            s.dep_dpi.extend(node.dep.dp_depths)
+    return s
+
+
+_NONE = array("i", [-1])
+
+
+def append_node(
+    s: QueryStore,
+    g: Graph,
+    depth: int,
+    rows: Iterable[tuple[int, list[Distance]]] = (),
+    r: int = -1,
+    path_edges: Iterable[int] = (),
+    maps: tuple[tuple[dict[int, int], dict[int, int]], ...] = (),
+    tables: tuple[list[Distance], list[Distance], DepTable] | None = None,
+) -> int:
+    """Append the next node in preorder, on graph ``g``; returns its id.
+
+    A leaf gives ``rows``: the source distances avoiding each original edge
+    a fault can reach. An internal node gives its separator ``r``, primary
+    path and split: the vertex and edge maps of side M (the source side,
+    holding the path), then of side N; the separator is in both, and an
+    edge in neither crosses the split. Its left child is appended next; the
+    caller sets ``right``. ``tables`` holds the distances from ``r``, the
+    replacement lengths along the path and the departing table, or None
+    when no input edge lies on the path."""
+    i = len(s.left)
+    nv, ne = g.n, _original_count(g)
     s.vbase.append(len(s.lchild))
     s.ebase.append(len(s.eside))
     s.srbase.append(len(s.sr))
-    s.meta = array("q", [n, spt.source, len(nodes), depth, len(s.dep_len)])
+    s.meta[3] = max(s.meta[3], depth)
+    s.left.append(i + 1 if maps else -1)
+    s.right.append(-1)
+    s.sep.append(r)
+    lchild, rchild, child, pos = _NONE * nv, _NONE * nv, _NONE * ne, _NONE * ne
+    side = array("b", [CROSS]) * ne
+    for eid, row in rows:
+        child[eid] = len(s.rows)
+        s.rows.extend(_ints(row))
+    for code, ids, (vmap, emap) in zip((LEFT, RIGHT), (lchild, rchild), maps):
+        for v, cv in vmap.items():
+            ids[v] = cv
+        for eid, ce in emap.items():
+            if eid < ne:
+                side[eid] = code
+                child[eid] = ce
+    # shortcuts follow the original edges, so a path edge below ne can fail
+    for p, eid in enumerate(path_edges):
+        if eid < ne:
+            side[eid] = PRIMARY
+            pos[eid] = p
+    s.lchild.extend(lchild)
+    s.rchild.extend(rchild)
+    s.eside.extend(side)
+    s.echild.extend(child)
+    s.epos.extend(pos)
+    if tables is None:
+        s.dist_r.extend(array("q", [INF]) * nv)
+        s.dep_off.extend(array("i", [len(s.dep_len)]) * nv)
+    else:
+        dist_r, sr, dep = tables
+        s.dist_r.extend(_ints(dist_r))
+        s.sr.extend(_ints(sr))
+        base = len(s.dep_len)
+        s.dep_off.extend([base + o for o in islice(dep.offsets, 1, None)])
+        s.dep_len.extend(dep.lengths)
+        s.dep_dpi.extend(dep.dp_depths)
+    return i
+
+
+def close_store(s: QueryStore) -> QueryStore:
+    """Write the bases' final totals and the node and entry counts."""
+    s.vbase.append(len(s.lchild))
+    s.ebase.append(len(s.eside))
+    s.srbase.append(len(s.sr))
+    s.meta[2] = len(s.left)
+    s.meta[4] = len(s.dep_len)
     return s
 
 

@@ -7,8 +7,10 @@ exhaustive path enumeration on tiny graphs.
 
 from __future__ import annotations
 
+from sdo.departing import DepArray
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import ShortestPathTree, dijkstra
+from sdo.store import INF, LEFT, PRIMARY, RIGHT
 
 
 def bellman_ford(g: Graph, source: int, banned: set[int] | frozenset = frozenset()):
@@ -78,11 +80,78 @@ def best_departing(arr, pos: int):
     )
 
 
-def split_sizes(node) -> tuple[int, int, int]:
-    """(reachable count, |V_M|, |V_N|) of an internal node: the vertices its
-    source reaches, and the sides read off its child vertex maps."""
+def distances(values) -> list:
+    """Store distances with INF turned back into UNREACHABLE."""
+    return [UNREACHABLE if d >= INF else d for d in values]
+
+
+def vertex_segment(store, name: str, i: int):
+    """Store node ``i``'s vertex slots of array ``name``."""
+    return getattr(store, name)[store.vbase[i] : store.vbase[i + 1]]
+
+
+def edge_segment(store, name: str, i: int):
+    """Store node ``i``'s edge slots of array ``name``, one per original edge."""
+    return getattr(store, name)[store.ebase[i] : store.ebase[i + 1]]
+
+
+def leaf_table(store, i: int) -> dict[int, list]:
+    """Leaf ``i``'s rows by original edge id: the source distances avoiding
+    that edge, one per vertex of the leaf's graph."""
+    nv = store.vbase[i + 1] - store.vbase[i]
+    return {
+        eid: distances(store.rows[at : at + nv])
+        for eid, at in enumerate(edge_segment(store, "echild", i))
+        if at >= 0
+    }
+
+
+def primary_positions(store, i: int) -> dict[int, int]:
+    """Path position of each original edge on internal node ``i``'s primary
+    path."""
+    return {
+        eid: pos
+        for eid, (side, pos) in enumerate(
+            zip(edge_segment(store, "eside", i), edge_segment(store, "epos", i))
+        )
+        if side == PRIMARY
+    }
+
+
+def child_maps(store, i: int, g: Graph):
+    """(left vertex, right vertex, left edge, right edge) child id maps of
+    internal store node ``i``, whose graph is ``g``. The vertex maps and the
+    original edges' maps are read off the store; a primary-path edge lies in
+    side M. The store keeps no slot for a shortcut, so a shortcut's child id
+    is recounted: a child keeps the parent's edges with both ends in its
+    side, in the parent's order, and the original edges come first."""
+    lv = {v: c for v, c in enumerate(vertex_segment(store, "lchild", i)) if c >= 0}
+    rv = {v: c for v, c in enumerate(vertex_segment(store, "rchild", i)) if c >= 0}
+    le: dict[int, int] = {}
+    re: dict[int, int] = {}
+    sides = edge_segment(store, "eside", i)
+    kids = edge_segment(store, "echild", i)
+    for eid, e in enumerate(g.edges):
+        if eid < len(sides):
+            if sides[eid] in (LEFT, PRIMARY):
+                le[eid] = kids[eid]
+            elif sides[eid] == RIGHT:
+                re[eid] = kids[eid]
+            continue
+        if e.u in lv and e.v in lv:
+            le[eid] = len(le)
+        if e.u in rv and e.v in rv:
+            re[eid] = len(re)
+    return lv, rv, le, re
+
+
+def split_sizes(store, i: int, node) -> tuple[int, int, int]:
+    """(reachable count, |V_M|, |V_N|) of internal node ``i``: the vertices
+    its source reaches, and the sides read off its store child vertex ids."""
     reached = dijkstra(node.graph, node.source).reachable_count()
-    return reached, len(node.left_vertex_map), len(node.right_vertex_map)
+    nm = sum(c >= 0 for c in vertex_segment(store, "lchild", i))
+    nn = sum(c >= 0 for c in vertex_segment(store, "rchild", i))
+    return reached, nm, nn
 
 
 def path_graph(n: int) -> Graph:
@@ -115,8 +184,12 @@ def rejoin_gadget() -> tuple[Graph, int, tuple[int, int], int]:
 
 def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
     """The root's own candidates for a primary-path fault, read off its
-    tables: the route through the separator and the departing-array entry."""
-    root = oracle.root
-    eid = root.graph.edge_ids_between(*fault)[0]
-    pos = root.primary_pos_of_edge[eid]
-    return [root.sr_replacements[pos] + root.dist_r[t], best_departing(root.dep[t], pos)]
+    store rows: the route through the separator and the departing entry."""
+    store = oracle.store
+    eid = oracle.root.graph.edge_ids_between(*fault)[0]
+    pos = edge_segment(store, "epos", 0)[eid]
+    sr = distances(store.sr[store.srbase[0] : store.srbase[1]])[pos]
+    dist_r = distances(vertex_segment(store, "dist_r", 0))[t]
+    lo, hi = store.dep_off[store.vbase[0] + t], store.dep_off[store.vbase[0] + t + 1]
+    segment = DepArray(store.dep_len[lo:hi], store.dep_dpi[lo:hi])
+    return [sr + dist_r, best_departing(segment, pos)]

@@ -25,10 +25,13 @@ from sdo.spt import dijkstra, tree_path
 
 from conftest import (
     best_departing,
+    distances,
+    primary_positions,
     rejoin_gadget,
     root_primary_candidates,
     source_tree,
     split_sizes,
+    vertex_segment,
 )
 
 CORPUS_SEED = 20240601
@@ -165,26 +168,32 @@ def test_criterion_4_dep_size_sublinearity():
 def test_criterion_5_replacement_table_equivalence(corpus):
     edges_checked = bare_levels = 0
     for label, g, s, oracle in corpus:
-        for node in oracle.nodes():
+        store = oracle.store
+        for i, node in enumerate(oracle.nodes()):
             if node.is_leaf:
                 continue
             path = node.primary_path
-            assert node.primary_pos_of_edge == {
+            positions = primary_positions(store, i)
+            assert positions == {
                 eid: pos
                 for pos, eid in enumerate(path.edge_ids)
                 if not node.graph.edges[eid].virtual
             }, (label, node.depth)
-            if not node.primary_pos_of_edge:
+            dist_r = distances(vertex_segment(store, "dist_r", i))
+            sr = distances(store.sr[store.srbase[i] : store.srbase[i + 1]])
+            if not positions:
                 # no fault can land on this path, so it keeps no tables
-                tables = (node.dist_r, node.sr_replacements, node.dep, node.dep_stats)
-                assert tables == (None, None, None, None), (label, node.depth)
+                tables = (node.sr_replacements, node.dep, node.dep_stats)
+                assert tables == (None, None, None), (label, node.depth)
+                assert sr == [] and set(dist_r) == {UNREACHABLE}, (label, node.depth)
                 bare_levels += 1
                 continue
             r = node.separator
-            assert node.dist_r == dijkstra(node.graph, r).dist, (label, node.depth)
+            assert dist_r == dijkstra(node.graph, r).dist, (label, node.depth)
+            assert sr == node.sr_replacements, (label, node.depth)
             for pos, eid in enumerate(path.edge_ids):
                 want = dijkstra(node.graph, node.source, {eid}).dist[r]
-                assert node.sr_replacements[pos] == want, (label, node.depth, pos)
+                assert sr[pos] == want, (label, node.depth, pos)
                 edges_checked += 1
     assert bare_levels > 0
     _report(
@@ -202,10 +211,10 @@ def test_criterion_6_structural_bounds(corpus):
         n_root = oracle.root.graph.n
         depth_cap = math.ceil(math.log(max(n_root, 2), 1.5)) + 2
         assert oracle.depth <= depth_cap, (label, oracle.depth, depth_cap)
-        for node in oracle.nodes():
+        for i, node in enumerate(oracle.nodes()):
             if node.is_leaf:
                 continue
-            nr, nm, nn = split_sizes(node)
+            nr, nm, nn = split_sizes(oracle.store, i, node)
             lo, hi = nr // 3, -(-2 * nr // 3) + 1
             assert lo <= nm <= hi, (label, nr, nm, nn)
             assert lo <= nn <= hi, (label, nr, nm, nn)

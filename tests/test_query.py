@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -208,6 +209,37 @@ def test_separate_builds_dump_identical_bytes():
         families.add(label.split("(")[0])
         assert dump_oracle(build_oracle(g, s)) == dump_oracle(build_oracle(g, s)), label
     assert len(families) == 7
+
+
+# SHA-256 of dump_oracle for the first graph of each verify_corpus family at
+# seed 11. A change that leaves the file format alone must leave these bytes
+# alone too.
+PINNED_DUMPS = {
+    "tree": "f3b9160d4c834a55e5c13166dae6d7d30439b9b075f56aaa6375e282d7a51936",
+    "tree+n/4": "e8ea1c132f7ecfbea25eb1ab1232f7480a601e49dbd97e1c44c12d1f94200eed",
+    "tree+n": "0137cb864f1788218a30cffa75889c2d6ecc53421ba8fefa500e9be688800916",
+    "tree+dense": "c053e683a3a2b4c4adf16295dbb0bdfee6b6972dcf4784772bf8c40e913a03d7",
+    "grid": "c0ede3102c094097fedad1d9cd69de56b7e6e287d173a7027b3002da9afe7e77",
+    "gadget": "804455dead7c4e880f820990737409651e88830ad7efc43522e616862fc93904",
+    "ragged": "d8e17978f8a4d3a05f7a3a0ca702c4fba7ca7de7299bf763091d4fd41764c503",
+}
+
+
+def test_dump_bytes_are_pinned():
+    got = {
+        label.split("(")[0]: hashlib.sha256(dump_oracle(build_oracle(g, s))).hexdigest()
+        for label, g, s in verify_corpus(seed=11, count=7, max_n=60)
+    }
+    assert got == PINNED_DUMPS
+
+
+def test_loaded_oracle_has_no_recursion_tree():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.oracle"
+        save_oracle(build_oracle(path_graph(5), 0), path)
+        loaded = load_oracle(path)
+    with pytest.raises(ValueError, match="keeps no recursion tree"):
+        loaded.nodes()
 
 
 def full_sweep(g, s):
