@@ -29,9 +29,9 @@ def main() -> None:
     for n in args.sizes:
         peak = 0
         for seed in args.seeds:
-            root = build_oracle(tree_plus_chords(n, 2 * n, seed), 0).root
-            if root.dep is not None:
-                peak = max(peak, max((len(a) for a in root.dep), default=0))
+            store = build_oracle(tree_plus_chords(n, 2 * n, seed), 0).store
+            off = store.dep_off[store.vbase[0] : store.vbase[1] + 1]
+            peak = max(peak, max((b - a for a, b in zip(off, off[1:])), default=0))
         print(f"  n={n:>6}  max|Dep|={peak}")
 
     print("nested arcs, |Dep(t)| against sqrt(n):")

@@ -8,13 +8,15 @@ graph itself, and a vertex the source cannot reach enters neither side.
 Grafting preserves distances from the source, so every node vertex lies at
 its original vertex's input-graph distance, and the oracle keeps that one
 source tree for the whole recursion. Each level appends its rows to a
-``QueryStore`` of flat arrays as it is built, the only thing queries read
-and files hold.
+``QueryStore`` of flat arrays, the only thing queries read and files hold,
+and drops its graph before it recurses; ``OracleTree.nodes()`` replays the
+build for the levels' records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .departing import DepBuildStats, DepTable, build_dep
 from .graphs import Distance, Edge, Graph, UNREACHABLE
@@ -39,45 +41,30 @@ from .store import (
 
 @dataclass(slots=True, eq=False, repr=False)
 class OracleNode:
-    """The build record of one recursion level: its graph, separator, primary
-    path, the tables built on it, and its children. Queries never read it;
-    it is kept for inspection and benchmarks. What queries read of a level,
-    its child id maps and tables, went to the store as it was built.
+    """The build record of one recursion level: its graph, primary path and
+    the tables built on it. Queries never read it and the oracle keeps none;
+    the build passes it to ``emit``. Record ``i`` is store node ``i``, whose
+    ``left``, ``right`` and ``sep`` give its children and separator.
     """
 
     graph: Graph
     source: int
     depth: int
-    is_leaf: bool = False
-    separator: int | None = None
     primary_path: PathOnTree | None = None
     sr_replacements: list[Distance] | None = None
     dep: DepTable | None = None
     dep_stats: DepBuildStats | None = None
-    left: OracleNode | None = None
-    right: OracleNode | None = None
-
-    def walk(self):
-        """All nodes of the subtree in preorder, the store's node order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.right is not None:
-                stack.append(node.right)
-            if node.left is not None:
-                stack.append(node.left)
 
 
 @dataclass(slots=True)
 class OracleTree:
     """The oracle: ``store`` holds every table a query reads. A built oracle
-    also keeps ``root``, the build record, whose graph is the input graph
-    itself; a loaded oracle has only the store, and ``root`` is None.
+    also keeps ``graph``, the input graph itself, to replay its build; a
+    loaded oracle has only the store, and ``graph`` is None.
     """
 
     store: QueryStore
-    root: OracleNode | None = None
+    graph: Graph | None = None
 
     @property
     def original_source(self) -> int:
@@ -95,18 +82,20 @@ class OracleTree:
     def total_dep_entries(self) -> int:
         return self.store.meta[4]
 
-    def nodes(self):
-        """The recursion tree's nodes in preorder; node ``i`` is store node ``i``."""
-        if self.root is None:
+    def nodes(self) -> list[OracleNode]:
+        """The build record of every level, record ``i`` for store node ``i``.
+        None is kept, so each call reruns the build at the cost of the first."""
+        if self.graph is None:
             raise ValueError("a loaded oracle keeps no recursion tree, only its query store")
-        return self.root.walk()
+        levels: list[OracleNode] = []
+        _build(self.graph, self.original_source, levels.append)
+        return levels
 
 
 def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> OracleNode:
     """Tabulate the source distances avoiding each original edge the source
     reaches (an edge with one reached end has both); a fault elsewhere never
     descends here."""
-    node.is_leaf = True
     g = node.graph
     rows = (
         (eid, dijkstra(g, node.source, (eid,)).dist)
@@ -140,8 +129,10 @@ def _induced(
     return vmap, edges, emap
 
 
-# A child graph, its source, and its (vertex, edge) id maps from the parent.
+# A child graph, its source, and its (vertex, edge) id maps from the parent;
+# and the callback that takes each level's build record.
 Graft = tuple[Graph, int, tuple[dict[int, int], dict[int, int]]]
+Emit = Callable[[OracleNode], object]
 
 
 def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
@@ -159,41 +150,41 @@ def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
     return Graph(len(vmap) + int(fresh), edges), hub, (vmap, emap)
 
 
-def make_left_child(node: OracleNode, in_m: list[bool]) -> Graft:
-    """Induced side-M graph plus weighted shortcuts from the separator.
+def make_left_child(g: Graph, source: int, r: int, in_m: list[bool]) -> Graft:
+    """Induced side-M graph plus weighted shortcuts from the separator ``r``.
 
     Each shortcut (r, v) carries the best r -> v length that avoids every
     side-M edge, so faults handled deeper inside M can still route around the
     whole side at the recorded cost.
     """
-    child, _, maps = _graft(node.graph, in_m, node.separator, fresh=False)
-    return child, maps[0][node.source], maps
+    child, _, maps = _graft(g, in_m, r, fresh=False)
+    return child, maps[0][source], maps
 
 
-def make_right_child(node: OracleNode, in_n: list[bool]) -> Graft:
+def make_right_child(g: Graph, source: int, in_n: list[bool]) -> Graft:
     """Induced side-N graph plus a fresh source with weighted entry edges.
 
     The fresh source is added uniformly (even when the separator equals the
     node source); its edge to v carries the best source -> v length avoiding
     every side-N edge.
     """
-    return _graft(node.graph, in_n, node.source, fresh=True)
+    return _graft(g, in_n, source, fresh=True)
 
 
-def build_node(spt_s: ShortestPathTree, depth: int, store: QueryStore) -> OracleNode:
+def build_node(spt_s: ShortestPathTree, depth: int, store: QueryStore, emit: Emit) -> None:
     """Build the oracle node for ``spt_s``, the canonical tree of the node's
-    graph from its source, appending its rows to ``store`` before its
-    children's. The node is a brute-force leaf when its source reaches at
-    most two vertices at the root, or at most four deeper. Faults are input
-    edges, so a primary path without one builds no tables."""
+    graph from its source: append its rows to ``store``, pass its record to
+    ``emit``, then build its children. A node is a brute-force leaf when its
+    source reaches at most two vertices at the root, or four deeper. Faults
+    are input edges, so a primary path without one builds no tables."""
     g, source = spt_s.graph, spt_s.source
     node = OracleNode(g, source, depth)
     if spt_s.reachable_count() <= (4 if depth else 2):
-        return _leaf_node(node, spt_s, store)
+        emit(_leaf_node(node, spt_s, store))
+        return
 
     split = separator_split(spt_s)
     r = split.r
-    node.separator = r
     node.primary_path = path = tree_path(spt_s, source, r)
     tables = dist_r = None
     if any(not g.edges[eid].virtual for eid in path.edge_ids):
@@ -202,15 +193,27 @@ def build_node(spt_s: ShortestPathTree, depth: int, store: QueryStore) -> Oracle
         node.dep, node.dep_stats = build_dep(g, spt_s, path)
         tables = (dist_r, node.sr_replacements, node.dep)
 
-    left_g, left_src, left_maps = make_left_child(node, split.in_m)
-    right_g, right_src, right_maps = make_right_child(node, split.in_n)
+    left_g, left_src, left_maps = make_left_child(g, source, r, split.in_m)
+    right_g, right_src, right_maps = make_right_child(g, source, split.in_n)
     i = append_node(store, g, depth, (), r, path.edge_ids, (left_maps, right_maps), tables)
-    # the store holds all a query reads of the maps and the distances from r
-    del split, tables, dist_r, left_maps, right_maps
-    node.left = build_node(dijkstra(left_g, left_src), depth + 1, store)
+    emit(node)
+    # The store holds all a query reads of this level. Each child graph is
+    # popped into its call, so a subtree builds with only the right one here.
+    grafts = [(right_g, right_src), (left_g, left_src)]
+    del node, g, spt_s, split, path, tables, dist_r, left_g, left_maps, right_g, right_maps
+    build_node(dijkstra(*grafts.pop()), depth + 1, store, emit)
     store.right[i] = len(store.left)
-    node.right = build_node(dijkstra(right_g, right_src), depth + 1, store)
-    return node
+    build_node(dijkstra(*grafts.pop()), depth + 1, store, emit)
+
+
+def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
+    """The query store of the oracle for ``g`` from ``source``; each level's
+    record goes to ``emit`` in store order."""
+    spt = dijkstra(g, source)
+    build_preorder(spt)
+    store = open_store(spt)
+    build_node(spt, 0, store, emit)
+    return close_store(store)
 
 
 def build_oracle(g: Graph, source: int) -> OracleTree:
@@ -220,7 +223,7 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
     source tree. Vertices the source cannot reach enter neither child, and
     queries about them answer UNREACHABLE at the entry. The weights must sum
     below ``INF``, so every finite distance, and the sum of any two, fits
-    the store's 64-bit integers.
+    the store's 64-bit integers. The oracle keeps ``g`` but no build record.
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
@@ -228,8 +231,4 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
         raise ValueError("input graphs must contain only original edges")
     if sum(e.weight for e in g.edges) >= INF:
         raise ValueError(f"edge weights must sum below 2**62 = {INF}")
-    spt = dijkstra(g, source)
-    build_preorder(spt)
-    store = open_store(spt)
-    root = build_node(spt, 0, store)
-    return OracleTree(close_store(store), root)
+    return OracleTree(_build(g, source, lambda record: None), g)

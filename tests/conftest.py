@@ -68,7 +68,7 @@ def min_simple_path(g: Graph, s: int, t: int, banned: frozenset = frozenset()):
 
 def source_tree(oracle) -> ShortestPathTree:
     """The canonical source tree of a built oracle's input graph."""
-    return dijkstra(oracle.root.graph, oracle.original_source)
+    return dijkstra(oracle.graph, oracle.original_source)
 
 
 def best_departing(arr, pos: int):
@@ -186,7 +186,7 @@ def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
     """The root's own candidates for a primary-path fault, read off its
     store rows: the route through the separator and the departing entry."""
     store = oracle.store
-    eid = oracle.root.graph.edge_ids_between(*fault)[0]
+    eid = oracle.graph.edge_ids_between(*fault)[0]
     pos = edge_segment(store, "epos", 0)[eid]
     sr = distances(store.sr[store.srbase[0] : store.srbase[1]])[pos]
     dist_r = distances(vertex_segment(store, "dist_r", 0))[t]

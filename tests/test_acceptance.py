@@ -47,7 +47,7 @@ def fault_cases(oracle):
     """(t, (x, y), edge id) for every reachable t and tree edge above it."""
     spt = source_tree(oracle)
     s = oracle.original_source
-    for t in range(oracle.root.graph.n):
+    for t in range(oracle.graph.n):
         if t == s or not spt.reachable(t):
             continue
         path = tree_path(spt, s, t)
@@ -111,8 +111,9 @@ def test_criterion_2_gadget_regression():
 def test_criterion_3_dep_invariants_and_equivalence(corpus):
     nodes_checked = pairs_checked = 0
     for label, g, s, oracle in corpus:
-        for node in oracle.nodes():
-            if node.is_leaf or node.dep is None:
+        left = oracle.store.left
+        for i, node in enumerate(oracle.nodes()):
+            if left[i] < 0 or node.dep is None:
                 continue
             nodes_checked += 1
             path = node.primary_path
@@ -150,9 +151,9 @@ def test_criterion_4_dep_size_sublinearity():
         best = 0
         for seed in seeds:
             g = tree_plus_chords(n, 2 * n, seed)
-            root = build_oracle(g, 0).root
-            if root.dep is not None:
-                best = max(best, max((len(a) for a in root.dep), default=0))
+            store = build_oracle(g, 0).store
+            off = store.dep_off[store.vbase[0] : store.vbase[1] + 1]
+            best = max(best, max((b - a for a, b in zip(off, off[1:])), default=0))
         peak[n] = best
     elapsed = time.perf_counter() - t0
     assert peak[1024] <= 3 * peak[64], peak
@@ -170,7 +171,7 @@ def test_criterion_5_replacement_table_equivalence(corpus):
     for label, g, s, oracle in corpus:
         store = oracle.store
         for i, node in enumerate(oracle.nodes()):
-            if node.is_leaf:
+            if store.left[i] < 0:
                 continue
             path = node.primary_path
             positions = primary_positions(store, i)
@@ -188,7 +189,7 @@ def test_criterion_5_replacement_table_equivalence(corpus):
                 assert sr == [] and set(dist_r) == {UNREACHABLE}, (label, node.depth)
                 bare_levels += 1
                 continue
-            r = node.separator
+            r = store.sep[i]
             assert dist_r == dijkstra(node.graph, r).dist, (label, node.depth)
             assert sr == node.sr_replacements, (label, node.depth)
             for pos, eid in enumerate(path.edge_ids):
@@ -208,11 +209,11 @@ def test_criterion_6_structural_bounds(corpus):
     splits = 0
     max_query_depth = 0
     for label, g, s, oracle in corpus:
-        n_root = oracle.root.graph.n
+        n_root = oracle.graph.n
         depth_cap = math.ceil(math.log(max(n_root, 2), 1.5)) + 2
         assert oracle.depth <= depth_cap, (label, oracle.depth, depth_cap)
         for i, node in enumerate(oracle.nodes()):
-            if node.is_leaf:
+            if oracle.store.left[i] < 0:
                 continue
             nr, nm, nn = split_sizes(oracle.store, i, node)
             lo, hi = nr // 3, -(-2 * nr // 3) + 1

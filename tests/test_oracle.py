@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -11,8 +12,9 @@ from sdo.generators import (
     verify_corpus,
 )
 from sdo.graphs import Graph, UNREACHABLE
-from sdo.oracle import build_node, build_oracle
+from sdo.oracle import OracleTree, _build, build_node, build_oracle
 from sdo.query import query, ssrp
+from sdo.serialize import dump_oracle
 from sdo.spt import build_preorder, dijkstra, separator_split
 from sdo.store import INF, close_store, open_store
 
@@ -30,20 +32,22 @@ from conftest import (
 
 
 def walk_internal(oracle):
-    """(store id, node) of every internal node; the tree's preorder is the
-    store's node order."""
+    """(store id, record) of every internal node; record ``i`` of the
+    replayed build is store node ``i``."""
+    left = oracle.store.left
     for i, node in enumerate(oracle.nodes()):
-        if not node.is_leaf:
+        if left[i] >= 0:
             yield i, node
 
 
 def build_leaf(g, depth):
-    """A node built alone on ``g`` at ``depth``, and its store."""
+    """The records of a node built alone on ``g`` at ``depth``, and its store."""
     spt = dijkstra(g, 0)
     build_preorder(spt)
     store = open_store(spt)
-    node = build_node(spt, depth, store)
-    return node, close_store(store)
+    records = []
+    build_node(spt, depth, store, records.append)
+    return records, close_store(store)
 
 
 def assert_child_distances_equal_parent_distances(oracle):
@@ -59,7 +63,7 @@ def assert_child_distances_equal_parent_distances(oracle):
         i, original, dist = stack.pop()
         for v, ov in original.items():
             assert dist[v] == input_dist[ov]
-        if nodes[i].is_leaf:
+        if store.left[i] < 0:
             continue
         lv, rv, _, _ = child_maps(store, i, nodes[i].graph)
         for child, vmap in ((store.left[i], lv), (store.right[i], rv)):
@@ -74,38 +78,53 @@ def test_tree_nodes_are_store_nodes_in_preorder():
     for label, g, s in verify_corpus(seed=11, count=28, max_n=60):
         oracle = build_oracle(g, s)
         store = oracle.store
-        nodes = list(oracle.nodes())
-        index = {id(node): i for i, node in enumerate(nodes)}
+        # the replay behind nodes(), with its scratch store
+        nodes = []
+        replay = _build(g, s, nodes.append)
+        assert dump_oracle(OracleTree(replay)) == dump_oracle(oracle), label
         assert len(nodes) == oracle.node_count, label
         for i, node in enumerate(nodes):
             original = sum(not e.virtual for e in node.graph.edges)
             assert store.vbase[i + 1] - store.vbase[i] == node.graph.n, (label, i)
             assert store.ebase[i + 1] - store.ebase[i] == original, (label, i)
-            if node.is_leaf:
+            if store.left[i] < 0:
                 assert store.left[i] == store.right[i] == store.sep[i] == -1, (label, i)
                 continue
-            assert store.sep[i] == node.separator, (label, i)
-            assert store.left[i] == i + 1 == index[id(node.left)], (label, i)
-            assert store.right[i] == index[id(node.right)], (label, i)
+            assert store.sep[i] == node.primary_path.vertices[-1], (label, i)
+            assert store.left[i] == i + 1 < store.right[i], (label, i)
+            for child in (store.left[i], store.right[i]):
+                assert nodes[child].depth == node.depth + 1, (label, i, child)
+
+
+def test_built_oracle_keeps_no_level_graph():
+    def live_graphs():
+        gc.collect()
+        return sum(isinstance(o, Graph) for o in gc.get_objects())
+
+    corpus = list(verify_corpus(seed=11, count=28, max_n=60))
+    before = live_graphs()
+    oracles = [build_oracle(g, s) for _, g, s in corpus]
+    assert live_graphs() == before
+    assert all(oracle.graph is g for oracle, (_, g, _) in zip(oracles, corpus))
+    assert sum(oracle.store.left[0] >= 0 for oracle in oracles) > 0
 
 
 class TestLeaves:
     def test_single_edge_root_is_leaf(self):
         oracle = build_oracle(Graph.from_pairs(2, [(0, 1)]), 0)
-        root = oracle.root
-        assert root.is_leaf
+        assert oracle.store.left[0] < 0
         assert leaf_table(oracle.store, 0) == {0: [0, UNREACHABLE]}
 
     def test_small_non_root_nodes_are_leaves(self):
-        node, store = build_leaf(path_graph(4), depth=1)
-        assert node.is_leaf
-        assert node.left is None and node.right is None
+        records, store = build_leaf(path_graph(4), depth=1)
+        assert store.left[0] < 0
+        assert len(records) == 1 and store.right[0] == -1
         assert set(leaf_table(store, 0)) == {0, 1, 2}
 
     def test_leaf_tables_match_banned_dijkstra(self):
         g = tree_plus_chords(4, 2, 8)
-        node, store = build_leaf(g, depth=3)
-        assert node.is_leaf
+        records, store = build_leaf(g, depth=3)
+        assert store.left[0] < 0 and records[0].depth == 3
         for eid, dist in leaf_table(store, 0).items():
             assert dist == dijkstra(g, 0, {eid}).dist
 
@@ -113,11 +132,11 @@ class TestLeaves:
 class TestThreeVertexPath:
     def test_root_splits_with_leaf_children(self):
         oracle = build_oracle(path_graph(3), 0)
-        root = oracle.root
-        assert not root.is_leaf
-        assert root.separator == 1
+        store = oracle.store
+        assert store.left[0] >= 0
+        assert store.sep[0] == 1
         assert oracle.depth == 1
-        assert root.left.is_leaf and root.right.is_leaf
+        assert store.left[store.left[0]] < 0 and store.left[store.right[0]] < 0
 
 
 class TestDegenerateSeparator:
@@ -125,15 +144,15 @@ class TestDegenerateSeparator:
         # star from the center: the separator lands on the source, the
         # primary path is empty, children are still built
         oracle = build_oracle(star_graph(10), 0)
-        root = oracle.root
-        assert root.separator == root.source == 0
+        root = oracle.nodes()[0]
+        assert oracle.store.sep[0] == root.source == 0
         assert len(root.primary_path) == 1
         assert root.primary_path.edge_ids == []
         assert set(vertex_segment(oracle.store, "dist_r", 0)) == {INF}
         assert oracle.store.srbase[1] == 0
         assert root.sr_replacements is None
         assert root.dep is None
-        assert root.left is not None and root.right is not None
+        assert oracle.store.left[0] >= 0 and oracle.store.right[0] >= 0
 
 
 class TestChildGraphs:
@@ -144,11 +163,12 @@ class TestChildGraphs:
 
         g = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         oracle = build_oracle(g, 0)
-        root = oracle.root
-        assert root.separator == 1
-        lmap, _, left_edge_map, _ = child_maps(oracle.store, 0, root.graph)
+        store = oracle.store
+        nodes = oracle.nodes()
+        assert store.sep[0] == 1
+        lmap, _, left_edge_map, _ = child_maps(store, 0, nodes[0].graph)
         banned = set(left_edge_map)
-        virtuals = [e for e in root.left.graph.edges if e.virtual]
+        virtuals = [e for e in nodes[store.left[0]].graph.edges if e.virtual]
         assert virtuals == [Edge(lmap[1], lmap[3], 2, virtual=True)]
         assert dijkstra(g, 1, banned).dist[3] == 2
 
@@ -160,34 +180,42 @@ class TestChildGraphs:
     def test_fresh_shortcuts_incident_to_separator_and_new_source(self):
         g = tree_plus_chords(40, 20, 4)
         oracle = build_oracle(g, 0)
-        for i, node in walk_internal(oracle):
-            lv, _, le, re = child_maps(oracle.store, i, node.graph)
-            r_left = lv[node.separator]
-            for eid in range(len(le), node.left.graph.m):
-                e = node.left.graph.edges[eid]
+        store = oracle.store
+        nodes = oracle.nodes()
+        for i, node in enumerate(nodes):
+            if store.left[i] < 0:
+                continue
+            left, right = nodes[store.left[i]], nodes[store.right[i]]
+            lv, _, le, re = child_maps(store, i, node.graph)
+            r_left = lv[store.sep[i]]
+            for eid in range(len(le), left.graph.m):
+                e = left.graph.edges[eid]
                 assert e.virtual and r_left in (e.u, e.v)
-            for eid in range(len(re), node.right.graph.m):
-                e = node.right.graph.edges[eid]
-                assert e.virtual and node.right.source in (e.u, e.v)
+            for eid in range(len(re), right.graph.m):
+                e = right.graph.edges[eid]
+                assert e.virtual and right.source in (e.u, e.v)
 
     def test_unreachable_shortcut_weights_are_omitted(self):
         # pure path: the far side is unreachable once its edges are banned,
         # so the left child gains no shortcut edges at all
         oracle = build_oracle(path_graph(9), 0)
-        root = oracle.root
-        lv, rv, le, _ = child_maps(oracle.store, 0, root.graph)
+        store = oracle.store
+        nodes = oracle.nodes()
+        root, left, right = nodes[0], nodes[store.left[0]], nodes[store.right[0]]
+        r = store.sep[0]
+        lv, rv, le, _ = child_maps(store, 0, root.graph)
         m_side = [v for v in lv if v not in rv]
         assert m_side
         banned_m = set(le)
-        avoid = dijkstra(root.graph, root.separator, banned_m).dist
+        avoid = dijkstra(root.graph, r, banned_m).dist
         assert all(avoid[v] is UNREACHABLE for v in m_side)
-        assert not any(e.virtual for e in root.left.graph.edges)
+        assert not any(e.virtual for e in left.graph.edges)
         # the far side keeps exactly one entry edge, to the separator itself
-        right_virtuals = [e for e in root.right.graph.edges if e.virtual]
-        r_right = rv[root.separator]
-        d_r = dijkstra(root.graph, root.source).dist[root.separator]
+        right_virtuals = [e for e in right.graph.edges if e.virtual]
+        r_right = rv[r]
+        d_r = dijkstra(root.graph, root.source).dist[r]
         assert [(e.u, e.v, e.weight) for e in right_virtuals] == [
-            (root.right.source, r_right, d_r)
+            (right.source, r_right, d_r)
         ]
 
 
@@ -199,11 +227,10 @@ class TestClassify:
         g = Graph.from_pairs(
             7, [(3, 4), (4, 1), (1, 0), (0, 6), (5, 2), (2, 6), (2, 3)]
         )
-        oracle = build_oracle(g, 0)
-        return g, oracle.root, oracle.store
+        return g, build_oracle(g, 0).store
 
     def test_first_primary_edge(self):
-        g, root, store = self._root()
+        g, store = self._root()
         eid = g.edge_ids_between(0, 6)[0]
         _, _, le, re = child_maps(store, 0, g)
         assert eid in primary_positions(store, 0)
@@ -211,7 +238,7 @@ class TestClassify:
         assert eid not in re
 
     def test_crossing_edge(self):
-        g, root, store = self._root()
+        g, store = self._root()
         eid = g.edge_ids_between(3, 4)[0]
         lv, rv, le, re = child_maps(store, 0, g)
         assert (3 in lv) != (4 in lv)
@@ -220,8 +247,8 @@ class TestClassify:
         assert eid not in re
 
     def test_edge_at_separator_takes_other_side(self):
-        g, root, store = self._root()
-        assert root.separator == 6
+        g, store = self._root()
+        assert store.sep[0] == 6
         eid = g.edge_ids_between(2, 6)[0]
         lv, rv, le, re = child_maps(store, 0, g)
         assert 2 in rv and 2 not in lv
@@ -237,7 +264,7 @@ class TestStructure:
             nr, nm, nn = split_sizes(oracle.store, i, node)
             assert nm + nn == nr + 1
             split = separator_split(dijkstra(node.graph, node.source))
-            assert split.r == node.separator
+            assert split.r == oracle.store.sep[i]
             assert (split.reachable_count, split.size_m, split.size_n) == (nr, nm, nn)
 
     def test_primary_path_inside_m(self):
@@ -262,7 +289,7 @@ class TestStructure:
         g = tree_plus_chords(80, 40, 21)
         oracle = build_oracle(g, 0)
         total = sum(node.graph.n for node in oracle.nodes())
-        assert total <= (oracle.depth + 1) * (oracle.root.graph.n + oracle.node_count)
+        assert total <= (oracle.depth + 1) * (oracle.graph.n + oracle.node_count)
 
     def test_depth_bound(self):
         for seed in (1, 2):
@@ -274,9 +301,9 @@ class TestStructure:
     def test_disconnected_vertices_excluded(self):
         g = Graph.from_pairs(6, [(0, 1), (1, 2), (3, 4)])
         oracle = build_oracle(g, 0)
-        root = oracle.root
-        assert root.graph is g
-        assert not root.is_leaf
+        assert oracle.graph is g
+        assert oracle.nodes()[0].graph is g
+        assert oracle.store.left[0] >= 0
         lv, rv, _, _ = child_maps(oracle.store, 0, g)
         for v in (3, 4, 5):
             assert v not in lv
@@ -287,7 +314,7 @@ class TestStructure:
         n = 20_000
         g = Graph.from_pairs(n, [(v, v + 1) for v in range(1, n - 1)])
         oracle = build_oracle(g, 0)
-        assert oracle.root.is_leaf
+        assert oracle.store.left[0] < 0
         assert leaf_table(oracle.store, 0) == {}
         assert ssrp(oracle).records == []
 
@@ -295,8 +322,7 @@ class TestStructure:
         n = 20_000
         g = Graph.from_pairs(n, [(0, 1)] + [(v, v + 1) for v in range(2, n - 1)])
         oracle = build_oracle(g, 0)
-        root = oracle.root
-        assert root.is_leaf
+        assert oracle.store.left[0] < 0
         assert list(leaf_table(oracle.store, 0)) == [source_tree(oracle).parent_edge[1]]
         assert ssrp(oracle).records == brute_ssrp(g, 0).records
         assert query(oracle, 1, (0, 1)).distance is UNREACHABLE
@@ -367,7 +393,7 @@ def test_child_maps_partition_ragged_multigraphs(n, extra, seed, data):
         dist_r = vertex_segment(store, "dist_r", i)
         if primary:
             assert None not in tables
-            assert distances(dist_r) == dijkstra(node.graph, node.separator).dist
+            assert distances(dist_r) == dijkstra(node.graph, store.sep[i]).dist
         else:
             assert tables == (None, None, None)
             assert set(dist_r) <= {INF}
@@ -380,5 +406,5 @@ def test_child_maps_partition_ragged_multigraphs(n, extra, seed, data):
                 else:
                     assert e.u not in lv and e.u not in rv
                     assert e.v not in lv and e.v not in rv
-        assert lv.keys() & rv.keys() == {node.separator}
+        assert lv.keys() & rv.keys() == {store.sep[i]}
         assert lv.keys() | rv.keys() == set(spt.order)

@@ -21,7 +21,7 @@ def all_fault_pairs(oracle):
     """Every (t, tree edge above t) of the source tree."""
     spt = source_tree(oracle)
     s = oracle.original_source
-    for t in range(oracle.root.graph.n):
+    for t in range(oracle.graph.n):
         if t == s or not spt.reachable(t):
             continue
         path = tree_path(spt, s, t)
