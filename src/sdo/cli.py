@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -101,7 +102,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     rng = random.Random(args.seed)
-    print(f"{'n':>8} {'m':>8} {'build_s':>9} {'max_dep':>8} {'query_us':>9} {'ssrp_s':>8}")
+    print(f"{'n':>8} {'m':>8} {'build_s':>9} {'max_dep':>8} {'query_us':>9} {'ssrp_s':>8}"
+          f" {'load_s':>8}")
     for n in args.sizes:
         g = tree_plus_chords(n, 2 * n, rng.randrange(1 << 30))
         t0 = time.perf_counter()
@@ -117,7 +119,14 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         ssrp(oracle)
         ssrp_s = time.perf_counter() - t0
-        print(f"{g.n:>8} {g.m:>8} {build_s:>9.3f} {max_dep:>8} {per_query_us:>9.2f} {ssrp_s:>8.3f}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bench.oracle"
+            save_oracle(oracle, path)
+            t0 = time.perf_counter()
+            load_oracle(path)
+            load_s = time.perf_counter() - t0
+        print(f"{g.n:>8} {g.m:>8} {build_s:>9.3f} {max_dep:>8} {per_query_us:>9.2f} {ssrp_s:>8.3f}"
+              f" {load_s:>8.4f}")
     return 0
 
 
@@ -176,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(5), default=120)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="build/query/ssrp timing table")
+    p = sub.add_parser("bench", help="build/query/ssrp/load timing table")
     p.add_argument("--sizes", type=_sizes, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--queries", type=_at_least(1), default=2000)

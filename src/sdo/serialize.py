@@ -10,9 +10,10 @@ Loading checks the digest, then that the header is exactly the expected name
 and typecode table and that its lengths fill the payload, then reads each
 array with ``frombytes``, so it runs no code named by the file. Last, the
 structural check of ``store.check`` rejects a digest-valid but crafted file
-whose arrays would send a query outside them. Every failure is a ValueError
-naming the file. Writing the same store gives the same bytes, so
-serialize -> load -> serialize reproduces a file exactly.
+whose arrays would send a query outside them. The check runs as numpy
+operations over whole arrays, so a load costs about a digest plus a copy.
+Every failure is a ValueError naming the file. Writing the same store gives
+the same bytes, so serialize -> load -> serialize reproduces a file exactly.
 """
 
 from __future__ import annotations

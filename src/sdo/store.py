@@ -18,8 +18,7 @@ UNREACHABLE.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, ge, le, lt, sub
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -195,25 +194,19 @@ def close_store(s: QueryStore) -> QueryStore:
     return s
 
 
-def _non_decreasing(a: array) -> bool:
-    return all(map(le, a, islice(a, 1, None)))
-
-
 def _view(a: array) -> np.ndarray:
     """A zero-copy numpy view of one store array."""
     return np.frombuffer(a, dtype=a.typecode)
-
-
-def _within_inf(a: array) -> bool:
-    v = _view(a)
-    return not len(v) or (v.min() >= 0 and v.max() <= INF)
 
 
 def check(s: QueryStore) -> None:
     """Raise ValueError unless the arrays form a store that every query can
     walk without leaving an array: consistent lengths, child nodes after
     their parent in preorder (so no cycle), child ids and positions inside
-    the child, doubly monotone departing segments, distances in [0, INF]."""
+    the child, doubly monotone departing segments, distances in [0, INF].
+
+    Every check is whole-array numpy work, about the cost of a copy; no
+    value indexes an array before an earlier check has bounded it."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -225,9 +218,9 @@ def check(s: QueryStore) -> None:
     for name in ("parent", "parent_edge", "dist", "tin", "size"):
         need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
     for name in ("vbase", "ebase", "srbase"):
-        base = getattr(s, name)
+        base = _view(getattr(s, name))
         need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
-        need(_non_decreasing(base), f"{name} decreases")
+        need(not (base[1:] < base[:-1]).any(), f"{name} decreases")
     for name in ("left", "right", "sep"):
         need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
     slots, edge_slots = s.vbase[-1], s.ebase[-1]
@@ -236,79 +229,85 @@ def check(s: QueryStore) -> None:
     for name in ("eside", "echild", "epos"):
         need(len(getattr(s, name)) == edge_slots, f"{name} does not hold one entry per edge slot")
     need(s.srbase[-1] == len(s.sr), "srbase does not end at the end of sr")
-    need(len(s.dep_off) == slots + 1 and s.dep_off[0] == 0, "dep_off length")
-    need(_non_decreasing(s.dep_off), "dep_off decreases")
-    need(s.dep_off[-1] == len(s.dep_len) == len(s.dep_dpi) == entries,
+    dep_off = _view(s.dep_off)
+    need(len(dep_off) == slots + 1 and dep_off[0] == 0, "dep_off length")
+    need(not (dep_off[1:] < dep_off[:-1]).any(), "dep_off decreases")
+    need(dep_off[-1] == len(s.dep_len) == len(s.dep_dpi) == entries,
          "dep_off does not end at the departing entries")
     for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
-        need(_within_inf(getattr(s, name)), f"{name} holds a distance outside [0, INF]")
-    need(all(map(lt, s.edge_keys, islice(s.edge_keys, 1, None))), "edge_keys not sorted")
-    need(not s.edge_keys or (s.edge_keys[0] >= 0 and s.edge_keys[-1] < n * n),
-         "edge key out of range")
+        d = _view(getattr(s, name))
+        need(not len(d) or (d.min() >= 0 and d.max() <= INF),
+             f"{name} holds a distance outside [0, INF]")
+    keys = _view(s.edge_keys)
+    need(not (keys[1:] <= keys[:-1]).any(), "edge_keys not sorted")
+    need(not len(keys) or (keys[0] >= 0 and keys[-1] < n * n), "edge key out of range")
 
-    vbase, ebase = s.vbase, s.ebase
-    need(vbase[1] == n, "the root does not hold the input vertices")
-    parent, parent_edge, dist, tin = s.parent, s.parent_edge, s.dist, s.tin
+    need(s.vbase[1] == n, "the root does not hold the input vertices")
+    parent, parent_edge, dist, tin = map(_view, (s.parent, s.parent_edge, s.dist, s.tin))
     need(parent[source] == -1 and dist[source] == 0, "source has a parent")
-    need(min(parent) >= -1 and max(parent) < n, "parent out of range")
-    need(all(map(eq, map(lt, parent, repeat(0)), map(lt, parent_edge, repeat(0)))),
-         "parent and parent edge disagree")
-    need(max(parent_edge) < ebase[1], "parent edge out of range")
+    need(parent.min() >= -1 and parent.max() < n, "parent out of range")
+    need(((parent < 0) == (parent_edge < 0)).all(), "parent and parent edge disagree")
+    need(parent_edge.max() < s.ebase[1], "parent edge out of range")
     # every reached vertex hangs below a reached vertex with a smaller
     # preorder number, so climbing the tree ends at the source
-    for v in range(n):
-        p = parent[v]
-        if dist[v] < INF and v != source and (p < 0 or dist[p] >= INF or tin[p] >= tin[v]):
-            need(False, "source tree is not a tree")
+    v = np.flatnonzero((dist < INF) & (np.arange(n) != source))
+    p = parent[v]
+    up = np.maximum(p, 0)
+    need(not ((p < 0) | (dist[up] >= INF) | (tin[up] >= tin[v])).any(), "source tree is not a tree")
 
-    # Per node, the bounds of each id it stores: [lo, hi) per side code for
-    # child edge ids (leaf: row offsets, -1 for none) and path positions, and
-    # hi for child vertex ids (-1 for none). Every slot is then checked
-    # against its node's bounds in one pass per array.
-    left, right, sep = s.left, s.right, s.sep
-    nv = list(map(sub, islice(vbase, 1, None), vbase))
-    ne = list(map(sub, islice(ebase, 1, None), ebase))
-    path_len = list(map(sub, islice(s.srbase, 1, None), s.srbase))
-    row_hi = len(s.rows) + 1
-    edge_lo, edge_hi, pos_lo, pos_hi, left_hi, right_hi = [], [], [], [], [], []
-    node_depth = [0] * nodes
-    for i, l, r in zip(range(nodes), left, right):
-        if l < 0:
-            need(l == r == -1, f"node {i} has one child")
-            edge_lo += (-1, -1, -1, -1)
-            edge_hi += (max(row_hi - nv[i], 0),) * 4
-            pos_lo += (-1, -1, -1, -1)
-            pos_hi += (0, 0, 0, 0)
-            left_hi.append(0)
-            right_hi.append(0)
-            continue
-        need(i < l < nodes and i < r < nodes, f"node {i} has a child out of preorder")
-        need(0 <= sep[i] < nv[i], f"node {i} separator out of range")
-        node_depth[l] = node_depth[r] = node_depth[i] + 1
-        edge_lo += (-1, 0, 0, 0)
-        edge_hi += (0, ne[l], ne[l], ne[r])
-        pos_lo += (-1, 0, -1, -1)
-        pos_hi += (0, path_len[i], 0, 0)
-        left_hi.append(nv[l])
-        right_hi.append(nv[r])
-    need(max(node_depth) == depth, "meta depth differs from the tree")
-    vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
-    for kids, hi in ((s.lchild, left_hi), (s.rchild, right_hi)):
-        need(not kids or min(kids) >= -1, "child vertex id out of range")
-        need(all(map(lt, kids, map(hi.__getitem__, vertex_owner))), "child vertex id out of range")
-    need(not s.eside.tobytes().translate(None, bytes((CROSS, PRIMARY, LEFT, RIGHT))),
-         "side code unknown")
-    keys = list(map(add, chain.from_iterable(map(repeat, range(0, 4 * nodes, 4), ne)), s.eside))
-    for ids, lo, hi, what in (
-        (s.echild, edge_lo, edge_hi, "child edge id or leaf row"),
-        (s.epos, pos_lo, pos_hi, "path position"),
+    # the node checks name the first node that fails one
+    left, right, sep = _view(s.left), _view(s.right), _view(s.sep)
+    nv, ne, path_len = (np.diff(_view(a).astype(np.int64)) for a in (s.vbase, s.ebase, s.srbase))
+    ids = np.arange(nodes)
+    leaf = left < 0
+    one_child = leaf & ((left != -1) | (right != -1))
+    out_of_order = ~leaf & ~((ids < left) & (left < nodes) & (ids < right) & (right < nodes))
+    bad_sep = ~leaf & ~((sep >= 0) & (sep < nv))
+    bad = np.flatnonzero(one_child | out_of_order | bad_sep)
+    if len(bad):
+        i = int(bad[0])
+        need(not one_child[i], f"node {i} has one child")
+        need(not out_of_order[i], f"node {i} has a child out of preorder")
+        need(False, f"node {i} separator out of range")
+    # a node is one deeper than the last node naming it as a child, as in a
+    # preorder walk; pointer doubling sums the hops in log(depth) rounds
+    inner = np.flatnonzero(~leaf)
+    l, r = left[inner], right[inner]
+    hop = np.full(nodes, -1, dtype=np.int64)
+    np.maximum.at(hop, l, inner)
+    np.maximum.at(hop, r, inner)
+    node_depth = (hop >= 0).astype(np.int64)
+    while (on := hop >= 0).any():
+        node_depth[on] += node_depth[hop[on]]
+        hop[on] = hop[hop[on]]
+    need(node_depth.max() == depth, "meta depth differs from the tree")
+
+    # per node and side code, [lo, hi) of child edge ids (leaf: row offsets,
+    # -1 for none) and path positions; hi of child vertex ids (-1 for none)
+    edge_lo, pos_lo = np.full((2, nodes, 4), -1, dtype=np.int64)
+    edge_hi, pos_hi = np.zeros((2, nodes, 4), dtype=np.int64)
+    edge_lo[inner, PRIMARY:] = pos_lo[inner, PRIMARY] = 0
+    edge_hi[leaf] = np.maximum(len(s.rows) + 1 - nv[leaf], 0)[:, None]
+    edge_hi[inner, PRIMARY] = edge_hi[inner, LEFT] = ne[l]
+    edge_hi[inner, RIGHT] = ne[r]
+    pos_hi[inner, PRIMARY] = path_len[inner]
+    for kids, child in ((_view(s.lchild), l), (_view(s.rchild), r)):
+        hi = np.zeros(nodes, dtype=np.int64)
+        hi[inner] = nv[child]
+        need(kids.min() >= -1 and (kids < np.repeat(hi, nv)).all(), "child vertex id out of range")
+    eside = _view(s.eside)
+    need(((eside >= CROSS) & (eside <= RIGHT)).all(), "side code unknown")
+    at = (np.repeat(ids, ne), eside)
+    for got, lo, hi, what in (
+        (_view(s.echild), edge_lo, edge_hi, "child edge id or leaf row"),
+        (_view(s.epos), pos_lo, pos_hi, "path position"),
     ):
-        need(all(map(le, map(lo.__getitem__, keys), ids)), f"{what} out of range")
-        need(all(map(lt, ids, map(hi.__getitem__, keys))), f"{what} out of range")
+        need(((lo[at] <= got) & (got < hi[at])).all(), f"{what} out of range")
 
     # departing segments: positions rise and lengths fall, except where a
     # segment starts
-    starts = set(s.dep_off)
-    dpi, length = s.dep_dpi, s.dep_len
-    for breaks in (map(le, islice(dpi, 1, None), dpi), map(ge, islice(length, 1, None), length)):
-        need(set(compress(count(1), breaks)) <= starts, "departing segment not doubly monotone")
+    dpi, length = _view(s.dep_dpi), _view(s.dep_len)
+    starts = np.zeros(entries + 1, dtype=bool)
+    starts[dep_off] = True
+    breaks = (dpi[1:] <= dpi[:-1]) | (length[1:] >= length[:-1])
+    need(not (breaks & ~starts[1:-1]).any(), "departing segment not doubly monotone")

@@ -7,10 +7,13 @@ exhaustive path enumeration on tiny graphs.
 
 from __future__ import annotations
 
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, ge, le, lt, sub
+
 from sdo.departing import DepArray
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import ShortestPathTree, dijkstra
-from sdo.store import INF, LEFT, PRIMARY, RIGHT
+from sdo.store import CROSS, INF, LEFT, PRIMARY, RIGHT, QueryStore
 
 
 def bellman_ford(g: Graph, source: int, banned: set[int] | frozenset = frozenset()):
@@ -193,3 +196,109 @@ def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
     lo, hi = store.dep_off[store.vbase[0] + t], store.dep_off[store.vbase[0] + t + 1]
     segment = DepArray(store.dep_len[lo:hi], store.dep_dpi[lo:hi])
     return [sr + dist_r, best_departing(segment, pos)]
+
+def _non_decreasing(a) -> bool:
+    return all(map(le, a, islice(a, 1, None)))
+
+
+def loop_check(s: QueryStore) -> None:
+    """``store.check`` element by element in plain Python, the reference
+    the numpy check must match message for message."""
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"inconsistent oracle store: {what}")
+
+    need(len(s.meta) == 5, "meta is not 5 values")
+    n, source, nodes, depth, entries = s.meta
+    need(n >= 1 and 0 <= source < n and nodes >= 1, "meta out of range")
+    for name in ("parent", "parent_edge", "dist", "tin", "size"):
+        need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
+    for name in ("vbase", "ebase", "srbase"):
+        base = getattr(s, name)
+        need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
+        need(_non_decreasing(base), f"{name} decreases")
+    for name in ("left", "right", "sep"):
+        need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
+    slots, edge_slots = s.vbase[-1], s.ebase[-1]
+    for name in ("lchild", "rchild", "dist_r"):
+        need(len(getattr(s, name)) == slots, f"{name} does not hold one entry per vertex slot")
+    for name in ("eside", "echild", "epos"):
+        need(len(getattr(s, name)) == edge_slots, f"{name} does not hold one entry per edge slot")
+    need(s.srbase[-1] == len(s.sr), "srbase does not end at the end of sr")
+    need(len(s.dep_off) == slots + 1 and s.dep_off[0] == 0, "dep_off length")
+    need(_non_decreasing(s.dep_off), "dep_off decreases")
+    need(s.dep_off[-1] == len(s.dep_len) == len(s.dep_dpi) == entries,
+         "dep_off does not end at the departing entries")
+    for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
+        need(all(0 <= d <= INF for d in getattr(s, name)), f"{name} holds a distance outside [0, INF]")
+    need(all(map(lt, s.edge_keys, islice(s.edge_keys, 1, None))), "edge_keys not sorted")
+    need(not s.edge_keys or (s.edge_keys[0] >= 0 and s.edge_keys[-1] < n * n),
+         "edge key out of range")
+
+    vbase, ebase = s.vbase, s.ebase
+    need(vbase[1] == n, "the root does not hold the input vertices")
+    parent, parent_edge, dist, tin = s.parent, s.parent_edge, s.dist, s.tin
+    need(parent[source] == -1 and dist[source] == 0, "source has a parent")
+    need(min(parent) >= -1 and max(parent) < n, "parent out of range")
+    need(all(map(eq, map(lt, parent, repeat(0)), map(lt, parent_edge, repeat(0)))),
+         "parent and parent edge disagree")
+    need(max(parent_edge) < ebase[1], "parent edge out of range")
+    # every reached vertex hangs below a reached vertex with a smaller
+    # preorder number, so climbing the tree ends at the source
+    for v in range(n):
+        p = parent[v]
+        if dist[v] < INF and v != source and (p < 0 or dist[p] >= INF or tin[p] >= tin[v]):
+            need(False, "source tree is not a tree")
+
+    # Per node, the bounds of each id it stores: [lo, hi) per side code for
+    # child edge ids (leaf: row offsets, -1 for none) and path positions, and
+    # hi for child vertex ids (-1 for none). Every slot is then checked
+    # against its node's bounds in one pass per array.
+    left, right, sep = s.left, s.right, s.sep
+    nv = list(map(sub, islice(vbase, 1, None), vbase))
+    ne = list(map(sub, islice(ebase, 1, None), ebase))
+    path_len = list(map(sub, islice(s.srbase, 1, None), s.srbase))
+    row_hi = len(s.rows) + 1
+    edge_lo, edge_hi, pos_lo, pos_hi, left_hi, right_hi = [], [], [], [], [], []
+    node_depth = [0] * nodes
+    for i, l, r in zip(range(nodes), left, right):
+        if l < 0:
+            need(l == r == -1, f"node {i} has one child")
+            edge_lo += (-1, -1, -1, -1)
+            edge_hi += (max(row_hi - nv[i], 0),) * 4
+            pos_lo += (-1, -1, -1, -1)
+            pos_hi += (0, 0, 0, 0)
+            left_hi.append(0)
+            right_hi.append(0)
+            continue
+        need(i < l < nodes and i < r < nodes, f"node {i} has a child out of preorder")
+        need(0 <= sep[i] < nv[i], f"node {i} separator out of range")
+        node_depth[l] = node_depth[r] = node_depth[i] + 1
+        edge_lo += (-1, 0, 0, 0)
+        edge_hi += (0, ne[l], ne[l], ne[r])
+        pos_lo += (-1, 0, -1, -1)
+        pos_hi += (0, path_len[i], 0, 0)
+        left_hi.append(nv[l])
+        right_hi.append(nv[r])
+    need(max(node_depth) == depth, "meta depth differs from the tree")
+    vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
+    for kids, hi in ((s.lchild, left_hi), (s.rchild, right_hi)):
+        need(not kids or min(kids) >= -1, "child vertex id out of range")
+        need(all(map(lt, kids, map(hi.__getitem__, vertex_owner))), "child vertex id out of range")
+    need(not s.eside.tobytes().translate(None, bytes((CROSS, PRIMARY, LEFT, RIGHT))),
+         "side code unknown")
+    keys = list(map(add, chain.from_iterable(map(repeat, range(0, 4 * nodes, 4), ne)), s.eside))
+    for ids, lo, hi, what in (
+        (s.echild, edge_lo, edge_hi, "child edge id or leaf row"),
+        (s.epos, pos_lo, pos_hi, "path position"),
+    ):
+        need(all(map(le, map(lo.__getitem__, keys), ids)), f"{what} out of range")
+        need(all(map(lt, ids, map(hi.__getitem__, keys))), f"{what} out of range")
+
+    # departing segments: positions rise and lengths fall, except where a
+    # segment starts
+    starts = set(s.dep_off)
+    dpi, length = s.dep_dpi, s.dep_len
+    for breaks in (map(le, islice(dpi, 1, None), dpi), map(ge, islice(length, 1, None), length)):
+        need(set(compress(count(1), breaks)) <= starts, "departing segment not doubly monotone")

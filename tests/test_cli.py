@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,12 @@ import pytest
 from sdo import cli
 from sdo.cli import main
 from sdo.generators import tree_plus_chords
-from sdo.oracle import build_oracle
-from sdo.query import SsrpOutput
+from sdo.oracle import OracleTree, build_oracle
+from sdo.query import SsrpOutput, query, ssrp
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
+from sdo.store import INF, LEFT, PRIMARY, QueryStore
+
+from conftest import loop_check
 
 DIGEST = 32
 
@@ -124,7 +128,8 @@ def test_bench_prints_table(capsys):
     assert main(["bench", "--sizes", "32,64", "--queries", "50"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3
-    assert out[0].split() == ["n", "m", "build_s", "max_dep", "query_us", "ssrp_s"]
+    assert out[0].split() == ["n", "m", "build_s", "max_dep", "query_us", "ssrp_s", "load_s"]
+    assert all(len(row.split()) == 7 for row in out[1:])
 
 
 @pytest.mark.parametrize(
@@ -269,6 +274,145 @@ def _negative_distance(oracle, payload):
     oracle.store.dist_r[0] = -1
 
 
+def _meta_too_short(oracle, payload):
+    oracle.store.meta.pop()
+
+
+def _source_outside_the_graph(oracle, payload):
+    s = oracle.store
+    s.meta[1] = s.meta[0]
+
+
+def _parent_too_long(oracle, payload):
+    oracle.store.parent.append(-1)
+
+
+def _vbase_too_long(oracle, payload):
+    s = oracle.store
+    s.vbase.append(s.vbase[-1])
+
+
+def _vbase_decreases(oracle, payload):
+    s = oracle.store
+    s.vbase[1] = s.vbase[-1] + 1
+
+
+def _left_too_long(oracle, payload):
+    oracle.store.left.append(-1)
+
+
+def _lchild_too_long(oracle, payload):
+    oracle.store.lchild.append(-1)
+
+
+def _epos_too_long(oracle, payload):
+    oracle.store.epos.append(-1)
+
+
+def _sr_past_srbase(oracle, payload):
+    oracle.store.sr.append(0)
+
+
+def _dep_off_too_long(oracle, payload):
+    s = oracle.store
+    s.dep_off.append(s.dep_off[-1])
+
+
+def _dep_off_decreases(oracle, payload):
+    s = oracle.store
+    s.dep_off[1] = s.dep_off[-1] + 1
+
+
+def _dep_off_short_of_the_entries(oracle, payload):
+    oracle.store.dep_len.append(0)
+
+
+def _edge_key_repeated(oracle, payload):
+    keys = oracle.store.edge_keys
+    keys[1] = keys[0]
+
+
+def _edge_key_past_n_squared(oracle, payload):
+    s = oracle.store
+    s.edge_keys[-1] = s.meta[0] ** 2
+
+
+def _root_short_of_the_input_vertices(oracle, payload):
+    oracle.store.vbase[1] -= 1
+
+
+def _source_with_a_parent(oracle, payload):
+    s = oracle.store
+    s.parent[s.meta[1]] = 1
+
+
+def _reached(s):
+    """A reached vertex other than the source."""
+    return next(v for v in range(len(s.dist)) if s.parent[v] >= 0)
+
+
+def _parent_past_n(oracle, payload):
+    s = oracle.store
+    s.parent[_reached(s)] = s.meta[0]
+
+
+def _parent_without_parent_edge(oracle, payload):
+    s = oracle.store
+    s.parent_edge[_reached(s)] = -1
+
+
+def _parent_edge_past_the_root(oracle, payload):
+    s = oracle.store
+    s.parent_edge[_reached(s)] = s.ebase[1]
+
+
+def _vertex_is_its_own_parent(oracle, payload):
+    s = oracle.store
+    v = _reached(s)
+    s.parent[v] = v
+
+
+def _leaf_with_a_right_child(oracle, payload):
+    s = oracle.store
+    s.right[s.left.index(-1)] = 0
+
+
+def _separator_past_the_root(oracle, payload):
+    s = oracle.store
+    s.sep[0] = s.vbase[1]
+
+
+def _meta_depth_too_deep(oracle, payload):
+    oracle.store.meta[3] += 1
+
+
+def _side_code_four(oracle, payload):
+    oracle.store.eside[0] = 4
+
+
+def _child_edge_past_the_child(oracle, payload):
+    s = oracle.store
+    es = s.eside.index(LEFT)
+    s.echild[es] = s.ebase[2] - s.ebase[1]
+
+
+def _leaf_row_past_the_rows(oracle, payload):
+    s = oracle.store
+    i = s.left.index(-1)
+    s.echild[s.ebase[i]] = len(s.rows) - (s.vbase[i + 1] - s.vbase[i]) + 1
+
+
+def _meta_depth_too_shallow(oracle, payload):
+    oracle.store.meta[3] -= 1
+
+
+def _path_position_past_the_path(oracle, payload):
+    s = oracle.store
+    es = s.eside.index(PRIMARY)
+    i = max(i for i in range(len(s.left)) if s.ebase[i] <= es)
+    s.epos[es] = s.srbase[i + 1] - s.srbase[i]
+
+
 # The payload header: a 4-byte count, then per array a 12-byte name, a
 # 1-byte typecode and an 8-byte length; the first array is "meta".
 def _header_length_disagrees(oracle, payload):
@@ -287,6 +431,34 @@ def _unknown_typecode(oracle, payload):
         (_child_node_points_upward, "child out of preorder"),
         (_departing_segment_not_monotone, "not doubly monotone"),
         (_negative_distance, "dist_r holds a distance outside [0, INF]"),
+        (_meta_too_short, "meta is not 5 values"),
+        (_source_outside_the_graph, "meta out of range"),
+        (_parent_too_long, "parent does not hold n entries"),
+        (_vbase_too_long, "vbase does not hold nodes + 1 entries"),
+        (_vbase_decreases, "vbase decreases"),
+        (_left_too_long, "left does not hold one entry per node"),
+        (_lchild_too_long, "lchild does not hold one entry per vertex slot"),
+        (_epos_too_long, "epos does not hold one entry per edge slot"),
+        (_sr_past_srbase, "srbase does not end at the end of sr"),
+        (_dep_off_too_long, "dep_off length"),
+        (_dep_off_decreases, "dep_off decreases"),
+        (_dep_off_short_of_the_entries, "dep_off does not end at the departing entries"),
+        (_edge_key_repeated, "edge_keys not sorted"),
+        (_edge_key_past_n_squared, "edge key out of range"),
+        (_root_short_of_the_input_vertices, "the root does not hold the input vertices"),
+        (_source_with_a_parent, "source has a parent"),
+        (_parent_past_n, "parent out of range"),
+        (_parent_without_parent_edge, "parent and parent edge disagree"),
+        (_parent_edge_past_the_root, "parent edge out of range"),
+        (_vertex_is_its_own_parent, "source tree is not a tree"),
+        (_leaf_with_a_right_child, "has one child"),
+        (_separator_past_the_root, "node 0 separator out of range"),
+        (_meta_depth_too_deep, "meta depth differs from the tree"),
+        (_side_code_four, "side code unknown"),
+        (_meta_depth_too_shallow, "meta depth differs from the tree"),
+        (_child_edge_past_the_child, "child edge id or leaf row out of range"),
+        (_leaf_row_past_the_rows, "child edge id or leaf row out of range"),
+        (_path_position_past_the_path, "path position out of range"),
         (_header_length_disagrees, "do not fill the payload"),
         (_unknown_typecode, "does not match the oracle's array table"),
     ],
@@ -303,3 +475,80 @@ def test_crafted_file_with_valid_digest_is_rejected(craft, reason, tmp_path, cap
     assert reason in str(exc.value)
     assert main(["query", str(target), "0", "1", "0", "1"]) == 2
     assert "crafted.oracle" in capsys.readouterr().err
+
+
+def test_check_names_the_first_bad_node(tmp_path):
+    target = tmp_path / "two.oracle"
+    oracle = build_oracle(tree_plus_chords(60, 60, 9), 0)
+    s = oracle.store
+    leaves = [i for i in range(len(s.left)) if s.left[i] < 0]
+    inner = [i for i in range(len(s.left)) if s.left[i] >= 0]
+    sep = s.sep[inner[1]]
+    s.sep[inner[1]] = -1
+    s.right[leaves[-1]] = 0
+    target.write_bytes(dump_oracle(oracle))
+    with pytest.raises(ValueError, match=f"node {inner[1]} separator out of range"):
+        load_oracle(target)
+    s.sep[inner[1]] = sep
+    s.right[leaves[0]] = 0
+    target.write_bytes(dump_oracle(oracle))
+    with pytest.raises(ValueError, match=f"node {leaves[0]} has one child"):
+        load_oracle(target)
+
+
+def _fuzzed_stores(store: QueryStore, rounds: int, rng: random.Random):
+    """Copies of ``store`` with one entry changed, ``rounds`` per array and
+    edge value: -2, -1, 0, len - 1, len and 2**31 - 1, and for distance
+    arrays INF and INF + 1. Values the array's type cannot hold are skipped."""
+    for name, a in store.arrays():
+        values = [-2, -1, 0, len(a) - 1, len(a), 2**31 - 1]
+        if a.typecode == "q":
+            values += [INF, INF + 1]
+        lo, hi = -(1 << (8 * a.itemsize - 1)), 1 << (8 * a.itemsize - 1)
+        for value in values:
+            if not (a and lo <= value < hi):
+                continue
+            for _ in range(rounds):
+                copy = QueryStore()
+                for other, b in store.arrays():
+                    setattr(copy, other, array(b.typecode, b))
+                getattr(copy, name)[rng.randrange(len(a))] = value
+                yield copy
+
+
+def test_fuzzed_store_fails_only_with_value_error(tmp_path):
+    """Each fuzzed file fails to load with the message of the element-wise
+    reference check, or loads and answers without raising anything but
+    ValueError."""
+    target = tmp_path / "fuzzed.oracle"
+    store = build_oracle(tree_plus_chords(60, 60, 9), 0).store
+    parent = store.parent
+    faults = []
+    for t in range(len(parent)):
+        v = t
+        while parent[v] >= 0:
+            faults.append((t, (parent[v], v)))
+            v = parent[v]
+    tried = loaded = 0
+    for fuzzed in _fuzzed_stores(store, 2, random.Random(13)):
+        try:
+            loop_check(fuzzed)
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        target.write_bytes(dump_oracle(OracleTree(fuzzed)))
+        tried += 1
+        if expected is not None:
+            with pytest.raises(ValueError, match="fuzzed.oracle") as exc:
+                load_oracle(target)
+            assert str(exc.value).endswith(expected)
+            continue
+        oracle = load_oracle(target)
+        loaded += 1
+        try:
+            ssrp(oracle)
+            for t, e in faults:
+                query(oracle, t, e)
+        except ValueError:
+            pass
+    assert tried >= 300 and 0 < loaded < tried
