@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdo.baseline import _sweep, brute_query, brute_ssrp
-from sdo.generators import ragged_multigraph, tree_plus_chords, verify_corpus
+from sdo.generators import nested_arcs, ragged_multigraph, tree_plus_chords, verify_corpus
 from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.oracle import build_oracle
 from sdo.query import _query_node, query, ssrp
@@ -231,6 +231,30 @@ def test_dump_bytes_are_pinned():
         for label, g, s in verify_corpus(seed=11, count=7, max_n=60)
     }
     assert got == PINNED_DUMPS
+
+
+def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
+    """tree_plus_chords with weights 0-3 taken from the edge id; 614 of the
+    1535 edges of (512, 1024, 5) weigh 0."""
+    base = tree_plus_chords(n, chords, seed)
+    return Graph(n, [Edge(e.u, e.v, (7 * eid + eid // 5) % 4) for eid, e in enumerate(base.edges)])
+
+
+# The same pins where departing segments grow long and equal lengths tie:
+# nested_arcs(32), and a weighted tree_plus_chords with zero weights.
+PINNED_DUMPS_AT_SCALE = {
+    "arcs(32)": "272cce3d6b772678e640a00c07dd30291c3da83f35502ddefe31bfa45933d7c5",
+    "chords(512)": "fd4d331b0c4b36b5babbb370f55e8282c1b121cb249cf0aeeef3fd92c2ca1c99",
+}
+
+
+def test_dump_bytes_are_pinned_at_scale():
+    graphs = {"arcs(32)": nested_arcs(32)[0], "chords(512)": zero_weighted_chords(512, 1024, 5)}
+    got = {
+        label: hashlib.sha256(dump_oracle(build_oracle(g, 0))).hexdigest()
+        for label, g in graphs.items()
+    }
+    assert got == PINNED_DUMPS_AT_SCALE
 
 
 def test_loaded_oracle_has_no_recursion_tree():
