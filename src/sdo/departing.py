@@ -17,6 +17,8 @@ import heapq
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Distance, Graph, UNREACHABLE
 from .spt import PathOnTree, ShortestPathTree, dijkstra
 
@@ -36,7 +38,8 @@ class DepArray:
 
 
 class DepTable:
-    """One level's candidate arrays in CSR form. Destination t owns entries
+    """One level's candidate arrays in CSR form, as numpy int32 offsets and
+    positions and int64 lengths. Destination t owns entries
     ``offsets[t]:offsets[t + 1]`` of ``lengths`` and ``dp_depths``, stored by
     rising departure position (so falling length), the order in which the
     query store's binary search reads them. Indexing or iterating yields
@@ -44,7 +47,7 @@ class DepTable:
 
     __slots__ = ("offsets", "lengths", "dp_depths")
 
-    def __init__(self, offsets: array, lengths: array, dp_depths: array):
+    def __init__(self, offsets: np.ndarray, lengths: np.ndarray, dp_depths: np.ndarray):
         self.offsets = offsets
         self.lengths = lengths
         self.dp_depths = dp_depths
@@ -64,96 +67,96 @@ class DepTable:
 
 @dataclass(slots=True)
 class DepBuildStats:
-    """Heap accounting of one pass; the heap drains, so pops equal pushes."""
+    """Heap accounting of one pass. ``pushes`` counts only candidates that
+    improve on their destination's best length when pushed, the ones the
+    pop test can still accept; the heap drains, so pops equal pushes, and
+    ``accepted / pops`` is the share of heap work kept."""
 
     accepted: int = 0
     pushes: int = 0
     pops: int = 0
 
 
+# Above every length a graph of integer weights can hold.
+_FAR = float("inf")
+
+
 def build_dep(
     g: Graph, spt_s: ShortestPathTree, path: PathOnTree
 ) -> tuple[DepTable, DepBuildStats]:
-    """Grow all candidate arrays with one best-first pass.
+    """Grow all candidate arrays with one Dijkstra round per departure
+    position, from the source down the path.
 
-    The heap is seeded with every single-edge departure from the path (one
-    candidate per path vertex and incident off-path edge, departing at that
-    vertex), then closed under off-path extensions of accepted candidates.
-    Popping by (length, departure position) and keeping a candidate only when
-    it departs strictly above the incumbent yields the doubly monotone arrays:
-    the first entry kept for a destination is a shortest route with the
-    highest achievable departure, and later entries trade length for height.
-    Whether a destination keeps a candidate depends only on its own earlier
-    pops, so ties between destinations may pop in any order. Accepted
-    candidates are appended in pop order and grouped by destination at the
-    end, with one counting sort.
+    ``best[v]`` is the shortest departing route to v found so far, over the
+    positions already done. Round j starts from path vertex j, at its source
+    distance, and runs over off-path vertices only, pushing a vertex only
+    when its length falls strictly below ``best``. Every vertex the round
+    settles gets a route departing at j that is strictly shorter than any
+    departing higher: a kept candidate. So the first candidate of a
+    destination is a shortest route with the highest achievable departure,
+    and later ones trade length for height. Each destination's candidates
+    are kept by rising position, the order the store reads; one stable sort
+    groups them by destination. Each vertex's off-path ``(weight,
+    neighbour)`` list is built once, for this level only.
     """
     n = g.n
     on_path = [False] * n
     for v in path.vertices:
         on_path[v] = True
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, weight, _ in g.edges:
+        if not on_path[v]:
+            out[u].append((weight, v))
+        if not on_path[u]:
+            out[v].append((weight, u))
 
     dist = spt_s.dist
-    adj = g.adj
-    edges = g.edges
-    stats = DepBuildStats()
-    # departure position of each destination's last kept candidate; the path
-    # length is above every position
-    last_dpi = [len(path.vertices)] * n
+    heappush, heappop = heapq.heappush, heapq.heappop
+    best: list[int | float] = [_FAR] * n
     kept_v = array("i")
     kept_length = array("q")
     kept_dpi = array("i")
-
-    heap: list[tuple[int, int, int]] = []
-
-    def push_extensions(v: int, length: int, dp_depth: int) -> None:
-        for eid in adj[v]:
-            e = edges[eid]
-            w = e.other(v)
-            if on_path[w]:
-                continue
-            heapq.heappush(heap, (length + e.weight, dp_depth, w))
-            stats.pushes += 1
-
+    pushes = 0
     for dpi, u in enumerate(path.vertices):
-        push_extensions(u, dist[u], dpi)
-
-    while heap:
-        length, dpi, v = heapq.heappop(heap)
-        # pops come in (length, dpi) order, so a candidate that does not
-        # depart strictly higher than the last kept one never beats it
-        if dpi >= last_dpi[v]:
-            continue
-        last_dpi[v] = dpi
-        kept_v.append(v)
-        kept_length.append(length)
-        kept_dpi.append(dpi)
-        push_extensions(v, length, dpi)
-    stats.accepted = len(kept_v)
-    stats.pops = stats.pushes
+        heap = []
+        for weight, w in out[u]:
+            length = dist[u] + weight
+            if length < best[w]:
+                best[w] = length
+                heap.append((length, w))
+        pushes += len(heap)
+        heapq.heapify(heap)
+        while heap:
+            length, v = heappop(heap)
+            if length > best[v]:
+                continue
+            kept_v.append(v)
+            kept_length.append(length)
+            kept_dpi.append(dpi)
+            for weight, w in out[v]:
+                length_w = length + weight
+                if length_w < best[w]:
+                    best[w] = length_w
+                    heappush(heap, (length_w, w))
+                    pushes += 1
+    stats = DepBuildStats(len(kept_v), pushes, pushes)
     return _group_by_destination(n, kept_v, kept_length, kept_dpi), stats
 
 
 def _group_by_destination(
     n: int, vs: array, lengths: array, dpis: array
 ) -> DepTable:
-    """Counting sort of the kept candidates by destination. A destination's
-    candidates were kept by falling departure position, so each segment is
-    filled from its end to list them by rising position."""
-    offsets = array("i", bytes(4 * (n + 1)))
-    for v in vs:
-        offsets[v + 1] += 1
-    for v in range(n):
-        offsets[v + 1] += offsets[v]
-    fill = offsets[1:]
-    out_lengths = array("q", bytes(8 * len(vs)))
-    out_dpis = array("i", bytes(4 * len(vs)))
-    for v, length, dpi in zip(vs, lengths, dpis):
-        p = fill[v] - 1
-        fill[v] = p
-        out_lengths[p] = length
-        out_dpis[p] = dpi
-    return DepTable(offsets, out_lengths, out_dpis)
+    """Stable sort of the kept candidates by destination, keeping each
+    destination's candidates in the order they were kept."""
+    v = np.frombuffer(vs, dtype=np.int32)
+    at = np.argsort(v, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(v, minlength=n), out=offsets[1:])
+    return DepTable(
+        offsets,
+        np.frombuffer(lengths, dtype=np.int64)[at],
+        np.frombuffer(dpis, dtype=np.int32)[at],
+    )
 
 
 def brute_departing(

@@ -82,22 +82,15 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        self.edges: list[Edge] = []
+        self.edges: list[Edge] = list(edges)
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for e in edges:
-            self._add(e)
-
-    def _add(self, e: Edge) -> None:
-        if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-            raise ValueError(f"edge {e} has an endpoint outside [0, {self.n})")
-        if e.u == e.v:
-            raise ValueError(f"self-loop at vertex {e.u}")
-        if e.weight < 0:
-            raise ValueError(f"negative weight on edge {e}")
-        eid = len(self.edges)
-        self.edges.append(e)
-        self.adj[e.u].append(eid)
-        self.adj[e.v].append(eid)
+        adj = self.adj
+        for eid, e in enumerate(self.edges):
+            u, v, weight, _ = e
+            if not (0 <= u < n and 0 <= v < n and u != v and type(weight) is int and weight >= 0):
+                raise ValueError(_bad_edge(e, n))
+            adj[u].append(eid)
+            adj[v].append(eid)
 
     @property
     def m(self) -> int:
@@ -116,6 +109,17 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _bad_edge(e: Edge, n: int) -> str:
+    """Why ``Graph`` rejects ``e``."""
+    if not (0 <= e.u < n and 0 <= e.v < n):
+        return f"edge {e} has an endpoint outside [0, {n})"
+    if e.u == e.v:
+        return f"self-loop at vertex {e.u}"
+    if type(e.weight) is not int:
+        return f"non-integer weight on edge {e}"
+    return f"negative weight on edge {e}"
 
 
 class GraphFormatError(ValueError):

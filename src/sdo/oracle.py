@@ -16,6 +16,7 @@ build for the levels' records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 from .departing import DepBuildStats, DepTable, build_dep
@@ -26,6 +27,7 @@ from .spt import (
     ShortestPathTree,
     build_preorder,
     dijkstra,
+    distances_from,
     separator_split,
     tree_path,
 )
@@ -98,7 +100,7 @@ def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> 
     descends here."""
     g = node.graph
     rows = (
-        (eid, dijkstra(g, node.source, (eid,)).dist)
+        (eid, distances_from(g, node.source, (eid,)))
         for eid in range(_original_count(g))
         if spt_s.reachable(g.edges[eid].u)
     )
@@ -111,21 +113,21 @@ def _induced(
 ) -> tuple[dict[int, int], list[Edge], dict[int, int]]:
     """Vertex map, edges and edge map of the subgraph of ``g`` induced by the
     vertices marked ``inside``, in the parent's vertex and edge order."""
-    vmap: dict[int, int] = {}
-    for v in range(g.n):
-        if inside[v]:
-            vmap[v] = len(vmap)
+    kept = list(compress(range(g.n), inside))
+    vmap = dict(zip(kept, range(len(kept))))
+    get = vmap.get
+    new = tuple.__new__
     edges: list[Edge] = []
     emap: dict[int, int] = {}
-    for eid, e in enumerate(g.edges):
-        a = vmap.get(e.u)
+    for eid, (u, v, weight, virtual) in enumerate(g.edges):
+        a = get(u)
         if a is None:
             continue
-        b = vmap.get(e.v)
+        b = get(v)
         if b is None:
             continue
         emap[eid] = len(edges)
-        edges.append(Edge(a, b, e.weight, e.virtual))
+        edges.append(new(Edge, (a, b, weight, virtual)))
     return vmap, edges, emap
 
 
@@ -142,11 +144,12 @@ def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
     as the source, is ``origin`` itself or, if ``fresh``, a new last vertex."""
     vmap, edges, emap = _induced(g, inside)
     hub = len(vmap) if fresh else vmap[origin]
-    avoid = dijkstra(g, origin, emap).dist
+    avoid = distances_from(g, origin, emap)
+    new = tuple.__new__
     for v, lv in vmap.items():
         w = avoid[v]
         if lv != hub and w is not UNREACHABLE:
-            edges.append(Edge(hub, lv, w, virtual=True))
+            edges.append(new(Edge, (hub, lv, w, True)))
     return Graph(len(vmap) + int(fresh), edges), hub, (vmap, emap)
 
 
@@ -188,7 +191,7 @@ def build_node(spt_s: ShortestPathTree, depth: int, store: QueryStore, emit: Emi
     node.primary_path = path = tree_path(spt_s, source, r)
     tables = dist_r = None
     if any(not g.edges[eid].virtual for eid in path.edge_ids):
-        dist_r = dijkstra(g, r).dist
+        dist_r = distances_from(g, r)
         node.sr_replacements = replacement_lengths_along_path(g, spt_s, dist_r, path)
         node.dep, node.dep_stats = build_dep(g, spt_s, path)
         tables = (dist_r, node.sr_replacements, node.dep)

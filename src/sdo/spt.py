@@ -49,7 +49,7 @@ class ShortestPathTree:
 
 
 def dijkstra(g: Graph, source: int, banned_edges: Container[int] = ()) -> ShortestPathTree:
-    """Shortest paths in ``g`` minus ``banned_edges``.
+    """Shortest-path tree of ``g`` minus ``banned_edges``.
 
     ``banned_edges`` is not copied, only tested with ``in``: pass a set, a
     dict keyed by edge id or a one-element tuple.
@@ -57,7 +57,8 @@ def dijkstra(g: Graph, source: int, banned_edges: Container[int] = ()) -> Shorte
     Ties break on (distance, original-before-virtual, source-predecessor-first
     among virtual, predecessor id, vertex id, edge id), so repeated builds are
     bit-identical and on unweighted input the tree is the classic
-    (distance, predecessor id, vertex id) canonical tree.
+    (distance, predecessor id, vertex id) canonical tree. A caller that reads
+    only ``dist`` should call ``distances_from``, which builds no tree.
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
@@ -66,8 +67,10 @@ def dijkstra(g: Graph, source: int, banned_edges: Container[int] = ()) -> Shorte
     parent = spt.parent
     parent_edge = spt.parent_edge
     depth = spt.depth
+    order = spt.order
     edges = g.edges
     adj = g.adj
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     # best known (relaxation key) per vertex, pruning duplicate heap pushes
     best: list[tuple | None] = [None] * g.n
@@ -76,36 +79,75 @@ def dijkstra(g: Graph, source: int, banned_edges: Container[int] = ()) -> Shorte
     heap = [start]
     done = [False] * g.n
     while heap:
-        entry = heapq.heappop(heap)
+        entry = heappop(heap)
         d, _, _, pred, v, eid = entry
         if done[v] or entry != best[v]:
             continue
         done[v] = True
-        spt.order.append(v)
+        order.append(v)
         dist[v] = d
         if pred >= 0:
             parent[v] = pred
             parent_edge[v] = eid
             depth[v] = depth[pred] + 1
+        not_source = 1 if v != source else 0
         for e2 in adj[v]:
             if e2 in banned_edges:
                 continue
-            edge = edges[e2]
-            w = edge.other(v)
+            a, w, weight, virtual = edges[e2]
+            if w == v:
+                w = a
             if done[w]:
                 continue
-            cand = (
-                d + edge.weight,
-                1 if edge.virtual else 0,
-                (1 if v != source else 0) if edge.virtual else 0,
-                v,
-                w,
-                e2,
-            )
-            if best[w] is None or cand < best[w]:
+            if virtual:
+                cand = (d + weight, 1, not_source, v, w, e2)
+            else:
+                cand = (d + weight, 0, 0, v, w, e2)
+            b = best[w]
+            if b is None or cand < b:
                 best[w] = cand
-                heapq.heappush(heap, cand)
+                heappush(heap, cand)
     return spt
+
+
+# Above every distance a graph of integer weights can hold.
+_FAR = float("inf")
+
+
+def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> list[Distance]:
+    """``dijkstra(g, source, banned_edges).dist``, without the tree.
+
+    Distances do not depend on tie-breaks, so the heap holds bare
+    ``(distance, vertex)`` pairs and a vertex is pushed only when its
+    distance strictly falls; the entry popped at a vertex's best distance
+    settles it, and weights are non-negative, so no later pop lowers it.
+    ``banned_edges`` is tested with ``in``, as by ``dijkstra``.
+    """
+    if not (0 <= source < g.n):
+        raise ValueError(f"source {source} out of range [0, {g.n})")
+    edges = g.edges
+    adj = g.adj
+    heappush, heappop = heapq.heappush, heapq.heappop
+    dist: list[Distance] = [UNREACHABLE] * g.n
+    best: list[int | float] = [_FAR] * g.n
+    best[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, v = heappop(heap)
+        if d > best[v]:
+            continue
+        dist[v] = d
+        for e2 in adj[v]:
+            if e2 in banned_edges:
+                continue
+            a, w, weight, _ = edges[e2]
+            if w == v:
+                w = a
+            d2 = d + weight
+            if d2 < best[w]:
+                best[w] = d2
+                heappush(heap, (d2, w))
+    return dist
 
 
 def build_preorder(spt: ShortestPathTree) -> None:

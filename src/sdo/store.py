@@ -18,7 +18,7 @@ UNREACHABLE.
 from __future__ import annotations
 
 from array import array
-from itertools import islice
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .graphs import UNREACHABLE
 
 if TYPE_CHECKING:
     from .departing import DepTable
-    from .graphs import Distance, Graph
+    from .graphs import Distance, Edge, Graph
     from .spt import ShortestPathTree
 
 INF = 2**62
@@ -92,11 +92,13 @@ def _ints(values: list[Distance]) -> list[int]:
 
 
 def _original_count(g: Graph) -> int:
-    """Edges before the first shortcut: the original edges, which can fail."""
-    for eid, e in enumerate(g.edges):
-        if e.virtual:
-            return eid
-    return g.m
+    """Edges before the first shortcut: the original edges, which can fail.
+    Every node graph lists its shortcuts last, so a binary search finds it."""
+    return bisect_left(g.edges, True, key=_is_virtual)
+
+
+def _is_virtual(e: Edge) -> bool:
+    return e.virtual
 
 
 def open_store(spt: ShortestPathTree) -> QueryStore:
@@ -177,10 +179,9 @@ def append_node(
         dist_r, sr, dep = tables
         s.dist_r.extend(_ints(dist_r))
         s.sr.extend(_ints(sr))
-        base = len(s.dep_len)
-        s.dep_off.extend([base + o for o in islice(dep.offsets, 1, None)])
-        s.dep_len.extend(dep.lengths)
-        s.dep_dpi.extend(dep.dp_depths)
+        s.dep_off.frombytes((dep.offsets[1:] + len(s.dep_len)).tobytes())
+        s.dep_len.frombytes(dep.lengths.tobytes())
+        s.dep_dpi.frombytes(dep.dp_depths.tobytes())
     return i
 
 
