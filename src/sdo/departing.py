@@ -115,9 +115,9 @@ def build_dep(
     best: list[int | float] = [_FAR] * n
     kept_v = array("i")
     kept_length = array("q")
-    kept_dpi = array("i")
+    kept_at = []  # candidates kept per departure position
     pushes = 0
-    for dpi, u in enumerate(path.vertices):
+    for u in path.vertices:
         heap = []
         for weight, w in out[u]:
             length = dist[u] + weight
@@ -132,31 +132,29 @@ def build_dep(
                 continue
             kept_v.append(v)
             kept_length.append(length)
-            kept_dpi.append(dpi)
             for weight, w in out[v]:
                 length_w = length + weight
                 if length_w < best[w]:
                     best[w] = length_w
                     heappush(heap, (length_w, w))
                     pushes += 1
+        kept_at.append(len(kept_v))
     stats = DepBuildStats(len(kept_v), pushes, pushes)
-    return _group_by_destination(n, kept_v, kept_length, kept_dpi), stats
+    return _group_by_destination(n, kept_v, kept_length, kept_at), stats
 
 
 def _group_by_destination(
-    n: int, vs: array, lengths: array, dpis: array
+    n: int, vs: array, lengths: array, kept_at: list[int]
 ) -> DepTable:
     """Stable sort of the kept candidates by destination, keeping each
-    destination's candidates in the order they were kept."""
+    destination's candidates in the order they were kept; ``kept_at[j]``
+    counts the candidates kept up to departure position j."""
     v = np.frombuffer(vs, dtype=np.int32)
     at = np.argsort(v, kind="stable")
+    dpis = np.repeat(np.arange(len(kept_at), dtype=np.int32), np.diff(kept_at, prepend=0))
     offsets = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(v, minlength=n), out=offsets[1:])
-    return DepTable(
-        offsets,
-        np.frombuffer(lengths, dtype=np.int64)[at],
-        np.frombuffer(dpis, dtype=np.int32)[at],
-    )
+    return DepTable(offsets, np.frombuffer(lengths, dtype=np.int64)[at], dpis[at])
 
 
 def brute_departing(

@@ -128,7 +128,6 @@ def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> 
     edges = g.edges
     adj = g.adj
     heappush, heappop = heapq.heappush, heapq.heappop
-    dist: list[Distance] = [UNREACHABLE] * g.n
     best: list[int | float] = [_FAR] * g.n
     best[source] = 0
     heap = [(0, source)]
@@ -136,7 +135,6 @@ def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> 
         d, v = heappop(heap)
         if d > best[v]:
             continue
-        dist[v] = d
         for e2 in adj[v]:
             if e2 in banned_edges:
                 continue
@@ -147,7 +145,7 @@ def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> 
             if d2 < best[w]:
                 best[w] = d2
                 heappush(heap, (d2, w))
-    return dist
+    return [UNREACHABLE if d == _FAR else d for d in best]
 
 
 def build_preorder(spt: ShortestPathTree) -> None:

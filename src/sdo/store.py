@@ -136,8 +136,9 @@ def append_node(
     A leaf gives ``rows``: the source distances avoiding each original edge
     a fault can reach. An internal node gives its separator ``r``, primary
     path and split: the vertex and edge maps of side M (the source side,
-    holding the path), then of side N; the separator is in both, and an
-    edge in neither crosses the split. Its left child is appended next; the
+    holding the path), then of side N, each listing ``g``'s ids in
+    ``g``'s order; the separator is in both, and an edge in neither crosses
+    the split. Its left child is appended next; the
     caller sets ``right``. ``tables`` holds the distances from ``r``, the
     replacement lengths along the path and the departing table, or None
     when no input edge lies on the path."""
@@ -159,9 +160,10 @@ def append_node(
         for v, cv in vmap.items():
             ids[v] = cv
         for eid, ce in emap.items():
-            if eid < ne:
-                side[eid] = code
-                child[eid] = ce
+            if eid >= ne:  # the shortcuts, which follow the original edges
+                break
+            side[eid] = code
+            child[eid] = ce
     # shortcuts follow the original edges, so a path edge below ne can fail
     for p, eid in enumerate(path_edges):
         if eid < ne:

@@ -11,7 +11,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, eq, ge, le, lt, sub
 
 from sdo.departing import DepArray
-from sdo.graphs import Graph, UNREACHABLE
+from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.spt import ShortestPathTree, dijkstra
 from sdo.store import CROSS, INF, LEFT, PRIMARY, RIGHT, QueryStore
 
@@ -155,6 +155,11 @@ def split_sizes(store, i: int, node) -> tuple[int, int, int]:
     nm = sum(c >= 0 for c in vertex_segment(store, "lchild", i))
     nn = sum(c >= 0 for c in vertex_segment(store, "rchild", i))
     return reached, nm, nn
+
+
+def with_weights(g: Graph, weights) -> Graph:
+    """``g`` with edge ``eid`` reweighted to ``weights[eid]``."""
+    return Graph(g.n, [Edge(e.u, e.v, w) for e, w in zip(g.edges, weights)])
 
 
 def path_graph(n: int) -> Graph:

@@ -3,13 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from sdo.baseline import brute_query, brute_ssrp
 from sdo.departing import brute_departing, build_dep
-from sdo.generators import nested_arcs, tree_plus_chords
+from sdo.generators import nested_arcs, ragged_multigraph, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import dijkstra, tree_path
 
-from conftest import best_departing, naive_lca
+from conftest import best_departing, naive_lca, with_weights
 
 
 def dep_for(g: Graph, s: int, r: int):
@@ -164,10 +164,16 @@ class TestEquivalence:
         assert sizes[ns[2]] <= 2.5 * sizes[ns[1]]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(5, 24), st.integers(0, 15), st.integers(0, 10**6))
-def test_matches_brute_departing(n, extra, seed):
-    g = tree_plus_chords(n, extra, seed)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 24), st.integers(0, 15), st.integers(0, 10**6), st.booleans(), st.data())
+def test_matches_brute_departing(n, extra, seed, ragged, data):
+    # ragged: weights 0-3 on a multigraph, where zero-weight edges give
+    # equal lengths at several departure positions
+    if ragged:
+        base = ragged_multigraph(n, extra, seed)
+        g = with_weights(base, data.draw(st.lists(st.integers(0, 3), min_size=base.m, max_size=base.m)))
+    else:
+        g = tree_plus_chords(n, extra, seed)
     spt = dijkstra(g, 0)
     r = max(range(g.n), key=lambda v: (spt.depth[v], -v))
     check_against_brute(g, 0, r)

@@ -56,6 +56,9 @@ class TestGraph:
             Graph.from_pairs(2, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(2, [Edge(0, 1, -1)])
+        for weight in (1.5, "2"):
+            with pytest.raises(ValueError, match="non-integer weight on edge"):
+                Graph(2, [Edge(0, 1, weight)])
 
 
 class TestTextFormat:

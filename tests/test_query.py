@@ -14,7 +14,7 @@ from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
 from sdo.store import INF, PRIMARY, check
 
-from conftest import path_graph, rejoin_gadget, root_primary_candidates, source_tree
+from conftest import path_graph, rejoin_gadget, root_primary_candidates, source_tree, with_weights
 
 
 def all_fault_pairs(oracle):
@@ -301,7 +301,7 @@ def test_weighted_inputs_answer_exactly(n, extra, seed, data):
     # the library API takes any non-negative integer weights, zero included
     base = tree_plus_chords(n, extra, seed)
     weights = data.draw(st.lists(st.integers(0, 3), min_size=base.m, max_size=base.m))
-    g = Graph(n, [Edge(e.u, e.v, w) for e, w in zip(base.edges, weights)])
+    g = with_weights(base, weights)
     oracle = build_oracle(g, 0)
     for eid, e in enumerate(g.edges):
         want = _sweep(g, 0, (eid,))[0]
@@ -339,7 +339,7 @@ def assert_ssrp_matches_the_scalar_descent(oracle):
 def test_batched_descent_equals_the_scalar_one(n, extra, seed, data):
     base = ragged_multigraph(n, extra, seed)
     weights = data.draw(st.lists(st.integers(0, 3), min_size=base.m, max_size=base.m))
-    g = Graph(n, [Edge(e.u, e.v, w) for e, w in zip(base.edges, weights)])
+    g = with_weights(base, weights)
     built = build_oracle(g, data.draw(st.integers(0, n - 1)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.oracle"

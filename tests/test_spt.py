@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdo.generators import random_tree_pairs, tree_plus_chords
+from sdo.generators import ragged_multigraph, random_tree_pairs, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import (
     dijkstra,
+    distances_from,
     edge_on_tree_path,
     is_ancestor,
     separator_balanced,
@@ -14,7 +15,14 @@ from sdo.spt import (
     tree_path,
 )
 
-from conftest import bellman_ford, min_simple_path, naive_lca, path_graph, star_graph
+from conftest import (
+    bellman_ford,
+    min_simple_path,
+    naive_lca,
+    path_graph,
+    star_graph,
+    with_weights,
+)
 
 
 class TestDijkstra:
@@ -55,15 +63,23 @@ class TestDijkstra:
             dijkstra(path_graph(2), 5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 40), st.integers(0, 40), st.integers(0, 10**6))
-def test_dijkstra_matches_bellman_ford(n, extra, seed):
-    g = tree_plus_chords(n, extra, seed)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 40), st.integers(0, 10**6), st.booleans(), st.data())
+def test_dijkstra_matches_bellman_ford(n, extra, seed, ragged, data):
+    # ragged: weights 0-3 on a multigraph with parallel edges and, usually,
+    # vertices the source cannot reach
+    if ragged:
+        base = ragged_multigraph(n, extra, seed)
+        g = with_weights(base, data.draw(st.lists(st.integers(0, 3), min_size=base.m, max_size=base.m)))
+    else:
+        g = tree_plus_chords(n, extra, seed)
     rng = random.Random(seed)
-    banned = frozenset(
-        rng.sample(range(g.m), k=min(g.m, rng.randrange(3))) if g.m else []
-    )
-    assert dijkstra(g, 0, banned).dist == bellman_ford(g, 0, banned)
+    source = rng.randrange(n) if ragged else 0
+    banned = rng.sample(range(g.m), k=min(g.m, rng.randrange(3))) if g.m else []
+    want = bellman_ford(g, source, frozenset(banned))
+    assert dijkstra(g, source, frozenset(banned)).dist == want
+    for container in (tuple(banned), set(banned), dict.fromkeys(banned)):
+        assert distances_from(g, source, container) == want
 
 
 @settings(max_examples=40, deadline=None)
