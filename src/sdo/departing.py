@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Distance, Graph, UNREACHABLE
-from .spt import PathOnTree, ShortestPathTree, dijkstra
+from .spt import _FAR, PathOnTree, ShortestPathTree, dijkstra
 
 
 class DepArray:
@@ -77,10 +77,6 @@ class DepBuildStats:
     pops: int = 0
 
 
-# Above every length a graph of integer weights can hold.
-_FAR = float("inf")
-
-
 def build_dep(
     g: Graph, spt_s: ShortestPathTree, path: PathOnTree
 ) -> tuple[DepTable, DepBuildStats]:
@@ -115,7 +111,7 @@ def build_dep(
     best: list[int | float] = [_FAR] * n
     kept_v = array("i")
     kept_length = array("q")
-    kept_at = []  # candidates kept per departure position
+    kept_at = []  # kept_at[j]: candidates kept by the end of round j
     pushes = 0
     for u in path.vertices:
         heap = []
@@ -148,7 +144,7 @@ def _group_by_destination(
 ) -> DepTable:
     """Stable sort of the kept candidates by destination, keeping each
     destination's candidates in the order they were kept; ``kept_at[j]``
-    counts the candidates kept up to departure position j."""
+    counts the candidates kept by the end of round j, which departs at j."""
     v = np.frombuffer(vs, dtype=np.int32)
     at = np.argsort(v, kind="stable")
     dpis = np.repeat(np.arange(len(kept_at), dtype=np.int32), np.diff(kept_at, prepend=0))

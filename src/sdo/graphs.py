@@ -73,7 +73,9 @@ class Graph:
     """Undirected multigraph with dense integer vertex ids in [0, n).
 
     Immutable after construction: every edge appears in both endpoints'
-    adjacency lists, weights are non-negative integers.
+    adjacency lists, weights are non-negative integers. An edge with an
+    endpoint out of range, a self-loop or any other weight raises
+    ``ValueError`` naming it.
     """
 
     __slots__ = ("n", "edges", "adj")
