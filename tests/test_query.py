@@ -237,7 +237,7 @@ def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
     """tree_plus_chords with weights 0-3 taken from the edge id; 614 of the
     1535 edges of (512, 1024, 5) weigh 0."""
     base = tree_plus_chords(n, chords, seed)
-    return Graph(n, [Edge(e.u, e.v, (7 * eid + eid // 5) % 4) for eid, e in enumerate(base.edges)])
+    return with_weights(base, [(7 * eid + eid // 5) % 4 for eid in range(base.m)])
 
 
 # The same pins where departing segments grow long and equal lengths tie:
