@@ -19,7 +19,6 @@ from .spt import (
     PathOnTree,
     ShortestPathTree,
     dijkstra,
-    edge_on_tree_path,
     separator_split,
     tree_path,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "build_oracle",
     "dijkstra",
     "dump_oracle",
-    "edge_on_tree_path",
     "is_unreachable",
     "load_oracle",
     "parse_graph",

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Distance, Graph, UNREACHABLE
-from .spt import _FAR, PathOnTree, ShortestPathTree, dijkstra
+from .spt import PathOnTree, ShortestPathTree, dijkstra
+from .store import INF
 
 
 class DepArray:
@@ -108,7 +109,7 @@ def build_dep(
 
     dist = spt_s.dist
     heappush, heappop = heapq.heappush, heapq.heappop
-    best: list[int | float] = [_FAR] * n
+    best = [INF] * n
     kept_v = array("i")
     kept_length = array("q")
     kept_at = []  # kept_at[j]: candidates kept by the end of round j

@@ -74,8 +74,8 @@ class Graph:
 
     Immutable after construction: every edge appears in both endpoints'
     adjacency lists, weights are non-negative integers. An edge with an
-    endpoint out of range, a self-loop or any other weight raises
-    ``ValueError`` naming it.
+    endpoint that is not an ``int`` in range, a self-loop or any other weight
+    raises ``ValueError`` naming it.
     """
 
     __slots__ = ("n", "edges", "adj")
@@ -89,7 +89,8 @@ class Graph:
         adj = self.adj
         for eid, e in enumerate(self.edges):
             u, v, weight, _ = e
-            if not (0 <= u < n and 0 <= v < n and u != v and type(weight) is int and weight >= 0):
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
+                    and u != v and type(weight) is int and weight >= 0):
                 raise ValueError(_bad_edge(e, n))
             adj[u].append(eid)
             adj[v].append(eid)
@@ -115,6 +116,8 @@ class Graph:
 
 def _bad_edge(e: Edge, n: int) -> str:
     """Why ``Graph`` rejects ``e``."""
+    if type(e.u) is not int or type(e.v) is not int:
+        return f"non-integer endpoint on edge {e}"
     if not (0 <= e.u < n and 0 <= e.v < n):
         return f"edge {e} has an endpoint outside [0, {n})"
     if e.u == e.v:

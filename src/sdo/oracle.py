@@ -20,12 +20,11 @@ from itertools import compress
 from typing import Callable
 
 from .departing import DepBuildStats, DepTable, build_dep
-from .graphs import Distance, Edge, Graph, UNREACHABLE
+from .graphs import Edge, Graph
 from .pathrep import replacement_lengths_along_path
 from .spt import (
     PathOnTree,
     ShortestPathTree,
-    build_preorder,
     dijkstra,
     distances_from,
     separator_split,
@@ -53,7 +52,7 @@ class OracleNode:
     source: int
     depth: int
     primary_path: PathOnTree | None = None
-    sr_replacements: list[Distance] | None = None
+    sr_replacements: list[int] | None = None
     dep: DepTable | None = None
     dep_stats: DepBuildStats | None = None
 
@@ -140,7 +139,7 @@ Emit = Callable[[OracleNode], object]
 def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
     """The subgraph induced by ``inside`` plus a shortcut from a hub to each
     other vertex v, weighted by the best ``origin`` -> v length avoiding every
-    induced edge, and left out where that is UNREACHABLE. The hub, returned
+    induced edge, and left out where there is none (``INF``). The hub, returned
     as the source, is ``origin`` itself or, if ``fresh``, a new last vertex."""
     vmap, edges, emap = _induced(g, inside)
     hub = len(vmap) if fresh else vmap[origin]
@@ -148,7 +147,7 @@ def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
     new = tuple.__new__
     for v, lv in vmap.items():
         w = avoid[v]
-        if lv != hub and w is not UNREACHABLE:
+        if lv != hub and w < INF:
             edges.append(new(Edge, (hub, lv, w, True)))
     return Graph(len(vmap) + int(fresh), edges), hub, (vmap, emap)
 
@@ -213,7 +212,6 @@ def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     """The query store of the oracle for ``g`` from ``source``; each level's
     record goes to ``emit`` in store order."""
     spt = dijkstra(g, source)
-    build_preorder(spt)
     store = open_store(spt)
     build_node(spt, 0, store, emit)
     return close_store(store)

@@ -3,24 +3,26 @@
 For each tree edge on a top-to-bottom shortest path, computes the length of
 the shortest source -> bottom route avoiding that edge, in one pass over the
 graph plus an interval-minimum sweep instead of one Dijkstra per edge.
+Lengths are store integers, ``INF`` where no detour exists.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .graphs import Distance, Graph, UNREACHABLE
+from .graphs import Graph
 from .spt import PathOnTree, ShortestPathTree
+from .store import INF
 
 
 def replacement_lengths_along_path(
     g: Graph,
     spt_s: ShortestPathTree,
-    dist_r: list[Distance],
+    dist_r: list[int],
     path: PathOnTree,
-) -> list[Distance]:
+) -> list[int]:
     """Table indexed by path-edge position: length of the best detour around
-    that edge, or UNREACHABLE when removing it disconnects the endpoints.
+    that edge, or ``INF`` when removing it disconnects the endpoints.
 
     Every non-path edge (x, y) certifies the route dist_s(x) + w + dist_r(y)
     for exactly the faults whose cut it crosses: positions between where x and
@@ -46,12 +48,10 @@ def replacement_lengths_along_path(
 
     def add(x: int, y: int, w: int) -> None:
         ax, ay = anchor[x], anchor[y]
-        if ax >= ay:
-            return
-        dx, dy = dist_s[x], dist_r[y]
-        if dx is UNREACHABLE or dy is UNREACHABLE:
-            return
-        events[ax].append((dx + w + dy, ay - 1))
+        # ay >= 0 here: the source reaches y and its neighbour x, and r
+        # shares their component, so both distances are finite
+        if ax < ay:
+            events[ax].append((dist_s[x] + w + dist_r[y], ay - 1))
 
     for eid, e in enumerate(g.edges):
         if eid in path_edge_ids:
@@ -59,7 +59,7 @@ def replacement_lengths_along_path(
         add(e.u, e.v, e.weight)
         add(e.v, e.u, e.weight)
 
-    table: list[Distance] = [UNREACHABLE] * k
+    table = [INF] * k
     active: list[tuple[int, int]] = []
     for j in range(k):
         for item in events[j]:

@@ -1,4 +1,5 @@
-"""Shortest-path trees with canonical tie-breaking, ancestor tests, tree separator."""
+"""Shortest-path trees with canonical tie-breaking, a distance-only sweep in
+store integers, and the tree separator."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from dataclasses import dataclass
 from typing import Container
 
 from .graphs import Distance, Graph, UNREACHABLE
+from .store import INF
 
 
 class ShortestPathTree:
@@ -25,8 +27,6 @@ class ShortestPathTree:
         "parent_edge",
         "depth",
         "order",
-        "_tin",
-        "_size",
     )
 
     def __init__(self, graph: Graph, source: int):
@@ -38,8 +38,6 @@ class ShortestPathTree:
         self.parent_edge: list[int | None] = [None] * n
         self.depth: list[int] = [0] * n
         self.order: list[int] = []
-        self._tin: list[int] | None = None
-        self._size: list[int] | None = None
 
     def reachable(self, v: int) -> bool:
         return self.dist[v] is not UNREACHABLE
@@ -110,12 +108,11 @@ def dijkstra(g: Graph, source: int, banned_edges: Container[int] = ()) -> Shorte
     return spt
 
 
-# Above every distance a graph of integer weights can hold.
-_FAR = float("inf")
-
-
-def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> list[Distance]:
-    """``dijkstra(g, source, banned_edges).dist``, without the tree.
+def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> list[int]:
+    """``dijkstra(g, source, banned_edges).dist`` in store integers, without
+    the tree: ``INF`` where no path exists, as the build's tables hold it.
+    ``build_oracle`` bounds the weight sum below ``INF``, so every real
+    distance is smaller and ``INF`` never stands for one.
 
     Distances do not depend on tie-breaks, so the heap holds bare
     ``(distance, vertex)`` pairs and a vertex is pushed only when its
@@ -128,7 +125,7 @@ def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> 
     edges = g.edges
     adj = g.adj
     heappush, heappop = heapq.heappush, heapq.heappop
-    best: list[int | float] = [_FAR] * g.n
+    best = [INF] * g.n
     best[source] = 0
     heap = [(0, source)]
     while heap:
@@ -145,44 +142,7 @@ def distances_from(g: Graph, source: int, banned_edges: Container[int] = ()) -> 
             if d2 < best[w]:
                 best[w] = d2
                 heappush(heap, (d2, w))
-    return [UNREACHABLE if d == _FAR else d for d in best]
-
-
-def build_preorder(spt: ShortestPathTree) -> None:
-    """Attach preorder numbers and subtree sizes for O(1) ancestor tests.
-
-    A reverse pass over ``order`` sums subtree sizes; a forward pass hands
-    each child the next free range inside its parent's. Unreachable vertices
-    keep number -1 and size 0, so no ancestor test involving them holds.
-    """
-    n = spt.graph.n
-    parent = spt.parent
-    size = [0] * n
-    for v in reversed(spt.order):
-        size[v] += 1
-        p = parent[v]
-        if p is not None:
-            size[p] += size[v]
-    tin = [-1] * n
-    tin[spt.source] = 0
-    free = [0] * n
-    for v in spt.order:
-        p = parent[v]
-        if p is not None:
-            tin[v] = free[p]
-            free[p] += size[v]
-        free[v] = tin[v] + 1
-    spt._tin = tin
-    spt._size = size
-
-
-def is_ancestor(spt: ShortestPathTree, u: int, v: int) -> bool:
-    """True iff u is an ancestor of v (or u == v) in the tree; False when
-    either vertex is unreachable."""
-    if spt._tin is None:
-        build_preorder(spt)
-    tin = spt._tin
-    return tin[u] <= tin[v] < tin[u] + spt._size[u]
+    return best
 
 
 @dataclass(slots=True)
@@ -212,23 +172,6 @@ def tree_path(spt: ShortestPathTree, u: int, v: int) -> PathOnTree:
     verts.reverse()
     eids.reverse()
     return PathOnTree(verts, eids)
-
-
-def tree_edge_lower(spt: ShortestPathTree, x: int, y: int) -> int | None:
-    """The child endpoint if the pair (x, y) is joined by a tree edge, else
-    None; with parallel edges the tree copy is the one meant."""
-    if spt.parent[y] == x:
-        return y
-    if spt.parent[x] == y:
-        return x
-    return None
-
-
-def edge_on_tree_path(spt: ShortestPathTree, t: int, e: tuple[int, int]) -> bool:
-    """True iff (x, y) is a tree edge whose lower endpoint is an ancestor of t
-    (or t itself), i.e. the edge lies on the source -> t tree path."""
-    lower = tree_edge_lower(spt, *e)
-    return lower is not None and is_ancestor(spt, lower, t)
 
 
 @dataclass(slots=True)

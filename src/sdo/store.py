@@ -12,7 +12,10 @@ alike, read only these arrays.
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
-UNREACHABLE.
+UNREACHABLE. The build's kernels compute in these integers too, so every
+table but the public source tree's ``dist`` goes in as it is. ``open_store``
+also numbers that tree in preorder (``tin``/``size``), the ancestor index
+a query's entry reads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .graphs import UNREACHABLE
 
 if TYPE_CHECKING:
     from .departing import DepTable
-    from .graphs import Distance, Edge, Graph
+    from .graphs import Edge, Graph
     from .spt import ShortestPathTree
 
 INF = 2**62
@@ -87,10 +90,6 @@ class QueryStore:
         return [(name, getattr(self, name)) for name, _ in TABLE]
 
 
-def _ints(values: list[Distance]) -> list[int]:
-    return [INF if d is UNREACHABLE else d for d in values]
-
-
 def _original_count(g: Graph) -> int:
     """Edges before the first shortcut: the original edges, which can fail.
     Every node graph lists its shortcuts last, so a binary search finds it."""
@@ -103,15 +102,37 @@ def _is_virtual(e: Edge) -> bool:
 
 def open_store(spt: ShortestPathTree) -> QueryStore:
     """A store holding the source-tree arrays of the oracle built on
-    ``spt.graph`` from ``spt.source``, ready for ``append_node``."""
+    ``spt.graph`` from ``spt.source``, ready for ``append_node``.
+
+    ``tin``/``size`` are the tree's preorder numbers and subtree sizes, so
+    u is an ancestor of v iff ``tin[u] <= tin[v] < tin[u] + size[u]``. A
+    reverse pass over ``order`` sums the sizes; a forward pass hands each
+    child the next free range inside its parent's. Unreachable vertices
+    keep number -1 and size 0, so no ancestor test involving them holds."""
     s = QueryStore()
     g = spt.graph
     n = g.n
-    s.parent = array("i", [-1 if p is None else p for p in spt.parent])
+    parent = spt.parent
+    size = [0] * n
+    for v in reversed(spt.order):
+        size[v] += 1
+        p = parent[v]
+        if p is not None:
+            size[p] += size[v]
+    tin = [-1] * n
+    tin[spt.source] = 0
+    free = [0] * n
+    for v in spt.order:
+        p = parent[v]
+        if p is not None:
+            tin[v] = free[p]
+            free[p] += size[v]
+        free[v] = tin[v] + 1
+    s.parent = array("i", [-1 if p is None else p for p in parent])
     s.parent_edge = array("i", [-1 if e is None else e for e in spt.parent_edge])
-    s.dist = array("q", _ints(spt.dist))
-    s.tin = array("i", spt._tin)
-    s.size = array("i", spt._size)
+    s.dist = array("q", [INF if d is UNREACHABLE else d for d in spt.dist])
+    s.tin = array("i", tin)
+    s.size = array("i", size)
     s.edge_keys = array("q", sorted({min(e.u, e.v) * n + max(e.u, e.v) for e in g.edges}))
     s.meta = array("q", [n, spt.source, 0, 0, 0])
     s.dep_off.append(0)
@@ -125,11 +146,11 @@ def append_node(
     s: QueryStore,
     g: Graph,
     depth: int,
-    rows: Iterable[tuple[int, list[Distance]]] = (),
+    rows: Iterable[tuple[int, list[int]]] = (),
     r: int = -1,
     path_edges: Iterable[int] = (),
     maps: tuple[tuple[dict[int, int], dict[int, int]], ...] = (),
-    tables: tuple[list[Distance], list[Distance], DepTable] | None = None,
+    tables: tuple[list[int], list[int], DepTable] | None = None,
 ) -> int:
     """Append the next node in preorder, on graph ``g``; returns its id.
 
@@ -141,7 +162,8 @@ def append_node(
     the split. Its left child is appended next; the
     caller sets ``right``. ``tables`` holds the distances from ``r``, the
     replacement lengths along the path and the departing table, or None
-    when no input edge lies on the path."""
+    when no input edge lies on the path. Distances are store integers,
+    ``INF`` for none, and go in as they are."""
     i = len(s.left)
     nv, ne = g.n, _original_count(g)
     s.vbase.append(len(s.lchild))
@@ -155,7 +177,7 @@ def append_node(
     side = array("b", [CROSS]) * ne
     for eid, row in rows:
         child[eid] = len(s.rows)
-        s.rows.extend(_ints(row))
+        s.rows.extend(row)
     for code, ids, (vmap, emap) in zip((LEFT, RIGHT), (lchild, rchild), maps):
         for v, cv in vmap.items():
             ids[v] = cv
@@ -179,8 +201,8 @@ def append_node(
         s.dep_off.extend(array("i", [len(s.dep_len)]) * nv)
     else:
         dist_r, sr, dep = tables
-        s.dist_r.extend(_ints(dist_r))
-        s.sr.extend(_ints(sr))
+        s.dist_r.extend(dist_r)
+        s.sr.extend(sr)
         s.dep_off.frombytes((dep.offsets[1:] + len(s.dep_len)).tobytes())
         s.dep_len.frombytes(dep.lengths.tobytes())
         s.dep_dpi.frombytes(dep.dp_depths.tobytes())

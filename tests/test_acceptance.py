@@ -191,7 +191,7 @@ def test_criterion_5_replacement_table_equivalence(corpus):
                 continue
             r = store.sep[i]
             assert dist_r == dijkstra(node.graph, r).dist, (label, node.depth)
-            assert sr == node.sr_replacements, (label, node.depth)
+            assert sr == distances(node.sr_replacements), (label, node.depth)
             for pos, eid in enumerate(path.edge_ids):
                 want = dijkstra(node.graph, node.source, {eid}).dist[r]
                 assert sr[pos] == want, (label, node.depth, pos)

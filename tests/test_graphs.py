@@ -59,6 +59,9 @@ class TestGraph:
         for weight in (1.5, "2"):
             with pytest.raises(ValueError, match="non-integer weight on edge"):
                 Graph(2, [Edge(0, 1, weight)])
+        for e in (Edge(0.5, 1), Edge(1.0, 0), Edge(True, 0)):
+            with pytest.raises(ValueError, match="non-integer endpoint on edge"):
+                Graph(2, [e])
 
 
 class TestTextFormat:

@@ -15,7 +15,7 @@ from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import OracleTree, _build, build_node, build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle
-from sdo.spt import build_preorder, dijkstra, separator_split
+from sdo.spt import dijkstra, separator_split
 from sdo.store import INF, close_store, open_store
 
 from conftest import (
@@ -43,7 +43,6 @@ def walk_internal(oracle):
 def build_leaf(g, depth):
     """The records of a node built alone on ``g`` at ``depth``, and its store."""
     spt = dijkstra(g, 0)
-    build_preorder(spt)
     store = open_store(spt)
     records = []
     build_node(spt, depth, store, records.append)

@@ -1,15 +1,20 @@
 from hypothesis import given, settings, strategies as st
 
 from sdo.generators import tree_plus_chords
-from sdo.graphs import Graph, UNREACHABLE
+from sdo.graphs import Graph
 from sdo.pathrep import replacement_lengths_along_path
-from sdo.spt import dijkstra, tree_path
+from sdo.spt import dijkstra, distances_from, tree_path
+from sdo.store import INF
+
+from conftest import distances
 
 
 def table_for(g: Graph, s: int, r: int):
+    """The replacement table in public distances, and the path."""
     spt_s = dijkstra(g, s)
     path = tree_path(spt_s, s, r)
-    return replacement_lengths_along_path(g, spt_s, dijkstra(g, r).dist, path), path
+    table = replacement_lengths_along_path(g, spt_s, distances_from(g, r), path)
+    return distances(table), path
 
 
 def per_edge_dijkstra(g: Graph, s: int, r: int, path):
@@ -30,15 +35,16 @@ def test_chord_gives_direct_replacement():
 
 def test_pure_path_is_all_bridges():
     g = Graph.from_pairs(3, [(0, 1), (1, 2)])
-    table, _ = table_for(g, 0, 2)
-    assert table == [UNREACHABLE, UNREACHABLE]
+    spt = dijkstra(g, 0)
+    path = tree_path(spt, 0, 2)
+    assert replacement_lengths_along_path(g, spt, distances_from(g, 2), path) == [INF, INF]
 
 
 def test_empty_path():
     g = Graph.from_pairs(2, [(0, 1)])
     spt = dijkstra(g, 0)
     path = tree_path(spt, 0, 0)
-    assert replacement_lengths_along_path(g, spt, spt.dist, path) == []
+    assert replacement_lengths_along_path(g, spt, distances_from(g, 0), path) == []
 
 
 def test_twenty_random_graphs_match_per_edge_dijkstra():

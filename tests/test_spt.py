@@ -8,12 +8,11 @@ from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import (
     dijkstra,
     distances_from,
-    edge_on_tree_path,
-    is_ancestor,
     separator_balanced,
     separator_split,
     tree_path,
 )
+from sdo.store import INF, open_store
 
 from conftest import (
     bellman_ford,
@@ -78,8 +77,12 @@ def test_dijkstra_matches_bellman_ford(n, extra, seed, ragged, data):
     banned = rng.sample(range(g.m), k=min(g.m, rng.randrange(3))) if g.m else []
     want = bellman_ford(g, source, frozenset(banned))
     assert dijkstra(g, source, frozenset(banned)).dist == want
+    # the sweep answers in store integers, INF where no path exists
+    want_ints = [INF if d is UNREACHABLE else d for d in want]
     for container in (tuple(banned), set(banned), dict.fromkeys(banned)):
-        assert distances_from(g, source, container) == want
+        got = distances_from(g, source, container)
+        assert got == want_ints
+        assert all(type(d) is int for d in got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,11 +96,23 @@ def test_triangle_inequality_over_edges(n, extra, seed):
             assert abs(du - dv) <= e.weight
 
 
-def interval_lca(spt, u: int, v: int) -> int:
+def preorder_index(spt):
+    """The store's ancestor index of ``spt``: preorder numbers, subtree sizes."""
+    store = open_store(spt)
+    return store.tin, store.size
+
+
+def covers(index, u: int, v: int) -> bool:
+    """The query entry's ancestor test: u is an ancestor of v, or v itself."""
+    tin, size = index
+    return tin[u] <= tin[v] < tin[u] + size[u]
+
+
+def interval_lca(spt, index, u: int, v: int) -> int:
     """Lowest common ancestor read off the preorder intervals: climb from u
     until its interval covers v."""
     x = u
-    while x is not None and not is_ancestor(spt, x, v):
+    while x is not None and not covers(index, x, v):
         x = spt.parent[x]
     if x is None:
         raise ValueError(f"no common ancestor of {u} and {v}")
@@ -107,26 +122,29 @@ def interval_lca(spt, u: int, v: int) -> int:
 class TestLca:
     def test_star_center(self):
         spt = dijkstra(star_graph(2), 0)
-        assert interval_lca(spt, 1, 2) == 0
+        assert interval_lca(spt, preorder_index(spt), 1, 2) == 0
 
     def test_ancestor_case(self):
         spt = dijkstra(path_graph(3), 0)
-        assert interval_lca(spt, 1, 2) == 1
+        assert interval_lca(spt, preorder_index(spt), 1, 2) == 1
 
     def test_unreachable_raises(self):
         g = Graph.from_pairs(3, [(0, 1)])
         spt = dijkstra(g, 0)
-        assert not is_ancestor(spt, 0, 2) and not is_ancestor(spt, 2, 2)
+        index = preorder_index(spt)
+        assert (index[0][2], index[1][2]) == (-1, 0)
+        assert not covers(index, 0, 2) and not covers(index, 2, 2)
         with pytest.raises(ValueError):
-            interval_lca(spt, 0, 2)
+            interval_lca(spt, index, 0, 2)
 
     def test_matches_naive_walk_all_pairs_seeded(self):
         for seed in (1, 2, 3):
             g = Graph.from_pairs(200, random_tree_pairs(200, random.Random(seed)))
             spt = dijkstra(g, 0)
+            index = preorder_index(spt)
             for u in range(0, 200, 7):
                 for v in range(0, 200, 11):
-                    assert interval_lca(spt, u, v) == naive_lca(spt, u, v)
+                    assert interval_lca(spt, index, u, v) == naive_lca(spt, u, v)
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,21 +154,25 @@ def test_lca_matches_naive_walk(n, seed, data):
     spt = dijkstra(g, 0)
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
-    assert interval_lca(spt, u, v) == naive_lca(spt, u, v)
+    assert interval_lca(spt, preorder_index(spt), u, v) == naive_lca(spt, u, v)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 3))
 def test_is_ancestor_matches_parent_walk(n, seed, cuts):
-    # banning tree edges leaves some vertices unreachable from the source
+    # banning tree edges leaves some vertices unreachable from the source;
+    # they get preorder number -1 and size 0
     rng = random.Random(seed)
     g = Graph.from_pairs(n, random_tree_pairs(n, rng))
     banned = set(rng.sample(range(g.m), k=min(cuts, g.m)))
     spt = dijkstra(g, rng.randrange(n), banned)
+    index = preorder_index(spt)
     for u in range(n):
+        if not spt.reachable(u):
+            assert (index[0][u], index[1][u]) == (-1, 0), u
         for v in range(n):
             want = spt.reachable(u) and spt.reachable(v) and naive_lca(spt, u, v) == u
-            assert is_ancestor(spt, u, v) == want, (u, v)
+            assert covers(index, u, v) == want, (u, v)
 
 
 class TestSeparator:
@@ -219,26 +241,3 @@ class TestTreePath:
             while walked[-1] != 0:
                 walked.append(spt.parent[walked[-1]])
             assert tree_path(spt, 0, v).vertices == walked[::-1]
-
-
-class TestEdgeOnTreePath:
-    def test_edge_above_destination(self):
-        spt = dijkstra(path_graph(3), 0)
-        assert edge_on_tree_path(spt, 2, (0, 1))
-
-    def test_edge_below_destination(self):
-        spt = dijkstra(path_graph(3), 0)
-        assert not edge_on_tree_path(spt, 1, (1, 2))
-
-    def test_non_tree_edge(self):
-        g = Graph.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
-        spt = dijkstra(g, 0)
-        assert not edge_on_tree_path(spt, 1, (1, 2))
-
-    def test_matches_materialized_path(self):
-        g = tree_plus_chords(35, 12, 11)
-        spt = dijkstra(g, 0)
-        for t in range(g.n):
-            on_path = set(tree_path(spt, 0, t).edge_ids)
-            for eid, e in enumerate(g.edges):
-                assert edge_on_tree_path(spt, t, (e.u, e.v)) == (eid in on_path)
