@@ -2,16 +2,20 @@
 
 Deliberately shares nothing with the oracle machinery beyond the Graph type:
 a separate Dijkstra whose priority-queue tie-breaks match the canonical rule,
-so tree shapes (and hence enumerated fault sets) agree.
+so tree shapes (and hence enumerated fault sets) agree. ``brute_departing``
+reads only the source distances and the path vertices it is handed.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Collection
+from typing import TYPE_CHECKING, Collection
 
 from .graphs import Distance, Graph, UNREACHABLE
 from .query import SsrpOutput
+
+if TYPE_CHECKING:
+    from .spt import PathOnTree, ShortestPathTree
 
 
 def _sweep(
@@ -84,3 +88,38 @@ def brute_ssrp(g: Graph, s: int) -> SsrpOutput:
                 by_edge[eid] = _sweep(g, s, (eid,))[0]
             records.append((t, (upper, lower), by_edge[eid][t]))
     return SsrpOutput(records)
+
+
+def brute_departing(
+    g: Graph, spt_s: ShortestPathTree, path: PathOnTree
+) -> list[list[Distance]]:
+    """Per destination and path-edge position, the best departing length,
+    via one vertex-banned run per path vertex.
+
+    Banning every edge incident to the other path vertices confines each run
+    to detours that leave the path exactly at its start vertex.
+    """
+    n = g.n
+    k = len(path.edge_ids)
+    on_path = set(path.vertices)
+    result: list[list[Distance]] = [[UNREACHABLE] * k for _ in range(n)]
+    if k == 0:
+        return result
+    running: list[Distance] = [UNREACHABLE] * n
+    for j, u_j in enumerate(path.vertices[:k]):
+        banned = {
+            eid
+            for v in path.vertices
+            if v != u_j
+            for eid in g.adj[v]
+        }
+        detour = _sweep(g, u_j, banned)[0]
+        prefix = spt_s.dist[u_j]
+        for t in range(n):
+            if t in on_path:
+                continue
+            cand = prefix + detour[t]
+            if cand < running[t]:
+                running[t] = cand
+            result[t][j] = running[t]
+    return result

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Distance, Graph, UNREACHABLE
-from .spt import PathOnTree, ShortestPathTree, dijkstra
+from .graphs import Graph
+from .spt import PathOnTree, ShortestPathTree
 from .store import INF
 
 
@@ -153,37 +153,3 @@ def _group_by_destination(
     np.cumsum(np.bincount(v, minlength=n), out=offsets[1:])
     return DepTable(offsets, np.frombuffer(lengths, dtype=np.int64)[at], dpis[at])
 
-
-def brute_departing(
-    g: Graph, spt_s: ShortestPathTree, path: PathOnTree
-) -> list[list[Distance]]:
-    """Independent oracle: per destination and path-edge position, the best
-    departing length, via one vertex-banned Dijkstra per path vertex.
-
-    Banning every edge incident to the other path vertices confines each run
-    to detours that leave the path exactly at its start vertex.
-    """
-    n = g.n
-    k = len(path.edge_ids)
-    on_path = set(path.vertices)
-    result: list[list[Distance]] = [[UNREACHABLE] * k for _ in range(n)]
-    if k == 0:
-        return result
-    running: list[Distance] = [UNREACHABLE] * n
-    for j, u_j in enumerate(path.vertices[:k]):
-        banned = {
-            eid
-            for v in path.vertices
-            if v != u_j
-            for eid in g.adj[v]
-        }
-        detour = dijkstra(g, u_j, banned).dist
-        prefix = spt_s.dist[u_j]
-        for t in range(n):
-            if t in on_path:
-                continue
-            cand = prefix + detour[t]
-            if cand < running[t]:
-                running[t] = cand
-            result[t][j] = running[t]
-    return result

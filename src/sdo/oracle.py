@@ -107,32 +107,9 @@ def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> 
     return node
 
 
-def _induced(
-    g: Graph, inside: list[bool]
-) -> tuple[dict[int, int], list[Edge], dict[int, int]]:
-    """Vertex map, edges and edge map of the subgraph of ``g`` induced by the
-    vertices marked ``inside``, in the parent's vertex and edge order."""
-    kept = list(compress(range(g.n), inside))
-    vmap = dict(zip(kept, range(len(kept))))
-    get = vmap.get
-    new = tuple.__new__
-    edges: list[Edge] = []
-    emap: dict[int, int] = {}
-    for eid, (u, v, weight, virtual) in enumerate(g.edges):
-        a = get(u)
-        if a is None:
-            continue
-        b = get(v)
-        if b is None:
-            continue
-        emap[eid] = len(edges)
-        edges.append(new(Edge, (a, b, weight, virtual)))
-    return vmap, edges, emap
-
-
 # A child graph, its source, and its (vertex, edge) id maps from the parent;
 # and the callback that takes each level's build record.
-Graft = tuple[Graph, int, tuple[dict[int, int], dict[int, int]]]
+Graft = tuple[Graph, int, tuple[list[int], dict[int, int]]]
 Emit = Callable[[OracleNode], object]
 
 
@@ -140,16 +117,34 @@ def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
     """The subgraph induced by ``inside`` plus a shortcut from a hub to each
     other vertex v, weighted by the best ``origin`` -> v length avoiding every
     induced edge, and left out where there is none (``INF``). The hub, returned
-    as the source, is ``origin`` itself or, if ``fresh``, a new last vertex."""
-    vmap, edges, emap = _induced(g, inside)
-    hub = len(vmap) if fresh else vmap[origin]
-    avoid = distances_from(g, origin, emap)
+    as the source, is ``origin`` itself or, if ``fresh``, a new last vertex.
+
+    The vertex map lists each parent vertex's child id, -1 outside: the
+    store's child row as it is. The edge map is a dict, the avoid sweep's
+    banned set. Both keep the parent's order."""
+    kept = list(compress(range(g.n), inside))
+    vmap = [-1] * g.n
+    for lv, v in enumerate(kept):
+        vmap[v] = lv
     new = tuple.__new__
-    for v, lv in vmap.items():
+    edges: list[Edge] = []
+    emap: dict[int, int] = {}
+    for eid, (u, v, weight, virtual) in enumerate(g.edges):
+        a = vmap[u]
+        if a < 0:
+            continue
+        b = vmap[v]
+        if b < 0:
+            continue
+        emap[eid] = len(edges)
+        edges.append(new(Edge, (a, b, weight, virtual)))
+    hub = len(kept) if fresh else vmap[origin]
+    avoid = distances_from(g, origin, emap)
+    for lv, v in enumerate(kept):
         w = avoid[v]
         if lv != hub and w < INF:
             edges.append(new(Edge, (hub, lv, w, True)))
-    return Graph(len(vmap) + int(fresh), edges), hub, (vmap, emap)
+    return Graph(len(kept) + int(fresh), edges), hub, (vmap, emap)
 
 
 def make_left_child(g: Graph, source: int, r: int, in_m: list[bool]) -> Graft:
@@ -224,8 +219,12 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
     source tree. Vertices the source cannot reach enter neither child, and
     queries about them answer UNREACHABLE at the entry. The weights must sum
     below ``INF``, so every finite distance, and the sum of any two, fits
-    the store's 64-bit integers. The oracle keeps ``g`` but no build record.
+    the store's 64-bit integers. ``source`` must be an ``int`` (a bool is
+    not), the rule ``Graph`` applies to endpoints. The oracle keeps ``g``
+    but no build record.
     """
+    if type(source) is not int:
+        raise ValueError(f"source {source!r} is not an integer vertex")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")
     if any(e.virtual for e in g.edges):

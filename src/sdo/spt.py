@@ -181,9 +181,6 @@ class SeparatorSplit:
     r: int
     in_m: list[bool]
     in_n: list[bool]
-    reachable_count: int
-    size_m: int
-    size_n: int
 
 
 def separator_split(spt: ShortestPathTree) -> SeparatorSplit:
@@ -225,7 +222,6 @@ def separator_split(spt: ShortestPathTree) -> SeparatorSplit:
     if size[c] >= target:
         r = c
         in_n[c] = True
-        size_n = size[c]
     else:
         r = v
         size_n = 1
@@ -247,13 +243,4 @@ def separator_split(spt: ShortestPathTree) -> SeparatorSplit:
     for w in order:
         if not in_n[w] or w == r:
             in_m[w] = True
-    size_m = nr - size_n + 1
-    return SeparatorSplit(r, in_m, in_n, nr, size_m, size_n)
-
-
-def separator_balanced(split: SeparatorSplit) -> bool:
-    """The balance predicate: floor(nr/3) <= |V_M|, |V_N| <= ceil(2 nr/3) + 1."""
-    nr = split.reachable_count
-    lo = nr // 3
-    hi = -(-2 * nr // 3) + 1
-    return lo <= split.size_m <= hi and lo <= split.size_n <= hi
+    return SeparatorSplit(r, in_m, in_n)

@@ -149,7 +149,7 @@ def append_node(
     rows: Iterable[tuple[int, list[int]]] = (),
     r: int = -1,
     path_edges: Iterable[int] = (),
-    maps: tuple[tuple[dict[int, int], dict[int, int]], ...] = (),
+    maps: tuple[tuple[list[int], dict[int, int]], ...] = (),
     tables: tuple[list[int], list[int], DepTable] | None = None,
 ) -> int:
     """Append the next node in preorder, on graph ``g``; returns its id.
@@ -157,9 +157,10 @@ def append_node(
     A leaf gives ``rows``: the source distances avoiding each original edge
     a fault can reach. An internal node gives its separator ``r``, primary
     path and split: the vertex and edge maps of side M (the source side,
-    holding the path), then of side N, each listing ``g``'s ids in
-    ``g``'s order; the separator is in both, and an edge in neither crosses
-    the split. Its left child is appended next; the
+    holding the path), then of side N. A vertex map is the child row itself,
+    the child id of each of ``g``'s vertices or -1; an edge map lists
+    ``g``'s edge ids in ``g``'s order. The separator is in both sides, and
+    an edge in neither crosses the split. Its left child is appended next; the
     caller sets ``right``. ``tables`` holds the distances from ``r``, the
     replacement lengths along the path and the departing table, or None
     when no input edge lies on the path. Distances are store integers,
@@ -173,14 +174,12 @@ def append_node(
     s.left.append(i + 1 if maps else -1)
     s.right.append(-1)
     s.sep.append(r)
-    lchild, rchild, child, pos = _NONE * nv, _NONE * nv, _NONE * ne, _NONE * ne
+    child, pos = _NONE * ne, _NONE * ne
     side = array("b", [CROSS]) * ne
     for eid, row in rows:
         child[eid] = len(s.rows)
         s.rows.extend(row)
-    for code, ids, (vmap, emap) in zip((LEFT, RIGHT), (lchild, rchild), maps):
-        for v, cv in vmap.items():
-            ids[v] = cv
+    for code, (_, emap) in zip((LEFT, RIGHT), maps):
         for eid, ce in emap.items():
             if eid >= ne:  # the shortcuts, which follow the original edges
                 break
@@ -191,8 +190,9 @@ def append_node(
         if eid < ne:
             side[eid] = PRIMARY
             pos[eid] = p
-    s.lchild.extend(lchild)
-    s.rchild.extend(rchild)
+    lrow, rrow = (vmap for vmap, _ in maps) if maps else (_NONE * nv, _NONE * nv)
+    s.lchild.extend(lrow)
+    s.rchild.extend(rrow)
     s.eside.extend(side)
     s.echild.extend(child)
     s.epos.extend(pos)

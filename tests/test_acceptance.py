@@ -15,8 +15,7 @@ import warnings
 
 import pytest
 
-from sdo.baseline import _sweep, brute_ssrp
-from sdo.departing import brute_departing
+from sdo.baseline import _sweep, brute_departing, brute_ssrp
 from sdo.generators import path_faults, tree_plus_chords, verify_corpus
 from sdo.graphs import UNREACHABLE
 from sdo.oracle import build_oracle

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdo.baseline import brute_query, brute_ssrp
-from sdo.departing import brute_departing, build_dep
+from sdo.baseline import brute_departing, brute_query, brute_ssrp
+from sdo.departing import build_dep
 from sdo.generators import nested_arcs, ragged_multigraph, tree_plus_chords
 from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import build_oracle

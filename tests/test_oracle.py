@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,9 +263,10 @@ class TestStructure:
         for i, node in walk_internal(oracle):
             nr, nm, nn = split_sizes(oracle.store, i, node)
             assert nm + nn == nr + 1
-            split = separator_split(dijkstra(node.graph, node.source))
+            spt = dijkstra(node.graph, node.source)
+            split = separator_split(spt)
             assert split.r == oracle.store.sep[i]
-            assert (split.reachable_count, split.size_m, split.size_n) == (nr, nm, nn)
+            assert (spt.reachable_count(), sum(split.in_m), sum(split.in_n)) == (nr, nm, nn)
 
     def test_primary_path_inside_m(self):
         g = tree_plus_chords(50, 20, 13)
@@ -332,6 +334,12 @@ class TestStructure:
 
         with pytest.raises(ValueError):
             build_oracle(Graph(2, [Edge(0, 1, 2, virtual=True)]), 0)
+
+    @pytest.mark.parametrize("source", [1.0, True, "0"])
+    def test_rejects_a_source_that_is_not_an_int(self, source):
+        g = Graph.from_pairs(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=re.escape(f"source {source!r} is not an integer")):
+            build_oracle(g, source)
 
 
 def test_space_bound_as_exact_counts():

@@ -349,6 +349,16 @@ def test_batched_descent_equals_the_scalar_one(n, extra, seed, data):
     assert_ssrp_matches_the_scalar_descent(loaded)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: tree_plus_chords(4096, 8192, 42), lambda: nested_arcs(32)[0]],
+    ids=["chords(4096)", "arcs(32)"],
+)
+def test_batched_descent_equals_the_scalar_one_at_scale(make):
+    # beyond the drawn graphs' 30 vertices: 4096 vertices, and a departing
+    # array of 33 candidates on the arcs
+    assert_ssrp_matches_the_scalar_descent(build_oracle(make(), 0))
+
+
 def test_inf_candidates_saturate_in_the_batched_descent():
     # sr and dist_r may both hold INF; their sum must stay INF, not wrap
     # around int64 to a negative length. The root's slots start at 0.

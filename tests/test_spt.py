@@ -8,7 +8,6 @@ from sdo.graphs import Graph, UNREACHABLE
 from sdo.spt import (
     dijkstra,
     distances_from,
-    separator_balanced,
     separator_split,
     tree_path,
 )
@@ -175,24 +174,40 @@ def test_is_ancestor_matches_parent_walk(n, seed, cuts):
             assert covers(index, u, v) == want, (u, v)
 
 
+def side_sizes(spt, split) -> tuple[int, int, int]:
+    """(reachable count, |V_M|, |V_N|) of ``split``, a split of ``spt``."""
+    return spt.reachable_count(), sum(split.in_m), sum(split.in_n)
+
+
+def balanced(nr: int, size_m: int, size_n: int) -> bool:
+    """The balance predicate: floor(nr/3) <= |V_M|, |V_N| <= ceil(2 nr/3) + 1."""
+    lo = nr // 3
+    hi = -(-2 * nr // 3) + 1
+    return lo <= size_m <= hi and lo <= size_n <= hi
+
+
 class TestSeparator:
     def test_path3_balanced_split(self):
-        split = separator_split(dijkstra(path_graph(3), 0))
+        spt = dijkstra(path_graph(3), 0)
+        split = separator_split(spt)
         assert split.r == 1
-        assert (split.size_m, split.size_n) == (2, 2)
+        assert side_sizes(spt, split)[1:] == (2, 2)
 
     def test_path9_lands_at_position_3(self):
-        split = separator_split(dijkstra(path_graph(9), 0))
+        spt = dijkstra(path_graph(9), 0)
+        split = separator_split(spt)
         assert split.r == 3
-        assert (split.size_m, split.size_n) == (4, 6)
-        assert separator_balanced(split)
-        assert all(3 <= s <= 7 for s in (split.size_m, split.size_n))
+        nr, size_m, size_n = side_sizes(spt, split)
+        assert (size_m, size_n) == (4, 6)
+        assert balanced(nr, size_m, size_n)
+        assert all(3 <= s <= 7 for s in (size_m, size_n))
 
     def test_star_groups_children_at_center(self):
         g = star_graph(10)
-        split = separator_split(dijkstra(g, 0))
+        spt = dijkstra(g, 0)
+        split = separator_split(spt)
         assert split.r == 0
-        assert separator_balanced(split)
+        assert balanced(*side_sizes(spt, split))
 
     def test_single_vertex_raises(self):
         g = Graph.from_pairs(2, [(0, 1)])
@@ -211,8 +226,9 @@ class TestSeparator:
         for _ in range(1000):
             n = rng.randrange(2, 501)
             g = Graph.from_pairs(n, random_tree_pairs(n, rng))
-            split = separator_split(dijkstra(g, rng.randrange(n)))
-            assert separator_balanced(split), (n, split.size_m, split.size_n)
+            spt = dijkstra(g, rng.randrange(n))
+            sizes = side_sizes(spt, separator_split(spt))
+            assert balanced(*sizes), (n, sizes)
 
 
 class TestTreePath:
