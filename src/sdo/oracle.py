@@ -10,11 +10,17 @@ its original vertex's input-graph distance, and the oracle keeps that one
 source tree for the whole recursion. Each level appends its rows to a
 ``QueryStore`` of flat arrays, the only thing queries read and files hold,
 and drops its graph before it recurses; ``OracleTree.nodes()`` replays the
-build for the levels' records.
+build for the levels' records. On a host with a free core, a level may hand
+its far side to a forked worker, which builds it into a segment store that
+is spliced in after the near side.
 """
 
 from __future__ import annotations
 
+import os
+import select
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable
@@ -36,7 +42,10 @@ from .store import (
     _original_count,
     append_node,
     close_store,
+    open_segment,
     open_store,
+    send_segment,
+    splice_segment,
 )
 
 
@@ -168,12 +177,132 @@ def make_right_child(g: Graph, source: int, in_n: list[bool]) -> Graft:
     return _graft(g, in_n, source, fresh=True)
 
 
-def build_node(spt_s: ShortestPathTree, depth: int, store: QueryStore, emit: Emit) -> None:
+class _Cores:
+    """The free cores of one build, as tokens in a pipe that every process of
+    the build shares: one per core beyond the first. A level that takes one
+    without blocking may fork a worker for its far side; the worker gives it
+    back once its subtree is built. A process blocked on a worker gives back
+    the core it runs on, and takes one again before it goes on."""
+
+    def __init__(self, tokens: int):
+        self.take_fd, self.give_fd = os.pipe()
+        os.set_blocking(self.take_fd, False)
+        os.write(self.give_fd, b"." * tokens)
+        self.owner = os.getpid()
+
+    @classmethod
+    def open(cls) -> _Cores | None:
+        """Tokens for this host's other cores; None on one core or where
+        ``os.fork`` is missing, which keeps the build serial."""
+        if not hasattr(os, "fork"):
+            return None
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return cls(cpus - 1) if cpus > 1 else None
+
+    def take(self) -> bool:
+        try:
+            return bool(os.read(self.take_fd, 1))
+        except BlockingIOError:
+            return False
+
+    def wait(self) -> None:
+        ready = select.poll()
+        ready.register(self.take_fd, select.POLLIN)
+        while not self.take():
+            ready.poll()
+
+    def give(self) -> None:
+        os.write(self.give_fd, b".")
+
+    def close(self) -> None:
+        os.close(self.take_fd)
+        os.close(self.give_fd)
+
+
+# The least far-side graph, in vertices, worth a worker: below it the fork
+# and the segment's trip cost more than the build they take off this core.
+FORK_MIN_VERTICES = 256
+
+
+def _fork(graft: tuple[Graph, int], depth: int, emit: Emit, cores: _Cores) -> tuple[int, int]:
+    """Build the subtree on ``graft`` in a forked worker; returns its pid and
+    the pipe its segment arrives on. The worker sends a status byte, then
+    the segment, or the failure's name, and leaves through ``os._exit`` on
+    every path, so it never returns into its caller's stack. A worker forked
+    by the build's own process leads a process group, which its own workers
+    join, so that one signal ends them all."""
+    lead = os.getpid() == cores.owner
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            if lead:
+                os.setpgid(0, 0)
+            os.close(rfd)
+            try:
+                segment = open_segment()
+                build_node(dijkstra(*graft), depth, segment, emit, cores)
+            except BaseException as exc:
+                # the worker's boundary: the failure goes to the parent,
+                # which raises it; nothing unwinds past os._exit
+                os.write(wfd, b"\1" + repr(exc).encode())
+            else:
+                cores.give()
+                os.write(wfd, b"\0")
+                send_segment(segment, wfd)
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    if lead:
+        with suppress(OSError):
+            os.setpgid(pid, pid)
+    return pid, rfd
+
+
+def _join(pid: int, rfd: int, store: QueryStore, cores: _Cores) -> None:
+    """Splice the worker's segment onto ``store``, then reap the worker.
+    While it waits on the worker, this process gives back its core."""
+    cores.give()
+    if os.read(rfd, 1) != b"\0":
+        chunks = []
+        while chunk := os.read(rfd, 1 << 16):
+            chunks.append(chunk)
+        why = b"".join(chunks).decode(errors="replace") or "it ended without sending its subtree"
+        raise RuntimeError(f"an oracle build worker failed: {why}")
+    splice_segment(store, rfd)
+    cores.wait()
+    os.waitpid(pid, 0)
+
+
+def _stop(pid: int, cores: _Cores) -> None:
+    """Kill and reap a worker that was not joined, and its own workers too
+    where this is the build's own process (they share the worker's group)."""
+    with suppress(ProcessLookupError):
+        if os.getpid() == cores.owner:
+            os.killpg(pid, signal.SIGKILL)
+        else:
+            os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def build_node(
+    spt_s: ShortestPathTree, depth: int, store: QueryStore, emit: Emit, cores: _Cores | None = None
+) -> None:
     """Build the oracle node for ``spt_s``, the canonical tree of the node's
     graph from its source: append its rows to ``store``, pass its record to
     ``emit``, then build its children. A node is a brute-force leaf when its
     source reaches at most two vertices at the root, or four deeper. Faults
-    are input edges, so a primary path without one builds no tables."""
+    are input edges, so a primary path without one builds no tables.
+
+    With ``cores``, a far side of at least ``FORK_MIN_VERTICES`` vertices is
+    built by a forked worker whenever a core is free, while this process
+    builds the near side; its segment is then spliced in after the near
+    side, so the store is the same as a serial build's, byte for byte."""
     g, source = spt_s.graph, spt_s.source
     node = OracleNode(g, source, depth)
     if spt_s.reachable_count() <= (4 if depth else 2):
@@ -197,18 +326,42 @@ def build_node(spt_s: ShortestPathTree, depth: int, store: QueryStore, emit: Emi
     # The store holds all a query reads of this level. Each child graph is
     # popped into its call, so a subtree builds with only the right one here.
     grafts = [(right_g, right_src), (left_g, left_src)]
+    pid = rfd = None
+    if cores is not None and right_g.n >= FORK_MIN_VERTICES and cores.take():
+        pid, rfd = _fork(grafts.pop(0), depth + 1, emit, cores)
     del node, g, spt_s, split, path, tables, dist_r, left_g, left_maps, right_g, right_maps
-    build_node(dijkstra(*grafts.pop()), depth + 1, store, emit)
-    store.right[i] = len(store.left)
-    build_node(dijkstra(*grafts.pop()), depth + 1, store, emit)
+    try:
+        build_node(dijkstra(*grafts.pop()), depth + 1, store, emit, cores)
+        store.right[i] = len(store.left)
+        if pid is None:
+            build_node(dijkstra(*grafts.pop()), depth + 1, store, emit, cores)
+        else:
+            _join(pid, rfd, store, cores)
+            pid = None
+    finally:
+        if rfd is not None:
+            os.close(rfd)
+        if pid is not None:
+            _stop(pid, cores)
+
+
+def _discard(record: OracleNode) -> None:
+    """The ``emit`` of ``build_oracle``, which keeps no build record."""
 
 
 def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     """The query store of the oracle for ``g`` from ``source``; each level's
-    record goes to ``emit`` in store order."""
+    record goes to ``emit`` in store order. Only a build that discards the
+    records uses the host's other cores: a worker's records would stay in
+    the worker."""
     spt = dijkstra(g, source)
     store = open_store(spt)
-    build_node(spt, 0, store, emit)
+    cores = _Cores.open() if emit is _discard else None
+    try:
+        build_node(spt, 0, store, emit, cores)
+    finally:
+        if cores is not None:
+            cores.close()
     return close_store(store)
 
 
@@ -231,4 +384,4 @@ def build_oracle(g: Graph, source: int) -> OracleTree:
         raise ValueError("input graphs must contain only original edges")
     if sum(e.weight for e in g.edges) >= INF:
         raise ValueError(f"edge weights must sum below 2**62 = {INF}")
-    return OracleTree(_build(g, source, lambda record: None), g)
+    return OracleTree(_build(g, source, _discard), g)

@@ -109,12 +109,17 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
 
     Faults off the t tree path leave the distance unchanged; destinations
     outside the source's component answer UNREACHABLE. With parallel edges
-    the tree copy fails.
+    the tree copy fails. ``t``, ``x`` and ``y`` must be ``int`` (a bool is
+    not), the rule ``build_oracle`` applies to the source.
     """
     store = oracle.store
     dist = store.dist
     n = len(dist)
     x, y = e
+    if type(t) is not int:
+        raise ValueError(f"destination {t!r} is not an integer vertex")
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"edge endpoints ({x!r}, {y!r}) are not integer vertices")
     if not (0 <= t < n):
         raise ValueError(f"destination {t} out of range [0, {n})")
     if not (0 <= x < n and 0 <= y < n):

@@ -20,6 +20,7 @@ a query's entry reads.
 
 from __future__ import annotations
 
+import os
 from array import array
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable
@@ -109,7 +110,7 @@ def open_store(spt: ShortestPathTree) -> QueryStore:
     reverse pass over ``order`` sums the sizes; a forward pass hands each
     child the next free range inside its parent's. Unreachable vertices
     keep number -1 and size 0, so no ancestor test involving them holds."""
-    s = QueryStore()
+    s = open_segment()
     g = spt.graph
     n = g.n
     parent = spt.parent
@@ -134,8 +135,7 @@ def open_store(spt: ShortestPathTree) -> QueryStore:
     s.tin = array("i", tin)
     s.size = array("i", size)
     s.edge_keys = array("q", sorted({min(e.u, e.v) * n + max(e.u, e.v) for e in g.edges}))
-    s.meta = array("q", [n, spt.source, 0, 0, 0])
-    s.dep_off.append(0)
+    s.meta[:2] = array("q", [n, spt.source])
     return s
 
 
@@ -222,6 +222,74 @@ def close_store(s: QueryStore) -> QueryStore:
 def _view(a: array) -> np.ndarray:
     """A zero-copy numpy view of one store array."""
     return np.frombuffer(a, dtype=a.typecode)
+
+
+# The arrays a subtree appends to: all from vbase on. The ones before it,
+# meta and the input graph's source tree and edge keys, are the whole store's.
+SEGMENT = tuple(name for name, _ in TABLE[TABLE.index(("vbase", "i")):])
+
+
+def open_segment() -> QueryStore:
+    """An empty store for a subtree built apart from the store it joins: its
+    node ids, bases and offsets start at 0, and ``splice_segment`` shifts
+    them to where the subtree lands."""
+    s = QueryStore()
+    s.meta = array("q", [0] * 5)
+    s.dep_off.append(0)
+    return s
+
+
+def _send(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int, size: int) -> bytearray:
+    data = bytearray(size)
+    view = memoryview(data)
+    got = 0
+    while got < size:
+        k = os.readv(fd, [view[got:]])
+        if not k:
+            raise EOFError("the segment ends early")
+        got += k
+    return data
+
+
+def send_segment(s: QueryStore, fd: int) -> None:
+    """Write the segment ``s`` to the pipe ``fd``: its depth, then each array
+    of ``SEGMENT`` as a byte count and its raw bytes."""
+    _send(fd, s.meta[3:4])
+    for name in SEGMENT:
+        a = getattr(s, name)
+        _send(fd, array("q", [len(a) * a.itemsize]))
+        _send(fd, a)
+
+
+def splice_segment(s: QueryStore, fd: int) -> None:
+    """Append the segment sent on ``fd`` to ``s`` as its next subtree in
+    preorder. Each array's bytes go onto the end of ``s``'s as they are, and
+    only the absolute fields are shifted, in place, by what ``s`` held
+    before: child node ids by its node count; the bases by its vertex-slot,
+    edge-slot and ``sr`` lengths; ``dep_off``, less the segment's leading 0,
+    by its departing entries; and the leaf row offsets in ``echild`` by its
+    rows. The depth is the deeper of the two."""
+    nodes, eslots, rows = len(s.left), len(s.eside), len(s.rows)
+    shift = {"vbase": len(s.lchild), "ebase": eslots, "srbase": len(s.sr), "dep_off": len(s.dep_len)}
+    start = {name: len(getattr(s, name)) for name in shift}
+    s.meta[3] = max(s.meta[3], array("q", _receive(fd, 8))[0])
+    for name in SEGMENT:
+        data = _receive(fd, array("q", _receive(fd, 8))[0])
+        getattr(s, name).frombytes(memoryview(data)[4:] if name == "dep_off" else data)
+    for name, by in shift.items():
+        _view(getattr(s, name))[start[name]:] += by
+    left = _view(s.left)[nodes:]
+    echild = _view(s.echild)[eslots:]
+    leaf_slot = np.repeat(left < 0, np.diff(_view(s.ebase)[nodes:], append=len(s.eside)))
+    echild[leaf_slot & (echild >= 0)] += rows
+    for ids in (left, _view(s.right)[nodes:]):
+        ids[ids >= 0] += nodes
 
 
 def check(s: QueryStore) -> None:

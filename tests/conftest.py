@@ -157,6 +157,13 @@ def split_sizes(store, i: int, node) -> tuple[int, int, int]:
     return reached, nm, nn
 
 
+def balanced(nr: int, *sizes: int) -> bool:
+    """The separator's balance predicate: every side size lies in
+    [floor(nr/3), ceil(2 nr/3) + 1], where nr vertices are reachable."""
+    lo, hi = nr // 3, -(-2 * nr // 3) + 1
+    return all(lo <= size <= hi for size in sizes)
+
+
 def with_weights(g: Graph, weights) -> Graph:
     """``g`` with edge ``eid`` reweighted to ``weights[eid]``."""
     return Graph(g.n, [Edge(e.u, e.v, w) for e, w in zip(g.edges, weights)])

@@ -23,6 +23,7 @@ from sdo.query import query, ssrp
 from sdo.spt import dijkstra, tree_path
 
 from conftest import (
+    balanced,
     best_departing,
     distances,
     primary_positions,
@@ -215,9 +216,8 @@ def test_criterion_6_structural_bounds(corpus):
             if oracle.store.left[i] < 0:
                 continue
             nr, nm, nn = split_sizes(oracle.store, i, node)
-            lo, hi = nr // 3, -(-2 * nr // 3) + 1
-            assert lo <= nm <= hi, (label, nr, nm, nn)
-            assert lo <= nn <= hi, (label, nr, nm, nn)
+            assert balanced(nr, nm), (label, nr, nm, nn)
+            assert balanced(nr, nn), (label, nr, nm, nn)
             splits += 1
         for t, pair, _ in fault_cases(oracle):
             d = query(oracle, t, pair).recursion_depth

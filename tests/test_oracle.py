@@ -1,10 +1,12 @@
 import gc
 import math
+import os
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdo import oracle as oracle_module
 from sdo.baseline import brute_ssrp
 from sdo.generators import (
     nested_arcs,
@@ -20,6 +22,7 @@ from sdo.spt import dijkstra, separator_split
 from sdo.store import INF, close_store, open_store
 
 from conftest import (
+    balanced,
     child_maps,
     distances,
     leaf_table,
@@ -107,6 +110,91 @@ def test_built_oracle_keeps_no_level_graph():
     assert live_graphs() == before
     assert all(oracle.graph is g for oracle, (_, g, _) in zip(oracles, corpus))
     assert sum(oracle.store.left[0] >= 0 for oracle in oracles) > 0
+
+
+class TestParallelBuild:
+    """``build_oracle`` hands far sides to forked workers while a core is
+    free, and splices their segments back in preorder."""
+
+    GRAPHS = {"arcs(32)": nested_arcs(32)[0], "chords(2048)": tree_plus_chords(2048, 4096, 17)}
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids the test's own process forks, on a host of two cores."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+        return pids
+
+    @pytest.mark.parametrize("label", GRAPHS)
+    def test_workers_give_the_serial_bytes(self, label, forks):
+        g = self.GRAPHS[label]
+        serial = dump_oracle(OracleTree(_build(g, 0, [].append)))
+        assert forks == []
+        assert dump_oracle(build_oracle(g, 0)) == serial
+        assert len(forks) >= 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_nested_workers_on_more_cores_than_the_host(self, forks, monkeypatch):
+        # four cores' tokens, and workers for far sides of 16 vertices, so
+        # that workers fork workers and more processes run than cores exist
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(oracle_module, "FORK_MIN_VERTICES", 16)
+        for g in self.GRAPHS.values():
+            assert dump_oracle(build_oracle(g, 0)) == dump_oracle(OracleTree(_build(g, 0, [].append)))
+        assert len(forks) >= 6
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_core_forks_nothing(self, forks, monkeypatch):
+        g = self.GRAPHS["chords(2048)"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+        one_core = dump_oracle(build_oracle(g, 0))
+        assert forks == []
+        assert one_core == dump_oracle(OracleTree(_build(g, 0, [].append)))
+
+    def test_a_failing_worker_fails_the_build(self, forks, monkeypatch):
+        here, build_dep = os.getpid(), oracle_module.build_dep
+
+        def build_dep_here(*args):
+            if os.getpid() != here:
+                raise ArithmeticError("injected in a worker")
+            return build_dep(*args)
+
+        monkeypatch.setattr(oracle_module, "build_dep", build_dep_here)
+        with pytest.raises(RuntimeError, match="worker failed: ArithmeticError.*injected"):
+            build_oracle(self.GRAPHS["chords(2048)"], 0)
+        assert len(forks) >= 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_build_ends_its_workers(self, forks, monkeypatch):
+        # the root forks before its near side, whose first table then fails
+        here, build_dep = os.getpid(), oracle_module.build_dep
+        calls = []
+
+        def build_dep_here(*args):
+            if os.getpid() == here:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise ArithmeticError("injected in the build's own process")
+            return build_dep(*args)
+
+        monkeypatch.setattr(oracle_module, "build_dep", build_dep_here)
+        with pytest.raises(ArithmeticError, match="injected in the build's own"):
+            build_oracle(self.GRAPHS["chords(2048)"], 0)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestLeaves:
@@ -370,8 +458,8 @@ def test_build_invariants_random(n, extra, seed):
     assert oracle.depth <= math.ceil(math.log(n, 1.5)) + 2
     for i, node in walk_internal(oracle):
         nr, nm, nn = split_sizes(oracle.store, i, node)
-        assert nr // 3 <= nm <= -(-2 * nr // 3) + 1
-        assert nr // 3 <= nn <= -(-2 * nr // 3) + 1
+        assert balanced(nr, nm)
+        assert balanced(nr, nn)
 
 
 @settings(max_examples=40, deadline=None)

@@ -69,6 +69,18 @@ class TestQuery:
         disconnected = build_oracle(Graph.from_pairs(5, [(0, 1), (2, 3), (3, 4)]), 0)
         with pytest.raises(ValueError):
             query(disconnected, 1, (2, 4))
+        # ids must be ints, as a source must: a bool or a float names no
+        # vertex, even where it compares equal to one
+        chords = build_oracle(tree_plus_chords(10, 5, 1), 0)
+        for t, e, named in (
+            (True, (0, 2), "destination True"),
+            (1.0, (0, 2), "destination 1.0"),
+            (2, (0.0, 2), r"endpoints \(0.0, 2\)"),
+            (2, (0, False), r"endpoints \(0, False\)"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                query(chords, t, e)
+        assert query(chords, 2, (0, 2)).distance == query(chords, 2, (2, 0)).distance
 
     def test_unreachable_destination(self):
         g = Graph.from_pairs(5, [(0, 1), (2, 3), (3, 4)])

@@ -14,6 +14,7 @@ from sdo.spt import (
 from sdo.store import INF, open_store
 
 from conftest import (
+    balanced,
     bellman_ford,
     min_simple_path,
     naive_lca,
@@ -177,13 +178,6 @@ def test_is_ancestor_matches_parent_walk(n, seed, cuts):
 def side_sizes(spt, split) -> tuple[int, int, int]:
     """(reachable count, |V_M|, |V_N|) of ``split``, a split of ``spt``."""
     return spt.reachable_count(), sum(split.in_m), sum(split.in_n)
-
-
-def balanced(nr: int, size_m: int, size_n: int) -> bool:
-    """The balance predicate: floor(nr/3) <= |V_M|, |V_N| <= ceil(2 nr/3) + 1."""
-    lo = nr // 3
-    hi = -(-2 * nr // 3) + 1
-    return lo <= size_m <= hi and lo <= size_n <= hi
 
 
 class TestSeparator:
