@@ -177,18 +177,33 @@ def make_right_child(g: Graph, source: int, in_n: list[bool]) -> Graft:
     return _graft(g, in_n, source, fresh=True)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Cores:
     """The free cores of one build, as tokens in a pipe that every process of
     the build shares: one per core beyond the first. A level that takes one
     without blocking may fork a worker for its far side; the worker gives it
     back once its subtree is built. A process blocked on a worker gives back
-    the core it runs on, and takes one again before it goes on."""
+    the core it runs on, and takes one again before it goes on.
+
+    A worker whose parent is gone, killed by a signal that runs no
+    ``finally``, leaves through ``os._exit``: nothing would take the subtree
+    it builds. It looks once per level and every ``ORPHAN_POLL_MS`` while
+    it waits, so a killed build's workers all end soon after it."""
 
     def __init__(self, tokens: int):
         self.take_fd, self.give_fd = os.pipe()
         os.set_blocking(self.take_fd, False)
         os.write(self.give_fd, b"." * tokens)
         self.owner = os.getpid()
+        # the pid that forked this process; None in the build's own process
+        self.parent: int | None = None
 
     @classmethod
     def open(cls) -> _Cores | None:
@@ -196,10 +211,7 @@ class _Cores:
         ``os.fork`` is missing, which keeps the build serial."""
         if not hasattr(os, "fork"):
             return None
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
         return cls(cpus - 1) if cpus > 1 else None
 
     def take(self) -> bool:
@@ -209,10 +221,19 @@ class _Cores:
             return False
 
     def wait(self) -> None:
-        ready = select.poll()
-        ready.register(self.take_fd, select.POLLIN)
         while not self.take():
-            ready.poll()
+            self.idle(self.take_fd)
+
+    def idle(self, fd: int) -> None:
+        """Block until ``fd`` is readable, or its writer has closed it."""
+        ready = select.poll()
+        ready.register(fd, select.POLLIN)
+        while not ready.poll(ORPHAN_POLL_MS):
+            self.leave_if_orphaned()
+
+    def leave_if_orphaned(self) -> None:
+        if self.parent is not None and os.getppid() != self.parent:
+            os._exit(1)
 
     def give(self) -> None:
         os.write(self.give_fd, b".")
@@ -226,6 +247,9 @@ class _Cores:
 # and the segment's trip cost more than the build they take off this core.
 FORK_MIN_VERTICES = 256
 
+# How often a worker blocked on a pipe looks whether its parent is gone.
+ORPHAN_POLL_MS = 100
+
 
 def _fork(graft: tuple[Graph, int], depth: int, emit: Emit, cores: _Cores) -> tuple[int, int]:
     """Build the subtree on ``graft`` in a forked worker; returns its pid and
@@ -234,12 +258,14 @@ def _fork(graft: tuple[Graph, int], depth: int, emit: Emit, cores: _Cores) -> tu
     every path, so it never returns into its caller's stack. A worker forked
     by the build's own process leads a process group, which its own workers
     join, so that one signal ends them all."""
-    lead = os.getpid() == cores.owner
+    forker = os.getpid()
+    lead = forker == cores.owner
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            cores.parent = forker
             if lead:
                 os.setpgid(0, 0)
             os.close(rfd)
@@ -268,6 +294,7 @@ def _join(pid: int, rfd: int, store: QueryStore, cores: _Cores) -> None:
     """Splice the worker's segment onto ``store``, then reap the worker.
     While it waits on the worker, this process gives back its core."""
     cores.give()
+    cores.idle(rfd)
     if os.read(rfd, 1) != b"\0":
         chunks = []
         while chunk := os.read(rfd, 1 << 16):
@@ -303,6 +330,8 @@ def build_node(
     built by a forked worker whenever a core is free, while this process
     builds the near side; its segment is then spliced in after the near
     side, so the store is the same as a serial build's, byte for byte."""
+    if cores is not None:
+        cores.leave_if_orphaned()
     g, source = spt_s.graph, spt_s.source
     node = OracleNode(g, source, depth)
     if spt_s.reachable_count() <= (4 if depth else 2):

@@ -4,20 +4,22 @@ Both read only the oracle's ``QueryStore``, so a built and a loaded oracle
 answer through the same code. ``query`` walks the recursion tree for one
 fault in plain Python (``_query_node``); ``ssrp`` walks it for all its
 records at once (``_descend``), one round of numpy operations per level over
-zero-copy views of the store arrays. Inside, distances are integers with INF
+zero-copy views of the store arrays and slot links built once per call, in
+one chunk of records per usable CPU (``_descend_on_cores``). Inside, distances are integers with INF
 for UNREACHABLE; the answers turn INF back into UNREACHABLE.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
 from .graphs import Distance, UNREACHABLE
-from .oracle import OracleTree
+from .oracle import OracleTree, usable_cpus
 from .store import CROSS, INF, LEFT, PRIMARY, RIGHT, QueryStore, _view
 
 
@@ -146,7 +148,80 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
     return QueryResult(UNREACHABLE if d >= INF else d, depth)
 
 
-def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> np.ndarray:
+# Kind code of an edge slot at a leaf that holds a row, in the descent's
+# copy of the side codes; a leaf slot without a row reads as CROSS.
+LEAF = RIGHT + 1
+
+# The fewest records a chunk of the descent gets. Smaller chunks hand the
+# interpreter lock back and forth between their many small numpy calls for
+# more than another core saves: on a 2-core VM, 2**15 records of
+# nested_arcs(64) descended 0.95x as fast in two chunks, 2**16 records
+# 1.18x as fast.
+CHUNK_MIN_RECORDS = 1 << 15
+
+
+@dataclass(frozen=True, slots=True)
+class _Links:
+    """The store's slots linked for one ``ssrp`` call, which every chunk of
+    its descent reads. A record descends as a (vertex slot, edge slot) pair,
+    global slot numbers both, so no level re-derives them from its node.
+
+    ``kind`` is each edge slot's side code, or LEAF. ``elink`` is each
+    edge slot's child edge slot, on the side its code names, and at a leaf
+    its row offset less the leaf's ``vbase``. ``vlink[2 * v]`` and
+    ``vlink[2 * v + 1]`` are vertex slot v's left and right child slots
+    (-1: none); ``vsep`` marks each internal node's separator slot; ``esr``
+    is each edge slot's index into ``sr``. ``key`` holds one sorted key per
+    departing entry (``_keys``)."""
+
+    kind: np.ndarray
+    elink: np.ndarray
+    vlink: np.ndarray
+    vsep: np.ndarray
+    esr: np.ndarray
+    key: np.ndarray
+    k: int
+
+
+def _keys(store: QueryStore) -> tuple[np.ndarray, int]:
+    """One sorted key per departing entry, slot * K + position + 1, so a
+    single searchsorted finds bisect_right within every segment at once.
+    K leaves room for any path position; clipping keeps a segment's keys
+    inside its slot's range without reordering them."""
+    dep_off = _view(store.dep_off)
+    k = int(np.diff(_view(store.srbase)).max()) + 2
+    owner = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64), np.diff(dep_off))
+    return owner * k + np.clip(_view(store.dep_dpi), -1, k - 2) + 1, k
+
+
+def _links(store: QueryStore) -> _Links:
+    """Link every slot of ``store`` to its child slots. A leaf has no child
+    vertex ids, so its vertex links are all -1."""
+    left, right, sep = _view(store.left), _view(store.right), _view(store.sep)
+    vbase, ebase, srbase = _view(store.vbase), _view(store.ebase), _view(store.srbase)
+    lchild, rchild = _view(store.lchild), _view(store.rchild)
+    eside, echild = _view(store.eside), _view(store.echild)
+    ids = np.arange(len(left))
+    inner = left >= 0
+    vnode = np.repeat(ids, np.diff(vbase))
+    enode = np.repeat(ids, np.diff(ebase))
+    vlink = np.empty((len(lchild), 2), dtype=np.intp)
+    vlink[:, 0] = np.where(lchild >= 0, vbase[left[vnode]] + lchild, -1)
+    vlink[:, 1] = np.where(rchild >= 0, vbase[right[vnode]] + rchild, -1)
+    vsep = np.zeros(len(lchild), dtype=bool)
+    vsep[(vbase[:-1] + sep)[inner]] = True
+    at_leaf = ~inner[enode]
+    kind = np.where(at_leaf, np.where(echild >= 0, LEAF, CROSS), eside).astype(np.int8)
+    child = np.where(eside == RIGHT, right[enode], left[enode])
+    # intp links index without a conversion at every level
+    elink = np.where(at_leaf, echild - vbase[enode], ebase[child] + echild).astype(np.intp)
+    esr = (srbase[enode] + _view(store.epos)).astype(np.intp)
+    return _Links(kind, elink, vlink.ravel(), vsep, esr, *_keys(store))
+
+
+def _descend(
+    store: QueryStore, links: _Links, t: np.ndarray, eid: np.ndarray, d0: np.ndarray
+) -> np.ndarray:
     """``_query_node`` for every record at once: one round of array
     operations per level, over the records still descending.
 
@@ -156,66 +231,64 @@ def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) 
     (``d0`` where t has no copy there). Answered records leave the arrays.
     Returns the distances with INF for UNREACHABLE, in the order of ``t``.
     """
-    left, right, sep = _view(store.left), _view(store.right), _view(store.sep)
-    vbase, ebase, srbase = _view(store.vbase), _view(store.ebase), _view(store.srbase)
-    lchild, rchild, dist_r = _view(store.lchild), _view(store.rchild), _view(store.dist_r)
-    eside, echild, epos = _view(store.eside), _view(store.echild), _view(store.epos)
-    sr, rows = _view(store.sr), _view(store.rows)
+    kind, elink, vlink, vsep, esr = links.kind, links.elink, links.vlink, links.vsep, links.esr
+    key, k = links.key, links.k
+    dist_r, epos, sr, rows = (_view(a) for a in (store.dist_r, store.epos, store.sr, store.rows))
     dep_off, dep_len = _view(store.dep_off), _view(store.dep_len)
-    # One sorted key per departing entry, slot * K + position + 1, so a
-    # single searchsorted finds bisect_right within every segment at once.
-    # K leaves room for any path position; clipping keeps a segment's keys
-    # inside its slot's range without reordering them.
-    k = int(np.diff(srbase).max()) + 2
-    owner = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64), np.diff(dep_off))
-    key = owner * k + np.clip(_view(store.dep_dpi), -1, k - 2) + 1
 
     out = d0.copy()
     idx = np.arange(len(t))
-    node = np.zeros(len(t), dtype=np.intp)
+    # the root's slots start at 0, so its vertex and edge ids are slots
+    vs, es = t, eid
     best = np.full(len(t), INF, dtype=np.int64)
     while len(idx):
-        child = left[node]
-        es = ebase[node] + eid
-        leaf = child < 0
-        if leaf.any():
-            row = echild[es[leaf]]
-            hit = row >= 0
-            at = np.flatnonzero(leaf)[hit]
-            out[idx[at]] = np.minimum(rows[row[hit] + t[at]], best[at])
-            inner = ~leaf
-            idx, node, t, es, best, child = (
-                idx[inner], node[inner], t[inner], es[inner], best[inner], child[inner])
-        vs = vbase[node] + t
-        side = eside[es]
-        to_right = side == RIGHT
-        ct = np.where(to_right, rchild[vs], lchild[vs])
-        child = np.where(to_right, right[node], child)
+        side = kind[es]
+        # a leaf slot links to no child, so its records stop here too
+        ct = vlink[2 * vs + (side == RIGHT)]
         go = (side != CROSS) & (ct >= 0)
+        leaf = np.flatnonzero(side == LEAF)
+        if len(leaf):
+            out[idx[leaf]] = np.minimum(rows[elink[es[leaf]] + vs[leaf]], best[leaf])
         prim = np.flatnonzero(side == PRIMARY)
         if len(prim):
-            pn, pvs = node[prim], vs[prim]
-            pos = epos[es[prim]]
+            pvs, pes = vs[prim], es[prim]
+            pos = epos[pes]
             # saturating sr + dist_r: INF + INF would wrap in int64
             b = dist_r[pvs]
-            cand = np.minimum(sr[srbase[pn] + pos], INF - b) + b
-            i = np.searchsorted(key, pvs.astype(np.int64) * k + pos + 1, side="right")
+            cand = np.minimum(sr[esr[pes]], INF - b) + b
+            i = np.searchsorted(key, pvs * k + pos + 1, side="right")
             has = np.flatnonzero(i > dep_off[pvs])
             cand[has] = np.minimum(cand[has], dep_len[i[has] - 1])
             pb = np.minimum(best[prim], cand)
             best[prim] = pb
-            stop = (t[prim] == sep[pn]) | (ct[prim] < 0)
+            stop = vsep[pvs] | (ct[prim] < 0)
             out[idx[prim[stop]]] = pb[stop]
             go[prim[stop]] = False
-        idx, node, t, eid, best = idx[go], child[go], ct[go], echild[es[go]], best[go]
+        idx, vs, es, best = idx[go], ct[go], elink[es[go]], best[go]
     return out
+
+
+def _descend_on_cores(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> np.ndarray:
+    """``_descend`` over one contiguous chunk of the records per usable CPU,
+    as far as each chunk gets ``CHUNK_MIN_RECORDS``; a smaller call is one
+    chunk. The calling thread takes the first chunk and a thread each the
+    others; numpy releases the GIL in the gathers, ufuncs and searches, so
+    the chunks run in parallel. Every thread is joined before this returns
+    or raises."""
+    links = _links(store)
+    chunks = max(1, min(usable_cpus(), len(t) // CHUNK_MIN_RECORDS))
+    cut = [len(t) * c // chunks for c in range(chunks + 1)]
+    parts = [(t[a:b], eid[a:b], d0[a:b]) for a, b in zip(cut, cut[1:])]
+    with ThreadPoolExecutor(chunks) as pool:
+        rest = [pool.submit(_descend, store, links, *part) for part in parts[1:]]
+        return np.concatenate([_descend(store, links, *parts[0])] + [f.result() for f in rest])
 
 
 def ssrp(oracle: OracleTree) -> SsrpOutput:
     """For every reachable destination and every tree edge above it, the
     avoiding distance; records ordered by destination then edge depth.
 
-    All records descend together (``_descend``). Climbing the source tree
+    All records descend together (``_descend_on_cores``). Climbing the source tree
     from every destination at once gives each its depth; record (t, j-th
     edge up from t) then lands at slot ``off[t] + depth[t] - 1 - j``, where
     ``off`` sums the depths before t, which is the record order without a
@@ -242,7 +315,7 @@ def ssrp(oracle: OracleTree) -> SsrpOutput:
     for j, (live, cur) in enumerate(climb):
         lower[end[live] - 1 - j] = cur
     t = np.repeat(ts, depth)
-    d = _descend(store, t, _view(store.parent_edge)[lower], dist[t])
+    d = _descend_on_cores(store, t, _view(store.parent_edge)[lower], dist[t])
     ds = d.tolist()
     for i in np.flatnonzero(d >= INF).tolist():
         ds[i] = UNREACHABLE

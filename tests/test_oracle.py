@@ -2,6 +2,10 @@ import gc
 import math
 import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +199,58 @@ class TestParallelBuild:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_killed_build_leaves_no_worker_running(self, tmp_path):
+        # SIGKILL runs no finally, so the workers must notice on their own
+        # that their parent is gone; a zombie has ended, awaiting its reaper
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to tell a zombie from a running worker")
+        log = tmp_path / "pids"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", KILLED_BUILD, str(log)],
+            env={**os.environ, "PYTHONPATH": str(Path(oracle_module.__file__).parents[1])},
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (log.exists() and log.read_text()) and proc.poll() is None:
+                assert time.monotonic() < deadline, "the build forked no worker"
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        pids = [int(line) for line in log.read_text().split()]
+        assert pids
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 1
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [pid for pid in pids if running(pid)] == []
+
+
+# A build on two cores that appends the pid of every worker to the file
+# named by its argument, from whichever process forked it.
+KILLED_BUILD = """
+import os, sys
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+fork = os.fork
+def logged():
+    pid = fork()
+    if pid:
+        os.write(log, b"%d\\n" % pid)
+    return pid
+os.fork = logged
+os.sched_getaffinity = lambda _: {0, 1}
+from sdo.generators import tree_plus_chords
+from sdo.oracle import build_oracle
+build_oracle(tree_plus_chords(16384, 32768, 42), 0)
+"""
 
 
 class TestLeaves:

@@ -1,5 +1,10 @@
 import hashlib
+import importlib
+import os
+import random
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,9 @@ from sdo.spt import tree_path
 from sdo.store import INF, PRIMARY, check
 
 from conftest import path_graph, rejoin_gadget, root_primary_candidates, source_tree, with_weights
+
+# the module: the package's ``sdo.query`` attribute is the function
+query_module = importlib.import_module("sdo.query")
 
 
 def all_fault_pairs(oracle):
@@ -390,3 +398,148 @@ def test_ssrp_equals_brute_force_at_n_1024():
     records = ssrp(build_oracle(g, 0)).records
     assert len(records) == 4060
     assert records == brute_ssrp(g, 0).records
+
+
+@pytest.fixture(scope="module")
+def chunk_oracles():
+    return {
+        "arcs(32)": build_oracle(nested_arcs(32)[0], 0),
+        "chords(4096)": build_oracle(tree_plus_chords(4096, 8192, 42), 0),
+    }
+
+
+class TestChunkedDescent:
+    """A large ssrp() call descends in one chunk per usable CPU: the calling
+    thread takes the first, a thread each the others."""
+
+    @pytest.fixture
+    def report_cpus(self, monkeypatch):
+        """Chunk every call of 64 records or more; returns a setter for the
+        CPUs the host reports, and counts the threads started."""
+        monkeypatch.setattr(query_module, "CHUNK_MIN_RECORDS", 64)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+
+        def report(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
+            return started
+
+        return report
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        """The record count of every ``_descend`` call."""
+        sizes = []
+        descend = query_module._descend
+
+        def sized(store, links, t, eid, d0):
+            sizes.append(len(t))
+            return descend(store, links, t, eid, d0)
+
+        monkeypatch.setattr(query_module, "_descend", sized)
+        return sizes
+
+    @pytest.mark.parametrize("label", ["arcs(32)", "chords(4096)"])
+    def test_chunks_give_the_one_chunk_records(self, label, chunk_oracles, report_cpus, chunk_sizes):
+        oracle = chunk_oracles[label]
+        report_cpus(1)
+        one = ssrp(oracle).records
+        assert chunk_sizes == [len(one)]
+        # more chunk threads than the host's cores, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (2, 4):
+                report_cpus(cpus)
+                chunk_sizes.clear()
+                assert ssrp(oracle).records == one
+                assert len(chunk_sizes) == cpus and sum(chunk_sizes) == len(one)
+                assert max(chunk_sizes) - min(chunk_sizes) <= 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("where", ["calling thread", "chunk threads"])
+    def test_a_failing_chunk_fails_ssrp(self, where, chunk_oracles, report_cpus, monkeypatch):
+        report_cpus(4)
+        baseline = threading.active_count()
+        descend = query_module._descend
+
+        def fails(*args):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (where == "calling thread"):
+                raise ArithmeticError(f"injected in the {where}")
+            return descend(*args)
+
+        monkeypatch.setattr(query_module, "_descend", fails)
+        with pytest.raises(ArithmeticError, match=f"injected in the {where}"):
+            ssrp(chunk_oracles["arcs(32)"])
+        assert threading.active_count() == baseline
+
+    def test_no_thread_outlives_a_call(self, chunk_oracles, report_cpus):
+        baseline = threading.active_count()
+        for cpus in (2, 4, 8):
+            started = report_cpus(cpus)
+            for oracle in chunk_oracles.values():
+                started.clear()
+                ssrp(oracle)
+                # a pool thread done with its chunk may take the next one
+                assert 1 <= len(started) <= cpus - 1
+                assert threading.active_count() == baseline
+                assert not any(thread.is_alive() for thread in started)
+
+    def test_one_cpu_starts_no_thread(self, chunk_oracles, report_cpus):
+        started = report_cpus(1)
+        for oracle in chunk_oracles.values():
+            ssrp(oracle)
+        assert started == []
+
+    def test_chunks_get_the_least_records(self, chunk_oracles, report_cpus, chunk_sizes, monkeypatch):
+        # arcs(32) has 32,281 records: three chunks of at least 10,000 on
+        # four CPUs, and one chunk where two could not get 20,000 each
+        started = report_cpus(4)
+        for least, sizes in ((10_000, [10_760, 10_760, 10_761]), (20_000, [32_281])):
+            monkeypatch.setattr(query_module, "CHUNK_MIN_RECORDS", least)
+            started.clear()
+            chunk_sizes.clear()
+            ssrp(chunk_oracles["arcs(32)"])
+            assert sorted(chunk_sizes) == sizes
+            assert min(len(sizes) - 1, 1) <= len(started) <= len(sizes) - 1
+
+
+def relabel(g: Graph, seed: int) -> tuple[Graph, list[int]]:
+    """``g`` with its vertices renamed by a random permutation and its edges
+    shuffled; returns the copy and the permutation, old id -> new id."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [Edge(perm[e.u], perm[e.v], e.weight) for e in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, edges), perm
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: nested_arcs(16)[0], lambda: tree_plus_chords(512, 1024, 3)],
+    ids=["arcs(16)", "chords(512)"],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_labels_do_not_change_answers(make, seed):
+    # a simple graph names each edge by its ends, so a record of the
+    # relabelled oracle names the same fault of the original graph; the two
+    # source trees may differ in ties, but replacement distances cannot
+    g = make()
+    assert len({(min(e.u, e.v), max(e.u, e.v)) for e in g.edges}) == g.m
+    moved, perm = relabel(g, seed)
+    back = [0] * g.n
+    for old, new in enumerate(perm):
+        back[new] = old
+    original = build_oracle(g, 0)
+    records = ssrp(build_oracle(moved, perm[0])).records
+    assert len(records) == len(ssrp(original).records)
+    for t, (x, y), d in records:
+        assert query(original, back[t], (back[x], back[y])).distance == d, (t, x, y)
