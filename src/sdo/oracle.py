@@ -192,10 +192,11 @@ class _Cores:
     back once its subtree is built. A process blocked on a worker gives back
     the core it runs on, and takes one again before it goes on.
 
-    A worker whose parent is gone, killed by a signal that runs no
-    ``finally``, leaves through ``os._exit``: nothing would take the subtree
-    it builds. It looks once per level and every ``ORPHAN_POLL_MS`` while
-    it waits, so a killed build's workers all end soon after it."""
+    A parent killed by a signal that runs no ``finally`` cannot stop its
+    workers, so a worker whose parent is gone leaves through ``os._exit``:
+    nothing would take the subtree it builds. It looks once per level and
+    every ``ORPHAN_POLL_MS`` while it waits, so a killed build's workers all
+    end soon after it."""
 
     def __init__(self, tokens: int):
         self.take_fd, self.give_fd = os.pipe()
