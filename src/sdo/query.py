@@ -172,7 +172,7 @@ class _Links:
     ``vlink[2 * v + 1]`` are vertex slot v's left and right child slots
     (-1: none); ``vsep`` marks each internal node's separator slot; ``esr``
     is each edge slot's index into ``sr``. ``key`` holds one sorted key per
-    departing entry (``_keys``)."""
+    departing entry and ``k`` their stride per vertex slot (``_keys``)."""
 
     kind: np.ndarray
     elink: np.ndarray

@@ -414,8 +414,8 @@ class TestChunkedDescent:
 
     @pytest.fixture
     def report_cpus(self, monkeypatch):
-        """Chunk every call of 64 records or more; returns a setter for the
-        CPUs the host reports, and counts the threads started."""
+        """Let a chunk be as small as 64 records; returns a setter for the
+        CPUs the host reports, which returns the threads started."""
         monkeypatch.setattr(query_module, "CHUNK_MIN_RECORDS", 64)
         started = []
         start = threading.Thread.start
