@@ -1,26 +1,28 @@
 """Fault queries and full single-source enumeration over the query store.
 
 Both read only the oracle's ``QueryStore``, so a built and a loaded oracle
-answer through the same code. ``query`` walks the recursion tree for one
-fault in plain Python (``_query_node``); ``ssrp`` walks it for all its
-records at once (``_descend``), one round of numpy operations per level over
-zero-copy views of the store arrays and slot links built once per call, in
-one chunk of records per usable CPU (``_descend_on_cores``). Inside, distances are integers with INF
-for UNREACHABLE; the answers turn INF back into UNREACHABLE.
+answer through the same code, and both walk one slot index that a store
+builds on first use (``_links``). ``query`` walks it for one fault in plain
+Python (``_query_node``); ``ssrp`` for all its records at once (``_descend``),
+one round of numpy operations per level, in one chunk of records per usable
+CPU (``_descend_on_cores``). Inside, distances are integers with INF for
+UNREACHABLE; the answers turn INF back into UNREACHABLE.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import Distance, UNREACHABLE
 from .oracle import OracleTree, usable_cpus
-from .store import CROSS, INF, LEFT, PRIMARY, RIGHT, QueryStore, _view
+from .store import CROSS, INF, PRIMARY, RIGHT, QueryStore, _view
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,60 +52,46 @@ def _query_node(
     store: QueryStore, t: int, eid: int, d0: int, depth: int
 ) -> tuple[int, int]:
     """Descend from the root for destination t and fault eid, both in the
-    ids of the node reached.
+    root's ids: ``_descend`` for one record, over the same slot index.
 
-    At each level the edge slot's side code says whether the fault lies on
-    the primary path, inside one side or across the split. A primary-path
-    fault offers the level's own candidates (the jump through the separator
-    and the departing segment of t), and the descent carries the best of
-    them on into side M, where a shorter route may stay. The descent goes on
-    into the side holding the fault while t lies there too; ``d0``, the
-    unfaulted distance to t, answers wherever the fault misses t's tree path:
-    every candidate is a walk from the source, so none beats ``d0``.
+    At each level the edge slot's kind says whether the fault lies on the
+    primary path, inside one side or across the split. A primary-path fault
+    offers the level's own candidates (the jump through the separator and
+    the departing segment of t), and the descent carries the best of them on
+    into side M, where a shorter route may stay. The descent goes on into
+    the side holding the fault while t lies there too; ``d0``, the unfaulted
+    distance to t, answers wherever the fault misses t's tree path: every
+    candidate is a walk from the source, so none beats ``d0``.
     """
-    left, vbase, ebase = store.left, store.vbase, store.ebase
-    eside, echild, lchild = store.eside, store.echild, store.lchild
-    node = 0
+    kind, elink, vlink, vsep, esr, key, k = store.links or _links(store)
+    # the root's slots start at 0, so its vertex and edge ids are slots
+    vs, es = t, eid
     best = INF
     while True:
-        child = left[node]
-        if child < 0:
-            break
-        es = ebase[node] + eid
-        vs = vbase[node] + t
-        side = eside[es]
+        side = kind[es]
+        if side == LEAF:
+            d = store.rows[elink[es] + vs]
+            return (d if d < best else best), depth
+        if side == CROSS:
+            return d0, depth
+        ct = vlink[2 * vs + (side == RIGHT)]
         if side == PRIMARY:
             pos = store.epos[es]
-            cand = store.sr[store.srbase[node] + pos] + store.dist_r[vs]
+            cand = store.sr[esr[es]] + store.dist_r[vs]
             if cand < best:
                 best = cand
             # a destination on the path has an empty segment
-            dep_off = store.dep_off
-            lo = dep_off[vs]
-            i = bisect_right(store.dep_dpi, pos, lo, dep_off[vs + 1])
+            lo = store.dep_off[vs]
+            i = bisect_right(key, vs * k + pos + 1, lo, store.dep_off[vs + 1])
             if i > lo:
                 cand = store.dep_len[i - 1]
                 if cand < best:
                     best = cand
-            ct = lchild[vs]
-            if t == store.sep[node] or ct < 0:
+            if vsep[vs] or ct < 0:
                 return best, depth
-        elif side == LEFT:
-            ct = lchild[vs]
-        elif side == RIGHT:
-            child = store.right[node]
-            ct = store.rchild[vs]
-        else:
+        elif ct < 0:
             return d0, depth
-        if ct < 0:
-            return d0, depth
-        node, t, eid, depth = child, ct, echild[es], depth + 1
-    row = echild[ebase[node] + eid]
-    if row < 0:
-        # the leaf's source does not reach the fault
-        return d0, depth
-    d = store.rows[row + t]
-    return (d if d < best else best), depth
+        vs, es, depth = ct, elink[es], depth + 1
 
 
 def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
@@ -148,7 +136,7 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
     return QueryResult(UNREACHABLE if d >= INF else d, depth)
 
 
-# Kind code of an edge slot at a leaf that holds a row, in the descent's
+# Kind code of an edge slot at a leaf that holds a row, in the slot index's
 # copy of the side codes; a leaf slot without a row reads as CROSS.
 LEAF = RIGHT + 1
 
@@ -160,11 +148,11 @@ LEAF = RIGHT + 1
 CHUNK_MIN_RECORDS = 1 << 15
 
 
-@dataclass(frozen=True, slots=True)
-class _Links:
-    """The store's slots linked for one ``ssrp`` call, which every chunk of
-    its descent reads. A record descends as a (vertex slot, edge slot) pair,
-    global slot numbers both, so no level re-derives them from its node.
+class _Links(NamedTuple):
+    """The store's slots linked to their child slots, which both descents
+    walk. A record descends as a (vertex slot, edge slot) pair, global slot
+    numbers both, so no level re-derives them from its node. The arrays hold
+    structure only, no distance.
 
     ``kind`` is each edge slot's side code, or LEAF. ``elink`` is each
     edge slot's child edge slot, on the side its code names, and at a leaf
@@ -172,51 +160,58 @@ class _Links:
     ``vlink[2 * v + 1]`` are vertex slot v's left and right child slots
     (-1: none); ``vsep`` marks each internal node's separator slot; ``esr``
     is each edge slot's index into ``sr``. ``key`` holds one sorted key per
-    departing entry and ``k`` their stride per vertex slot (``_keys``)."""
+    departing entry, slot * k + position + 1, so a bisect_right on it finds
+    the entries departing at or above a position within any segment."""
 
-    kind: np.ndarray
-    elink: np.ndarray
-    vlink: np.ndarray
-    vsep: np.ndarray
-    esr: np.ndarray
-    key: np.ndarray
+    kind: array
+    elink: array
+    vlink: array
+    vsep: array
+    esr: array
+    key: array
     k: int
 
 
-def _keys(store: QueryStore) -> tuple[np.ndarray, int]:
-    """One sorted key per departing entry, slot * K + position + 1, so a
-    single searchsorted finds bisect_right within every segment at once.
-    K leaves room for any path position; clipping keeps a segment's keys
-    inside its slot's range without reordering them."""
-    dep_off = _view(store.dep_off)
-    k = int(np.diff(_view(store.srbase)).max()) + 2
-    owner = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64), np.diff(dep_off))
-    return owner * k + np.clip(_view(store.dep_dpi), -1, k - 2) + 1, k
-
-
 def _links(store: QueryStore) -> _Links:
+    """The slot index of the closed ``store``, built by the first call and
+    kept in ``store.links``; the store's structure must not change after.
+    Two threads racing here may both build it, and either copy serves."""
+    if store.links is None:
+        store.links = _build_links(store)
+    return store.links
+
+
+def _build_links(store: QueryStore) -> _Links:
     """Link every slot of ``store`` to its child slots. A leaf has no child
-    vertex ids, so its vertex links are all -1."""
+    vertex ids, so its vertex links are all -1. The key stride k leaves room
+    for any path position; clipping keeps a segment's keys inside its slot's
+    range without reordering them."""
     left, right, sep = _view(store.left), _view(store.right), _view(store.sep)
     vbase, ebase, srbase = _view(store.vbase), _view(store.ebase), _view(store.srbase)
     lchild, rchild = _view(store.lchild), _view(store.rchild)
-    eside, echild = _view(store.eside), _view(store.echild)
-    ids = np.arange(len(left))
+    eside, echild, dep_off = _view(store.eside), _view(store.echild), _view(store.dep_off)
+    # per-node values repeat over the node's slots (a leaf's -1 children
+    # read a base that the masks then drop)
+    nv, ne = np.diff(vbase), np.diff(ebase)
     inner = left >= 0
-    vnode = np.repeat(ids, np.diff(vbase))
-    enode = np.repeat(ids, np.diff(ebase))
-    vlink = np.empty((len(lchild), 2), dtype=np.intp)
-    vlink[:, 0] = np.where(lchild >= 0, vbase[left[vnode]] + lchild, -1)
-    vlink[:, 1] = np.where(rchild >= 0, vbase[right[vnode]] + rchild, -1)
+    vlink = np.empty((len(lchild), 2), dtype=np.int64)
+    vlink[:, 0] = np.where(lchild >= 0, np.repeat(vbase[left], nv) + lchild, -1)
+    vlink[:, 1] = np.where(rchild >= 0, np.repeat(vbase[right], nv) + rchild, -1)
     vsep = np.zeros(len(lchild), dtype=bool)
     vsep[(vbase[:-1] + sep)[inner]] = True
-    at_leaf = ~inner[enode]
-    kind = np.where(at_leaf, np.where(echild >= 0, LEAF, CROSS), eside).astype(np.int8)
-    child = np.where(eside == RIGHT, right[enode], left[enode])
-    # intp links index without a conversion at every level
-    elink = np.where(at_leaf, echild - vbase[enode], ebase[child] + echild).astype(np.intp)
-    esr = (srbase[enode] + _view(store.epos)).astype(np.intp)
-    return _Links(kind, elink, vlink.ravel(), vsep, esr, *_keys(store))
+    at_leaf = np.repeat(~inner, ne)
+    kind = np.where(at_leaf, np.where(echild >= 0, LEAF, CROSS), eside)
+    child = np.where(eside == RIGHT, np.repeat(ebase[right], ne), np.repeat(ebase[left], ne))
+    elink = np.where(at_leaf, echild - np.repeat(vbase[:-1], ne), child + echild)
+    esr = np.repeat(srbase[:-1], ne) + _view(store.epos)
+    k = int(np.diff(srbase).max()) + 2
+    owner = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64), np.diff(dep_off))
+    key = owner * k + np.clip(_view(store.dep_dpi), -1, k - 2) + 1
+    # "q" arrays view as int64, which indexes without a conversion per level
+    links = [array(code) for code in "bqqbqq"]
+    for a, values in zip(links, (kind, elink, vlink, vsep, esr, key)):
+        a.frombytes(values.astype(a.typecode, copy=False).view("B"))
+    return _Links(*links, k)
 
 
 def _descend(
@@ -231,8 +226,8 @@ def _descend(
     (``d0`` where t has no copy there). Answered records leave the arrays.
     Returns the distances with INF for UNREACHABLE, in the order of ``t``.
     """
-    kind, elink, vlink, vsep, esr = links.kind, links.elink, links.vlink, links.vsep, links.esr
-    key, k = links.key, links.k
+    kind, elink, vlink, vsep, esr, key = map(_view, links[:6])
+    vsep, k = vsep.view(bool), links.k
     dist_r, epos, sr, rows = (_view(a) for a in (store.dist_r, store.epos, store.sr, store.rows))
     dep_off, dep_len = _view(store.dep_off), _view(store.dep_len)
 
@@ -271,10 +266,11 @@ def _descend(
 def _descend_on_cores(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> np.ndarray:
     """``_descend`` over one contiguous chunk of the records per usable CPU,
     as far as each chunk gets ``CHUNK_MIN_RECORDS``; a smaller call is one
-    chunk. The calling thread takes the first chunk and a thread each the
-    others; numpy releases the GIL in the gathers, ufuncs and searches, so
-    the chunks run in parallel. Every thread is joined before this returns
-    or raises."""
+    chunk. The slot index (``_links``) is built before any thread starts.
+    The calling thread takes the first chunk and a thread each the others;
+    numpy releases the GIL in the gathers, ufuncs and searches, so the
+    chunks run in parallel. Every thread is joined before this returns or
+    raises."""
     links = _links(store)
     chunks = max(1, min(usable_cpus(), len(t) // CHUNK_MIN_RECORDS))
     cut = [len(t) * c // chunks for c in range(chunks + 1)]

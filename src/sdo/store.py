@@ -79,13 +79,16 @@ TABLE = (
 )
 
 class QueryStore:
-    """Every table a query reads, one ``array`` per entry of ``TABLE``."""
+    """Every table a query reads, one ``array`` per entry of ``TABLE``, and
+    ``links``, the slot index derived from them on first use (None before;
+    ``sdo.query._links``), which no file holds and ``arrays()`` omits."""
 
-    __slots__ = tuple(name for name, _ in TABLE)
+    __slots__ = tuple(name for name, _ in TABLE) + ("links",)
 
     def __init__(self):
         for name, code in TABLE:
             setattr(self, name, array(code))
+        self.links = None
 
     def arrays(self) -> list[tuple[str, array]]:
         return [(name, getattr(self, name)) for name, _ in TABLE]

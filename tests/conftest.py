@@ -7,6 +7,7 @@ exhaustive path enumeration on tiny graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain, compress, count, islice, repeat
 from operator import add, eq, ge, le, lt, sub
 
@@ -208,6 +209,58 @@ def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
     lo, hi = store.dep_off[store.vbase[0] + t], store.dep_off[store.vbase[0] + t + 1]
     segment = DepArray(store.dep_len[lo:hi], store.dep_dpi[lo:hi])
     return [sr + dist_r, best_departing(segment, pos)]
+
+
+def node_walk(store: QueryStore, t: int, eid: int, d0: int, depth: int) -> tuple[int, int]:
+    """The descent of ``_query_node`` in node-relative ids, the reference
+    both descents must match: it reads the store's node arrays (``left``,
+    ``right``, the bases, the child ids, ``sep``) rather than the slot
+    index the library builds from them, so a fault in that index shows.
+    Returns (distance with INF, depth reached)."""
+    left, vbase, ebase = store.left, store.vbase, store.ebase
+    eside, echild, lchild = store.eside, store.echild, store.lchild
+    node = 0
+    best = INF
+    while True:
+        child = left[node]
+        if child < 0:
+            break
+        es = ebase[node] + eid
+        vs = vbase[node] + t
+        side = eside[es]
+        if side == PRIMARY:
+            pos = store.epos[es]
+            cand = store.sr[store.srbase[node] + pos] + store.dist_r[vs]
+            if cand < best:
+                best = cand
+            # a destination on the path has an empty segment
+            dep_off = store.dep_off
+            lo = dep_off[vs]
+            i = bisect_right(store.dep_dpi, pos, lo, dep_off[vs + 1])
+            if i > lo:
+                cand = store.dep_len[i - 1]
+                if cand < best:
+                    best = cand
+            ct = lchild[vs]
+            if t == store.sep[node] or ct < 0:
+                return best, depth
+        elif side == LEFT:
+            ct = lchild[vs]
+        elif side == RIGHT:
+            child = store.right[node]
+            ct = store.rchild[vs]
+        else:
+            return d0, depth
+        if ct < 0:
+            return d0, depth
+        node, t, eid, depth = child, ct, echild[es], depth + 1
+    row = echild[ebase[node] + eid]
+    if row < 0:
+        # the leaf's source does not reach the fault
+        return d0, depth
+    d = store.rows[row + t]
+    return (d if d < best else best), depth
+
 
 def _non_decreasing(a) -> bool:
     return all(map(le, a, islice(a, 1, None)))

@@ -19,7 +19,7 @@ from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
 from sdo.store import INF, PRIMARY, check
 
-from conftest import path_graph, rejoin_gadget, root_primary_candidates, source_tree, with_weights
+from conftest import node_walk, path_graph, rejoin_gadget, root_primary_candidates, source_tree, with_weights
 
 # the module: the package's ``sdo.query`` attribute is the function
 query_module = importlib.import_module("sdo.query")
@@ -345,11 +345,14 @@ def test_weights_summing_just_below_inf_answer_exactly():
 
 
 def assert_ssrp_matches_the_scalar_descent(oracle):
-    """Every ssrp record, answered by the batched descent, equals
-    ``_query_node`` run for that record alone on the same store."""
+    """Every ssrp record, answered by the batched descent, and
+    ``_query_node`` run for that record alone both equal the node-relative
+    reference walk on the same store, which reads no slot index."""
     store = oracle.store
     for t, (x, y), d in ssrp(oracle).records:
-        want, _ = _query_node(store, t, store.parent_edge[y], store.dist[t], 0)
+        eid = store.parent_edge[y]
+        want, depth = node_walk(store, t, eid, store.dist[t], 0)
+        assert _query_node(store, t, eid, store.dist[t], 0) == (want, depth), (t, x, y)
         assert d == (UNREACHABLE if want >= INF else want), (t, x, y)
         assert d is UNREACHABLE or d >= 0
 
@@ -391,6 +394,39 @@ def test_inf_candidates_saturate_in_the_batched_descent():
     store.dist_r[t] = INF
     check(store)
     assert_ssrp_matches_the_scalar_descent(oracle)
+
+
+def test_the_slot_index_is_built_once_per_store(monkeypatch):
+    built = []
+    build = query_module._build_links
+
+    def counted(store):
+        built.append(store)
+        return build(store)
+
+    monkeypatch.setattr(query_module, "_build_links", counted)
+    oracle = build_oracle(tree_plus_chords(300, 600, 7), 0)
+    store = oracle.store
+    before = dump_oracle(oracle)
+    faults = [(t, e) for t, e, _ in all_fault_pairs(oracle)]
+    assert store.links is None
+    want = query(oracle, *faults[0])
+    records = ssrp(oracle).records
+    assert ssrp(oracle).records == records
+    assert built == [store] and store.links is not None
+    # the index is derived state: never written, never listed as an array
+    assert dump_oracle(oracle) == before
+    assert "links" not in dict(store.arrays())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.oracle"
+        save_oracle(oracle, path)
+        loaded = load_oracle(path)
+    assert loaded.store.links is None and len(built) == 1
+    assert query(loaded, *faults[0]) == want
+    assert built == [store, loaded.store]
+    assert [query(loaded, t, e) for t, e in faults] == [query(oracle, t, e) for t, e in faults]
+    assert ssrp(loaded).records == records
+    assert len(built) == 2
 
 
 def test_ssrp_equals_brute_force_at_n_1024():
