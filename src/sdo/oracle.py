@@ -8,11 +8,11 @@ graph itself, and a vertex the source cannot reach enters neither side.
 Grafting preserves distances from the source, so every node vertex lies at
 its original vertex's input-graph distance, and the oracle keeps that one
 source tree for the whole recursion. Each level appends its rows to a
-``QueryStore`` of flat arrays, the only thing queries read and files hold,
-and drops its graph before it recurses; ``OracleTree.nodes()`` replays the
-build for the levels' records. On a host with a free core, a level may hand
-its far side to a forked worker, which builds it into a segment store that
-is spliced in after the near side.
+``BuildStore`` of flat arrays and drops its graph before it recurses; then
+``close_store`` makes the ``QueryStore``, all that queries read and files
+hold. ``OracleTree.nodes()`` replays the build for the levels' records. On
+a host with a free core, a level may hand its far side to a forked worker,
+which builds it into a segment store that is spliced in after the near side.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .spt import (
 )
 from .store import (
     INF,
+    BuildStore,
     QueryStore,
     _original_count,
     append_node,
@@ -54,7 +55,7 @@ class OracleNode:
     """The build record of one recursion level: its graph, primary path and
     the tables built on it. Queries never read it and the oracle keeps none;
     the build passes it to ``emit``. Record ``i`` is store node ``i``, whose
-    ``left``, ``right`` and ``sep`` give its children and separator.
+    ``left`` and ``right`` give its children and ``vsep`` its separator slot.
     """
 
     graph: Graph
@@ -102,7 +103,7 @@ class OracleTree:
         return levels
 
 
-def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> OracleNode:
+def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: BuildStore) -> OracleNode:
     """Tabulate the source distances avoiding each original edge the source
     reaches (an edge with one reached end has both); a fault elsewhere never
     descends here."""
@@ -252,7 +253,7 @@ FORK_MIN_VERTICES = 256
 ORPHAN_POLL_MS = 100
 
 
-def _fork(graft: tuple[Graph, int], depth: int, emit: Emit, cores: _Cores) -> tuple[int, int]:
+def _fork(graft: tuple[Graph, int], depth: int, cores: _Cores) -> tuple[int, int]:
     """Build the subtree on ``graft`` in a forked worker; returns its pid and
     the pipe its segment arrives on. The worker sends a status byte, then
     the segment, or the failure's name, and leaves through ``os._exit`` on
@@ -272,7 +273,7 @@ def _fork(graft: tuple[Graph, int], depth: int, emit: Emit, cores: _Cores) -> tu
             os.close(rfd)
             try:
                 segment = open_segment()
-                build_node(dijkstra(*graft), depth, segment, emit, cores)
+                build_node(dijkstra(*graft), depth, segment, _discard, cores)
             except BaseException as exc:
                 # the worker's boundary: the failure goes to the parent,
                 # which raises it; nothing unwinds past os._exit
@@ -291,7 +292,7 @@ def _fork(graft: tuple[Graph, int], depth: int, emit: Emit, cores: _Cores) -> tu
     return pid, rfd
 
 
-def _join(pid: int, rfd: int, store: QueryStore, cores: _Cores) -> None:
+def _join(pid: int, rfd: int, store: BuildStore, cores: _Cores) -> None:
     """Splice the worker's segment onto ``store``, then reap the worker.
     While it waits on the worker, this process gives back its core."""
     cores.give()
@@ -319,7 +320,7 @@ def _stop(pid: int, cores: _Cores) -> None:
 
 
 def build_node(
-    spt_s: ShortestPathTree, depth: int, store: QueryStore, emit: Emit, cores: _Cores | None = None
+    spt_s: ShortestPathTree, depth: int, store: BuildStore, emit: Emit, cores: _Cores | None = None
 ) -> None:
     """Build the oracle node for ``spt_s``, the canonical tree of the node's
     graph from its source: append its rows to ``store``, pass its record to
@@ -358,7 +359,7 @@ def build_node(
     grafts = [(right_g, right_src), (left_g, left_src)]
     pid = rfd = None
     if cores is not None and right_g.n >= FORK_MIN_VERTICES and cores.take():
-        pid, rfd = _fork(grafts.pop(0), depth + 1, emit, cores)
+        pid, rfd = _fork(grafts.pop(0), depth + 1, cores)
     del node, g, spt_s, split, path, tables, dist_r, left_g, left_maps, right_g, right_maps
     try:
         build_node(dijkstra(*grafts.pop()), depth + 1, store, emit, cores)

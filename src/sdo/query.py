@@ -1,9 +1,10 @@
 """Fault queries and full single-source enumeration over the query store.
 
 Both read only the oracle's ``QueryStore``, so a built and a loaded oracle
-answer through the same code, and both walk one slot index that a store
-builds on first use (``_links``). ``query`` walks it for one fault in plain
-Python (``_query_node``); ``ssrp`` for all its records at once (``_descend``),
+answer through the same code, and both walk the store's slot links as they
+are (``store.TABLE``): a record descends as a (vertex slot, edge slot) pair,
+one lookup per level. ``query`` walks them for one fault in plain Python
+(``_query_node``); ``ssrp`` for all its records at once (``_descend``),
 one round of numpy operations per level, in one chunk of records per usable
 CPU (``_descend_on_cores``). Inside, distances are integers with INF for
 UNREACHABLE; the answers turn INF back into UNREACHABLE.
@@ -11,18 +12,16 @@ UNREACHABLE; the answers turn INF back into UNREACHABLE.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import Distance, UNREACHABLE
 from .oracle import OracleTree, usable_cpus
-from .store import CROSS, INF, PRIMARY, RIGHT, QueryStore, _view
+from .store import CROSS, INF, LEAF, PRIMARY, RIGHT, QueryStore, _view
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +51,7 @@ def _query_node(
     store: QueryStore, t: int, eid: int, d0: int, depth: int
 ) -> tuple[int, int]:
     """Descend from the root for destination t and fault eid, both in the
-    root's ids: ``_descend`` for one record, over the same slot index.
+    root's ids: ``_descend`` for one record, over the same slot links.
 
     At each level the edge slot's kind says whether the fault lies on the
     primary path, inside one side or across the split. A primary-path fault
@@ -63,7 +62,7 @@ def _query_node(
     distance to t, answers wherever the fault misses t's tree path: every
     candidate is a walk from the source, so none beats ``d0``.
     """
-    kind, elink, vlink, vsep, esr, key, k = store.links or _links(store)
+    kind, elink, vlink, esr = store.kind, store.elink, store.vlink, store.esr
     # the root's slots start at 0, so its vertex and edge ids are slots
     vs, es = t, eid
     best = INF
@@ -76,18 +75,18 @@ def _query_node(
             return d0, depth
         ct = vlink[2 * vs + (side == RIGHT)]
         if side == PRIMARY:
-            pos = store.epos[es]
-            cand = store.sr[esr[es]] + store.dist_r[vs]
+            at = esr[es]
+            cand = store.sr[at] + store.dist_r[vs]
             if cand < best:
                 best = cand
             # a destination on the path has an empty segment
             lo = store.dep_off[vs]
-            i = bisect_right(key, vs * k + pos + 1, lo, store.dep_off[vs + 1])
+            i = bisect_right(store.dsr, at, lo, store.dep_off[vs + 1])
             if i > lo:
                 cand = store.dep_len[i - 1]
                 if cand < best:
                     best = cand
-            if vsep[vs] or ct < 0:
+            if store.vsep[vs] or ct < 0:
                 return best, depth
         elif ct < 0:
             return d0, depth
@@ -136,10 +135,6 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
     return QueryResult(UNREACHABLE if d >= INF else d, depth)
 
 
-# Kind code of an edge slot at a leaf that holds a row, in the slot index's
-# copy of the side codes; a leaf slot without a row reads as CROSS.
-LEAF = RIGHT + 1
-
 # The fewest records a chunk of the descent gets. Smaller chunks hand the
 # interpreter lock back and forth between their many small numpy calls for
 # more than another core saves: on a 2-core VM, 2**15 records of
@@ -148,74 +143,8 @@ LEAF = RIGHT + 1
 CHUNK_MIN_RECORDS = 1 << 15
 
 
-class _Links(NamedTuple):
-    """The store's slots linked to their child slots, which both descents
-    walk. A record descends as a (vertex slot, edge slot) pair, global slot
-    numbers both, so no level re-derives them from its node. The arrays hold
-    structure only, no distance.
-
-    ``kind`` is each edge slot's side code, or LEAF. ``elink`` is each
-    edge slot's child edge slot, on the side its code names, and at a leaf
-    its row offset less the leaf's ``vbase``. ``vlink[2 * v]`` and
-    ``vlink[2 * v + 1]`` are vertex slot v's left and right child slots
-    (-1: none); ``vsep`` marks each internal node's separator slot; ``esr``
-    is each edge slot's index into ``sr``. ``key`` holds one sorted key per
-    departing entry, slot * k + position + 1, so a bisect_right on it finds
-    the entries departing at or above a position within any segment."""
-
-    kind: array
-    elink: array
-    vlink: array
-    vsep: array
-    esr: array
-    key: array
-    k: int
-
-
-def _links(store: QueryStore) -> _Links:
-    """The slot index of the closed ``store``, built by the first call and
-    kept in ``store.links``; the store's structure must not change after.
-    Two threads racing here may both build it, and either copy serves."""
-    if store.links is None:
-        store.links = _build_links(store)
-    return store.links
-
-
-def _build_links(store: QueryStore) -> _Links:
-    """Link every slot of ``store`` to its child slots. A leaf has no child
-    vertex ids, so its vertex links are all -1. The key stride k leaves room
-    for any path position; clipping keeps a segment's keys inside its slot's
-    range without reordering them."""
-    left, right, sep = _view(store.left), _view(store.right), _view(store.sep)
-    vbase, ebase, srbase = _view(store.vbase), _view(store.ebase), _view(store.srbase)
-    lchild, rchild = _view(store.lchild), _view(store.rchild)
-    eside, echild, dep_off = _view(store.eside), _view(store.echild), _view(store.dep_off)
-    # per-node values repeat over the node's slots (a leaf's -1 children
-    # read a base that the masks then drop)
-    nv, ne = np.diff(vbase), np.diff(ebase)
-    inner = left >= 0
-    vlink = np.empty((len(lchild), 2), dtype=np.int64)
-    vlink[:, 0] = np.where(lchild >= 0, np.repeat(vbase[left], nv) + lchild, -1)
-    vlink[:, 1] = np.where(rchild >= 0, np.repeat(vbase[right], nv) + rchild, -1)
-    vsep = np.zeros(len(lchild), dtype=bool)
-    vsep[(vbase[:-1] + sep)[inner]] = True
-    at_leaf = np.repeat(~inner, ne)
-    kind = np.where(at_leaf, np.where(echild >= 0, LEAF, CROSS), eside)
-    child = np.where(eside == RIGHT, np.repeat(ebase[right], ne), np.repeat(ebase[left], ne))
-    elink = np.where(at_leaf, echild - np.repeat(vbase[:-1], ne), child + echild)
-    esr = np.repeat(srbase[:-1], ne) + _view(store.epos)
-    k = int(np.diff(srbase).max()) + 2
-    owner = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64), np.diff(dep_off))
-    key = owner * k + np.clip(_view(store.dep_dpi), -1, k - 2) + 1
-    # "q" arrays view as int64, which indexes without a conversion per level
-    links = [array(code) for code in "bqqbqq"]
-    for a, values in zip(links, (kind, elink, vlink, vsep, esr, key)):
-        a.frombytes(values.astype(a.typecode, copy=False).view("B"))
-    return _Links(*links, k)
-
-
 def _descend(
-    store: QueryStore, links: _Links, t: np.ndarray, eid: np.ndarray, d0: np.ndarray
+    store: QueryStore, views: tuple, t: np.ndarray, eid: np.ndarray, d0: np.ndarray
 ) -> np.ndarray:
     """``_query_node`` for every record at once: one round of array
     operations per level, over the records still descending.
@@ -224,11 +153,12 @@ def _descend(
     ``d0``, PRIMARY folds its candidates into ``best`` and stops at the
     separator or where t has no left copy, and LEFT/RIGHT move to the child
     (``d0`` where t has no copy there). Answered records leave the arrays.
-    Returns the distances with INF for UNREACHABLE, in the order of ``t``.
+    ``views`` come from ``_descend_on_cores``. Returns the distances with
+    INF for UNREACHABLE, in the order of ``t``.
     """
-    kind, elink, vlink, vsep, esr, key = map(_view, links[:6])
-    vsep, k = vsep.view(bool), links.k
-    dist_r, epos, sr, rows = (_view(a) for a in (store.dist_r, store.epos, store.sr, store.rows))
+    elink, vlink, esr, key, stride = views
+    kind, vsep = _view(store.kind), _view(store.vsep).view(bool)
+    dist_r, sr, rows = _view(store.dist_r), _view(store.sr), _view(store.rows)
     dep_off, dep_len = _view(store.dep_off), _view(store.dep_len)
 
     out = d0.copy()
@@ -246,12 +176,12 @@ def _descend(
             out[idx[leaf]] = np.minimum(rows[elink[es[leaf]] + vs[leaf]], best[leaf])
         prim = np.flatnonzero(side == PRIMARY)
         if len(prim):
-            pvs, pes = vs[prim], es[prim]
-            pos = epos[pes]
+            pvs = vs[prim]
+            at = esr[es[prim]]
             # saturating sr + dist_r: INF + INF would wrap in int64
             b = dist_r[pvs]
-            cand = np.minimum(sr[esr[pes]], INF - b) + b
-            i = np.searchsorted(key, pvs * k + pos + 1, side="right")
+            cand = np.minimum(sr[at], INF - b) + b
+            i = np.searchsorted(key, pvs * stride + at + 1, side="right")
             has = np.flatnonzero(i > dep_off[pvs])
             cand[has] = np.minimum(cand[has], dep_len[i[has] - 1])
             pb = np.minimum(best[prim], cand)
@@ -266,18 +196,27 @@ def _descend(
 def _descend_on_cores(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> np.ndarray:
     """``_descend`` over one contiguous chunk of the records per usable CPU,
     as far as each chunk gets ``CHUNK_MIN_RECORDS``; a smaller call is one
-    chunk. The slot index (``_links``) is built before any thread starts.
-    The calling thread takes the first chunk and a thread each the others;
-    numpy releases the GIL in the gathers, ufuncs and searches, so the
-    chunks run in parallel. Every thread is joined before this returns or
-    raises."""
-    links = _links(store)
+    chunk. Before any thread starts, it makes int64 copies of the links,
+    which index without a conversion per gather, and one sorted key per
+    departing entry, ``owner * stride + dsr + 1`` for its vertex slot
+    ``owner``, which one search over all entries finds; nothing outlives the
+    call. The calling thread takes the first chunk and a thread each the
+    others; numpy releases the GIL in the gathers, ufuncs and searches, so
+    the chunks run in parallel. Every thread is joined before this returns
+    or raises."""
+    # a departure lies on its node's path, the separator at the latest, so
+    # dsr + 1 lies in [1, len(sr) + 1], inside its owner's stride
+    stride = len(store.sr) + 2
+    dep_off = _view(store.dep_off)
+    key = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64) * stride + 1, np.diff(dep_off))
+    key += _view(store.dsr)
+    views = (*(_view(a).astype(np.int64) for a in (store.elink, store.vlink, store.esr)), key, stride)
     chunks = max(1, min(usable_cpus(), len(t) // CHUNK_MIN_RECORDS))
     cut = [len(t) * c // chunks for c in range(chunks + 1)]
     parts = [(t[a:b], eid[a:b], d0[a:b]) for a, b in zip(cut, cut[1:])]
     with ThreadPoolExecutor(chunks) as pool:
-        rest = [pool.submit(_descend, store, links, *part) for part in parts[1:]]
-        return np.concatenate([_descend(store, links, *parts[0])] + [f.result() for f in rest])
+        rest = [pool.submit(_descend, store, views, *part) for part in parts[1:]]
+        return np.concatenate([_descend(store, views, *parts[0])] + [f.result() for f in rest])
 
 
 def ssrp(oracle: OracleTree) -> SsrpOutput:

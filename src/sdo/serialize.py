@@ -3,8 +3,8 @@
 A file is ``MAGIC``, the SHA-256 digest of the payload, then the payload. The
 payload is a header, the array count and one fixed-size entry per array
 (name, typecode, length), followed by the arrays themselves, little-endian,
-in ``store.TABLE`` order. Only the query store is written; a loaded oracle
-has no build state.
+in ``store.TABLE`` order: the query store's slot links as both walks read
+them (``SDO8``), and no build state, so a loaded oracle builds nothing.
 
 Loading checks the digest, then that the header is exactly the expected name
 and typecode table and that its lengths fill the payload, then reads each
@@ -27,7 +27,7 @@ from pathlib import Path
 from .oracle import OracleTree
 from .store import TABLE, QueryStore, check
 
-MAGIC = b"SDO7-ORACLE\x00"
+MAGIC = b"SDO8-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _COUNT = struct.Struct("<I")
 # name (NUL padded), typecode, item count

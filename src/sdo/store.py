@@ -7,8 +7,10 @@ edge slots ``ebase[i]:ebase[i + 1]``, one per vertex and per original edge
 of its graph. Every node graph numbers its original edges first (the root
 holds only input edges, grafting keeps the parent's order and appends
 shortcuts), so slot ``ebase[i] + eid`` belongs to edge ``eid``; shortcuts
-are never faults and get no slot. Queries, on built and loaded oracles
-alike, read only these arrays.
+are never faults and get no slot. The build appends node-relative ids to a
+``BuildStore``; ``close_store`` turns them into the slot links of the
+``QueryStore``, which is all that queries, on built and loaded oracles
+alike, read and files hold.
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
@@ -36,11 +38,12 @@ if TYPE_CHECKING:
 
 INF = 2**62
 
-# Side codes of an edge slot at an internal node: where the fault lies.
-CROSS, PRIMARY, LEFT, RIGHT = 0, 1, 2, 3
+# Side codes of an edge slot at an internal node: where the fault lies. A
+# leaf's slot is LEAF where the leaf holds a row for it, else CROSS.
+CROSS, PRIMARY, LEFT, RIGHT, LEAF = 0, 1, 2, 3, 4
 
-# (name, typecode) of every array, in file order. Distances are "q" (they
-# reach INF); ids, offsets and positions are "i".
+# (name, typecode) of every array of a query store, in file order.
+# Distances are "q" (they reach INF); ids, offsets and positions are "i".
 TABLE = (
     # n, source, node count, depth, departing entries
     ("meta", "q"),
@@ -52,46 +55,67 @@ TABLE = (
     ("size", "i"),
     # sorted distinct min * n + max keys of the input edges
     ("edge_keys", "q"),
-    # per node; the three bases carry one extra entry, the total
+    # per node, read by the check only; the bases carry one extra entry, the total
     ("vbase", "i"),
     ("ebase", "i"),
     ("left", "i"),
     ("right", "i"),
-    ("sep", "i"),
-    ("srbase", "i"),
-    # per vertex slot: child vertex ids (-1 when absent), distance from the
-    # separator, departing segment start (plus one final offset)
-    ("lchild", "i"),
-    ("rchild", "i"),
+    # per vertex slot: left and right child slots, two a slot (-1: none); 1 on
+    # the separator; distance from it; departing segment start (plus the end)
+    ("vlink", "i"),
+    ("vsep", "b"),
     ("dist_r", "q"),
     ("dep_off", "i"),
-    # departing candidates, each segment by rising departure position
+    # departing candidates, each segment by rising departure position (an sr index)
     ("dep_len", "q"),
-    ("dep_dpi", "i"),
-    # per edge slot: side code, child edge id (at a leaf: row offset, or -1),
-    # primary path position (-1 off the path)
-    ("eside", "b"),
-    ("echild", "i"),
-    ("epos", "i"),
+    ("dsr", "i"),
+    # per edge slot: side code or LEAF; the child edge slot on that side (a leaf
+    # row's offset less the leaf's vbase; CROSS: -1); PRIMARY's sr index, else -1
+    ("kind", "b"),
+    ("elink", "i"),
+    ("esr", "i"),
     # source -> separator replacement lengths by path position; leaf rows
     ("sr", "q"),
     ("rows", "q"),
 )
 
-class QueryStore:
-    """Every table a query reads, one ``array`` per entry of ``TABLE``, and
-    ``links``, the slot index derived from them on first use (None before;
-    ``sdo.query._links``), which no file holds and ``arrays()`` omits."""
+# The build's arrays: TABLE's but the links, then what ``close_store`` makes
+# them of: per node, the separator and the ``sr`` base; per vertex slot, the
+# child vertex ids; per departing entry, its path position; per edge slot,
+# the side code, the child edge id (at a leaf, the row offset) and the path
+# position. -1 is none; all three bases start at 0.
+_LINKS = ("vlink", "vsep", "dsr", "kind", "elink", "esr")
+BUILD = tuple(entry for entry in TABLE if entry[0] not in _LINKS) + (
+    ("sep", "i"), ("srbase", "i"), ("lchild", "i"), ("rchild", "i"),
+    ("dep_dpi", "i"), ("eside", "b"), ("echild", "i"), ("epos", "i"),
+)
 
-    __slots__ = tuple(name for name, _ in TABLE) + ("links",)
+
+class _Store:
+    """One ``array`` per entry of the class's ``table``, empty at first."""
+
+    __slots__ = ()
 
     def __init__(self):
-        for name, code in TABLE:
+        for name, code in self.table:
             setattr(self, name, array(code))
-        self.links = None
 
     def arrays(self) -> list[tuple[str, array]]:
-        return [(name, getattr(self, name)) for name, _ in TABLE]
+        return [(name, getattr(self, name)) for name, _ in self.table]
+
+
+class QueryStore(_Store):
+    """Every table a query reads, one ``array`` per entry of ``TABLE``."""
+
+    __slots__ = tuple(name for name, _ in TABLE)
+    table = TABLE
+
+
+class BuildStore(_Store):
+    """The arrays of ``BUILD``, which the build appends each level to."""
+
+    __slots__ = tuple(name for name, _ in BUILD)
+    table = BUILD
 
 
 def _original_count(g: Graph) -> int:
@@ -104,7 +128,7 @@ def _is_virtual(e: Edge) -> bool:
     return e.virtual
 
 
-def open_store(spt: ShortestPathTree) -> QueryStore:
+def open_store(spt: ShortestPathTree) -> BuildStore:
     """A store holding the source-tree arrays of the oracle built on
     ``spt.graph`` from ``spt.source``, ready for ``append_node``.
 
@@ -146,7 +170,7 @@ _NONE = array("i", [-1])
 
 
 def append_node(
-    s: QueryStore,
+    s: BuildStore,
     g: Graph,
     depth: int,
     rows: Iterable[tuple[int, list[int]]] = (),
@@ -170,9 +194,6 @@ def append_node(
     ``INF`` for none, and go in as they are."""
     i = len(s.left)
     nv, ne = g.n, _original_count(g)
-    s.vbase.append(len(s.lchild))
-    s.ebase.append(len(s.eside))
-    s.srbase.append(len(s.sr))
     s.meta[3] = max(s.meta[3], depth)
     s.left.append(i + 1 if maps else -1)
     s.right.append(-1)
@@ -209,16 +230,43 @@ def append_node(
         s.dep_off.frombytes((dep.offsets[1:] + len(s.dep_len)).tobytes())
         s.dep_len.frombytes(dep.lengths.tobytes())
         s.dep_dpi.frombytes(dep.dp_depths.tobytes())
-    return i
-
-
-def close_store(s: QueryStore) -> QueryStore:
-    """Write the bases' final totals and the node and entry counts."""
     s.vbase.append(len(s.lchild))
     s.ebase.append(len(s.eside))
     s.srbase.append(len(s.sr))
-    s.meta[2] = len(s.left)
-    s.meta[4] = len(s.dep_len)
+    return i
+
+
+def close_store(b: BuildStore) -> QueryStore:
+    """The query store of ``b``, sharing the arrays both hold; ``b`` stays
+    as it is. Child vertex and edge ids become child slots (a leaf row's
+    offset less the leaf's ``vbase``), the separator a flag on its slot, and
+    path positions indexes into ``sr``."""
+    s = QueryStore()
+    for name, _ in TABLE:
+        if name not in _LINKS:
+            setattr(s, name, getattr(b, name))
+    s.meta = array("q", [*b.meta[:2], len(b.left), b.meta[3], len(b.dep_len)])
+    s.kind, s.elink, s.esr, s.dsr = (array(a.typecode, a) for a in (b.eside, b.echild, b.epos, b.dep_dpi))
+    s.vlink = array("i", [-1]) * (2 * len(b.lchild))
+    s.vsep = array("b", [0]) * len(b.lchild)
+    left, right, sep, vbase, ebase, srbase, lchild, rchild, dep_off, eside = map(
+        _view, (b.left, b.right, b.sep, b.vbase, b.ebase, b.srbase, b.lchild, b.rchild, b.dep_off,
+                b.eside))
+    kind, elink, esr, vlink = (_view(a) for a in (s.kind, s.elink, s.esr, s.vlink))
+    # per-node values spread over the node's slots; a leaf's -1 child ids
+    # read the bases' totals, which the masks then drop
+    nv, ne = np.diff(vbase), np.diff(ebase)
+    inner = left >= 0
+    for side, (kids, c) in enumerate(((lchild, left), (rchild, right))):
+        vlink[side::2] = np.where(kids >= 0, np.repeat(vbase[c], nv) + kids, -1)
+    _view(s.vsep)[(vbase[:-1] + sep)[inner]] = 1
+    at_leaf = np.repeat(~inner, ne)
+    kind[at_leaf] = np.where(elink[at_leaf] >= 0, LEAF, CROSS)
+    near, far = np.where(inner, ebase[left], -vbase[:-1]), np.where(inner, ebase[right], 0)
+    elink += np.where(eside == RIGHT, np.repeat(far, ne), np.repeat(near, ne))
+    elink[kind == CROSS] = -1
+    esr += np.where(eside == PRIMARY, np.repeat(srbase[:-1], ne), 0)
+    _view(s.dsr)[:] += np.repeat(srbase[:-1], np.diff(dep_off[vbase]))
     return s
 
 
@@ -229,16 +277,17 @@ def _view(a: array) -> np.ndarray:
 
 # The arrays a subtree appends to: all from vbase on. The ones before it,
 # meta and the input graph's source tree and edge keys, are the whole store's.
-SEGMENT = tuple(name for name, _ in TABLE[TABLE.index(("vbase", "i")):])
+SEGMENT = tuple(name for name, _ in BUILD[BUILD.index(("vbase", "i")):])
 
 
-def open_segment() -> QueryStore:
+def open_segment() -> BuildStore:
     """An empty store for a subtree built apart from the store it joins: its
     node ids, bases and offsets start at 0, and ``splice_segment`` shifts
     them to where the subtree lands."""
-    s = QueryStore()
+    s = BuildStore()
     s.meta = array("q", [0] * 5)
-    s.dep_off.append(0)
+    for offsets in (s.vbase, s.ebase, s.srbase, s.dep_off):
+        offsets.append(0)
     return s
 
 
@@ -260,7 +309,7 @@ def _receive(fd: int, size: int) -> bytearray:
     return data
 
 
-def send_segment(s: QueryStore, fd: int) -> None:
+def send_segment(s: BuildStore, fd: int) -> None:
     """Write the segment ``s`` to the pipe ``fd``: its depth, then each array
     of ``SEGMENT`` as a byte count and its raw bytes."""
     _send(fd, s.meta[3:4])
@@ -270,26 +319,26 @@ def send_segment(s: QueryStore, fd: int) -> None:
         _send(fd, a)
 
 
-def splice_segment(s: QueryStore, fd: int) -> None:
+def splice_segment(s: BuildStore, fd: int) -> None:
     """Append the segment sent on ``fd`` to ``s`` as its next subtree in
-    preorder. Each array's bytes go onto the end of ``s``'s as they are, and
-    only the absolute fields are shifted, in place, by what ``s`` held
-    before: child node ids by its node count; the bases by its vertex-slot,
-    edge-slot and ``sr`` lengths; ``dep_off``, less the segment's leading 0,
-    by its departing entries; and the leaf row offsets in ``echild`` by its
-    rows. The depth is the deeper of the two."""
+    preorder. Each array's bytes go onto the end of ``s``'s as they are, an
+    offset array's less its leading 0, and only the absolute fields are
+    shifted, in place, by what ``s`` held before: child node ids by its node
+    count; the bases by its vertex-slot, edge-slot and ``sr`` lengths;
+    ``dep_off`` by its departing entries; and the leaf row offsets in
+    ``echild`` by its rows. The depth is the deeper of the two."""
     nodes, eslots, rows = len(s.left), len(s.eside), len(s.rows)
     shift = {"vbase": len(s.lchild), "ebase": eslots, "srbase": len(s.sr), "dep_off": len(s.dep_len)}
     start = {name: len(getattr(s, name)) for name in shift}
     s.meta[3] = max(s.meta[3], array("q", _receive(fd, 8))[0])
     for name in SEGMENT:
         data = _receive(fd, array("q", _receive(fd, 8))[0])
-        getattr(s, name).frombytes(memoryview(data)[4:] if name == "dep_off" else data)
+        getattr(s, name).frombytes(memoryview(data)[4:] if name in shift else data)
     for name, by in shift.items():
         _view(getattr(s, name))[start[name]:] += by
     left = _view(s.left)[nodes:]
     echild = _view(s.echild)[eslots:]
-    leaf_slot = np.repeat(left < 0, np.diff(_view(s.ebase)[nodes:], append=len(s.eside)))
+    leaf_slot = np.repeat(left < 0, np.diff(_view(s.ebase)[nodes:]))
     echild[leaf_slot & (echild >= 0)] += rows
     for ids in (left, _view(s.right)[nodes:]):
         ids[ids >= 0] += nodes
@@ -298,8 +347,9 @@ def splice_segment(s: QueryStore, fd: int) -> None:
 def check(s: QueryStore) -> None:
     """Raise ValueError unless the arrays form a store that every query can
     walk without leaving an array: consistent lengths, child nodes after
-    their parent in preorder (so no cycle), child ids and positions inside
-    the child, doubly monotone departing segments, distances in [0, INF].
+    their parent in preorder, every link inside the child node its side
+    names (so every walk ends), leaf rows and ``sr`` indexes inside their
+    arrays, doubly monotone departing segments, distances in [0, INF].
 
     Every check is whole-array numpy work, about the cost of a copy; no
     value indexes an array before an earlier check has bounded it."""
@@ -313,22 +363,22 @@ def check(s: QueryStore) -> None:
     need(n >= 1 and 0 <= source < n and nodes >= 1, "meta out of range")
     for name in ("parent", "parent_edge", "dist", "tin", "size"):
         need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
-    for name in ("vbase", "ebase", "srbase"):
+    for name in ("vbase", "ebase"):
         base = _view(getattr(s, name))
         need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
         need(not (base[1:] < base[:-1]).any(), f"{name} decreases")
-    for name in ("left", "right", "sep"):
+    for name in ("left", "right"):
         need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
     slots, edge_slots = s.vbase[-1], s.ebase[-1]
-    for name in ("lchild", "rchild", "dist_r"):
+    need(len(s.vlink) == 2 * slots, "vlink does not hold two entries per vertex slot")
+    for name in ("vsep", "dist_r"):
         need(len(getattr(s, name)) == slots, f"{name} does not hold one entry per vertex slot")
-    for name in ("eside", "echild", "epos"):
+    for name in ("kind", "elink", "esr"):
         need(len(getattr(s, name)) == edge_slots, f"{name} does not hold one entry per edge slot")
-    need(s.srbase[-1] == len(s.sr), "srbase does not end at the end of sr")
     dep_off = _view(s.dep_off)
     need(len(dep_off) == slots + 1 and dep_off[0] == 0, "dep_off length")
     need(not (dep_off[1:] < dep_off[:-1]).any(), "dep_off decreases")
-    need(dep_off[-1] == len(s.dep_len) == len(s.dep_dpi) == entries,
+    need(dep_off[-1] == len(s.dep_len) == len(s.dsr) == entries,
          "dep_off does not end at the departing entries")
     for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
         d = _view(getattr(s, name))
@@ -351,59 +401,68 @@ def check(s: QueryStore) -> None:
     up = np.maximum(p, 0)
     need(not ((p < 0) | (dist[up] >= INF) | (tin[up] >= tin[v])).any(), "source tree is not a tree")
 
-    # the node checks name the first node that fails one
-    left, right, sep = _view(s.left), _view(s.right), _view(s.sep)
-    nv, ne, path_len = (np.diff(_view(a).astype(np.int64)) for a in (s.vbase, s.ebase, s.srbase))
+    vsep = _view(s.vsep)
+    need(((vsep == 0) | (vsep == 1)).all(), "vsep is not 0 or 1")
+
+    # the node checks name the first node that fails one; an internal node
+    # marks one separator slot, a leaf none
+    left, right = _view(s.left), _view(s.right)
+    vbase, ebase = _view(s.vbase), _view(s.ebase)
+    nv, ne = np.diff(vbase), np.diff(ebase)
     ids = np.arange(nodes)
     leaf = left < 0
+    marked = np.zeros(slots + 1, dtype=np.int32)
+    np.cumsum(vsep, out=marked[1:])
+    marks = np.diff(marked[vbase])
     one_child = leaf & ((left != -1) | (right != -1))
     out_of_order = ~leaf & ~((ids < left) & (left < nodes) & (ids < right) & (right < nodes))
-    bad_sep = ~leaf & ~((sep >= 0) & (sep < nv))
-    bad = np.flatnonzero(one_child | out_of_order | bad_sep)
+    bad = np.flatnonzero(one_child | out_of_order | (marks != ~leaf))
     if len(bad):
         i = int(bad[0])
         need(not one_child[i], f"node {i} has one child")
         need(not out_of_order[i], f"node {i} has a child out of preorder")
-        need(False, f"node {i} separator out of range")
+        need(False, f"node {i} separator marks {marks[i]} slots")
     # a node is one deeper than the last node naming it as a child, as in a
     # preorder walk; pointer doubling sums the hops in log(depth) rounds
     inner = np.flatnonzero(~leaf)
-    l, r = left[inner], right[inner]
     hop = np.full(nodes, -1, dtype=np.int64)
-    np.maximum.at(hop, l, inner)
-    np.maximum.at(hop, r, inner)
+    np.maximum.at(hop, left[inner], inner)
+    np.maximum.at(hop, right[inner], inner)
     node_depth = (hop >= 0).astype(np.int64)
     while (on := hop >= 0).any():
         node_depth[on] += node_depth[hop[on]]
         hop[on] = hop[hop[on]]
     need(node_depth.max() == depth, "meta depth differs from the tree")
 
-    # per node and side code, [lo, hi) of child edge ids (leaf: row offsets,
-    # -1 for none) and path positions; hi of child vertex ids (-1 for none)
-    edge_lo, pos_lo = np.full((2, nodes, 4), -1, dtype=np.int64)
-    edge_hi, pos_hi = np.zeros((2, nodes, 4), dtype=np.int64)
-    edge_lo[inner, PRIMARY:] = pos_lo[inner, PRIMARY] = 0
-    edge_hi[leaf] = np.maximum(len(s.rows) + 1 - nv[leaf], 0)[:, None]
-    edge_hi[inner, PRIMARY] = edge_hi[inner, LEFT] = ne[l]
-    edge_hi[inner, RIGHT] = ne[r]
-    pos_hi[inner, PRIMARY] = path_len[inner]
-    for kids, child in ((_view(s.lchild), l), (_view(s.rchild), r)):
-        hi = np.zeros(nodes, dtype=np.int64)
-        hi[inner] = nv[child]
-        need(kids.min() >= -1 and (kids < np.repeat(hi, nv)).all(), "child vertex id out of range")
-    eside = _view(s.eside)
-    need(((eside >= CROSS) & (eside <= RIGHT)).all(), "side code unknown")
-    at = (np.repeat(ids, ne), eside)
-    for got, lo, hi, what in (
-        (_view(s.echild), edge_lo, edge_hi, "child edge id or leaf row"),
-        (_view(s.epos), pos_lo, pos_hi, "path position"),
-    ):
-        need(((lo[at] <= got) & (got < hi[at])).all(), f"{what} out of range")
+    # Every link lands in the child node its side names, later in preorder,
+    # so every walk ends. A leaf's -1 children read the bases' last and
+    # first entries, an empty range; its edge slots are LEAF or CROSS.
+    kind = _view(s.kind)
+    known = np.where(np.repeat(leaf, ne), (kind == CROSS) | (kind == LEAF), kind <= RIGHT)
+    need((known & (kind >= CROSS)).all(), "side code unknown")
+    kids = np.stack([left, right], axis=1)
+    vlink = _view(s.vlink).reshape(-1, 2)
+    ok = np.repeat(vbase[kids], nv, axis=0) <= vlink
+    ok &= vlink < np.repeat(vbase[kids + 1], nv, axis=0)
+    need((ok | (vlink == -1)).all(), "child vertex slot out of range")
+    elink, far = _view(s.elink), kind == RIGHT
+    ok = np.where(far, np.repeat(ebase[right], ne), np.repeat(ebase[left], ne)) <= elink
+    ok &= elink < np.where(far, np.repeat(ebase[right + 1], ne), np.repeat(ebase[left + 1], ne))
+    ok[kind == CROSS] = elink[kind == CROSS] == -1
+    # a leaf row, at the link plus a vertex slot, stays inside rows
+    at = np.flatnonzero(kind == LEAF)
+    own = np.searchsorted(ebase, at, side="right") - 1
+    row = elink[at] + vbase[own].astype(np.int64)
+    ok[at] = (row >= 0) & (row + nv[own] <= len(s.rows))
+    need(ok.all(), "child edge id or leaf row out of range")
+    esr = _view(s.esr)
+    need(np.where(kind == PRIMARY, (esr >= 0) & (esr < len(s.sr)), esr == -1).all(),
+         "path position out of range")
 
     # departing segments: positions rise and lengths fall, except where a
     # segment starts
-    dpi, length = _view(s.dep_dpi), _view(s.dep_len)
+    dsr, length = _view(s.dsr), _view(s.dep_len)
     starts = np.zeros(entries + 1, dtype=bool)
     starts[dep_off] = True
-    breaks = (dpi[1:] <= dpi[:-1]) | (length[1:] >= length[:-1])
+    breaks = (dsr[1:] <= dsr[:-1]) | (length[1:] >= length[:-1])
     need(not (breaks & ~starts[1:-1]).any(), "departing segment not doubly monotone")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, ge, le, lt, sub
+from operator import eq, ge, le, lt, sub
 
 from sdo.departing import DepArray
 from sdo.graphs import Edge, Graph, UNREACHABLE
+from sdo.oracle import build_node
 from sdo.spt import ShortestPathTree, dijkstra
-from sdo.store import CROSS, INF, LEFT, PRIMARY, RIGHT, QueryStore
+from sdo.store import CROSS, INF, LEAF, LEFT, PRIMARY, RIGHT, BuildStore, QueryStore, open_store
 
 
 def bellman_ford(g: Graph, source: int, banned: set[int] | frozenset = frozenset()):
@@ -82,6 +83,18 @@ def best_departing(arr, pos: int):
         (length for length, dpi in zip(arr.lengths, arr.dp_depths) if dpi <= pos),
         default=UNREACHABLE,
     )
+
+
+def build_store(g: Graph, source: int = 0, depth: int = 0):
+    """The level records of the oracle built on ``g`` from ``source``, its
+    root at ``depth``, and the node-relative ``BuildStore`` the build
+    appends them to, before ``close_store`` turns it into slot links. The
+    helpers below read a build store."""
+    spt = dijkstra(g, source)
+    store = open_store(spt)
+    records = []
+    build_node(spt, depth, store, records.append)
+    return records, store
 
 
 def distances(values) -> list:
@@ -198,11 +211,12 @@ def rejoin_gadget() -> tuple[Graph, int, tuple[int, int], int]:
     return g, 5, (0, 1), 3
 
 
-def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
-    """The root's own candidates for a primary-path fault, read off its
-    store rows: the route through the separator and the departing entry."""
-    store = oracle.store
-    eid = oracle.graph.edge_ids_between(*fault)[0]
+def root_primary_candidates(g: Graph, source: int, t: int, fault: tuple[int, int]) -> list:
+    """The root's own candidates for a primary-path fault, read off the
+    build store's rows: the route through the separator and the departing
+    entry."""
+    store = build_store(g, source)[1]
+    eid = g.edge_ids_between(*fault)[0]
     pos = edge_segment(store, "epos", 0)[eid]
     sr = distances(store.sr[store.srbase[0] : store.srbase[1]])[pos]
     dist_r = distances(vertex_segment(store, "dist_r", 0))[t]
@@ -211,12 +225,12 @@ def root_primary_candidates(oracle, t: int, fault: tuple[int, int]) -> list:
     return [sr + dist_r, best_departing(segment, pos)]
 
 
-def node_walk(store: QueryStore, t: int, eid: int, d0: int, depth: int) -> tuple[int, int]:
+def node_walk(store: BuildStore, t: int, eid: int, d0: int, depth: int) -> tuple[int, int]:
     """The descent of ``_query_node`` in node-relative ids, the reference
-    both descents must match: it reads the store's node arrays (``left``,
-    ``right``, the bases, the child ids, ``sep``) rather than the slot
-    index the library builds from them, so a fault in that index shows.
-    Returns (distance with INF, depth reached)."""
+    both descents must match: it walks a build store's node arrays
+    (``left``, ``right``, the bases, the child ids, ``sep``) rather than
+    the slot links ``close_store`` makes of them, so a fault in that
+    conversion shows. Returns (distance with INF, depth reached)."""
     left, vbase, ebase = store.left, store.vbase, store.ebase
     eside, echild, lchild = store.eside, store.echild, store.lchild
     node = 0
@@ -279,21 +293,21 @@ def loop_check(s: QueryStore) -> None:
     need(n >= 1 and 0 <= source < n and nodes >= 1, "meta out of range")
     for name in ("parent", "parent_edge", "dist", "tin", "size"):
         need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
-    for name in ("vbase", "ebase", "srbase"):
+    for name in ("vbase", "ebase"):
         base = getattr(s, name)
         need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
         need(_non_decreasing(base), f"{name} decreases")
-    for name in ("left", "right", "sep"):
+    for name in ("left", "right"):
         need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
     slots, edge_slots = s.vbase[-1], s.ebase[-1]
-    for name in ("lchild", "rchild", "dist_r"):
+    need(len(s.vlink) == 2 * slots, "vlink does not hold two entries per vertex slot")
+    for name in ("vsep", "dist_r"):
         need(len(getattr(s, name)) == slots, f"{name} does not hold one entry per vertex slot")
-    for name in ("eside", "echild", "epos"):
+    for name in ("kind", "elink", "esr"):
         need(len(getattr(s, name)) == edge_slots, f"{name} does not hold one entry per edge slot")
-    need(s.srbase[-1] == len(s.sr), "srbase does not end at the end of sr")
     need(len(s.dep_off) == slots + 1 and s.dep_off[0] == 0, "dep_off length")
     need(_non_decreasing(s.dep_off), "dep_off decreases")
-    need(s.dep_off[-1] == len(s.dep_len) == len(s.dep_dpi) == entries,
+    need(s.dep_off[-1] == len(s.dep_len) == len(s.dsr) == entries,
          "dep_off does not end at the departing entries")
     for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
         need(all(0 <= d <= INF for d in getattr(s, name)), f"{name} holds a distance outside [0, INF]")
@@ -316,54 +330,51 @@ def loop_check(s: QueryStore) -> None:
         if dist[v] < INF and v != source and (p < 0 or dist[p] >= INF or tin[p] >= tin[v]):
             need(False, "source tree is not a tree")
 
-    # Per node, the bounds of each id it stores: [lo, hi) per side code for
-    # child edge ids (leaf: row offsets, -1 for none) and path positions, and
-    # hi for child vertex ids (-1 for none). Every slot is then checked
-    # against its node's bounds in one pass per array.
-    left, right, sep = s.left, s.right, s.sep
+    need(set(s.vsep) <= {0, 1}, "vsep is not 0 or 1")
+
+    left, right = s.left, s.right
     nv = list(map(sub, islice(vbase, 1, None), vbase))
     ne = list(map(sub, islice(ebase, 1, None), ebase))
-    path_len = list(map(sub, islice(s.srbase, 1, None), s.srbase))
-    row_hi = len(s.rows) + 1
-    edge_lo, edge_hi, pos_lo, pos_hi, left_hi, right_hi = [], [], [], [], [], []
+    vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
+    edge_owner = list(chain.from_iterable(map(repeat, range(nodes), ne)))
+    marks = [0] * nodes
+    for i, flag in zip(vertex_owner, s.vsep):
+        marks[i] += flag
     node_depth = [0] * nodes
     for i, l, r in zip(range(nodes), left, right):
         if l < 0:
             need(l == r == -1, f"node {i} has one child")
-            edge_lo += (-1, -1, -1, -1)
-            edge_hi += (max(row_hi - nv[i], 0),) * 4
-            pos_lo += (-1, -1, -1, -1)
-            pos_hi += (0, 0, 0, 0)
-            left_hi.append(0)
-            right_hi.append(0)
+            need(marks[i] == 0, f"node {i} separator marks {marks[i]} slots")
             continue
         need(i < l < nodes and i < r < nodes, f"node {i} has a child out of preorder")
-        need(0 <= sep[i] < nv[i], f"node {i} separator out of range")
+        need(marks[i] == 1, f"node {i} separator marks {marks[i]} slots")
         node_depth[l] = node_depth[r] = node_depth[i] + 1
-        edge_lo += (-1, 0, 0, 0)
-        edge_hi += (0, ne[l], ne[l], ne[r])
-        pos_lo += (-1, 0, -1, -1)
-        pos_hi += (0, path_len[i], 0, 0)
-        left_hi.append(nv[l])
-        right_hi.append(nv[r])
     need(max(node_depth) == depth, "meta depth differs from the tree")
-    vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
-    for kids, hi in ((s.lchild, left_hi), (s.rchild, right_hi)):
-        need(not kids or min(kids) >= -1, "child vertex id out of range")
-        need(all(map(lt, kids, map(hi.__getitem__, vertex_owner))), "child vertex id out of range")
-    need(not s.eside.tobytes().translate(None, bytes((CROSS, PRIMARY, LEFT, RIGHT))),
-         "side code unknown")
-    keys = list(map(add, chain.from_iterable(map(repeat, range(0, 4 * nodes, 4), ne)), s.eside))
-    for ids, lo, hi, what in (
-        (s.echild, edge_lo, edge_hi, "child edge id or leaf row"),
-        (s.epos, pos_lo, pos_hi, "path position"),
-    ):
-        need(all(map(le, map(lo.__getitem__, keys), ids)), f"{what} out of range")
-        need(all(map(lt, ids, map(hi.__getitem__, keys))), f"{what} out of range")
+
+    # Each slot's links against the slot ranges of its node's children.
+    kind, elink = s.kind, s.elink
+    for i, k in zip(edge_owner, kind):
+        need(k in ((CROSS, LEAF) if left[i] < 0 else (CROSS, PRIMARY, LEFT, RIGHT)), "side code unknown")
+    for side, child in enumerate((left, right)):
+        for v, i in enumerate(vertex_owner):
+            x, c = s.vlink[2 * v + side], child[i]
+            need(x == -1 or (c >= 0 and vbase[c] <= x < vbase[c + 1]), "child vertex slot out of range")
+    for e, i in enumerate(edge_owner):
+        k, x = kind[e], elink[e]
+        if k == CROSS:
+            ok = x == -1
+        elif k == LEAF:
+            ok = x + vbase[i] >= 0 and x + vbase[i] + nv[i] <= len(s.rows)
+        else:
+            c = (right if k == RIGHT else left)[i]
+            ok = c >= 0 and ebase[c] <= x < ebase[c + 1]
+        need(ok, "child edge id or leaf row out of range")
+    for k, x in zip(kind, s.esr):
+        need(0 <= x < len(s.sr) if k == PRIMARY else x == -1, "path position out of range")
 
     # departing segments: positions rise and lengths fall, except where a
     # segment starts
     starts = set(s.dep_off)
-    dpi, length = s.dep_dpi, s.dep_len
-    for breaks in (map(le, islice(dpi, 1, None), dpi), map(ge, islice(length, 1, None), length)):
+    dsr, length = s.dsr, s.dep_len
+    for breaks in (map(le, islice(dsr, 1, None), dsr), map(ge, islice(length, 1, None), length)):
         need(set(compress(count(1), breaks)) <= starts, "departing segment not doubly monotone")

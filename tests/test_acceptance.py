@@ -25,6 +25,7 @@ from sdo.spt import dijkstra, tree_path
 from conftest import (
     balanced,
     best_departing,
+    build_store,
     distances,
     primary_positions,
     rejoin_gadget,
@@ -98,7 +99,7 @@ def test_criterion_2_gadget_regression():
     full = result.distance
     assert full == brute, (full, brute)
     assert result.recursion_depth >= 1, "the answer must come from the left descent"
-    own = root_primary_candidates(oracle, t, fault)
+    own = root_primary_candidates(g, 0, t, fault)
     assert min(own) > brute, "the root's own candidates must miss the answer"
     _report(
         2,
@@ -169,8 +170,8 @@ def test_criterion_4_dep_size_sublinearity():
 def test_criterion_5_replacement_table_equivalence(corpus):
     edges_checked = bare_levels = 0
     for label, g, s, oracle in corpus:
-        store = oracle.store
-        for i, node in enumerate(oracle.nodes()):
+        nodes, store = build_store(g, s)
+        for i, node in enumerate(nodes):
             if store.left[i] < 0:
                 continue
             path = node.primary_path
@@ -212,10 +213,11 @@ def test_criterion_6_structural_bounds(corpus):
         n_root = oracle.graph.n
         depth_cap = math.ceil(math.log(max(n_root, 2), 1.5)) + 2
         assert oracle.depth <= depth_cap, (label, oracle.depth, depth_cap)
-        for i, node in enumerate(oracle.nodes()):
-            if oracle.store.left[i] < 0:
+        nodes, store = build_store(g, s)
+        for i, node in enumerate(nodes):
+            if store.left[i] < 0:
                 continue
-            nr, nm, nn = split_sizes(oracle.store, i, node)
+            nr, nm, nn = split_sizes(store, i, node)
             assert balanced(nr, nm), (label, nr, nm, nn)
             assert balanced(nr, nn), (label, nr, nm, nn)
             splits += 1

@@ -14,7 +14,7 @@ from sdo.generators import tree_plus_chords
 from sdo.oracle import OracleTree, build_oracle
 from sdo.query import SsrpOutput, query, ssrp
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
-from sdo.store import INF, LEFT, PRIMARY, QueryStore
+from sdo.store import INF, LEAF, LEFT, PRIMARY, QueryStore
 
 from conftest import loop_check
 
@@ -255,7 +255,7 @@ def _sealed(payload: bytes) -> bytes:
 
 
 def _child_vertex_out_of_range(oracle, payload):
-    oracle.store.lchild[0] = 10**6
+    oracle.store.vlink[0] = 10**6
 
 
 def _child_node_points_upward(oracle, payload):
@@ -267,7 +267,7 @@ def _departing_segment_not_monotone(oracle, payload):
     s = oracle.store
     t = next(t for t in range(len(s.dep_off) - 1) if s.dep_off[t + 1] - s.dep_off[t] >= 2)
     a = s.dep_off[t]
-    s.dep_dpi[a], s.dep_dpi[a + 1] = s.dep_dpi[a + 1], s.dep_dpi[a]
+    s.dsr[a], s.dsr[a + 1] = s.dsr[a + 1], s.dsr[a]
 
 
 def _negative_distance(oracle, payload):
@@ -301,16 +301,17 @@ def _left_too_long(oracle, payload):
     oracle.store.left.append(-1)
 
 
-def _lchild_too_long(oracle, payload):
-    oracle.store.lchild.append(-1)
+def _vlink_too_long(oracle, payload):
+    oracle.store.vlink.append(-1)
 
 
-def _epos_too_long(oracle, payload):
-    oracle.store.epos.append(-1)
+def _esr_too_long(oracle, payload):
+    oracle.store.esr.append(-1)
 
 
-def _sr_past_srbase(oracle, payload):
-    oracle.store.sr.append(0)
+def _sr_short_of_its_indexes(oracle, payload):
+    s = oracle.store
+    del s.sr[max(s.esr):]
 
 
 def _dep_off_too_long(oracle, payload):
@@ -379,7 +380,12 @@ def _leaf_with_a_right_child(oracle, payload):
 
 def _separator_past_the_root(oracle, payload):
     s = oracle.store
-    s.sep[0] = s.vbase[1]
+    s.vsep[s.vsep.index(1)] = 0
+    s.vsep[s.vbase[1]] = 1
+
+
+def _vsep_two(oracle, payload):
+    oracle.store.vsep[0] = 2
 
 
 def _meta_depth_too_deep(oracle, payload):
@@ -387,19 +393,35 @@ def _meta_depth_too_deep(oracle, payload):
 
 
 def _side_code_four(oracle, payload):
-    oracle.store.eside[0] = 4
+    oracle.store.kind[0] = LEAF
 
 
+def _kind_five(oracle, payload):
+    oracle.store.kind[0] = 5
+
+
+# The root's first LEFT slot links into node 1, its left child.
 def _child_edge_past_the_child(oracle, payload):
     s = oracle.store
-    es = s.eside.index(LEFT)
-    s.echild[es] = s.ebase[2] - s.ebase[1]
+    s.elink[s.kind.index(LEFT)] = s.ebase[2]
+
+
+def _edge_link_in_the_wrong_child(oracle, payload):
+    s = oracle.store
+    s.elink[s.kind.index(LEFT)] = s.ebase[s.right[0]]
+
+
+def _backward_vertex_link(oracle, payload):
+    s = oracle.store
+    v = next(v for v in range(s.vbase[1], s.vbase[-1]) if s.vlink[2 * v] >= 0)
+    s.vlink[2 * v] = 0
 
 
 def _leaf_row_past_the_rows(oracle, payload):
     s = oracle.store
-    i = s.left.index(-1)
-    s.echild[s.ebase[i]] = len(s.rows) - (s.vbase[i + 1] - s.vbase[i]) + 1
+    es = s.kind.index(LEAF)
+    i = max(i for i in range(len(s.left)) if s.ebase[i] <= es)
+    s.elink[es] = len(s.rows) - s.vbase[i + 1] + 1
 
 
 def _meta_depth_too_shallow(oracle, payload):
@@ -408,9 +430,7 @@ def _meta_depth_too_shallow(oracle, payload):
 
 def _path_position_past_the_path(oracle, payload):
     s = oracle.store
-    es = s.eside.index(PRIMARY)
-    i = max(i for i in range(len(s.left)) if s.ebase[i] <= es)
-    s.epos[es] = s.srbase[i + 1] - s.srbase[i]
+    s.esr[s.kind.index(PRIMARY)] = len(s.sr)
 
 
 # The payload header: a 4-byte count, then per array a 12-byte name, a
@@ -427,7 +447,7 @@ def _unknown_typecode(oracle, payload):
 @pytest.mark.parametrize(
     "craft, reason",
     [
-        (_child_vertex_out_of_range, "child vertex id out of range"),
+        (_child_vertex_out_of_range, "child vertex slot out of range"),
         (_child_node_points_upward, "child out of preorder"),
         (_departing_segment_not_monotone, "not doubly monotone"),
         (_negative_distance, "dist_r holds a distance outside [0, INF]"),
@@ -437,9 +457,9 @@ def _unknown_typecode(oracle, payload):
         (_vbase_too_long, "vbase does not hold nodes + 1 entries"),
         (_vbase_decreases, "vbase decreases"),
         (_left_too_long, "left does not hold one entry per node"),
-        (_lchild_too_long, "lchild does not hold one entry per vertex slot"),
-        (_epos_too_long, "epos does not hold one entry per edge slot"),
-        (_sr_past_srbase, "srbase does not end at the end of sr"),
+        (_vlink_too_long, "vlink does not hold two entries per vertex slot"),
+        (_esr_too_long, "esr does not hold one entry per edge slot"),
+        (_sr_short_of_its_indexes, "path position out of range"),
         (_dep_off_too_long, "dep_off length"),
         (_dep_off_decreases, "dep_off decreases"),
         (_dep_off_short_of_the_entries, "dep_off does not end at the departing entries"),
@@ -452,11 +472,15 @@ def _unknown_typecode(oracle, payload):
         (_parent_edge_past_the_root, "parent edge out of range"),
         (_vertex_is_its_own_parent, "source tree is not a tree"),
         (_leaf_with_a_right_child, "has one child"),
-        (_separator_past_the_root, "node 0 separator out of range"),
+        (_separator_past_the_root, "node 0 separator marks 0 slots"),
+        (_vsep_two, "vsep is not 0 or 1"),
         (_meta_depth_too_deep, "meta depth differs from the tree"),
         (_side_code_four, "side code unknown"),
+        (_kind_five, "side code unknown"),
         (_meta_depth_too_shallow, "meta depth differs from the tree"),
         (_child_edge_past_the_child, "child edge id or leaf row out of range"),
+        (_edge_link_in_the_wrong_child, "child edge id or leaf row out of range"),
+        (_backward_vertex_link, "child vertex slot out of range"),
         (_leaf_row_past_the_rows, "child edge id or leaf row out of range"),
         (_path_position_past_the_path, "path position out of range"),
         (_header_length_disagrees, "do not fill the payload"),
@@ -483,13 +507,13 @@ def test_check_names_the_first_bad_node(tmp_path):
     s = oracle.store
     leaves = [i for i in range(len(s.left)) if s.left[i] < 0]
     inner = [i for i in range(len(s.left)) if s.left[i] >= 0]
-    sep = s.sep[inner[1]]
-    s.sep[inner[1]] = -1
+    sep = next(v for v in range(s.vbase[inner[1]], s.vbase[inner[1] + 1]) if s.vsep[v])
+    s.vsep[sep] = 0
     s.right[leaves[-1]] = 0
     target.write_bytes(dump_oracle(oracle))
-    with pytest.raises(ValueError, match=f"node {inner[1]} separator out of range"):
+    with pytest.raises(ValueError, match=f"node {inner[1]} separator marks 0 slots"):
         load_oracle(target)
-    s.sep[inner[1]] = sep
+    s.vsep[sep] = 1
     s.right[leaves[0]] = 0
     target.write_bytes(dump_oracle(oracle))
     with pytest.raises(ValueError, match=f"node {leaves[0]} has one child"):
@@ -498,10 +522,12 @@ def test_check_names_the_first_bad_node(tmp_path):
 
 def _fuzzed_stores(store: QueryStore, rounds: int, rng: random.Random):
     """Copies of ``store`` with one entry changed, ``rounds`` per array and
-    edge value: -2, -1, 0, len - 1, len and 2**31 - 1, and for distance
-    arrays INF and INF + 1. Values the array's type cannot hold are skipped."""
+    edge value: -2, -1, 0, 1, 2, len - 1, len and 2**31 - 1, and for
+    distance arrays INF and INF + 1. 1 and 2 are side codes and a flag past
+    ``vsep``'s 0 or 1, and small ids. Values the array's type cannot hold
+    are skipped."""
     for name, a in store.arrays():
-        values = [-2, -1, 0, len(a) - 1, len(a), 2**31 - 1]
+        values = [-2, -1, 0, 1, 2, len(a) - 1, len(a), 2**31 - 1]
         if a.typecode == "q":
             values += [INF, INF + 1]
         lo, hi = -(1 << (8 * a.itemsize - 1)), 1 << (8 * a.itemsize - 1)

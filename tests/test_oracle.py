@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -19,14 +20,15 @@ from sdo.generators import (
     verify_corpus,
 )
 from sdo.graphs import Graph, UNREACHABLE
-from sdo.oracle import OracleTree, _build, build_node, build_oracle
+from sdo.oracle import OracleTree, _build, build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle
 from sdo.spt import dijkstra, separator_split
-from sdo.store import INF, close_store, open_store
+from sdo.store import CROSS, INF, LEAF, RIGHT, close_store
 
 from conftest import (
     balanced,
+    build_store,
     child_maps,
     distances,
     leaf_table,
@@ -39,32 +41,21 @@ from conftest import (
 )
 
 
-def walk_internal(oracle):
-    """(store id, record) of every internal node; record ``i`` of the
-    replayed build is store node ``i``."""
-    left = oracle.store.left
-    for i, node in enumerate(oracle.nodes()):
-        if left[i] >= 0:
+def walk_internal(records, store):
+    """(store id, record) of every internal node of a build store; record
+    ``i`` is store node ``i``."""
+    for i, node in enumerate(records):
+        if store.left[i] >= 0:
             yield i, node
 
 
-def build_leaf(g, depth):
-    """The records of a node built alone on ``g`` at ``depth``, and its store."""
-    spt = dijkstra(g, 0)
-    store = open_store(spt)
-    records = []
-    build_node(spt, depth, store, records.append)
-    return records, close_store(store)
-
-
-def assert_child_distances_equal_parent_distances(oracle):
+def assert_child_distances_equal_parent_distances(g, source):
     """Every child vertex lies at its parent vertex's source distance, and
     every node vertex at the input-graph distance of its original vertex."""
-    store = oracle.store
-    nodes = list(oracle.nodes())
+    nodes, store = build_store(g, source)
     root = nodes[0]
     original = {v: v for v in range(root.graph.n)}
-    input_dist = source_tree(oracle).dist
+    input_dist = dijkstra(g, source).dist
     stack = [(0, original, dijkstra(root.graph, root.source).dist)]
     while stack:
         i, original, dist = stack.pop()
@@ -84,11 +75,12 @@ def assert_child_distances_equal_parent_distances(oracle):
 def test_tree_nodes_are_store_nodes_in_preorder():
     for label, g, s in verify_corpus(seed=11, count=28, max_n=60):
         oracle = build_oracle(g, s)
-        store = oracle.store
-        # the replay behind nodes(), with its scratch store
-        nodes = []
-        replay = _build(g, s, nodes.append)
-        assert dump_oracle(OracleTree(replay)) == dump_oracle(oracle), label
+        # the serial build behind nodes(), with its build store, which
+        # close_store leaves as it is
+        nodes, store = build_store(g, s)
+        appended = [a.tobytes() for _, a in store.arrays()]
+        assert dump_oracle(OracleTree(close_store(store))) == dump_oracle(oracle), label
+        assert [a.tobytes() for _, a in store.arrays()] == appended, label
         assert len(nodes) == oracle.node_count, label
         for i, node in enumerate(nodes):
             original = sum(not e.virtual for e in node.graph.edges)
@@ -101,6 +93,47 @@ def test_tree_nodes_are_store_nodes_in_preorder():
             assert store.left[i] == i + 1 < store.right[i], (label, i)
             for child in (store.left[i], store.right[i]):
                 assert nodes[child].depth == node.depth + 1, (label, i, child)
+
+
+def assert_links_point_ahead_into_their_child(store):
+    """Every vertex link and every edge link but a leaf's row is -1 or a
+    slot past its own, in the child node its side names: the left child for
+    a vertex's first link and for PRIMARY and LEFT edge slots, the right
+    child for the second and for RIGHT. CROSS edge slots link nowhere."""
+    vbase, ebase, left, right = store.vbase, store.ebase, store.left, store.right
+
+    def owner(base, slot):
+        return bisect_right(base, slot) - 1
+
+    for v in range(vbase[-1]):
+        i = owner(vbase, v)
+        for x, child in zip(store.vlink[2 * v : 2 * v + 2], (left[i], right[i])):
+            assert x == -1 or (x > v and child >= 0 and owner(vbase, x) == child), (v, x)
+    for e in range(ebase[-1]):
+        kind, x = store.kind[e], store.elink[e]
+        if kind == LEAF:
+            continue
+        i = owner(ebase, e)
+        if kind == CROSS:
+            assert x == -1, (e, x)
+        else:
+            child = right[i] if kind == RIGHT else left[i]
+            assert x > e and child >= 0 and owner(ebase, x) == child, (e, kind, x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [(g, s) for _, g, s in verify_corpus(seed=11, count=28, max_n=60)],
+        lambda: [(tree_plus_chords(4096, 8192, 42), 0)],
+        lambda: [(nested_arcs(64)[0], 0)],
+    ],
+    ids=["corpus", "chords(4096)", "arcs(64)"],
+)
+def test_links_point_ahead_into_their_child(make):
+    # the benchmark's two graph families, before their relabelling
+    for g, s in make():
+        assert_links_point_ahead_into_their_child(build_oracle(g, s).store)
 
 
 def test_built_oracle_keeps_no_level_graph():
@@ -148,14 +181,34 @@ class TestParallelBuild:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_nested_workers_on_more_cores_than_the_host(self, forks, monkeypatch):
+    def test_nested_workers_on_more_cores_than_the_host(self, forks, monkeypatch, tmp_path):
         # four cores' tokens, and workers for far sides of 16 vertices, so
         # that workers fork workers and more processes run than cores exist
         monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(oracle_module, "FORK_MIN_VERTICES", 16)
-        for g in self.GRAPHS.values():
-            assert dump_oracle(build_oracle(g, 0)) == dump_oracle(OracleTree(_build(g, 0, [].append)))
-        assert len(forks) >= 6
+        # every process of the build appends the pid of each worker it forks
+        log = tmp_path / "pids"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        fork = os.fork
+
+        def logged():
+            pid = fork()
+            if pid:
+                os.write(fd, b"%d\n" % pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", logged)
+        try:
+            for g in self.GRAPHS.values():
+                before = len(log.read_text().split())
+                assert dump_oracle(build_oracle(g, 0)) == dump_oracle(OracleTree(_build(g, 0, [].append)))
+                # Each of the build's own levels down its left spine, while its
+                # far side has 16 vertices, takes a token or finds all three
+                # held by running workers; either way all three were taken.
+                assert len(log.read_text().split()) - before >= 3
+        finally:
+            os.close(fd)
+        assert set(forks) <= set(map(int, log.read_text().split()))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -255,19 +308,19 @@ build_oracle(tree_plus_chords(16384, 32768, 42), 0)
 
 class TestLeaves:
     def test_single_edge_root_is_leaf(self):
-        oracle = build_oracle(Graph.from_pairs(2, [(0, 1)]), 0)
-        assert oracle.store.left[0] < 0
-        assert leaf_table(oracle.store, 0) == {0: [0, UNREACHABLE]}
+        g = Graph.from_pairs(2, [(0, 1)])
+        assert build_oracle(g, 0).store.left[0] < 0
+        assert leaf_table(build_store(g)[1], 0) == {0: [0, UNREACHABLE]}
 
     def test_small_non_root_nodes_are_leaves(self):
-        records, store = build_leaf(path_graph(4), depth=1)
+        records, store = build_store(path_graph(4), depth=1)
         assert store.left[0] < 0
         assert len(records) == 1 and store.right[0] == -1
         assert set(leaf_table(store, 0)) == {0, 1, 2}
 
     def test_leaf_tables_match_banned_dijkstra(self):
         g = tree_plus_chords(4, 2, 8)
-        records, store = build_leaf(g, depth=3)
+        records, store = build_store(g, depth=3)
         assert store.left[0] < 0 and records[0].depth == 3
         for eid, dist in leaf_table(store, 0).items():
             assert dist == dijkstra(g, 0, {eid}).dist
@@ -276,7 +329,7 @@ class TestLeaves:
 class TestThreeVertexPath:
     def test_root_splits_with_leaf_children(self):
         oracle = build_oracle(path_graph(3), 0)
-        store = oracle.store
+        store = build_store(path_graph(3))[1]
         assert store.left[0] >= 0
         assert store.sep[0] == 1
         assert oracle.depth == 1
@@ -287,16 +340,16 @@ class TestDegenerateSeparator:
     def test_source_equals_separator(self):
         # star from the center: the separator lands on the source, the
         # primary path is empty, children are still built
-        oracle = build_oracle(star_graph(10), 0)
-        root = oracle.nodes()[0]
-        assert oracle.store.sep[0] == root.source == 0
+        nodes, store = build_store(star_graph(10))
+        root = nodes[0]
+        assert store.sep[0] == root.source == 0
         assert len(root.primary_path) == 1
         assert root.primary_path.edge_ids == []
-        assert set(vertex_segment(oracle.store, "dist_r", 0)) == {INF}
-        assert oracle.store.srbase[1] == 0
+        assert set(vertex_segment(store, "dist_r", 0)) == {INF}
+        assert store.srbase[1] == 0
         assert root.sr_replacements is None
         assert root.dep is None
-        assert oracle.store.left[0] >= 0 and oracle.store.right[0] >= 0
+        assert store.left[0] >= 0 and store.right[0] >= 0
 
 
 class TestChildGraphs:
@@ -306,9 +359,7 @@ class TestChildGraphs:
         from sdo.graphs import Edge
 
         g = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        oracle = build_oracle(g, 0)
-        store = oracle.store
-        nodes = oracle.nodes()
+        nodes, store = build_store(g)
         assert store.sep[0] == 1
         lmap, _, left_edge_map, _ = child_maps(store, 0, nodes[0].graph)
         banned = set(left_edge_map)
@@ -318,14 +369,10 @@ class TestChildGraphs:
 
     def test_child_distances_equal_parent_distances(self):
         for seed in (0, 1, 2):
-            g = tree_plus_chords(45, 30, seed)
-            assert_child_distances_equal_parent_distances(build_oracle(g, 0))
+            assert_child_distances_equal_parent_distances(tree_plus_chords(45, 30, seed), 0)
 
     def test_fresh_shortcuts_incident_to_separator_and_new_source(self):
-        g = tree_plus_chords(40, 20, 4)
-        oracle = build_oracle(g, 0)
-        store = oracle.store
-        nodes = oracle.nodes()
+        nodes, store = build_store(tree_plus_chords(40, 20, 4))
         for i, node in enumerate(nodes):
             if store.left[i] < 0:
                 continue
@@ -342,9 +389,7 @@ class TestChildGraphs:
     def test_unreachable_shortcut_weights_are_omitted(self):
         # pure path: the far side is unreachable once its edges are banned,
         # so the left child gains no shortcut edges at all
-        oracle = build_oracle(path_graph(9), 0)
-        store = oracle.store
-        nodes = oracle.nodes()
+        nodes, store = build_store(path_graph(9))
         root, left, right = nodes[0], nodes[store.left[0]], nodes[store.right[0]]
         r = store.sep[0]
         lv, rv, le, _ = child_maps(store, 0, root.graph)
@@ -371,7 +416,7 @@ class TestClassify:
         g = Graph.from_pairs(
             7, [(3, 4), (4, 1), (1, 0), (0, 6), (5, 2), (2, 6), (2, 3)]
         )
-        return g, build_oracle(g, 0).store
+        return g, build_store(g)[1]
 
     def test_first_primary_edge(self):
         g, store = self._root()
@@ -402,21 +447,19 @@ class TestClassify:
 
 class TestStructure:
     def test_side_partition_counts(self):
-        g = tree_plus_chords(60, 35, 12)
-        oracle = build_oracle(g, 0)
-        for i, node in walk_internal(oracle):
-            nr, nm, nn = split_sizes(oracle.store, i, node)
+        records, store = build_store(tree_plus_chords(60, 35, 12))
+        for i, node in walk_internal(records, store):
+            nr, nm, nn = split_sizes(store, i, node)
             assert nm + nn == nr + 1
             spt = dijkstra(node.graph, node.source)
             split = separator_split(spt)
-            assert split.r == oracle.store.sep[i]
+            assert split.r == store.sep[i]
             assert (spt.reachable_count(), sum(split.in_m), sum(split.in_n)) == (nr, nm, nn)
 
     def test_primary_path_inside_m(self):
-        g = tree_plus_chords(50, 20, 13)
-        oracle = build_oracle(g, 0)
-        for i, node in walk_internal(oracle):
-            lv = child_maps(oracle.store, i, node.graph)[0]
+        records, store = build_store(tree_plus_chords(50, 20, 13))
+        for i, node in walk_internal(records, store):
+            lv = child_maps(store, i, node.graph)[0]
             for v in node.primary_path.vertices:
                 assert v in lv
 
@@ -449,7 +492,7 @@ class TestStructure:
         assert oracle.graph is g
         assert oracle.nodes()[0].graph is g
         assert oracle.store.left[0] >= 0
-        lv, rv, _, _ = child_maps(oracle.store, 0, g)
+        lv, rv, _, _ = child_maps(build_store(g)[1], 0, g)
         for v in (3, 4, 5):
             assert v not in lv
             assert v not in rv
@@ -460,7 +503,7 @@ class TestStructure:
         g = Graph.from_pairs(n, [(v, v + 1) for v in range(1, n - 1)])
         oracle = build_oracle(g, 0)
         assert oracle.store.left[0] < 0
-        assert leaf_table(oracle.store, 0) == {}
+        assert leaf_table(build_store(g)[1], 0) == {}
         assert ssrp(oracle).records == []
 
     def test_source_with_one_neighbour_in_a_large_graph(self):
@@ -468,7 +511,7 @@ class TestStructure:
         g = Graph.from_pairs(n, [(0, 1)] + [(v, v + 1) for v in range(2, n - 1)])
         oracle = build_oracle(g, 0)
         assert oracle.store.left[0] < 0
-        assert list(leaf_table(oracle.store, 0)) == [source_tree(oracle).parent_edge[1]]
+        assert list(leaf_table(build_store(g)[1], 0)) == [source_tree(oracle).parent_edge[1]]
         assert ssrp(oracle).records == brute_ssrp(g, 0).records
         assert query(oracle, 1, (0, 1)).distance is UNREACHABLE
         assert query(oracle, 5, (5, 6)).distance is UNREACHABLE
@@ -512,8 +555,9 @@ def test_build_invariants_random(n, extra, seed):
     g = tree_plus_chords(n, extra, seed)
     oracle = build_oracle(g, 0)
     assert oracle.depth <= math.ceil(math.log(n, 1.5)) + 2
-    for i, node in walk_internal(oracle):
-        nr, nm, nn = split_sizes(oracle.store, i, node)
+    records, store = build_store(g)
+    for i, node in walk_internal(records, store):
+        nr, nm, nn = split_sizes(store, i, node)
         assert balanced(nr, nm)
         assert balanced(nr, nn)
 
@@ -523,7 +567,7 @@ def test_build_invariants_random(n, extra, seed):
 def test_child_distances_on_disconnected_multigraphs(n, extra, seed, data):
     g = ragged_multigraph(n, extra, seed)
     source = data.draw(st.integers(0, n - 1))
-    assert_child_distances_equal_parent_distances(build_oracle(g, source))
+    assert_child_distances_equal_parent_distances(g, source)
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,9 +575,8 @@ def test_child_distances_on_disconnected_multigraphs(n, extra, seed, data):
 def test_child_maps_partition_ragged_multigraphs(n, extra, seed, data):
     g = ragged_multigraph(n, extra, seed)
     source = data.draw(st.integers(0, n - 1))
-    oracle = build_oracle(g, source)
-    store = oracle.store
-    for i, node in walk_internal(oracle):
+    records, store = build_store(g, source)
+    for i, node in walk_internal(records, store):
         lv, rv, le, re = child_maps(store, i, node.graph)
         primary = primary_positions(store, i)
         spt = dijkstra(node.graph, node.source)

@@ -17,9 +17,17 @@ from sdo.oracle import build_oracle
 from sdo.query import _query_node, query, ssrp
 from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
-from sdo.store import INF, PRIMARY, check
+from sdo.store import INF, PRIMARY, TABLE, QueryStore, check
 
-from conftest import node_walk, path_graph, rejoin_gadget, root_primary_candidates, source_tree, with_weights
+from conftest import (
+    build_store,
+    node_walk,
+    path_graph,
+    rejoin_gadget,
+    root_primary_candidates,
+    source_tree,
+    with_weights,
+)
 
 # the module: the package's ``sdo.query`` attribute is the function
 query_module = importlib.import_module("sdo.query")
@@ -127,7 +135,7 @@ class TestGadget:
         result = query(oracle, t, fault)
         assert result.distance == expected
         assert result.recursion_depth >= 1
-        own = min(root_primary_candidates(oracle, t, fault))
+        own = min(root_primary_candidates(g, 0, t, fault))
         assert own != expected
         assert own > expected
 
@@ -235,13 +243,13 @@ def test_separate_builds_dump_identical_bytes():
 # seed 11. A change that leaves the file format alone must leave these bytes
 # alone too.
 PINNED_DUMPS = {
-    "tree": "f3b9160d4c834a55e5c13166dae6d7d30439b9b075f56aaa6375e282d7a51936",
-    "tree+n/4": "e8ea1c132f7ecfbea25eb1ab1232f7480a601e49dbd97e1c44c12d1f94200eed",
-    "tree+n": "0137cb864f1788218a30cffa75889c2d6ecc53421ba8fefa500e9be688800916",
-    "tree+dense": "c053e683a3a2b4c4adf16295dbb0bdfee6b6972dcf4784772bf8c40e913a03d7",
-    "grid": "c0ede3102c094097fedad1d9cd69de56b7e6e287d173a7027b3002da9afe7e77",
-    "gadget": "804455dead7c4e880f820990737409651e88830ad7efc43522e616862fc93904",
-    "ragged": "d8e17978f8a4d3a05f7a3a0ca702c4fba7ca7de7299bf763091d4fd41764c503",
+    "tree": "b9b486d482d9581c484c9c2562600e9f1ea483142e1276450f1efce80e099713",
+    "tree+n/4": "7af997fdd904379ae705da54c1c71f316886925bea3eeba4263324ab95a8cf02",
+    "tree+n": "dce27fb52fd276009c5098a8bed8d5f7f473b1bd23bf22e4661e1c0669f689cb",
+    "tree+dense": "25452400b1ba289cc0cfc8cdccc0ee50e89084d964b6acdceb9b5098c22c04f1",
+    "grid": "99857b99c338d90b061cac6f08cac3a0358b2151de416b80ed0b9908628b6610",
+    "gadget": "97e9c1406e12562fc7b5f7e7e45b522b75c5c2150a728dd03288088beb5a49f8",
+    "ragged": "3f3d565cac39046be59c2a8b4512ca2b36500ae2ebe52050bf02068ba22d228e",
 }
 
 
@@ -263,8 +271,8 @@ def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
 # The same pins where departing segments grow long and equal lengths tie:
 # nested_arcs(32), and a weighted tree_plus_chords with zero weights.
 PINNED_DUMPS_AT_SCALE = {
-    "arcs(32)": "272cce3d6b772678e640a00c07dd30291c3da83f35502ddefe31bfa45933d7c5",
-    "chords(512)": "fd4d331b0c4b36b5babbb370f55e8282c1b121cb249cf0aeeef3fd92c2ca1c99",
+    "arcs(32)": "96ef26f79b6e4fc7ff7b95113a8a5feff8996d1cec8849dbed82c0eabae327c5",
+    "chords(512)": "973b7d4e82f31ade3c8e8638bb6209905e56ec614ecfcf9de495c00ce1de94d8",
 }
 
 
@@ -344,14 +352,15 @@ def test_weights_summing_just_below_inf_answer_exactly():
     assert ssrp(oracle).records == brute_ssrp(g, 0).records
 
 
-def assert_ssrp_matches_the_scalar_descent(oracle):
+def assert_ssrp_matches_the_scalar_descent(oracle, build):
     """Every ssrp record, answered by the batched descent, and
     ``_query_node`` run for that record alone both equal the node-relative
-    reference walk on the same store, which reads no slot index."""
+    reference walk on ``build``, the oracle's build store, which holds no
+    slot link."""
     store = oracle.store
     for t, (x, y), d in ssrp(oracle).records:
         eid = store.parent_edge[y]
-        want, depth = node_walk(store, t, eid, store.dist[t], 0)
+        want, depth = node_walk(build, t, eid, store.dist[t], 0)
         assert _query_node(store, t, eid, store.dist[t], 0) == (want, depth), (t, x, y)
         assert d == (UNREACHABLE if want >= INF else want), (t, x, y)
         assert d is UNREACHABLE or d >= 0
@@ -363,13 +372,15 @@ def test_batched_descent_equals_the_scalar_one(n, extra, seed, data):
     base = ragged_multigraph(n, extra, seed)
     weights = data.draw(st.lists(st.integers(0, 3), min_size=base.m, max_size=base.m))
     g = with_weights(base, weights)
-    built = build_oracle(g, data.draw(st.integers(0, n - 1)))
+    source = data.draw(st.integers(0, n - 1))
+    built = build_oracle(g, source)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.oracle"
         save_oracle(built, path)
         loaded = load_oracle(path)
-    assert_ssrp_matches_the_scalar_descent(built)
-    assert_ssrp_matches_the_scalar_descent(loaded)
+    build = build_store(g, source)[1]
+    assert_ssrp_matches_the_scalar_descent(built, build)
+    assert_ssrp_matches_the_scalar_descent(loaded, build)
 
 
 @pytest.mark.parametrize(
@@ -379,54 +390,46 @@ def test_batched_descent_equals_the_scalar_one(n, extra, seed, data):
 def test_batched_descent_equals_the_scalar_one_at_scale(make):
     # beyond the drawn graphs' 30 vertices: 4096 vertices, and a departing
     # array of 33 candidates on the arcs
-    assert_ssrp_matches_the_scalar_descent(build_oracle(make(), 0))
+    g = make()
+    assert_ssrp_matches_the_scalar_descent(build_oracle(g, 0), build_store(g)[1])
 
 
 def test_inf_candidates_saturate_in_the_batched_descent():
     # sr and dist_r may both hold INF; their sum must stay INF, not wrap
-    # around int64 to a negative length. The root's slots start at 0.
-    oracle = build_oracle(tree_plus_chords(60, 40, 5), 0)
+    # around int64 to a negative length. The root's slots start at 0, and
+    # both stores change alike.
+    g = tree_plus_chords(60, 40, 5)
+    oracle = build_oracle(g, 0)
+    build = build_store(g)[1]
     store = oracle.store
     t, (x, y), _ = next(
-        r for r in ssrp(oracle).records if store.eside[store.parent_edge[r[1][1]]] == PRIMARY
+        r for r in ssrp(oracle).records if store.kind[store.parent_edge[r[1][1]]] == PRIMARY
     )
-    store.sr[store.epos[store.parent_edge[y]]] = INF
-    store.dist_r[t] = INF
+    at = store.esr[store.parent_edge[y]]
+    assert at == build.srbase[0] + build.epos[store.parent_edge[y]]
+    for s in (store, build):
+        s.sr[at] = INF
+        s.dist_r[t] = INF
     check(store)
-    assert_ssrp_matches_the_scalar_descent(oracle)
+    assert_ssrp_matches_the_scalar_descent(oracle, build)
 
 
-def test_the_slot_index_is_built_once_per_store(monkeypatch):
-    built = []
-    build = query_module._build_links
-
-    def counted(store):
-        built.append(store)
-        return build(store)
-
-    monkeypatch.setattr(query_module, "_build_links", counted)
+def test_the_store_holds_only_its_file_arrays():
+    # no state is kept beside the arrays, so a loaded store equals a built one
+    assert QueryStore.__slots__ == tuple(name for name, _ in TABLE)
     oracle = build_oracle(tree_plus_chords(300, 600, 7), 0)
-    store = oracle.store
-    before = dump_oracle(oracle)
     faults = [(t, e) for t, e, _ in all_fault_pairs(oracle)]
-    assert store.links is None
-    want = query(oracle, *faults[0])
+    before = dump_oracle(oracle)
+    want = [query(oracle, t, e) for t, e in faults]
     records = ssrp(oracle).records
-    assert ssrp(oracle).records == records
-    assert built == [store] and store.links is not None
-    # the index is derived state: never written, never listed as an array
     assert dump_oracle(oracle) == before
-    assert "links" not in dict(store.arrays())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.oracle"
         save_oracle(oracle, path)
         loaded = load_oracle(path)
-    assert loaded.store.links is None and len(built) == 1
-    assert query(loaded, *faults[0]) == want
-    assert built == [store, loaded.store]
-    assert [query(loaded, t, e) for t, e in faults] == [query(oracle, t, e) for t, e in faults]
+    assert loaded.store.arrays() == oracle.store.arrays()
+    assert [query(loaded, t, e) for t, e in faults] == want
     assert ssrp(loaded).records == records
-    assert len(built) == 2
 
 
 def test_ssrp_equals_brute_force_at_n_1024():
@@ -474,9 +477,9 @@ class TestChunkedDescent:
         sizes = []
         descend = query_module._descend
 
-        def sized(store, links, t, eid, d0):
+        def sized(store, views, t, eid, d0):
             sizes.append(len(t))
-            return descend(store, links, t, eid, d0)
+            return descend(store, views, t, eid, d0)
 
         monkeypatch.setattr(query_module, "_descend", sized)
         return sizes
