@@ -75,7 +75,10 @@ class DepBuildStats:
 
     accepted: int = 0
     pushes: int = 0
-    pops: int = 0
+
+    @property
+    def pops(self) -> int:
+        return self.pushes
 
 
 def build_dep(
@@ -136,7 +139,7 @@ def build_dep(
                     heappush(heap, (length_w, w))
                     pushes += 1
         kept_at.append(len(kept_v))
-    stats = DepBuildStats(len(kept_v), pushes, pushes)
+    stats = DepBuildStats(len(kept_v), pushes)
     return _group_by_destination(n, kept_v, kept_length, kept_at), stats
 
 

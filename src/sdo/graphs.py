@@ -176,9 +176,15 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    """Inverse of parse_graph; only valid for graphs without virtual edges."""
-    if any(e.virtual for e in g.edges):
-        raise ValueError("graphs with virtual edges are never serialized as text")
+    """Inverse of parse_graph. The text format holds unit-weight original
+    edges only, so ValueError names the first edge that is virtual or whose
+    weight is not 1."""
+    for eid, e in enumerate(g.edges):
+        if e.virtual or e.weight != 1:
+            what = "is virtual" if e.virtual else f"has weight {e.weight}"
+            raise ValueError(
+                f"edge {eid} ({e.u}, {e.v}) {what}; text graphs hold unit-weight original edges only"
+            )
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{e.u} {e.v}" for e in g.edges)
     return "\n".join(lines) + "\n"

@@ -7,10 +7,10 @@ preserve all surviving distances inside each side. The root is the input
 graph itself, and a vertex the source cannot reach enters neither side.
 Grafting preserves distances from the source, so every node vertex lies at
 its original vertex's input-graph distance, and the oracle keeps that one
-source tree for the whole recursion. Each level appends its rows to a
-``BuildStore`` of flat arrays and drops its graph before it recurses; then
-``close_store`` makes the ``QueryStore``, all that queries read and files
-hold. ``OracleTree.nodes()`` replays the build for the levels' records. On
+source tree for the whole recursion. Each level appends its rows to the
+``QueryStore``, the flat arrays that queries read and files hold, and drops
+its graph before it recurses; then ``close_store`` rebases the child links.
+``OracleTree.nodes()`` replays the build for the levels' records. On
 a host with a free core, a level may hand its far side to a forked worker,
 which builds it into a segment store that is spliced in after the near side.
 """
@@ -38,7 +38,6 @@ from .spt import (
 )
 from .store import (
     INF,
-    BuildStore,
     QueryStore,
     _original_count,
     append_node,
@@ -103,7 +102,7 @@ class OracleTree:
         return levels
 
 
-def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: BuildStore) -> OracleNode:
+def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> OracleNode:
     """Tabulate the source distances avoiding each original edge the source
     reaches (an edge with one reached end has both); a fault elsewhere never
     descends here."""
@@ -130,8 +129,8 @@ def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
     as the source, is ``origin`` itself or, if ``fresh``, a new last vertex.
 
     The vertex map lists each parent vertex's child id, -1 outside: the
-    store's child row as it is. The edge map is a dict, the avoid sweep's
-    banned set. Both keep the parent's order."""
+    store's child links on that side as the build appends them. The edge map
+    is a dict, the avoid sweep's banned set. Both keep the parent's order."""
     kept = list(compress(range(g.n), inside))
     vmap = [-1] * g.n
     for lv, v in enumerate(kept):
@@ -292,7 +291,7 @@ def _fork(graft: tuple[Graph, int], depth: int, cores: _Cores) -> tuple[int, int
     return pid, rfd
 
 
-def _join(pid: int, rfd: int, store: BuildStore, cores: _Cores) -> None:
+def _join(pid: int, rfd: int, store: QueryStore, cores: _Cores) -> None:
     """Splice the worker's segment onto ``store``, then reap the worker.
     While it waits on the worker, this process gives back its core."""
     cores.give()
@@ -320,7 +319,7 @@ def _stop(pid: int, cores: _Cores) -> None:
 
 
 def build_node(
-    spt_s: ShortestPathTree, depth: int, store: BuildStore, emit: Emit, cores: _Cores | None = None
+    spt_s: ShortestPathTree, depth: int, store: QueryStore, emit: Emit, cores: _Cores | None = None
 ) -> None:
     """Build the oracle node for ``spt_s``, the canonical tree of the node's
     graph from its source: append its rows to ``store``, pass its record to
@@ -393,7 +392,8 @@ def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     finally:
         if cores is not None:
             cores.close()
-    return close_store(store)
+    close_store(store)
+    return store
 
 
 def build_oracle(g: Graph, source: int) -> OracleTree:

@@ -7,10 +7,11 @@ edge slots ``ebase[i]:ebase[i + 1]``, one per vertex and per original edge
 of its graph. Every node graph numbers its original edges first (the root
 holds only input edges, grafting keeps the parent's order and appends
 shortcuts), so slot ``ebase[i] + eid`` belongs to edge ``eid``; shortcuts
-are never faults and get no slot. The build appends node-relative ids to a
-``BuildStore``; ``close_store`` turns them into the slot links of the
-``QueryStore``, which is all that queries, on built and loaded oracles
-alike, read and files hold.
+are never faults and get no slot. The build appends each level to one
+``QueryStore``, all that queries, on built and loaded oracles alike, read
+and files hold. Every array but the child links is final once its level is
+appended; the links hold child-relative ids until ``close_store`` adds the
+child's base to each.
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
@@ -60,8 +61,9 @@ TABLE = (
     ("ebase", "i"),
     ("left", "i"),
     ("right", "i"),
-    # per vertex slot: left and right child slots, two a slot (-1: none); 1 on
-    # the separator; distance from it; departing segment start (plus the end)
+    # per vertex slot: left and right child slots, two a slot (-1: none; built
+    # as child vertex ids); 1 on the separator; distance from it; departing
+    # segment start (plus the end)
     ("vlink", "i"),
     ("vsep", "b"),
     ("dist_r", "q"),
@@ -69,8 +71,9 @@ TABLE = (
     # departing candidates, each segment by rising departure position (an sr index)
     ("dep_len", "q"),
     ("dsr", "i"),
-    # per edge slot: side code or LEAF; the child edge slot on that side (a leaf
-    # row's offset less the leaf's vbase; CROSS: -1); PRIMARY's sr index, else -1
+    # per edge slot: side code or LEAF; the child edge slot on that side (built
+    # as a child edge id; a leaf row's offset less the leaf's vbase; CROSS: -1);
+    # PRIMARY's sr index, else -1
     ("kind", "b"),
     ("elink", "i"),
     ("esr", "i"),
@@ -79,43 +82,19 @@ TABLE = (
     ("rows", "q"),
 )
 
-# The build's arrays: TABLE's but the links, then what ``close_store`` makes
-# them of: per node, the separator and the ``sr`` base; per vertex slot, the
-# child vertex ids; per departing entry, its path position; per edge slot,
-# the side code, the child edge id (at a leaf, the row offset) and the path
-# position. -1 is none; all three bases start at 0.
-_LINKS = ("vlink", "vsep", "dsr", "kind", "elink", "esr")
-BUILD = tuple(entry for entry in TABLE if entry[0] not in _LINKS) + (
-    ("sep", "i"), ("srbase", "i"), ("lchild", "i"), ("rchild", "i"),
-    ("dep_dpi", "i"), ("eside", "b"), ("echild", "i"), ("epos", "i"),
-)
 
+class QueryStore:
+    """Every table a query reads, one ``array`` per entry of ``TABLE``,
+    empty at first."""
 
-class _Store:
-    """One ``array`` per entry of the class's ``table``, empty at first."""
-
-    __slots__ = ()
+    __slots__ = tuple(name for name, _ in TABLE)
 
     def __init__(self):
-        for name, code in self.table:
+        for name, code in TABLE:
             setattr(self, name, array(code))
 
     def arrays(self) -> list[tuple[str, array]]:
-        return [(name, getattr(self, name)) for name, _ in self.table]
-
-
-class QueryStore(_Store):
-    """Every table a query reads, one ``array`` per entry of ``TABLE``."""
-
-    __slots__ = tuple(name for name, _ in TABLE)
-    table = TABLE
-
-
-class BuildStore(_Store):
-    """The arrays of ``BUILD``, which the build appends each level to."""
-
-    __slots__ = tuple(name for name, _ in BUILD)
-    table = BUILD
+        return [(name, getattr(self, name)) for name, _ in TABLE]
 
 
 def _original_count(g: Graph) -> int:
@@ -128,7 +107,7 @@ def _is_virtual(e: Edge) -> bool:
     return e.virtual
 
 
-def open_store(spt: ShortestPathTree) -> BuildStore:
+def open_store(spt: ShortestPathTree) -> QueryStore:
     """A store holding the source-tree arrays of the oracle built on
     ``spt.graph`` from ``spt.source``, ready for ``append_node``.
 
@@ -170,7 +149,7 @@ _NONE = array("i", [-1])
 
 
 def append_node(
-    s: BuildStore,
+    s: QueryStore,
     g: Graph,
     depth: int,
     rows: Iterable[tuple[int, list[int]]] = (),
@@ -184,42 +163,50 @@ def append_node(
     A leaf gives ``rows``: the source distances avoiding each original edge
     a fault can reach. An internal node gives its separator ``r``, primary
     path and split: the vertex and edge maps of side M (the source side,
-    holding the path), then of side N. A vertex map is the child row itself,
-    the child id of each of ``g``'s vertices or -1; an edge map lists
-    ``g``'s edge ids in ``g``'s order. The separator is in both sides, and
-    an edge in neither crosses the split. Its left child is appended next; the
-    caller sets ``right``. ``tables`` holds the distances from ``r``, the
+    holding the path), then of side N. A vertex map, the child id of each
+    of ``g``'s vertices or -1, is its side's half of ``vlink``; an edge map
+    lists ``g``'s edge ids in ``g``'s order. The separator is in both sides,
+    and an edge in neither crosses the split. Its left child is appended
+    next; the caller sets ``right``. ``tables`` holds the distances from ``r``, the
     replacement lengths along the path and the departing table, or None
     when no input edge lies on the path. Distances are store integers,
-    ``INF`` for none, and go in as they are."""
+    ``INF`` for none, and go in as they are.
+
+    Every array is final but the child links, which hold ids within the
+    child: both halves of ``vlink`` and ``elink`` at PRIMARY, LEFT and RIGHT
+    slots. A path position goes in as its index into ``sr``, and a leaf
+    row as its offset less the leaf's ``vbase``."""
     i = len(s.left)
     nv, ne = g.n, _original_count(g)
+    vbase, sr_start = len(s.vsep), len(s.sr)
     s.meta[3] = max(s.meta[3], depth)
     s.left.append(i + 1 if maps else -1)
     s.right.append(-1)
-    s.sep.append(r)
-    child, pos = _NONE * ne, _NONE * ne
-    side = array("b", [CROSS]) * ne
+    vlink, sep = _NONE * (2 * nv), array("b", [0]) * nv
+    kind, link, at = array("b", [CROSS]) * ne, _NONE * ne, _NONE * ne
     for eid, row in rows:
-        child[eid] = len(s.rows)
+        kind[eid] = LEAF
+        link[eid] = len(s.rows) - vbase
         s.rows.extend(row)
-    for code, (_, emap) in zip((LEFT, RIGHT), maps):
+    for side, (code, (vmap, emap)) in enumerate(zip((LEFT, RIGHT), maps)):
+        vlink[side::2] = array("i", vmap)
         for eid, ce in emap.items():
             if eid >= ne:  # the shortcuts, which follow the original edges
                 break
-            side[eid] = code
-            child[eid] = ce
+            kind[eid] = code
+            link[eid] = ce
     # shortcuts follow the original edges, so a path edge below ne can fail
     for p, eid in enumerate(path_edges):
         if eid < ne:
-            side[eid] = PRIMARY
-            pos[eid] = p
-    lrow, rrow = (vmap for vmap, _ in maps) if maps else (_NONE * nv, _NONE * nv)
-    s.lchild.extend(lrow)
-    s.rchild.extend(rrow)
-    s.eside.extend(side)
-    s.echild.extend(child)
-    s.epos.extend(pos)
+            kind[eid] = PRIMARY
+            at[eid] = sr_start + p
+    if maps:
+        sep[r] = 1
+    s.vlink.extend(vlink)
+    s.vsep.extend(sep)
+    s.kind.extend(kind)
+    s.elink.extend(link)
+    s.esr.extend(at)
     if tables is None:
         s.dist_r.extend(array("q", [INF]) * nv)
         s.dep_off.extend(array("i", [len(s.dep_len)]) * nv)
@@ -229,45 +216,30 @@ def append_node(
         s.sr.extend(sr)
         s.dep_off.frombytes((dep.offsets[1:] + len(s.dep_len)).tobytes())
         s.dep_len.frombytes(dep.lengths.tobytes())
-        s.dep_dpi.frombytes(dep.dp_depths.tobytes())
-    s.vbase.append(len(s.lchild))
-    s.ebase.append(len(s.eside))
-    s.srbase.append(len(s.sr))
+        s.dsr.frombytes((dep.dp_depths + sr_start).tobytes())
+    s.vbase.append(len(s.vsep))
+    s.ebase.append(len(s.kind))
     return i
 
 
-def close_store(b: BuildStore) -> QueryStore:
-    """The query store of ``b``, sharing the arrays both hold; ``b`` stays
-    as it is. Child vertex and edge ids become child slots (a leaf row's
-    offset less the leaf's ``vbase``), the separator a flag on its slot, and
-    path positions indexes into ``sr``."""
-    s = QueryStore()
-    for name, _ in TABLE:
-        if name not in _LINKS:
-            setattr(s, name, getattr(b, name))
-    s.meta = array("q", [*b.meta[:2], len(b.left), b.meta[3], len(b.dep_len)])
-    s.kind, s.elink, s.esr, s.dsr = (array(a.typecode, a) for a in (b.eside, b.echild, b.epos, b.dep_dpi))
-    s.vlink = array("i", [-1]) * (2 * len(b.lchild))
-    s.vsep = array("b", [0]) * len(b.lchild)
-    left, right, sep, vbase, ebase, srbase, lchild, rchild, dep_off, eside = map(
-        _view, (b.left, b.right, b.sep, b.vbase, b.ebase, b.srbase, b.lchild, b.rchild, b.dep_off,
-                b.eside))
-    kind, elink, esr, vlink = (_view(a) for a in (s.kind, s.elink, s.esr, s.vlink))
-    # per-node values spread over the node's slots; a leaf's -1 child ids
-    # read the bases' totals, which the masks then drop
+def close_store(s: QueryStore) -> None:
+    """Finish the store the build appended to, in place: add to each child
+    link the base of the child its side names, ``vbase`` to a vertex slot's
+    two links and ``ebase`` to a PRIMARY, LEFT or RIGHT edge slot's, and
+    put the node count and departing entries in ``meta``."""
+    s.meta[2] = len(s.left)
+    s.meta[4] = len(s.dep_len)
+    left, right, vbase, ebase, kind, vlink, elink = map(
+        _view, (s.left, s.right, s.vbase, s.ebase, s.kind, s.vlink, s.elink))
+    # per-node bases spread over the node's slots; a leaf's -1 children read
+    # the bases' totals, which the masks then drop
     nv, ne = np.diff(vbase), np.diff(ebase)
-    inner = left >= 0
-    for side, (kids, c) in enumerate(((lchild, left), (rchild, right))):
-        vlink[side::2] = np.where(kids >= 0, np.repeat(vbase[c], nv) + kids, -1)
-    _view(s.vsep)[(vbase[:-1] + sep)[inner]] = 1
-    at_leaf = np.repeat(~inner, ne)
-    kind[at_leaf] = np.where(elink[at_leaf] >= 0, LEAF, CROSS)
-    near, far = np.where(inner, ebase[left], -vbase[:-1]), np.where(inner, ebase[right], 0)
-    elink += np.where(eside == RIGHT, np.repeat(far, ne), np.repeat(near, ne))
-    elink[kind == CROSS] = -1
-    esr += np.where(eside == PRIMARY, np.repeat(srbase[:-1], ne), 0)
-    _view(s.dsr)[:] += np.repeat(srbase[:-1], np.diff(dep_off[vbase]))
-    return s
+    for side, child in enumerate((left, right)):
+        links = vlink[side::2]
+        links += np.where(links >= 0, np.repeat(vbase[child], nv), 0)
+    linked = (kind != CROSS) & (kind != LEAF)
+    base = np.where(kind == RIGHT, np.repeat(ebase[right], ne), np.repeat(ebase[left], ne))
+    elink[linked] += base[linked]
 
 
 def _view(a: array) -> np.ndarray:
@@ -277,16 +249,16 @@ def _view(a: array) -> np.ndarray:
 
 # The arrays a subtree appends to: all from vbase on. The ones before it,
 # meta and the input graph's source tree and edge keys, are the whole store's.
-SEGMENT = tuple(name for name, _ in BUILD[BUILD.index(("vbase", "i")):])
+SEGMENT = tuple(name for name, _ in TABLE[TABLE.index(("vbase", "i")):])
 
 
-def open_segment() -> BuildStore:
+def open_segment() -> QueryStore:
     """An empty store for a subtree built apart from the store it joins: its
-    node ids, bases and offsets start at 0, and ``splice_segment`` shifts
-    them to where the subtree lands."""
-    s = BuildStore()
+    node ids, bases, offsets and ``sr`` indexes start at 0, and
+    ``splice_segment`` shifts them to where the subtree lands."""
+    s = QueryStore()
     s.meta = array("q", [0] * 5)
-    for offsets in (s.vbase, s.ebase, s.srbase, s.dep_off):
+    for offsets in (s.vbase, s.ebase, s.dep_off):
         offsets.append(0)
     return s
 
@@ -309,7 +281,7 @@ def _receive(fd: int, size: int) -> bytearray:
     return data
 
 
-def send_segment(s: BuildStore, fd: int) -> None:
+def send_segment(s: QueryStore, fd: int) -> None:
     """Write the segment ``s`` to the pipe ``fd``: its depth, then each array
     of ``SEGMENT`` as a byte count and its raw bytes."""
     _send(fd, s.meta[3:4])
@@ -319,16 +291,19 @@ def send_segment(s: BuildStore, fd: int) -> None:
         _send(fd, a)
 
 
-def splice_segment(s: BuildStore, fd: int) -> None:
+def splice_segment(s: QueryStore, fd: int) -> None:
     """Append the segment sent on ``fd`` to ``s`` as its next subtree in
     preorder. Each array's bytes go onto the end of ``s``'s as they are, an
     offset array's less its leading 0, and only the absolute fields are
     shifted, in place, by what ``s`` held before: child node ids by its node
-    count; the bases by its vertex-slot, edge-slot and ``sr`` lengths;
-    ``dep_off`` by its departing entries; and the leaf row offsets in
-    ``echild`` by its rows. The depth is the deeper of the two."""
-    nodes, eslots, rows = len(s.left), len(s.eside), len(s.rows)
-    shift = {"vbase": len(s.lchild), "ebase": eslots, "srbase": len(s.sr), "dep_off": len(s.dep_len)}
+    count; ``vbase``, ``ebase`` and ``dep_off`` by its vertex slots, edge
+    slots and departing entries; the ``sr`` indexes, all of ``dsr`` and
+    ``esr`` at PRIMARY slots, by its ``sr`` length; and the leaf links by
+    its rows less its vertex slots. The child links are relative to their
+    child and stay as they are. The depth is the deeper of the two."""
+    nodes, vslots, eslots, entries = len(s.left), len(s.vsep), len(s.kind), len(s.dsr)
+    rows, srs = len(s.rows), len(s.sr)
+    shift = {"vbase": vslots, "ebase": eslots, "dep_off": entries}
     start = {name: len(getattr(s, name)) for name in shift}
     s.meta[3] = max(s.meta[3], array("q", _receive(fd, 8))[0])
     for name in SEGMENT:
@@ -336,12 +311,12 @@ def splice_segment(s: BuildStore, fd: int) -> None:
         getattr(s, name).frombytes(memoryview(data)[4:] if name in shift else data)
     for name, by in shift.items():
         _view(getattr(s, name))[start[name]:] += by
-    left = _view(s.left)[nodes:]
-    echild = _view(s.echild)[eslots:]
-    leaf_slot = np.repeat(left < 0, np.diff(_view(s.ebase)[nodes:]))
-    echild[leaf_slot & (echild >= 0)] += rows
-    for ids in (left, _view(s.right)[nodes:]):
+    for ids in (_view(s.left)[nodes:], _view(s.right)[nodes:]):
         ids[ids >= 0] += nodes
+    kind = _view(s.kind)[eslots:]
+    _view(s.elink)[eslots:][kind == LEAF] += rows - vslots
+    _view(s.esr)[eslots:][kind == PRIMARY] += srs
+    _view(s.dsr)[entries:] += srs
 
 
 def check(s: QueryStore) -> None:

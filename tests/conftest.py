@@ -15,7 +15,7 @@ from sdo.departing import DepArray
 from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.oracle import build_node
 from sdo.spt import ShortestPathTree, dijkstra
-from sdo.store import CROSS, INF, LEAF, LEFT, PRIMARY, RIGHT, BuildStore, QueryStore, open_store
+from sdo.store import CROSS, INF, LEAF, LEFT, PRIMARY, RIGHT, QueryStore, open_store
 
 
 def bellman_ford(g: Graph, source: int, banned: set[int] | frozenset = frozenset()):
@@ -87,9 +87,10 @@ def best_departing(arr, pos: int):
 
 def build_store(g: Graph, source: int = 0, depth: int = 0):
     """The level records of the oracle built on ``g`` from ``source``, its
-    root at ``depth``, and the node-relative ``BuildStore`` the build
-    appends them to, before ``close_store`` turns it into slot links. The
-    helpers below read a build store."""
+    root at ``depth``, and the store the build appends them to, as the
+    build leaves it: its child links still hold ids within the child, before
+    ``close_store`` adds the child's bases. The helpers below read such a
+    store."""
     spt = dijkstra(g, source)
     store = open_store(spt)
     records = []
@@ -112,26 +113,50 @@ def edge_segment(store, name: str, i: int):
     return getattr(store, name)[store.ebase[i] : store.ebase[i + 1]]
 
 
+def child_ids(store, i: int, side: int):
+    """Node ``i``'s child vertex ids on ``side`` (0 left, 1 right), one per
+    vertex of its graph, -1 outside that side: every other entry of its
+    ``vlink`` slots in a store the build left."""
+    return store.vlink[2 * store.vbase[i] + side : 2 * store.vbase[i + 1] : 2]
+
+
+def separator(store, i: int) -> int:
+    """Node ``i``'s separator vertex, the one its ``vsep`` flags; -1 at a
+    leaf."""
+    flags = vertex_segment(store, "vsep", i)
+    return flags.index(1) if 1 in flags else -1
+
+
+def sr_base(records, i: int) -> int:
+    """Where store node ``i``'s replacement lengths start in ``sr``: the
+    lengths of the records before it, in store order."""
+    return sum(len(node.sr_replacements or ()) for node in records[:i])
+
+
 def leaf_table(store, i: int) -> dict[int, list]:
     """Leaf ``i``'s rows by original edge id: the source distances avoiding
-    that edge, one per vertex of the leaf's graph."""
-    nv = store.vbase[i + 1] - store.vbase[i]
+    that edge, one per vertex of the leaf's graph. A LEAF slot's link is the
+    row's offset less the leaf's ``vbase``."""
+    lo, nv = store.vbase[i], store.vbase[i + 1] - store.vbase[i]
     return {
-        eid: distances(store.rows[at : at + nv])
-        for eid, at in enumerate(edge_segment(store, "echild", i))
-        if at >= 0
+        eid: distances(store.rows[lo + at : lo + at + nv])
+        for eid, (kind, at) in enumerate(
+            zip(edge_segment(store, "kind", i), edge_segment(store, "elink", i))
+        )
+        if kind == LEAF
     }
 
 
-def primary_positions(store, i: int) -> dict[int, int]:
+def primary_positions(store, records, i: int) -> dict[int, int]:
     """Path position of each original edge on internal node ``i``'s primary
-    path."""
+    path: its ``sr`` index less the node's ``sr`` base."""
+    base = sr_base(records, i)
     return {
-        eid: pos
-        for eid, (side, pos) in enumerate(
-            zip(edge_segment(store, "eside", i), edge_segment(store, "epos", i))
+        eid: at - base
+        for eid, (kind, at) in enumerate(
+            zip(edge_segment(store, "kind", i), edge_segment(store, "esr", i))
         )
-        if side == PRIMARY
+        if kind == PRIMARY
     }
 
 
@@ -142,12 +167,12 @@ def child_maps(store, i: int, g: Graph):
     side M. The store keeps no slot for a shortcut, so a shortcut's child id
     is recounted: a child keeps the parent's edges with both ends in its
     side, in the parent's order, and the original edges come first."""
-    lv = {v: c for v, c in enumerate(vertex_segment(store, "lchild", i)) if c >= 0}
-    rv = {v: c for v, c in enumerate(vertex_segment(store, "rchild", i)) if c >= 0}
+    lv = {v: c for v, c in enumerate(child_ids(store, i, 0)) if c >= 0}
+    rv = {v: c for v, c in enumerate(child_ids(store, i, 1)) if c >= 0}
     le: dict[int, int] = {}
     re: dict[int, int] = {}
-    sides = edge_segment(store, "eside", i)
-    kids = edge_segment(store, "echild", i)
+    sides = edge_segment(store, "kind", i)
+    kids = edge_segment(store, "elink", i)
     for eid, e in enumerate(g.edges):
         if eid < len(sides):
             if sides[eid] in (LEFT, PRIMARY):
@@ -166,8 +191,8 @@ def split_sizes(store, i: int, node) -> tuple[int, int, int]:
     """(reachable count, |V_M|, |V_N|) of internal node ``i``: the vertices
     its source reaches, and the sides read off its store child vertex ids."""
     reached = dijkstra(node.graph, node.source).reachable_count()
-    nm = sum(c >= 0 for c in vertex_segment(store, "lchild", i))
-    nn = sum(c >= 0 for c in vertex_segment(store, "rchild", i))
+    nm = sum(c >= 0 for c in child_ids(store, i, 0))
+    nn = sum(c >= 0 for c in child_ids(store, i, 1))
     return reached, nm, nn
 
 
@@ -213,26 +238,28 @@ def rejoin_gadget() -> tuple[Graph, int, tuple[int, int], int]:
 
 def root_primary_candidates(g: Graph, source: int, t: int, fault: tuple[int, int]) -> list:
     """The root's own candidates for a primary-path fault, read off the
-    build store's rows: the route through the separator and the departing
-    entry."""
-    store = build_store(g, source)[1]
+    build's store: the route through the separator and the departing
+    entry. The root's ``sr`` base is 0, so its ``sr`` indexes are path
+    positions."""
+    records, store = build_store(g, source)
     eid = g.edge_ids_between(*fault)[0]
-    pos = edge_segment(store, "epos", 0)[eid]
-    sr = distances(store.sr[store.srbase[0] : store.srbase[1]])[pos]
+    pos = primary_positions(store, records, 0)[eid]
+    sr = distances(store.sr[sr_base(records, 0) : sr_base(records, 1)])[pos]
     dist_r = distances(vertex_segment(store, "dist_r", 0))[t]
     lo, hi = store.dep_off[store.vbase[0] + t], store.dep_off[store.vbase[0] + t + 1]
-    segment = DepArray(store.dep_len[lo:hi], store.dep_dpi[lo:hi])
+    segment = DepArray(store.dep_len[lo:hi], store.dsr[lo:hi])
     return [sr + dist_r, best_departing(segment, pos)]
 
 
-def node_walk(store: BuildStore, t: int, eid: int, d0: int, depth: int) -> tuple[int, int]:
-    """The descent of ``_query_node`` in node-relative ids, the reference
-    both descents must match: it walks a build store's node arrays
-    (``left``, ``right``, the bases, the child ids, ``sep``) rather than
-    the slot links ``close_store`` makes of them, so a fault in that
-    conversion shows. Returns (distance with INF, depth reached)."""
+def node_walk(store: QueryStore, t: int, eid: int, d0: int, depth: int) -> tuple[int, int]:
+    """The descent of ``_query_node`` in node ids, the reference both
+    descents must match: it walks a store as the build leaves it, by
+    ``left``, ``right`` and the bases, over child links that still hold ids
+    within the child, rather than the slots ``close_store`` rebases them
+    to, so a fault in that rebase shows. Returns (distance with INF, depth
+    reached)."""
     left, vbase, ebase = store.left, store.vbase, store.ebase
-    eside, echild, lchild = store.eside, store.echild, store.lchild
+    kind, elink, vlink = store.kind, store.elink, store.vlink
     node = 0
     best = INF
     while True:
@@ -241,38 +268,38 @@ def node_walk(store: BuildStore, t: int, eid: int, d0: int, depth: int) -> tuple
             break
         es = ebase[node] + eid
         vs = vbase[node] + t
-        side = eside[es]
+        side = kind[es]
         if side == PRIMARY:
-            pos = store.epos[es]
-            cand = store.sr[store.srbase[node] + pos] + store.dist_r[vs]
+            at = store.esr[es]
+            cand = store.sr[at] + store.dist_r[vs]
             if cand < best:
                 best = cand
             # a destination on the path has an empty segment
             dep_off = store.dep_off
             lo = dep_off[vs]
-            i = bisect_right(store.dep_dpi, pos, lo, dep_off[vs + 1])
+            i = bisect_right(store.dsr, at, lo, dep_off[vs + 1])
             if i > lo:
                 cand = store.dep_len[i - 1]
                 if cand < best:
                     best = cand
-            ct = lchild[vs]
-            if t == store.sep[node] or ct < 0:
+            ct = vlink[2 * vs]
+            if store.vsep[vs] or ct < 0:
                 return best, depth
         elif side == LEFT:
-            ct = lchild[vs]
+            ct = vlink[2 * vs]
         elif side == RIGHT:
             child = store.right[node]
-            ct = store.rchild[vs]
+            ct = vlink[2 * vs + 1]
         else:
             return d0, depth
         if ct < 0:
             return d0, depth
-        node, t, eid, depth = child, ct, echild[es], depth + 1
-    row = echild[ebase[node] + eid]
-    if row < 0:
+        node, t, eid, depth = child, ct, elink[es], depth + 1
+    es = ebase[node] + eid
+    if kind[es] != LEAF:
         # the leaf's source does not reach the fault
         return d0, depth
-    d = store.rows[row + t]
+    d = store.rows[elink[es] + vbase[node] + t]
     return (d if d < best else best), depth
 
 

@@ -30,8 +30,10 @@ from conftest import (
     primary_positions,
     rejoin_gadget,
     root_primary_candidates,
+    separator,
     source_tree,
     split_sizes,
+    sr_base,
     vertex_segment,
 )
 
@@ -175,14 +177,14 @@ def test_criterion_5_replacement_table_equivalence(corpus):
             if store.left[i] < 0:
                 continue
             path = node.primary_path
-            positions = primary_positions(store, i)
+            positions = primary_positions(store, nodes, i)
             assert positions == {
                 eid: pos
                 for pos, eid in enumerate(path.edge_ids)
                 if not node.graph.edges[eid].virtual
             }, (label, node.depth)
             dist_r = distances(vertex_segment(store, "dist_r", i))
-            sr = distances(store.sr[store.srbase[i] : store.srbase[i + 1]])
+            sr = distances(store.sr[sr_base(nodes, i) : sr_base(nodes, i + 1)])
             if not positions:
                 # no fault can land on this path, so it keeps no tables
                 tables = (node.sr_replacements, node.dep, node.dep_stats)
@@ -190,7 +192,7 @@ def test_criterion_5_replacement_table_equivalence(corpus):
                 assert sr == [] and set(dist_r) == {UNREACHABLE}, (label, node.depth)
                 bare_levels += 1
                 continue
-            r = store.sep[i]
+            r = separator(store, i)
             assert dist_r == dijkstra(node.graph, r).dist, (label, node.depth)
             assert sr == distances(node.sr_replacements), (label, node.depth)
             for pos, eid in enumerate(path.edge_ids):

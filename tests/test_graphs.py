@@ -95,7 +95,16 @@ class TestTextFormat:
 
     def test_virtual_edges_never_serialized(self):
         g = Graph(2, [Edge(0, 1, 3, virtual=True)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge 0 \(0, 1\) is virtual"):
+            format_graph(g)
+
+    def test_weights_other_than_one_never_serialized(self):
+        # the text parses back as unit weights, so a weight would be lost
+        g = Graph(3, [Edge(0, 1, 5), Edge(1, 2, 7)])
+        with pytest.raises(ValueError, match=r"edge 0 \(0, 1\) has weight 5"):
+            format_graph(g)
+        g = Graph(3, [Edge(0, 1), Edge(1, 2, 0)])
+        with pytest.raises(ValueError, match=r"edge 1 \(1, 2\) has weight 0"):
             format_graph(g)
 
 

@@ -23,9 +23,11 @@ from conftest import (
     build_store,
     node_walk,
     path_graph,
+    primary_positions,
     rejoin_gadget,
     root_primary_candidates,
     source_tree,
+    sr_base,
     with_weights,
 )
 
@@ -354,9 +356,9 @@ def test_weights_summing_just_below_inf_answer_exactly():
 
 def assert_ssrp_matches_the_scalar_descent(oracle, build):
     """Every ssrp record, answered by the batched descent, and
-    ``_query_node`` run for that record alone both equal the node-relative
-    reference walk on ``build``, the oracle's build store, which holds no
-    slot link."""
+    ``_query_node`` run for that record alone both equal the reference walk
+    in node ids on ``build``, the oracle's store as its build left it,
+    whose child links are not yet rebased to slots."""
     store = oracle.store
     for t, (x, y), d in ssrp(oracle).records:
         eid = store.parent_edge[y]
@@ -400,13 +402,14 @@ def test_inf_candidates_saturate_in_the_batched_descent():
     # both stores change alike.
     g = tree_plus_chords(60, 40, 5)
     oracle = build_oracle(g, 0)
-    build = build_store(g)[1]
+    records, build = build_store(g)
     store = oracle.store
     t, (x, y), _ = next(
         r for r in ssrp(oracle).records if store.kind[store.parent_edge[r[1][1]]] == PRIMARY
     )
-    at = store.esr[store.parent_edge[y]]
-    assert at == build.srbase[0] + build.epos[store.parent_edge[y]]
+    eid = store.parent_edge[y]
+    at = store.esr[eid]
+    assert at == build.esr[eid] == sr_base(records, 0) + primary_positions(build, records, 0)[eid]
     for s in (store, build):
         s.sr[at] = INF
         s.dist_r[t] = INF
