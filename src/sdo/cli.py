@@ -14,7 +14,7 @@ from .generators import path_faults, tree_plus_chords, verify_corpus
 from .graphs import UNREACHABLE, GraphFormatError, read_graph, write_graph
 from .oracle import OracleTree, build_oracle
 from .query import query, ssrp
-from .serialize import load_oracle, save_oracle
+from .serialize import file_entries, load_oracle, save_oracle
 from .spt import dijkstra
 
 
@@ -69,9 +69,14 @@ def cmd_stats(args) -> int:
     store = load_oracle(args.oracle).store
     n, source, nodes, depth, entries = store.meta
     print(f"n={n} source={source} nodes={nodes} depth={depth} dep_entries={entries}")
-    print(f"{'array':<12} {'type':>4} {'length':>10} {'bytes':>10}")
-    for name, a in store.arrays():
-        print(f"{name:<12} {a.typecode:>4} {len(a):>10} {len(a) * a.itemsize:>10}")
+    print(f"{'array':<12} {'type':>4} {'length':>10} {'bytes':>10} {'file':>4} {'file_bytes':>10}")
+    total = file_total = 0
+    for (name, a), (_, code, _, file_size) in zip(store.arrays(), file_entries(args.oracle)):
+        size = len(a) * a.itemsize
+        total += size
+        file_total += file_size
+        print(f"{name:<12} {a.typecode:>4} {len(a):>10} {size:>10} {code:>4} {file_size:>10}")
+    print(f"{'total':<12} {'':>4} {'':>10} {total:>10} {'':>4} {file_total:>10}")
     return 0
 
 

@@ -1,57 +1,86 @@
-"""Oracle persistence: the query store's arrays, raw, behind a digest.
+"""Oracle persistence: the query store's arrays, each at the narrowest width
+that holds it, behind a digest.
 
 A file is ``MAGIC``, the SHA-256 digest of the payload, then the payload. The
-payload is a header, the array count and one fixed-size entry per array
-(name, typecode, length), followed by the arrays themselves, little-endian,
-in ``store.TABLE`` order: the query store's slot links as both walks read
-them (``SDO8``), and no build state, so a loaded oracle builds nothing.
+payload is the array count and one fixed-size entry per array (name,
+typecode, length), followed by the arrays themselves, little-endian, in
+``store.TABLE`` order: the query store's slot links as both walks read them,
+and no build state, so a loaded oracle builds nothing.
 
-Loading checks the digest, then that the header is exactly the expected name
-and typecode table and that its lengths fill the payload, then reads each
-array with ``frombytes``, so it runs no code named by the file. Last, the
-structural check of ``store.check`` rejects a digest-valid but crafted file
-whose arrays would send a query outside them. The check runs as numpy
-operations over whole arrays, so a load costs about a digest plus a copy.
-Every failure is a ValueError naming the file. Writing the same store gives
-the same bytes, so serialize -> load -> serialize reproduces a file exactly.
+Format ``SDO9`` writes each array at the narrowest of ``b``, ``h``, ``i`` and
+``q`` (1, 2, 4 and 8 bytes) that holds all its values, never wider than its
+type in ``TABLE``, and its entry names that typecode. A distance array
+written narrower than ``q`` stores ``INF`` as the narrow type's maximum, and
+every other value in it falls strictly below that maximum, so the maximum
+reads back as ``INF`` and nothing else does. Any other value that reaches
+the maximum, ``INF + 1`` included, takes a wider type.
+
+Loading checks the digest, then that the header lists each array of the
+table by name with a typecode no wider than the table's (a wider one would
+truncate) and that its lengths fill the payload. It allocates each array at
+its table width once and lets numpy cast the little-endian payload into it,
+so it runs no code named by the file. Last, the structural check of
+``store.check`` rejects a digest-valid but crafted file whose arrays would
+send a query outside them. The check runs as numpy operations over whole
+arrays, so a load costs about a digest plus a copy. Every failure is a
+ValueError naming the file. Writing the same store gives the same bytes, so
+serialize -> load -> serialize reproduces a file exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-import sys
 from array import array
 from pathlib import Path
+from typing import Callable, TypeVar
+
+import numpy as np
 
 from .oracle import OracleTree
-from .store import TABLE, QueryStore, check
+from .store import INF, TABLE, QueryStore, check
 
-MAGIC = b"SDO8-ORACLE\x00"
+MAGIC = b"SDO9-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _COUNT = struct.Struct("<I")
 # name (NUL padded), typecode, item count
 _ENTRY = struct.Struct("<12scQ")
-# what each entry must start with: the padded name and the typecode
-_HEADER = [name.encode().ljust(12, b"\0") + code.encode() for name, code in TABLE]
-_SWAP = sys.byteorder == "big"
-# Bytes per item of each typecode the store uses.
-_WIDTH = {"b": 1, "i": 4, "q": 8}
+# The file typecodes, narrowest first, and the little-endian type each names.
+_FILE = {"b": np.dtype("<i1"), "h": np.dtype("<i2"), "i": np.dtype("<i4"), "q": np.dtype("<i8")}
+# Per array of the table: its padded name and the file typecodes it accepts.
+_HEADER = [
+    (name.encode().ljust(12, b"\0"),
+     {c.encode() for c, dtype in _FILE.items() if dtype.itemsize <= _FILE[code].itemsize})
+    for name, code in TABLE
+]
 
-for _code, _width in _WIDTH.items():
-    if array(_code).itemsize != _width:
-        raise ImportError(f"array typecode {_code!r} is not {_width} bytes on this platform")
+T = TypeVar("T")
+
+
+def _narrowest(a: array) -> tuple[str, np.ndarray]:
+    """The narrowest file typecode that holds ``a``'s values, and the values
+    at its type. Below ``q``, a distance array's ``INF`` becomes the type's
+    maximum, which its finite values must then stay below."""
+    v = np.frombuffer(a, dtype=a.typecode)
+    inf = v == INF if a.typecode == "q" else None
+    finite = v if inf is None else v[~inf]
+    lo, hi = (int(finite.min()), int(finite.max())) if len(finite) else (0, 0)
+    reserved = inf is not None  # the narrow type's maximum, kept for INF
+    for code, dtype in _FILE.items():
+        info = np.iinfo(dtype)
+        if code == a.typecode or (info.min <= lo and hi <= info.max - reserved):
+            break
+    values = v.astype(dtype, copy=False)
+    if reserved and code != "q":
+        values[inf] = info.max
+    return code, values
 
 
 def dump_oracle(oracle: OracleTree) -> bytes:
-    arrays = oracle.store.arrays()
+    arrays = [(name, *_narrowest(a)) for name, a in oracle.store.arrays()]
     parts = [_COUNT.pack(len(arrays))]
-    parts += [_ENTRY.pack(name.encode(), a.typecode.encode(), len(a)) for name, a in arrays]
-    for _, a in arrays:
-        if _SWAP:
-            a = array(a.typecode, a)
-            a.byteswap()
-        parts.append(a.tobytes())
+    parts += [_ENTRY.pack(name.encode(), code.encode(), len(v)) for name, code, v in arrays]
+    parts += [v for _, _, v in arrays]
     payload = b"".join(parts)
     return MAGIC + hashlib.sha256(payload).digest() + payload
 
@@ -60,33 +89,48 @@ def save_oracle(oracle: OracleTree, path: str | Path) -> None:
     Path(path).write_bytes(dump_oracle(oracle))
 
 
-def _read_store(payload: memoryview) -> QueryStore:
+def _entries(payload: memoryview) -> list[tuple[str, str, int, int]]:
+    """The name, file typecode, length and file bytes of each array, as the
+    header lists them, once each matches the table and the arrays fill the
+    payload."""
     if len(payload) < _COUNT.size or _COUNT.unpack_from(payload)[0] != len(TABLE):
         raise ValueError("header does not list the oracle's arrays")
     at = _COUNT.size
-    lengths = []
-    for expected in _HEADER:
+    entries = []
+    for (name, _), (padded, codes) in zip(TABLE, _HEADER):
         entry = payload[at : at + _ENTRY.size]
-        if len(entry) < _ENTRY.size or entry[: len(expected)] != expected:
+        if len(entry) < _ENTRY.size:
             raise ValueError("header does not match the oracle's array table")
-        lengths.append(_ENTRY.unpack(entry)[2])
+        got, code, length = _ENTRY.unpack(entry)
+        if got != padded or code not in codes:
+            raise ValueError("header does not match the oracle's array table")
+        code = code.decode()
+        entries.append((name, code, length, length * _FILE[code].itemsize))
         at += _ENTRY.size
-    sizes = [length * _WIDTH[code] for length, (_, code) in zip(lengths, TABLE)]
-    if at + sum(sizes) != len(payload):
+    if at + sum(entry[3] for entry in entries) != len(payload):
         raise ValueError("header lengths do not fill the payload")
+    return entries
+
+
+def _read_store(payload: memoryview) -> QueryStore:
+    at = _COUNT.size + len(TABLE) * _ENTRY.size
     store = QueryStore()
-    for (name, code), size in zip(TABLE, sizes):
-        a = array(code)
-        a.frombytes(payload[at : at + size])
-        if _SWAP:
-            a.byteswap()
+    for (name, code), (_, file_code, length, size) in zip(TABLE, _entries(payload)):
+        a = array(code, [0]) * length
+        data = np.frombuffer(payload, dtype=_FILE[file_code], count=length, offset=at)
+        v = np.frombuffer(a, dtype=code)
+        v[:] = data
+        if code == "q" and file_code != "q":
+            v[data == np.iinfo(data.dtype).max] = INF
         setattr(store, name, a)
         at += size
     check(store)
     return store
 
 
-def load_oracle(path: str | Path) -> OracleTree:
+def _read(path: str | Path, read: Callable[[memoryview], T]) -> T:
+    """``read`` applied to the payload of the oracle file ``path`` once its
+    magic and digest check out; every ValueError names the file."""
     blob = Path(path).read_bytes()
     if not blob.startswith(MAGIC):
         raise ValueError(f"{path} is not a serialized oracle")
@@ -95,7 +139,16 @@ def load_oracle(path: str | Path) -> OracleTree:
     if hashlib.sha256(payload).digest() != digest:
         raise ValueError(f"{path} is a damaged oracle file: digest mismatch")
     try:
-        store = _read_store(payload)
+        return read(payload)
     except ValueError as exc:
         raise ValueError(f"{path} is a damaged oracle file: {exc}") from exc
-    return OracleTree(store)
+
+
+def load_oracle(path: str | Path) -> OracleTree:
+    return OracleTree(_read(path, _read_store))
+
+
+def file_entries(path: str | Path) -> list[tuple[str, str, int, int]]:
+    """The name, file typecode, length and file bytes of each array of the
+    oracle file ``path``, read from its checked header."""
+    return _read(path, _entries)

@@ -14,7 +14,7 @@ from sdo.generators import tree_plus_chords
 from sdo.oracle import OracleTree, build_oracle
 from sdo.query import SsrpOutput, query, ssrp
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
-from sdo.store import INF, LEAF, LEFT, PRIMARY, QueryStore
+from sdo.store import INF, LEAF, LEFT, PRIMARY, TABLE, QueryStore
 
 from conftest import loop_check
 
@@ -229,15 +229,39 @@ def test_stats_lists_every_array(path3, capsys):
     capsys.readouterr()
     oracle_path = path3.parent / "p3.graph.oracle"
     assert main(["stats", str(oracle_path)]) == 0
-    meta, header, *rows = capsys.readouterr().out.splitlines()
+    meta, header, *rows, total = capsys.readouterr().out.splitlines()
     assert meta == "n=3 source=0 nodes=3 depth=1 dep_entries=1"
-    assert header.split() == ["array", "type", "length", "bytes"]
+    assert header.split() == ["array", "type", "length", "bytes", "file", "file_bytes"]
     names = [row.split()[0] for row in rows]
     assert names[:3] == ["meta", "parent", "parent_edge"] and "dep_off" in names
     # the payload is a 4-byte array count and a 21-byte entry per array,
     # then the arrays
     arrays = oracle_path.stat().st_size - len(MAGIC) - DIGEST - 4 - 21 * len(rows)
-    assert sum(int(row.split()[3]) for row in rows) == arrays
+    assert sum(int(row.split()[5]) for row in rows) == arrays
+    in_memory = sum(int(row.split()[3]) for row in rows)
+    assert total.split() == ["total", str(in_memory), str(arrays)]
+
+
+def test_stats_shows_each_array_at_its_file_width(tmp_path, capsys):
+    target = tmp_path / "g.oracle"
+    oracle = build_oracle(tree_plus_chords(300, 600, 7), 0)
+    save_oracle(oracle, target)
+    assert main(["stats", str(target)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:-1]
+    payload = target.read_bytes()[len(MAGIC) + DIGEST :]
+    width = {"b": 1, "h": 2, "i": 4, "q": 8}
+    narrower = 0
+    for i, (row, (name, a)) in enumerate(zip(rows, oracle.store.arrays(), strict=True)):
+        entry = payload[4 + 21 * i : 4 + 21 * (i + 1)]
+        code, length = chr(entry[12]), int.from_bytes(entry[13:], "little")
+        assert row.split() == [
+            name, a.typecode, str(len(a)), str(len(a) * a.itemsize), code, str(length * width[code])
+        ]
+        assert length == len(a) and width[code] <= a.itemsize
+        narrower += width[code] < a.itemsize
+    # the 300 parent ids take 2 bytes each, distances below 127 one
+    assert [row.split()[4] for row in rows if row.split()[0] in ("dist", "parent")] == ["h", "b"]
+    assert narrower >= 10
 
 
 def test_stats_on_junk_exits_2(tmp_path, capsys):
@@ -444,6 +468,21 @@ def _unknown_typecode(oracle, payload):
     return payload[:16] + b"Z" + payload[17:]
 
 
+def _declared(name: str, code: bytes):
+    """A craft that gives array ``name``'s header entry the typecode ``code``."""
+    at = 4 + 21 * [n for n, _ in TABLE].index(name) + 12
+
+    def craft(oracle, payload):
+        return payload[:at] + code + payload[at + 1 :]
+
+    return craft
+
+
+# both wider than the table: loading them would truncate
+_parent_declared_q = _declared("parent", b"q")
+_vsep_declared_h = _declared("vsep", b"h")
+
+
 @pytest.mark.parametrize(
     "craft, reason",
     [
@@ -485,6 +524,8 @@ def _unknown_typecode(oracle, payload):
         (_path_position_past_the_path, "path position out of range"),
         (_header_length_disagrees, "do not fill the payload"),
         (_unknown_typecode, "does not match the oracle's array table"),
+        (_parent_declared_q, "does not match the oracle's array table"),
+        (_vsep_declared_h, "does not match the oracle's array table"),
     ],
 )
 def test_crafted_file_with_valid_digest_is_rejected(craft, reason, tmp_path, capsys):
@@ -522,12 +563,13 @@ def test_check_names_the_first_bad_node(tmp_path):
 
 def _fuzzed_stores(store: QueryStore, rounds: int, rng: random.Random):
     """Copies of ``store`` with one entry changed, ``rounds`` per array and
-    edge value: -2, -1, 0, 1, 2, len - 1, len and 2**31 - 1, and for
-    distance arrays INF and INF + 1. 1 and 2 are side codes and a flag past
-    ``vsep``'s 0 or 1, and small ids. Values the array's type cannot hold
-    are skipped."""
+    edge value: -2, -1, 0, 1, 2, len - 1, len, 127, 128, 32767, 32768 and
+    2**31 - 1, and for distance arrays INF and INF + 1. 1 and 2 are side
+    codes and a flag past ``vsep``'s 0 or 1, and small ids; 127 to 32768
+    cross the edges of the file's 1- and 2-byte widths. Values the array's
+    type cannot hold are skipped."""
     for name, a in store.arrays():
-        values = [-2, -1, 0, 1, 2, len(a) - 1, len(a), 2**31 - 1]
+        values = [-2, -1, 0, 1, 2, len(a) - 1, len(a), 127, 128, 32767, 32768, 2**31 - 1]
         if a.typecode == "q":
             values += [INF, INF + 1]
         lo, hi = -(1 << (8 * a.itemsize - 1)), 1 << (8 * a.itemsize - 1)

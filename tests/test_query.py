@@ -245,13 +245,13 @@ def test_separate_builds_dump_identical_bytes():
 # seed 11. A change that leaves the file format alone must leave these bytes
 # alone too.
 PINNED_DUMPS = {
-    "tree": "b9b486d482d9581c484c9c2562600e9f1ea483142e1276450f1efce80e099713",
-    "tree+n/4": "7af997fdd904379ae705da54c1c71f316886925bea3eeba4263324ab95a8cf02",
-    "tree+n": "dce27fb52fd276009c5098a8bed8d5f7f473b1bd23bf22e4661e1c0669f689cb",
-    "tree+dense": "25452400b1ba289cc0cfc8cdccc0ee50e89084d964b6acdceb9b5098c22c04f1",
-    "grid": "99857b99c338d90b061cac6f08cac3a0358b2151de416b80ed0b9908628b6610",
-    "gadget": "97e9c1406e12562fc7b5f7e7e45b522b75c5c2150a728dd03288088beb5a49f8",
-    "ragged": "3f3d565cac39046be59c2a8b4512ca2b36500ae2ebe52050bf02068ba22d228e",
+    "tree": "c81dfb0e1539b97ce18b6a9ff743dcf025458c7c1ae376558b5f01d1cc2b97ed",
+    "tree+n/4": "c131a09598ad08c2aad7aebcaa8776ae95ce3873b3563416659282f0ccdde3f4",
+    "tree+n": "46bca0d17519569959f55d28106c11220569503b2538835d9b8e53fa191ae5ae",
+    "tree+dense": "6e3a65a7607aebaccca7851a9cb9fc1b52c54d75f14f829216ad3836428565fb",
+    "grid": "eeb081c08b9643040113ba9658b950baf04102881fd4a1943b37c9b20af84c0a",
+    "gadget": "9df4c93221460786271be04a791cc62e849418b03c4c9e965df4042b230364b7",
+    "ragged": "673fdc10e5152ff52b027acdf9e382dd3899d8e82cb15e8e4f04d360286e35b4",
 }
 
 
@@ -273,8 +273,8 @@ def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
 # The same pins where departing segments grow long and equal lengths tie:
 # nested_arcs(32), and a weighted tree_plus_chords with zero weights.
 PINNED_DUMPS_AT_SCALE = {
-    "arcs(32)": "96ef26f79b6e4fc7ff7b95113a8a5feff8996d1cec8849dbed82c0eabae327c5",
-    "chords(512)": "973b7d4e82f31ade3c8e8638bb6209905e56ec614ecfcf9de495c00ce1de94d8",
+    "arcs(32)": "0e64bebeda091546e1c263ce1b92a09ea367b02552e68920f4bef3ca340ab1f2",
+    "chords(512)": "945c0c9f523aed50e606396b9f41f66eb4b06bb18dc59cc1a0362d9fb01b225a",
 }
 
 

@@ -1,0 +1,119 @@
+"""The file widths of format SDO9: each array at the narrowest type that
+holds it, a narrow distance array's INF at the type's maximum."""
+
+from array import array
+
+import pytest
+
+from sdo import serialize
+from sdo.generators import nested_arcs, tree_plus_chords, verify_corpus
+from sdo.graphs import Graph
+from sdo.oracle import OracleTree, build_oracle
+from sdo.query import ssrp
+from sdo.serialize import dump_oracle, file_entries, load_oracle, save_oracle
+from sdo.store import INF, TABLE, QueryStore
+
+from conftest import with_weights
+
+# (values, the file typecode they take) per table typecode. In a distance
+# array the type's maximum stands for INF, so a finite value there widens.
+WIDTHS = {
+    "b": [([], "b"), ([-128, 0, 127], "b")],
+    "i": [
+        ([], "b"),
+        ([-128, -1, 127], "b"),
+        ([-129], "h"),
+        ([128], "h"),
+        ([-32768, 32767], "h"),
+        ([-32769], "i"),
+        ([32768], "i"),
+        ([-(2**31), 2**31 - 1], "i"),
+    ],
+    "q": [
+        ([], "b"),
+        ([INF], "b"),
+        ([-128, 126, INF], "b"),
+        ([-1, 126], "b"),
+        ([127], "h"),
+        ([127, INF], "h"),
+        ([-129, INF], "h"),
+        ([128], "h"),
+        ([32766, INF], "h"),
+        ([32767, INF], "i"),
+        ([-32769], "i"),
+        ([2**31 - 2, INF], "i"),
+        ([-(2**31)], "i"),
+        ([2**31 - 1, INF], "q"),
+        ([-(2**31) - 1], "q"),
+        ([INF - 1], "q"),
+        ([INF + 1], "q"),
+        ([INF, INF + 1], "q"),
+        ([-(2**63), 2**63 - 1], "q"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, code", TABLE, ids=[name for name, _ in TABLE])
+def test_each_width_edge_round_trips(name, code, tmp_path, monkeypatch):
+    # the structural check would reject these stores; the widths alone are
+    # under test here
+    monkeypatch.setattr(serialize, "check", lambda store: None)
+    target = tmp_path / "edge.oracle"
+    for values, want in WIDTHS[code]:
+        store = QueryStore()
+        setattr(store, name, array(code, values))
+        blob = dump_oracle(OracleTree(store))
+        target.write_bytes(blob)
+        entries = {entry[0]: entry[1:] for entry in file_entries(target)}
+        width = array(want).itemsize
+        assert entries[name] == (want, len(values), width * len(values)), values
+        assert all(entries[other][0] == "b" for other, _ in TABLE if other != name)
+        loaded = load_oracle(target).store
+        assert loaded.arrays() == store.arrays(), values
+        assert all(a.typecode == c for (_, a), (_, c) in zip(loaded.arrays(), TABLE))
+        assert dump_oracle(OracleTree(loaded)) == blob, values
+
+
+def _round_trip(oracle: OracleTree, path) -> OracleTree:
+    blob = dump_oracle(oracle)
+    save_oracle(oracle, path)
+    loaded = load_oracle(path)
+    assert loaded.store.arrays() == oracle.store.arrays()
+    assert dump_oracle(loaded) == blob
+    return loaded
+
+
+def test_built_oracles_round_trip_at_their_widths(tmp_path):
+    graphs = [(g, s) for _, g, s in verify_corpus(seed=11, count=14, max_n=60)]
+    graphs += [(tree_plus_chords(2000, 4000, 3), 0), (nested_arcs(16)[0], 0)]
+    for g, s in graphs:
+        _round_trip(build_oracle(g, s), tmp_path / "g.oracle")
+
+
+def _heavy_graphs():
+    """Weighted graphs whose store sums come near INF: a path whose edges
+    weigh about INF / 60, each bypassed by a chord; and tree_plus_chords
+    with a pendant vertex whose only other edge weighs INF - m - 2."""
+    k = 20
+    path = Graph.from_pairs(k, [(i, i + 1) for i in range(k - 1)] + [(i, i + 2) for i in range(k - 2)])
+    w = (INF - 1) // (3 * k)
+    yield with_weights(path, [w - i % 3 if i < k - 1 else 2 * w + 1 for i in range(path.m)])
+    base = tree_plus_chords(40, 30, 5)
+    pendant = Graph.from_pairs(41, [(e.u, e.v) for e in base.edges] + [(39, 40), (0, 40)])
+    yield with_weights(pendant, [1] * (base.m + 1) + [INF - base.m - 2])
+
+
+def test_weights_near_inf_keep_eight_bytes(tmp_path):
+    path = tmp_path / "heavy.oracle"
+    for g in _heavy_graphs():
+        oracle = build_oracle(g, 0)
+        loaded = _round_trip(oracle, path)
+        assert ssrp(loaded).records == ssrp(oracle).records
+        codes = {name: code for name, code, _, _ in file_entries(path)}
+        top = 0
+        for name, a in oracle.store.arrays():
+            finite = [d for d in a if d != INF]
+            if a.typecode == "q" and finite and max(finite) >= 2**31 - 1:
+                assert codes[name] == "q", name
+                top = max(top, max(finite))
+        assert top > INF // 4
