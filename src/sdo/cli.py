@@ -13,7 +13,7 @@ from .baseline import brute_ssrp
 from .generators import path_faults, tree_plus_chords, verify_corpus
 from .graphs import UNREACHABLE, GraphFormatError, read_graph, write_graph
 from .oracle import OracleTree, build_oracle
-from .query import query, ssrp
+from .query import SsrpOutput, query, ssrp
 from .serialize import file_entries, load_oracle, save_oracle
 from .spt import dijkstra
 
@@ -34,11 +34,11 @@ def _fmt(d) -> str:
     return "INF" if d is UNREACHABLE else str(d)
 
 
-def _record(records: list, i: int) -> str:
+def _record(out: SsrpOutput, i: int) -> str:
     """Record ``i`` as ``[t=.. e=(x,y) d=..]``, or ``none`` past the end."""
-    if i >= len(records):
+    if i >= len(out.t):
         return "none"
-    t, (x, y), d = records[i]
+    t, (x, y), d = out.records[i]
     return f"[t={t} e=({x},{y}) d={_fmt(d)}]"
 
 
@@ -85,22 +85,18 @@ def cmd_verify(args) -> int:
         verify_corpus(args.seed, args.count, args.max_n)
     ):
         oracle = build_oracle(g, source)
-        got = ssrp(oracle).records
-        want = brute_ssrp(g, source).records
-        if got != want:
+        got, want = ssrp(oracle), brute_ssrp(g, source)
+        idx = got.first_difference(want)
+        if idx is not None:
             dump = Path(f"verify_fail_seed{args.seed}_case{i}.graph")
             write_graph(g, dump)
-            idx = next(
-                (k for k, (a, b) in enumerate(zip(got, want)) if a != b),
-                min(len(got), len(want)),
-            )
             print(
                 f"MISMATCH case {i} {label} source={source} record {idx}: "
                 f"got={_record(got, idx)} expected={_record(want, idx)}; graph -> {dump}",
                 file=sys.stderr,
             )
             return 1
-        print(f"ok case {i} {label} source={source} records={len(got)}")
+        print(f"ok case {i} {label} source={source} records={len(got.t)}")
     print(f"verified {args.count} graphs, all records match")
     return 0
 

@@ -5,14 +5,19 @@ answer through the same code, and both walk the store's slot links as they
 are (``store.TABLE``): a record descends as a (vertex slot, edge slot) pair,
 one lookup per level. ``query`` walks them for one fault in plain Python
 (``_query_node``); ``ssrp`` for all its records at once (``_descend``),
-one round of numpy operations per level, in one chunk of records per usable
-CPU (``_descend_on_cores``). Inside, distances are integers with INF for
-UNREACHABLE; the answers turn INF back into UNREACHABLE.
+one round of numpy operations per level over rows allocated once per call,
+in one chunk of records per usable CPU (``_descend_on_cores``). Inside,
+distances are integers with INF for UNREACHABLE. ``query`` turns INF back
+into UNREACHABLE; ``ssrp`` returns its records as int64 columns
+(``SsrpOutput``), builds no Python object per record, and turns INF into
+UNREACHABLE only where a record is read as a tuple.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -32,19 +37,129 @@ class QueryResult:
     recursion_depth: int
 
 
-@dataclass(slots=True)
 class SsrpOutput:
     """One record per (destination, tree edge above it): the distance from
-    the source to that destination when the edge fails."""
+    the source to that destination when the edge fails.
 
-    records: list[tuple[int, tuple[int, int], Distance]]
+    The records are four read-only int64 columns in record order: ``t``, the
+    edge's upper end ``x`` and lower end ``y``, and ``dist`` with INF for
+    UNREACHABLE. ``records`` reads them as ``(t, (x, y), d)`` tuples.
+    ``SsrpOutput(records)`` takes such tuples, ``from_columns`` the columns.
+    """
+
+    __slots__ = ("t", "x", "y", "dist")
+
+    def __init__(self, records: Iterable[tuple[int, tuple[int, int], Distance]] = ()):
+        rows = [(t, x, y, INF if d is UNREACHABLE else d) for t, (x, y), d in records]
+        self._hold(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+    @classmethod
+    def from_columns(cls, t, x, y, dist) -> SsrpOutput:
+        out = cls.__new__(cls)
+        out._hold((t, x, y, dist))
+        return out
+
+    def _hold(self, columns) -> None:
+        for name, column in zip(self.__slots__, columns):
+            column = np.ascontiguousarray(column, dtype=np.int64).view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @property
+    def records(self) -> SsrpRecords:
+        return SsrpRecords(self)
+
+    def first_difference(self, other: SsrpOutput) -> int | None:
+        """The index of the first record the two outputs do not share, or
+        None where they are equal."""
+        n = min(len(self.t), len(other.t))
+        differs = np.zeros(n, dtype=bool)
+        for name in self.__slots__:
+            differs |= getattr(self, name)[:n] != getattr(other, name)[:n]
+        if differs.any():
+            return int(np.argmax(differs))
+        return None if len(self.t) == len(other.t) else n
 
     def to_tsv(self) -> str:
-        lines = [
-            f"{t}\t{x}\t{y}\t{'INF' if d is UNREACHABLE else d}"
-            for t, (x, y), d in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        fields = self._fields("{}\t".format, "{}\t{}\t".format, "INF")
+        return "".join(map("{}{}{}\n".format, *fields))
+
+    def _fields(self, dest, edge, unreached) -> tuple[Iterator, Iterator, list]:
+        """Per record, ``dest(t)``, ``edge(x, y)`` and the distance, with
+        ``unreached`` for INF. Records come in runs of one destination, so
+        one ``dest`` object serves a run."""
+        t, dist = self.t, self.dist
+        d = dist.tolist()
+        for i in np.flatnonzero(dist >= INF).tolist():
+            d[i] = unreached
+        if not len(t):
+            return iter(()), iter(()), d
+        start = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+        runs = map(repeat, map(dest, t[start].tolist()), np.diff(start, append=len(t)).tolist())
+        return chain.from_iterable(runs), self._edges(edge), d
+
+    def _edges(self, edge) -> Iterator:
+        """``edge(x, y)`` per record. In every ssrp ``x`` is ``y``'s tree
+        parent, so one object serves each lower vertex, and one numpy
+        gather hands it to the records."""
+        x, y = self.x, self.y
+        if y.min() >= 0:
+            upper = np.full(y.max() + 1, -1, dtype=np.int64)
+            upper[y] = x
+            if np.array_equal(upper[y], x):
+                n = len(upper)
+                shared = np.fromiter(map(edge, upper.tolist(), range(n)), dtype=object, count=n)
+                return iter(shared[y].tolist())
+        return map(edge, x.tolist(), y.tolist())
+
+
+class SsrpRecords(Sequence):
+    """The records of an ``SsrpOutput`` as ``(t, (x, y), d)`` tuples, built
+    from its columns as they are read; iteration shares ints and edge tuples
+    as ``SsrpOutput._fields`` does. Equal to another view column by column
+    and to a list tuple by tuple. A slice, or ``+`` with a list, gives a
+    list."""
+
+    __slots__ = ("_out",)
+    __hash__ = None
+
+    def __init__(self, out: SsrpOutput):
+        self._out = out
+
+    def __len__(self) -> int:
+        return len(self._out.t)
+
+    def __getitem__(self, i):
+        out = self._out
+        if isinstance(i, slice):
+            return list(SsrpOutput.from_columns(out.t[i], out.x[i], out.y[i], out.dist[i]).records)
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("record index out of range")
+        d = int(out.dist[i])
+        return int(out.t[i]), (int(out.x[i]), int(out.y[i])), UNREACHABLE if d >= INF else d
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, int], Distance]]:
+        return zip(*self._out._fields(int, lambda x, y: (x, y), UNREACHABLE))
+
+    def __eq__(self, other):
+        if isinstance(other, SsrpRecords):
+            return self._out.first_difference(other._out) is None
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __add__(self, other):
+        return list(self) + other if isinstance(other, list) else NotImplemented
+
+    def __radd__(self, other):
+        return other + list(self) if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SsrpRecords({list(self)!r})"
 
 
 def _query_node(
@@ -143,37 +258,48 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
 CHUNK_MIN_RECORDS = 1 << 15
 
 
-def _descend(
-    store: QueryStore, views: tuple, t: np.ndarray, eid: np.ndarray, d0: np.ndarray
-) -> np.ndarray:
+def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> None:
     """``_query_node`` for every record at once: one round of array
     operations per level, over the records still descending.
 
     Each level mirrors the scalar cases: a leaf reads its row, CROSS answers
     ``d0``, PRIMARY folds its candidates into ``best`` and stops at the
     separator or where t has no left copy, and LEFT/RIGHT move to the child
-    (``d0`` where t has no copy there). Answered records leave the arrays.
-    ``views`` come from ``_descend_on_cores``. Returns the distances with
-    INF for UNREACHABLE, in the order of ``t``.
+    (``d0`` where t has no copy there). ``key`` comes from
+    ``_descend_on_cores``. Each answer, INF for UNREACHABLE, overwrites its
+    record's ``d0``.
+
+    The records still descending are the prefixes of rows allocated once per
+    call: position and ``best`` in two pairs of rows, one read and the other
+    written each level, and the vertex and edge slots in one row each, which
+    the compaction reads before it writes them. ``take`` into a row
+    allocates nothing; its ``clip`` mode never clips, because ``store.check``
+    bounds every link a record that moves on reads.
     """
-    elink, vlink, esr, key, stride = views
-    kind, vsep = _view(store.kind), _view(store.vsep).view(bool)
+    kind, elink, vlink, esr = (_view(a) for a in (store.kind, store.elink, store.vlink, store.esr))
+    vsep = _view(store.vsep).view(bool)
     dist_r, sr, rows = _view(store.dist_r), _view(store.sr), _view(store.rows)
     dep_off, dep_len = _view(store.dep_off), _view(store.dep_len)
+    stride = len(sr) + 2
 
-    out = d0.copy()
-    idx = np.arange(len(t))
+    n = len(t)
+    wide = np.empty((6, n), dtype=np.int64)
+    cur, nxt, vs_row, es_row = wide[0:2], wide[2:4], wide[4], wide[5]
     # the root's slots start at 0, so its vertex and edge ids are slots
-    vs, es = t, eid
-    best = np.full(len(t), INF, dtype=np.int64)
-    while len(idx):
-        side = kind[es]
+    cur[0], cur[1], vs_row[:], es_row[:] = np.arange(n), INF, t, eid
+    ct_row, link_row = np.empty((2, n), dtype=vlink.dtype)
+    side_row = np.empty(n, dtype=kind.dtype)
+    while n:
+        (idx, best), vs, es = cur[:, :n], vs_row[:n], es_row[:n]
+        side = kind.take(es, out=side_row[:n], mode="clip")
+        pos = np.multiply(vs, 2, out=nxt[0, :n])
+        pos += side == RIGHT
         # a leaf slot links to no child, so its records stop here too
-        ct = vlink[2 * vs + (side == RIGHT)]
+        ct = vlink.take(pos, out=ct_row[:n], mode="clip")
         go = (side != CROSS) & (ct >= 0)
         leaf = np.flatnonzero(side == LEAF)
         if len(leaf):
-            out[idx[leaf]] = np.minimum(rows[elink[es[leaf]] + vs[leaf]], best[leaf])
+            d0[idx[leaf]] = np.minimum(rows[elink[es[leaf]] + vs[leaf]], best[leaf])
         prim = np.flatnonzero(side == PRIMARY)
         if len(prim):
             pvs = vs[prim]
@@ -187,22 +313,30 @@ def _descend(
             pb = np.minimum(best[prim], cand)
             best[prim] = pb
             stop = vsep[pvs] | (ct[prim] < 0)
-            out[idx[prim[stop]]] = pb[stop]
+            d0[idx[prim[stop]]] = pb[stop]
             go[prim[stop]] = False
-        idx, vs, es, best = idx[go], ct[go], elink[es[go]], best[go]
-    return out
+        keep = np.flatnonzero(go)
+        n = len(keep)
+        es.take(keep, out=nxt[0, :n], mode="clip")
+        elink.take(nxt[0, :n], out=link_row[:n], mode="clip")
+        es_row[:n] = link_row[:n]
+        ct.take(keep, out=link_row[:n], mode="clip")
+        vs_row[:n] = link_row[:n]
+        idx.take(keep, out=nxt[0, :n], mode="clip")
+        best.take(keep, out=nxt[1, :n], mode="clip")
+        cur, nxt = nxt, cur
 
 
 def _descend_on_cores(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> np.ndarray:
     """``_descend`` over one contiguous chunk of the records per usable CPU,
     as far as each chunk gets ``CHUNK_MIN_RECORDS``; a smaller call is one
-    chunk. Before any thread starts, it makes int64 copies of the links,
-    which index without a conversion per gather, and one sorted key per
-    departing entry, ``owner * stride + dsr + 1`` for its vertex slot
-    ``owner``, which one search over all entries finds; nothing outlives the
-    call. The calling thread takes the first chunk and a thread each the
-    others; numpy releases the GIL in the gathers, ufuncs and searches, so
-    the chunks run in parallel. Every thread is joined before this returns
+    chunk. Before any thread starts, it builds one sorted key per departing
+    entry, ``owner * stride + dsr + 1`` for its vertex slot ``owner``, which
+    one search over all entries finds; nothing outlives the call. The
+    chunks gather on the store's arrays as they are. The calling thread
+    takes the first chunk and a thread each the others; numpy releases the
+    GIL in the gathers, ufuncs and searches, so the chunks run in parallel.
+    Every thread is joined before this returns ``d0``, answered in place,
     or raises."""
     # a departure lies on its node's path, the separator at the latest, so
     # dsr + 1 lies in [1, len(sr) + 1], inside its owner's stride
@@ -210,18 +344,21 @@ def _descend_on_cores(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.
     dep_off = _view(store.dep_off)
     key = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64) * stride + 1, np.diff(dep_off))
     key += _view(store.dsr)
-    views = (*(_view(a).astype(np.int64) for a in (store.elink, store.vlink, store.esr)), key, stride)
     chunks = max(1, min(usable_cpus(), len(t) // CHUNK_MIN_RECORDS))
     cut = [len(t) * c // chunks for c in range(chunks + 1)]
     parts = [(t[a:b], eid[a:b], d0[a:b]) for a, b in zip(cut, cut[1:])]
     with ThreadPoolExecutor(chunks) as pool:
-        rest = [pool.submit(_descend, store, views, *part) for part in parts[1:]]
-        return np.concatenate([_descend(store, views, *parts[0])] + [f.result() for f in rest])
+        rest = [pool.submit(_descend, store, key, *part) for part in parts[1:]]
+        _descend(store, key, *parts[0])
+        for f in rest:
+            f.result()
+    return d0
 
 
 def ssrp(oracle: OracleTree) -> SsrpOutput:
     """For every reachable destination and every tree edge above it, the
-    avoiding distance; records ordered by destination then edge depth.
+    avoiding distance; records ordered by destination then edge depth, as
+    the columns of an ``SsrpOutput``.
 
     All records descend together (``_descend_on_cores``). Climbing the source tree
     from every destination at once gives each its depth; record (t, j-th
@@ -235,7 +372,7 @@ def ssrp(oracle: OracleTree) -> SsrpOutput:
     ts = np.flatnonzero(dist < INF)
     ts = ts[ts != source]
     if not len(ts):
-        return SsrpOutput([])
+        return SsrpOutput()
     depth = np.zeros(len(ts), dtype=np.int64)
     climb = []
     live, cur = np.arange(len(ts)), ts
@@ -251,12 +388,4 @@ def ssrp(oracle: OracleTree) -> SsrpOutput:
         lower[end[live] - 1 - j] = cur
     t = np.repeat(ts, depth)
     d = _descend_on_cores(store, t, _view(store.parent_edge)[lower], dist[t])
-    ds = d.tolist()
-    for i in np.flatnonzero(d >= INF).tolist():
-        ds[i] = UNREACHABLE
-    # Every record below one tree edge shares that edge's (x, y) tuple: one
-    # tuple per vertex, not one per record, nearly halves the objects the
-    # garbage collector tracks and collects while the list grows.
-    edge = list(zip(parent.tolist(), range(len(parent))))
-    tcol = chain.from_iterable(map(repeat, ts.tolist(), depth.tolist()))
-    return SsrpOutput(list(zip(tcol, map(edge.__getitem__, lower.tolist()), ds)))
+    return SsrpOutput.from_columns(t, parent[lower], lower, d)

@@ -7,6 +7,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from sdo.baseline import _sweep, brute_query, brute_ssrp
 from sdo.generators import nested_arcs, ragged_multigraph, tree_plus_chords, verify_corpus
 from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.oracle import build_oracle
-from sdo.query import _query_node, query, ssrp
+from sdo.query import SsrpOutput, _query_node, query, ssrp
 from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
 from sdo.store import INF, PRIMARY, TABLE, QueryStore, check
@@ -181,6 +182,144 @@ class TestSsrp:
             assert ssrp(oracle).records == brute_ssrp(g, s).records, label
 
 
+def tuple_records(out: SsrpOutput) -> list:
+    """The records as ``ssrp`` returned them when it built a list: one tuple
+    per record, UNREACHABLE for INF."""
+    return [
+        (t, (x, y), UNREACHABLE if d >= INF else d)
+        for t, x, y, d in zip(out.t.tolist(), out.x.tolist(), out.y.tolist(), out.dist.tolist())
+    ]
+
+
+def heavy_cycle() -> Graph:
+    """A 4-cycle whose closing edge weighs 2**62 - 4, so that every weight
+    sums to 2**62 - 1, the most a build takes, plus a zero-weight bridge to
+    vertex 4. From source 0, failing (0, 1) leaves 1, 2 and 3 at 2**62 - 2,
+    2**62 - 3 and 2**62 - 4, and failing the bridge leaves 4 unreached."""
+    base = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    return with_weights(base, [1, 1, 1, 2**62 - 4, 0])
+
+
+class TestRecordsView:
+    """``ssrp(...).records`` reads the output's columns as the list of
+    tuples it used to be."""
+
+    @pytest.fixture(scope="class")
+    def out(self):
+        return ssrp(build_oracle(ragged_multigraph(300, 200, 1), 0))
+
+    def test_len_and_indexing(self, out):
+        records, want = out.records, tuple_records(out)
+        assert len(records) == len(want) == 1823
+        for i in (0, 1, 17, len(want) - 1, -1, -2, -len(want)):
+            assert records[i] == want[i], i
+        assert records[np.int64(5)] == want[5]
+        assert records[10:20] == want[10:20]
+        assert records[::-97] == want[::-97]
+        for i in (len(want), -len(want) - 1, 10**9):
+            with pytest.raises(IndexError):
+                records[i]
+
+    def test_iteration_gives_the_tuple_list(self, out):
+        got = list(out.records)
+        assert got == tuple_records(out)
+        assert any(d is UNREACHABLE for _, _, d in got)
+        for t, (x, y), d in got:
+            assert type(t) is int and type(x) is int and type(y) is int
+            assert d is UNREACHABLE or type(d) is int
+
+    def test_equality_in_both_directions(self, out):
+        records, want = out.records, tuple_records(out)
+        again = ssrp(build_oracle(ragged_multigraph(300, 200, 1), 0)).records
+        assert records == want and want == records
+        assert records == again and again == records
+        assert not records != want and not records != again
+        changed = [want[0][:2] + (12345,)] + want[1:]
+        assert records != changed and changed != records
+        assert records != want[:-1] and want[:-1] != records
+        assert records != SsrpOutput(changed).records
+        assert records != tuple(want)
+        assert out.first_difference(SsrpOutput(want)) is None
+        assert out.first_difference(SsrpOutput(want[:9] + [want[9][:2] + (54321,)] + want[10:])) == 9
+        assert out.first_difference(SsrpOutput(want[:-1])) == len(want) - 1
+        assert SsrpOutput(want + want[:1]).first_difference(out) == len(want)
+        with pytest.raises(TypeError):
+            hash(records)
+
+    def test_random_sample(self, out):
+        want = tuple_records(out)
+        picked = random.Random(3).sample(out.records, 50)
+        assert len(picked) == 50 and all(r in want for r in picked)
+        assert picked == random.Random(3).sample(want, 50)
+
+    def test_a_list_of_tuples_round_trips(self, out):
+        records = list(out.records)
+        again = SsrpOutput(records)
+        assert again.records == out.records and again.records == records
+        assert again.to_tsv() == out.to_tsv()
+        assert out.records + [(0, (0, 1), 99)] == records + [(0, (0, 1), 99)]
+        assert [(0, (0, 1), 99)] + out.records == [(0, (0, 1), 99)] + records
+
+    def test_records_no_tree_made_read_back(self):
+        # edges whose upper end is not a function of the lower one, and
+        # negative ids, cannot share one tuple per lower vertex
+        for records in (
+            [(0, (5, 1), 3), (1, (6, 1), UNREACHABLE), (1, (5, 1), 0)],
+            [(2, (1, -1), 2), (-3, (-4, 0), UNREACHABLE)],
+        ):
+            out = SsrpOutput(records)
+            assert list(out.records) == records and out.records == records
+            assert [out.records[i] for i in range(len(records))] == records
+
+    def test_columns_are_read_only(self, out):
+        for column in (out.t, out.x, out.y, out.dist):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 1
+        mine = np.arange(3, dtype=np.int64)
+        SsrpOutput.from_columns(mine, mine, mine, mine)
+        assert mine.flags.writeable
+
+    def test_no_records(self):
+        for out in (SsrpOutput(), ssrp(build_oracle(Graph.from_pairs(3, [(1, 2)]), 0))):
+            assert len(out.records) == 0 and list(out.records) == [] and out.records == []
+            assert out.to_tsv() == ""
+            with pytest.raises(IndexError):
+                out.records[0]
+
+    def test_distances_near_inf_read_back_exactly(self):
+        g = heavy_cycle()
+        out = ssrp(build_oracle(g, 0))
+        assert out.records == brute_ssrp(g, 0).records
+        assert list(out.records) == [
+            (1, (0, 1), 2**62 - 2),
+            (2, (0, 1), 2**62 - 3),
+            (2, (1, 2), 2**62 - 3),
+            (3, (0, 1), 2**62 - 4),
+            (3, (1, 2), 2**62 - 4),
+            (3, (2, 3), 2**62 - 4),
+            (4, (0, 1), 2**62 - 4),
+            (4, (1, 2), 2**62 - 4),
+            (4, (2, 3), 2**62 - 4),
+            (4, (3, 4), UNREACHABLE),
+        ]
+        assert out.dist[-1] == INF and out.records[-1][2] is UNREACHABLE
+        assert out.to_tsv().splitlines()[:1] == ["1\t0\t1\t4611686018427387902"]
+        assert out.to_tsv().splitlines()[-1:] == ["4\t3\t4\tINF"]
+        assert SsrpOutput(list(out.records)).records == out.records
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 40), st.integers(0, 10**6), st.data())
+def test_records_view_equals_brute_force_on_ragged_multigraphs(n, extra, seed, data):
+    g = ragged_multigraph(n, extra, seed)
+    s = data.draw(st.integers(0, n - 1))
+    out, want = ssrp(build_oracle(g, s)), brute_ssrp(g, s)
+    assert list(out.records) == want.records
+    assert list(out.records) == tuple_records(want)
+    assert out.to_tsv() == want.to_tsv()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 40), st.integers(0, 30), st.integers(0, 10**6))
 def test_query_equals_brute_everywhere(n, extra, seed):
@@ -285,6 +424,29 @@ def test_dump_bytes_are_pinned_at_scale():
         for label, g in graphs.items()
     }
     assert got == PINNED_DUMPS_AT_SCALE
+
+
+# SHA-256 of ssrp(...).to_tsv(): the records and their text. A change to how
+# ssrp builds or formats its records must leave these bytes alone. The
+# ragged graph leaves 16 vertices unreached and 42 records at INF.
+PINNED_SSRP_TSV = {
+    "arcs(32)": "44ba1893356b150fac2ccfabcd9c901cceb2bbab91054f9637615d270e1be0c3",
+    "chords(512)": "7c9822eb71ade8e784b53d9dcaede01be1f7260cb556c3c6d4771bd002093a2d",
+    "ragged(300)": "8d147c8ee555553b94a49b39372aa8450732f66efbb980dc93111611803d260c",
+}
+
+
+def test_ssrp_tsv_is_pinned():
+    graphs = {
+        "arcs(32)": nested_arcs(32)[0],
+        "chords(512)": zero_weighted_chords(512, 1024, 5),
+        "ragged(300)": ragged_multigraph(300, 200, 1),
+    }
+    got = {
+        label: hashlib.sha256(ssrp(build_oracle(g, 0)).to_tsv().encode()).hexdigest()
+        for label, g in graphs.items()
+    }
+    assert got == PINNED_SSRP_TSV
 
 
 def test_loaded_oracle_has_no_recursion_tree():
@@ -480,9 +642,9 @@ class TestChunkedDescent:
         sizes = []
         descend = query_module._descend
 
-        def sized(store, views, t, eid, d0):
+        def sized(store, key, t, eid, d0):
             sizes.append(len(t))
-            return descend(store, views, t, eid, d0)
+            return descend(store, key, t, eid, d0)
 
         monkeypatch.setattr(query_module, "_descend", sized)
         return sizes
