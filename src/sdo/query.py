@@ -272,9 +272,11 @@ def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray,
     The records still descending are the prefixes of rows allocated once per
     call: position and ``best`` in two pairs of rows, one read and the other
     written each level, and the vertex and edge slots in one row each, which
-    the compaction reads before it writes them. ``take`` into a row
-    allocates nothing; its ``clip`` mode never clips, because ``store.check``
-    bounds every link a record that moves on reads.
+    the compaction reads before it writes them. Each row is an array of its
+    own, so a chunk of up to 2**19 records stays below the 4 MB at which
+    numpy asks the kernel for huge pages. ``take`` into a row allocates
+    nothing; its ``clip`` mode never clips, because ``store.check`` bounds
+    every link a record that moves on reads.
     """
     kind, elink, vlink, esr = (_view(a) for a in (store.kind, store.elink, store.vlink, store.esr))
     vsep = _view(store.vsep).view(bool)
@@ -283,16 +285,16 @@ def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray,
     stride = len(sr) + 2
 
     n = len(t)
-    wide = np.empty((6, n), dtype=np.int64)
-    cur, nxt, vs_row, es_row = wide[0:2], wide[2:4], wide[4], wide[5]
+    cur = np.arange(n), np.full(n, INF, dtype=np.int64)
+    nxt = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     # the root's slots start at 0, so its vertex and edge ids are slots
-    cur[0], cur[1], vs_row[:], es_row[:] = np.arange(n), INF, t, eid
-    ct_row, link_row = np.empty((2, n), dtype=vlink.dtype)
+    vs_row, es_row = t.astype(np.int64), eid.astype(np.int64)
+    ct_row, link_row = np.empty(n, dtype=vlink.dtype), np.empty(n, dtype=vlink.dtype)
     side_row = np.empty(n, dtype=kind.dtype)
     while n:
-        (idx, best), vs, es = cur[:, :n], vs_row[:n], es_row[:n]
+        idx, best, vs, es = cur[0][:n], cur[1][:n], vs_row[:n], es_row[:n]
         side = kind.take(es, out=side_row[:n], mode="clip")
-        pos = np.multiply(vs, 2, out=nxt[0, :n])
+        pos = np.multiply(vs, 2, out=nxt[0][:n])
         pos += side == RIGHT
         # a leaf slot links to no child, so its records stop here too
         ct = vlink.take(pos, out=ct_row[:n], mode="clip")
@@ -317,13 +319,13 @@ def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray,
             go[prim[stop]] = False
         keep = np.flatnonzero(go)
         n = len(keep)
-        es.take(keep, out=nxt[0, :n], mode="clip")
-        elink.take(nxt[0, :n], out=link_row[:n], mode="clip")
+        es.take(keep, out=nxt[0][:n], mode="clip")
+        elink.take(nxt[0][:n], out=link_row[:n], mode="clip")
         es_row[:n] = link_row[:n]
         ct.take(keep, out=link_row[:n], mode="clip")
         vs_row[:n] = link_row[:n]
-        idx.take(keep, out=nxt[0, :n], mode="clip")
-        best.take(keep, out=nxt[1, :n], mode="clip")
+        idx.take(keep, out=nxt[0][:n], mode="clip")
+        best.take(keep, out=nxt[1][:n], mode="clip")
         cur, nxt = nxt, cur
 
 
