@@ -115,9 +115,9 @@ def build_dep(
     best = [INF] * n
     kept_v = array("i")
     kept_length = array("q")
-    kept_at = []  # kept_at[j]: candidates kept by the end of round j
+    kept_dpi = array("i")  # kept_dpi[i]: the round (path position) kept_v[i] departs at
     pushes = 0
-    for u in path.vertices:
+    for j, u in enumerate(path.vertices):
         heap = []
         for weight, w in out[u]:
             length = dist[u] + weight
@@ -138,21 +138,21 @@ def build_dep(
                     best[w] = length_w
                     heappush(heap, (length_w, w))
                     pushes += 1
-        kept_at.append(len(kept_v))
+        kept_dpi += array("i", [j]) * (len(kept_v) - len(kept_dpi))
     stats = DepBuildStats(len(kept_v), pushes)
-    return _group_by_destination(n, kept_v, kept_length, kept_at), stats
+    return _group_by_destination(n, kept_v, kept_length, kept_dpi), stats
 
 
 def _group_by_destination(
-    n: int, vs: array, lengths: array, kept_at: list[int]
+    n: int, vs: array, lengths: array, dpis: array
 ) -> DepTable:
     """Stable sort of the kept candidates by destination, keeping each
-    destination's candidates in the order they were kept; ``kept_at[j]``
-    counts the candidates kept by the end of round j, which departs at j."""
+    destination's candidates in the order they were kept; ``dpis`` holds
+    each candidate's round, which departs at that path position."""
     v = np.frombuffer(vs, dtype=np.int32)
     at = np.argsort(v, kind="stable")
-    dpis = np.repeat(np.arange(len(kept_at), dtype=np.int32), np.diff(kept_at, prepend=0))
     offsets = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(v, minlength=n), out=offsets[1:])
-    return DepTable(offsets, np.frombuffer(lengths, dtype=np.int64)[at], dpis[at])
+    lengths, dpis = np.frombuffer(lengths, dtype=np.int64), np.frombuffer(dpis, dtype=np.int32)
+    return DepTable(offsets, lengths[at], dpis[at])
 

@@ -3,7 +3,9 @@
 Both read only the oracle's ``QueryStore``, so a built and a loaded oracle
 answer through the same code, and both walk the store's slot links as they
 are (``store.TABLE``): a record descends as a (vertex slot, edge slot) pair,
-one lookup per level. ``query`` walks them for one fault in plain Python
+one lookup per level, and a primary-path fault bisects its destination's
+own departing segment of ``dsr``, so neither walk derives anything from the
+store. ``query`` walks them for one fault in plain Python
 (``_query_node``); ``ssrp`` for all its records at once (``_descend``),
 one round of numpy operations per level over rows allocated once per call,
 in one chunk of records per usable CPU (``_descend_on_cores``). Inside,
@@ -258,15 +260,41 @@ def query(oracle: OracleTree, t: int, e: tuple[int, int]) -> QueryResult:
 CHUNK_MIN_RECORDS = 1 << 15
 
 
-def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> None:
+def _bisect_segments(dsr: np.ndarray, lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``bisect_right(dsr, at[r], lo[r], hi[r])`` for every r at once, each
+    over its own rising segment ``dsr[lo[r]:hi[r]]``.
+
+    Each round tries to move every index on by the same power of two, and
+    keeps the move where the entry it would pass holds at most ``at``; the
+    steps halve from the highest one within the longest segment, so one
+    round per bit of that length finds every answer. The indexes are int64,
+    so no probe wraps, and ``take`` clips the probes past the end of
+    ``dsr``, which only a segment ending there makes and which never move.
+    """
+    i = lo.astype(np.int64)
+    longest = int((hi - lo).max(initial=0))
+    step = 1 << (longest.bit_length() - 1) if longest else 0
+    probe = np.empty_like(i)
+    while step:
+        np.add(i, step, out=probe)
+        move = probe <= hi
+        probe -= 1
+        move &= dsr.take(probe, mode="clip") <= at
+        np.add(i, step, out=i, where=move)
+        step >>= 1
+    return i
+
+
+def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> None:
     """``_query_node`` for every record at once: one round of array
     operations per level, over the records still descending.
 
     Each level mirrors the scalar cases: a leaf reads its row, CROSS answers
     ``d0``, PRIMARY folds its candidates into ``best`` and stops at the
     separator or where t has no left copy, and LEFT/RIGHT move to the child
-    (``d0`` where t has no copy there). ``key`` comes from
-    ``_descend_on_cores``. Each answer, INF for UNREACHABLE, overwrites its
+    (``d0`` where t has no copy there). A PRIMARY record finds its departing
+    candidate in its own segment, as ``_query_node`` does
+    (``_bisect_segments``). Each answer, INF for UNREACHABLE, overwrites its
     record's ``d0``.
 
     The records still descending are the prefixes of rows allocated once per
@@ -281,8 +309,7 @@ def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray,
     kind, elink, vlink, esr = (_view(a) for a in (store.kind, store.elink, store.vlink, store.esr))
     vsep = _view(store.vsep).view(bool)
     dist_r, sr, rows = _view(store.dist_r), _view(store.sr), _view(store.rows)
-    dep_off, dep_len = _view(store.dep_off), _view(store.dep_len)
-    stride = len(sr) + 2
+    dep_off, dsr, dep_len = _view(store.dep_off), _view(store.dsr), _view(store.dep_len)
 
     n = len(t)
     cur = np.arange(n), np.full(n, INF, dtype=np.int64)
@@ -309,8 +336,9 @@ def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray,
             # saturating sr + dist_r: INF + INF would wrap in int64
             b = dist_r[pvs]
             cand = np.minimum(sr[at], INF - b) + b
-            i = np.searchsorted(key, pvs * stride + at + 1, side="right")
-            has = np.flatnonzero(i > dep_off[pvs])
+            lo = dep_off[pvs]
+            i = _bisect_segments(dsr, lo, dep_off[pvs + 1], at)
+            has = np.flatnonzero(i > lo)
             cand[has] = np.minimum(cand[has], dep_len[i[has] - 1])
             pb = np.minimum(best[prim], cand)
             best[prim] = pb
@@ -332,26 +360,18 @@ def _descend(store: QueryStore, key: np.ndarray, t: np.ndarray, eid: np.ndarray,
 def _descend_on_cores(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) -> np.ndarray:
     """``_descend`` over one contiguous chunk of the records per usable CPU,
     as far as each chunk gets ``CHUNK_MIN_RECORDS``; a smaller call is one
-    chunk. Before any thread starts, it builds one sorted key per departing
-    entry, ``owner * stride + dsr + 1`` for its vertex slot ``owner``, which
-    one search over all entries finds; nothing outlives the call. The
-    chunks gather on the store's arrays as they are. The calling thread
+    chunk. The chunks read the store's arrays as they are and derive
+    nothing from them, so nothing outlives the call. The calling thread
     takes the first chunk and a thread each the others; numpy releases the
-    GIL in the gathers, ufuncs and searches, so the chunks run in parallel.
+    GIL in the gathers and ufuncs, so the chunks run in parallel.
     Every thread is joined before this returns ``d0``, answered in place,
     or raises."""
-    # a departure lies on its node's path, the separator at the latest, so
-    # dsr + 1 lies in [1, len(sr) + 1], inside its owner's stride
-    stride = len(store.sr) + 2
-    dep_off = _view(store.dep_off)
-    key = np.repeat(np.arange(len(dep_off) - 1, dtype=np.int64) * stride + 1, np.diff(dep_off))
-    key += _view(store.dsr)
     chunks = max(1, min(usable_cpus(), len(t) // CHUNK_MIN_RECORDS))
     cut = [len(t) * c // chunks for c in range(chunks + 1)]
     parts = [(t[a:b], eid[a:b], d0[a:b]) for a, b in zip(cut, cut[1:])]
     with ThreadPoolExecutor(chunks) as pool:
-        rest = [pool.submit(_descend, store, key, *part) for part in parts[1:]]
-        _descend(store, key, *parts[0])
+        rest = [pool.submit(_descend, store, *part) for part in parts[1:]]
+        _descend(store, *parts[0])
         for f in rest:
             f.result()
     return d0

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import importlib
 import os
@@ -5,6 +6,7 @@ import random
 import sys
 import tempfile
 import threading
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -428,23 +430,28 @@ def test_dump_bytes_are_pinned_at_scale():
 
 # SHA-256 of ssrp(...).to_tsv(): the records and their text. A change to how
 # ssrp builds or formats its records must leave these bytes alone. The
-# ragged graph leaves 16 vertices unreached and 42 records at INF.
+# ragged graph leaves 16 vertices unreached and 42 records at INF; the
+# relabelled arcs (relabel(..., 1), below) search departing segments of up
+# to 8 and 11 entries.
 PINNED_SSRP_TSV = {
     "arcs(32)": "44ba1893356b150fac2ccfabcd9c901cceb2bbab91054f9637615d270e1be0c3",
     "chords(512)": "7c9822eb71ade8e784b53d9dcaede01be1f7260cb556c3c6d4771bd002093a2d",
     "ragged(300)": "8d147c8ee555553b94a49b39372aa8450732f66efbb980dc93111611803d260c",
+    "relabelled arcs(24)": "9484178ee4650dd5370f884559083b5f6b19781823841d06a4c3c2d1e39846cf",
+    "relabelled arcs(32)": "3d43c71dc31f9f6849a664ad7e35a09506b68730e4f6ea02b08c425601fb2cd5",
 }
 
 
-def test_ssrp_tsv_is_pinned():
+def test_ssrp_tsv_is_pinned(long_segment_graphs):
     graphs = {
-        "arcs(32)": nested_arcs(32)[0],
-        "chords(512)": zero_weighted_chords(512, 1024, 5),
-        "ragged(300)": ragged_multigraph(300, 200, 1),
+        "arcs(32)": (nested_arcs(32)[0], 0),
+        "chords(512)": (zero_weighted_chords(512, 1024, 5), 0),
+        "ragged(300)": (ragged_multigraph(300, 200, 1), 0),
+        **{f"relabelled arcs({k})": graph for k, graph in long_segment_graphs.items()},
     }
     got = {
-        label: hashlib.sha256(ssrp(build_oracle(g, 0)).to_tsv().encode()).hexdigest()
-        for label, g in graphs.items()
+        label: hashlib.sha256(ssrp(build_oracle(g, s)).to_tsv().encode()).hexdigest()
+        for label, (g, s) in graphs.items()
     }
     assert got == PINNED_SSRP_TSV
 
@@ -552,10 +559,39 @@ def test_batched_descent_equals_the_scalar_one(n, extra, seed, data):
     ids=["chords(4096)", "arcs(32)"],
 )
 def test_batched_descent_equals_the_scalar_one_at_scale(make):
-    # beyond the drawn graphs' 30 vertices: 4096 vertices, and a departing
-    # array of 33 candidates on the arcs
+    # beyond the drawn graphs' 30 vertices: 4096 vertices, and departing
+    # segments of up to 10 entries on the arcs
     g = make()
     assert_ssrp_matches_the_scalar_descent(build_oracle(g, 0), build_store(g)[1])
+
+
+SEGMENT_WIDTHS = [0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 64]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_segment_bisection_equals_bisect_right(data):
+    # strictly rising segments with gaps of at least 2, so a position falls
+    # below, on, between and above their entries; the last one ends at the
+    # end of dsr, where probes past a short segment clip
+    widths = data.draw(st.lists(st.sampled_from(SEGMENT_WIDTHS), max_size=5))
+    widths.append(data.draw(st.sampled_from(SEGMENT_WIDTHS[1:])))
+    dsr, bounds = [], []
+    for w in widths:
+        start = data.draw(st.integers(-1, 40))
+        gaps = data.draw(st.lists(st.integers(2, 4), min_size=w, max_size=w))
+        bounds.append((len(dsr), len(dsr) + w))
+        dsr += list(accumulate(gaps, initial=start))[1:]
+    cases = [
+        (lo, hi, at)
+        for lo, hi in bounds
+        for at in sorted({a + d for a in [0, *dsr[lo:hi]] for d in (-1, 0, 1)})
+    ]
+    cases = data.draw(st.permutations(cases))
+    lo, hi, at = (np.array(column, dtype=np.int32) for column in zip(*cases))
+    got = query_module._bisect_segments(np.array(dsr, dtype=np.int32), lo, hi, at)
+    assert got.dtype == np.int64
+    assert got.tolist() == [bisect.bisect_right(dsr, at, lo, hi) for lo, hi, at in cases]
 
 
 def test_inf_candidates_saturate_in_the_batched_descent():
@@ -642,9 +678,9 @@ class TestChunkedDescent:
         sizes = []
         descend = query_module._descend
 
-        def sized(store, key, t, eid, d0):
+        def sized(store, t, eid, d0):
             sizes.append(len(t))
-            return descend(store, key, t, eid, d0)
+            return descend(store, t, eid, d0)
 
         monkeypatch.setattr(query_module, "_descend", sized)
         return sizes
@@ -747,3 +783,33 @@ def test_labels_do_not_change_answers(make, seed):
     assert len(records) == len(ssrp(original).records)
     for t, (x, y), d in records:
         assert query(original, back[t], (back[x], back[y])).distance == d, (t, x, y)
+
+
+@pytest.fixture(scope="module")
+def long_segment_graphs():
+    """Relabelled nested_arcs(24) and (32), each with its relabelled source."""
+    graphs = {}
+    for k in (24, 32):
+        g, perm = relabel(nested_arcs(k)[0], 1)
+        graphs[k] = g, perm[0]
+    return graphs
+
+
+@pytest.mark.parametrize("k, longest", [(24, 8), (32, 11)])
+def test_ssrp_on_long_departing_segments_equals_query(k, longest, long_segment_graphs, monkeypatch):
+    g, source = long_segment_graphs[k]
+    oracle = build_oracle(g, source)
+    searched = []
+    bisect_segments = query_module._bisect_segments
+
+    def widest(dsr, lo, hi, at):
+        searched.append(int((hi - lo).max(initial=0)))
+        return bisect_segments(dsr, lo, hi, at)
+
+    monkeypatch.setattr(query_module, "_bisect_segments", widest)
+    records = ssrp(oracle).records
+    assert max(searched) == int(np.diff(oracle.store.dep_off).max()) == longest
+    for t, (x, y), d in records:
+        assert query(oracle, t, (x, y)).distance == d, (t, x, y)
+    if k == 24:
+        assert records == brute_ssrp(g, source).records
