@@ -76,11 +76,21 @@ class Graph:
     adjacency lists, weights are non-negative integers. An edge with an
     endpoint that is not an ``int`` in range, a self-loop or any other weight
     raises ``ValueError`` naming it.
+
+    ``adj`` is for graphs the library derives from a checked one, such as
+    the oracle's child graphs: ``edges`` must then be a list of valid edges
+    and ``adj`` the lists this constructor would build. Both are kept as
+    given, unchecked.
     """
 
     __slots__ = ("n", "edges", "adj")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+    def __init__(
+        self, n: int, edges: Iterable[Edge] = (), *, adj: list[list[int]] | None = None
+    ):
+        if adj is not None:
+            self.n, self.edges, self.adj = n, edges, adj
+            return
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n

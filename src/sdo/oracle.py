@@ -7,16 +7,21 @@ preserve all surviving distances inside each side. The root is the input
 graph itself, and a vertex the source cannot reach enters neither side.
 Grafting preserves distances from the source, so every node vertex lies at
 its original vertex's input-graph distance, and the oracle keeps that one
-source tree for the whole recursion. Each level appends its rows to the
-``QueryStore``, the flat arrays that queries read and files hold, and drops
-its graph before it recurses; then ``close_store`` rebases the child links.
-``OracleTree.nodes()`` replays the build for the levels' records. On
-a host with a free core, a level may hand its far side to a forked worker,
-which builds it into a segment store that is spliced in after the near side.
+source tree for the whole recursion. So a child's shortcut weights come
+from its parent's distances, in the pass that builds the child, and its
+canonical tree is its parent's, remapped: a heap ``dijkstra`` builds only
+the root's tree and those of children with a zero-weight edge. Each level
+appends its rows to the ``QueryStore``, the flat arrays that queries read
+and files hold, and drops its graph before it recurses; then
+``close_store`` rebases the child links. ``OracleTree.nodes()`` replays the
+build for the levels' records. On a host with a free core, a level may hand
+its far side to a forked worker, which builds it into a segment store that
+is spliced in after the near side.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import select
 import signal
@@ -116,65 +121,133 @@ def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> 
     return node
 
 
-# A child graph, its source, and its (vertex, edge) id maps from the parent;
-# and the callback that takes each level's build record.
-Graft = tuple[Graph, int, tuple[list[int], dict[int, int]]]
+# A child's canonical tree, whose graph and source are the child's, and its
+# (vertex, edge) id maps from the parent; and the callback that takes each
+# level's build record.
+Graft = tuple[ShortestPathTree, tuple[list[int], dict[int, int]]]
 Emit = Callable[[OracleNode], object]
 
 
-def _graft(g: Graph, inside: list[bool], origin: int, fresh: bool) -> Graft:
-    """The subgraph induced by ``inside`` plus a shortcut from a hub to each
-    other vertex v, weighted by the best ``origin`` -> v length avoiding every
-    induced edge, and left out where there is none (``INF``). The hub, returned
-    as the source, is ``origin`` itself or, if ``fresh``, a new last vertex.
+def _graft(spt: ShortestPathTree, inside: list[bool], r: int | None) -> Graft:
+    """The child on one side of ``spt``'s split: the subgraph induced by
+    ``inside`` plus a shortcut from a hub to each other vertex v, weighted by
+    the best length from an origin to v avoiding every induced edge and left
+    out where that is ``INF``; and the child's canonical tree.
+
+    On side M, given its separator ``r``, the origin and hub are r. On side
+    N (``r`` None) the origin is the source and the hub a new last vertex,
+    the child's source. Such a path enters v by an edge (x, v) from the
+    other side, so it is at least ``dist(x) - dist(origin) + w`` long, and
+    the tree path from the origin to x meets that bound off the induced
+    edges: M holds every tree ancestor of its vertices, and N the tree path
+    from r to each of its vertices. So v's shortcut weighs the least such
+    sum over those edges, or 0 where v is the origin, and the pass over the
+    parent's edges that builds the child and its adjacency takes these
+    minima too.
+
+    Grafting keeps each vertex's distance, and the maps keep the parent's
+    order, so on positive weights the child's tree is the parent's,
+    remapped: a vertex keeps its tree edge unless its shortcut is tight and
+    has the smaller ``(virtual, pred != source, pred, eid)`` key, the
+    tie-break of ``dijkstra``, and side N's separator, whose tree edge
+    leaves the side, takes its shortcut. The order is the parent's, the hub
+    first. A child with a zero-weight edge, where a tight neighbour may
+    settle after its vertex, gets its tree from ``dijkstra``.
 
     The vertex map lists each parent vertex's child id, -1 outside: the
     store's child links on that side as the build appends them. The edge map
-    is a dict, the avoid sweep's banned set. Both keep the parent's order."""
+    is a dict from parent to child edge id. Both keep the parent's order."""
+    g, dist, source = spt.graph, spt.dist, spt.source
     kept = list(compress(range(g.n), inside))
     vmap = [-1] * g.n
     for lv, v in enumerate(kept):
         vmap[v] = lv
+    fresh = r is None
+    origin = source if fresh else r
+    n = len(kept) + fresh
+    adj: list[list[int]] = [[] for _ in range(n)]
+    reach = [INF] * g.n
+    reach[origin] = dist[origin]
     new = tuple.__new__
     edges: list[Edge] = []
     emap: dict[int, int] = {}
+    zero = False
     for eid, (u, v, weight, virtual) in enumerate(g.edges):
         a = vmap[u]
-        if a < 0:
-            continue
         b = vmap[v]
-        if b < 0:
+        if a < 0 or b < 0:
+            # an edge from the other side ends a shortcut's path
+            if a >= 0:
+                if dist[v] + weight < reach[u]:
+                    reach[u] = dist[v] + weight
+            elif b >= 0 and dist[u] + weight < reach[v]:
+                reach[v] = dist[u] + weight
             continue
-        emap[eid] = len(edges)
+        ce = emap[eid] = len(edges)
         edges.append(new(Edge, (a, b, weight, virtual)))
-    hub = len(kept) if fresh else vmap[origin]
-    avoid = distances_from(g, origin, emap)
+        adj[a].append(ce)
+        adj[b].append(ce)
+        if not weight:
+            zero = True
+    # the parent's tree, remapped; the source and side N's separator, whose
+    # tree edges leave the side, have none yet
+    parent_edge = [emap.get(spt.parent_edge[v]) for v in kept]
+    parent = [None if e is None else vmap[spt.parent[v]] for v, e in zip(kept, parent_edge)]
+    child_dist = [dist[v] for v in kept]
+    if fresh:
+        hub = src = len(kept)
+        parent.append(None)
+        parent_edge.append(None)
+        child_dist.append(0)
+    else:
+        hub, src = vmap[r], vmap[source]
+    hub_key = (hub != src, hub)
+    base = dist[origin]
     for lv, v in enumerate(kept):
-        w = avoid[v]
-        if lv != hub and w < INF:
-            edges.append(new(Edge, (hub, lv, w, True)))
-    return Graph(len(kept) + int(fresh), edges), hub, (vmap, emap)
+        d = reach[v]
+        if lv == hub or d >= INF:
+            continue
+        ce = len(edges)
+        edges.append(new(Edge, (hub, lv, d - base, True)))
+        adj[hub].append(ce)
+        adj[lv].append(ce)
+        if d == base:
+            zero = True
+        elif d == dist[v]:
+            e = parent_edge[lv]
+            if e is None or (edges[e].virtual and hub_key < (parent[lv] != src, parent[lv])):
+                parent[lv], parent_edge[lv] = hub, ce
+    child = Graph(n, edges, adj=adj)
+    if zero:
+        return dijkstra(child, src), (vmap, emap)
+    tree = ShortestPathTree(child, src)
+    tree.parent, tree.parent_edge, tree.dist = parent, parent_edge, child_dist
+    order = tree.order = [hub] if fresh else []
+    order += (vmap[v] for v in spt.order if inside[v])
+    depth = tree.depth
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    return tree, (vmap, emap)
 
 
-def make_left_child(g: Graph, source: int, r: int, in_m: list[bool]) -> Graft:
+def make_left_child(spt_s: ShortestPathTree, r: int, in_m: list[bool]) -> Graft:
     """Induced side-M graph plus weighted shortcuts from the separator ``r``.
 
     Each shortcut (r, v) carries the best r -> v length that avoids every
     side-M edge, so faults handled deeper inside M can still route around the
-    whole side at the recorded cost.
+    whole side at the recorded cost. The child's source is the node's.
     """
-    child, _, maps = _graft(g, in_m, r, fresh=False)
-    return child, maps[0][source], maps
+    return _graft(spt_s, in_m, r)
 
 
-def make_right_child(g: Graph, source: int, in_n: list[bool]) -> Graft:
+def make_right_child(spt_s: ShortestPathTree, in_n: list[bool]) -> Graft:
     """Induced side-N graph plus a fresh source with weighted entry edges.
 
     The fresh source is added uniformly (even when the separator equals the
     node source); its edge to v carries the best source -> v length avoiding
     every side-N edge.
     """
-    return _graft(g, in_n, source, fresh=True)
+    return _graft(spt_s, in_n, None)
 
 
 def usable_cpus() -> int:
@@ -252,8 +325,8 @@ FORK_MIN_VERTICES = 256
 ORPHAN_POLL_MS = 100
 
 
-def _fork(graft: tuple[Graph, int], depth: int, cores: _Cores) -> tuple[int, int]:
-    """Build the subtree on ``graft`` in a forked worker; returns its pid and
+def _fork(spt: ShortestPathTree, depth: int, cores: _Cores) -> tuple[int, int]:
+    """Build the subtree on ``spt`` in a forked worker; returns its pid and
     the pipe its segment arrives on. The worker sends a status byte, then
     the segment, or the failure's name, and leaves through ``os._exit`` on
     every path, so it never returns into its caller's stack. A worker forked
@@ -272,7 +345,7 @@ def _fork(graft: tuple[Graph, int], depth: int, cores: _Cores) -> tuple[int, int
             os.close(rfd)
             try:
                 segment = open_segment()
-                build_node(dijkstra(*graft), depth, segment, _discard, cores)
+                build_node(spt, depth, segment, _discard, cores)
             except BaseException as exc:
                 # the worker's boundary: the failure goes to the parent,
                 # which raises it; nothing unwinds past os._exit
@@ -323,9 +396,11 @@ def build_node(
 ) -> None:
     """Build the oracle node for ``spt_s``, the canonical tree of the node's
     graph from its source: append its rows to ``store``, pass its record to
-    ``emit``, then build its children. A node is a brute-force leaf when its
-    source reaches at most two vertices at the root, or four deeper. Faults
-    are input edges, so a primary path without one builds no tables.
+    ``emit``, then build its children on the trees that ``make_left_child``
+    and ``make_right_child`` derive from it. A node is a brute-force leaf
+    when its source reaches at most two vertices at the root, or four
+    deeper. Faults are input edges, so a primary path without one builds no
+    tables.
 
     With ``cores``, a far side of at least ``FORK_MIN_VERTICES`` vertices is
     built by a forked worker whenever a core is free, while this process
@@ -349,22 +424,22 @@ def build_node(
         node.dep, node.dep_stats = build_dep(g, spt_s, path)
         tables = (dist_r, node.sr_replacements, node.dep)
 
-    left_g, left_src, left_maps = make_left_child(g, source, r, split.in_m)
-    right_g, right_src, right_maps = make_right_child(g, source, split.in_n)
+    left, left_maps = make_left_child(spt_s, r, split.in_m)
+    right, right_maps = make_right_child(spt_s, split.in_n)
     i = append_node(store, g, depth, (), r, path.edge_ids, (left_maps, right_maps), tables)
     emit(node)
-    # The store holds all a query reads of this level. Each child graph is
+    # The store holds all a query reads of this level. Each child tree is
     # popped into its call, so a subtree builds with only the right one here.
-    grafts = [(right_g, right_src), (left_g, left_src)]
+    grafts = [right, left]
     pid = rfd = None
-    if cores is not None and right_g.n >= FORK_MIN_VERTICES and cores.take():
+    if cores is not None and right.graph.n >= FORK_MIN_VERTICES and cores.take():
         pid, rfd = _fork(grafts.pop(0), depth + 1, cores)
-    del node, g, spt_s, split, path, tables, dist_r, left_g, left_maps, right_g, right_maps
+    del node, g, spt_s, split, path, tables, dist_r, left, left_maps, right, right_maps
     try:
-        build_node(dijkstra(*grafts.pop()), depth + 1, store, emit, cores)
+        build_node(grafts.pop(), depth + 1, store, emit, cores)
         store.right[i] = len(store.left)
         if pid is None:
-            build_node(dijkstra(*grafts.pop()), depth + 1, store, emit, cores)
+            build_node(grafts.pop(), depth + 1, store, emit, cores)
         else:
             _join(pid, rfd, store, cores)
             pid = None
@@ -383,15 +458,23 @@ def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     """The query store of the oracle for ``g`` from ``source``; each level's
     record goes to ``emit`` in store order. Only a build that discards the
     records uses the host's other cores: a worker's records would stay in
-    the worker."""
-    spt = dijkstra(g, source)
-    store = open_store(spt)
-    cores = _Cores.open() if emit is _discard else None
+    the worker. The build's many tuples and lists are freed by their
+    reference counts, so the cyclic garbage collector, which would only
+    scan them over and over, is paused while it runs and then set back as
+    the caller had it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    cores = None
     try:
+        spt = dijkstra(g, source)
+        store = open_store(spt)
+        cores = _Cores.open() if emit is _discard else None
         build_node(spt, 0, store, emit, cores)
     finally:
         if cores is not None:
             cores.close()
+        if collecting:
+            gc.enable()
     close_store(store)
     return store
 

@@ -16,7 +16,10 @@ class ShortestPathTree:
 
     ``dist`` holds exact integer distances (UNREACHABLE where no path exists),
     ``parent``/``parent_edge`` the canonical tree, ``depth`` hop depths, and
-    ``order`` the finalization sequence (source first, children after parents).
+    ``order`` the reached vertices by rising distance, source first and
+    parents before children: ``dijkstra``'s finalization sequence, or in a
+    tree the oracle derives from a parent level's, that order restricted to
+    the child's side.
     """
 
     __slots__ = (
@@ -57,6 +60,12 @@ def dijkstra(g: Graph, source: int, banned_edges: Container[int] = ()) -> Shorte
     bit-identical and on unweighted input the tree is the classic
     (distance, predecessor id, vertex id) canonical tree. A caller that reads
     only ``dist`` should call ``distances_from``, which builds no tree.
+
+    The oracle build runs it on the input graph and on child graphs with a
+    zero-weight edge only. Every other level's tree is its parent's,
+    remapped (``oracle._graft``): on positive weights each vertex's parent
+    edge is the least of its tight edges by this key, since every tight
+    neighbour settles before it.
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range [0, {g.n})")

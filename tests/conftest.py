@@ -7,6 +7,7 @@ exhaustive path enumeration on tiny graphs.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from itertools import chain, compress, count, islice, repeat
 from operator import eq, ge, le, lt, sub
@@ -206,6 +207,18 @@ def balanced(nr: int, *sizes: int) -> bool:
 def with_weights(g: Graph, weights) -> Graph:
     """``g`` with edge ``eid`` reweighted to ``weights[eid]``."""
     return Graph(g.n, [Edge(e.u, e.v, w) for e, w in zip(g.edges, weights)])
+
+
+def relabel(g: Graph, seed: int) -> tuple[Graph, list[int]]:
+    """``g`` with its vertices renamed by a random permutation and its edges
+    shuffled, as the benchmark relabels its inputs; returns the copy and the
+    permutation, old id -> new id."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [Edge(perm[e.u], perm[e.v], e.weight) for e in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, edges), perm
 
 
 def path_graph(n: int) -> Graph:

@@ -28,18 +28,21 @@ from sdo.store import CROSS, INF, LEAF, RIGHT, close_store
 
 from conftest import (
     balanced,
+    bellman_ford,
     build_store,
     child_maps,
     distances,
     leaf_table,
     path_graph,
     primary_positions,
+    relabel,
     separator,
     source_tree,
     split_sizes,
     sr_base,
     star_graph,
     vertex_segment,
+    with_weights,
 )
 
 
@@ -396,6 +399,32 @@ class TestChildGraphs:
                 e = right.graph.edges[eid]
                 assert e.virtual and right.source in (e.u, e.v)
 
+    def test_shortcut_weights_equal_avoid_sweeps(self):
+        # grafting weighs shortcuts from the edges between the sides; each
+        # must equal the length Bellman-Ford finds from the hub's origin
+        # (r on side M, the source on side N) avoiding the side's edges
+        from sdo.graphs import Edge
+
+        ragged = ragged_multigraph(50, 60, 2)
+        cases = [(g, s) for _, g, s in verify_corpus(seed=11, count=40, max_n=30)]
+        cases += [(zero_weighted(tree_plus_chords(60, 80, 5)), 0),
+                  (with_weights(ragged, [1 + eid % 7 for eid in range(ragged.m)]), 3)]
+        for g, source in cases:
+            nodes, store = build_store(g, source)
+            for i, node in enumerate(nodes):
+                if store.left[i] < 0:
+                    continue
+                r = separator(store, i)
+                lv, rv, le, re = child_maps(store, i, node.graph)
+                for child, vmap, emap, hub, origin in (
+                    (nodes[store.left[i]], lv, le, lv[r], r),
+                    (nodes[store.right[i]], rv, re, nodes[store.right[i]].source, node.source),
+                ):
+                    avoid = bellman_ford(node.graph, origin, set(emap))
+                    want = [Edge(hub, c, avoid[v], True) for v, c in sorted(vmap.items())
+                            if c != hub and avoid[v] is not UNREACHABLE]
+                    assert child.graph.edges[len(emap):] == want
+
     def test_unreachable_shortcut_weights_are_omitted(self):
         # pure path: the far side is unreachable once its edges are banned,
         # so the left child gains no shortcut edges at all
@@ -416,6 +445,142 @@ class TestChildGraphs:
         assert [(e.u, e.v, e.weight) for e in right_virtuals] == [
             (right.source, r_right, d_r)
         ]
+
+
+def zero_weighted(g: Graph) -> Graph:
+    """``g`` with weights 0-3 taken from the edge id, a quarter of them 0."""
+    return with_weights(g, [(7 * eid + eid // 5) % 4 for eid in range(g.m)])
+
+
+def inherited_and_heap_stores(g: Graph, source: int):
+    """The arrays of a serial build's store, and of the store built again
+    with every child's tree from ``dijkstra`` instead of its parent's."""
+    inherited = dict(_build(g, source, [].append).arrays())
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("make_left_child", "make_right_child"):
+            graft = getattr(oracle_module, name)
+
+            def from_heap(*args, graft=graft):
+                tree, maps = graft(*args)
+                return dijkstra(tree.graph, tree.source), maps
+
+            mp.setattr(oracle_module, name, from_heap)
+        heap = dict(_build(g, source, [].append).arrays())
+    return inherited, heap
+
+
+class TestInheritedTrees:
+    """A child's tree is its parent's, remapped; the store must be the one
+    that heap trees give."""
+
+    def test_corpus_stores_equal_heap_tree_stores(self):
+        cases = [
+            *verify_corpus(seed=11, count=140, max_n=60),
+            ("arcs(32)", nested_arcs(32)[0], 0),
+            ("ragged(300)", ragged_multigraph(300, 200, 1), 0),
+            ("zero-weighted chords(300)", zero_weighted(tree_plus_chords(300, 400, 5)), 0),
+        ]
+        for label, g, source in cases:
+            inherited, heap = inherited_and_heap_stores(g, source)
+            assert inherited == heap, label
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 40), st.integers(0, 10**6), st.data())
+    def test_positive_weights(self, n, extra, seed, data):
+        base = ragged_multigraph(n, extra, seed)
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=base.m, max_size=base.m))
+        source = data.draw(st.integers(0, n - 1))
+        inherited, heap = inherited_and_heap_stores(with_weights(base, weights), source)
+        assert inherited == heap
+
+    def test_children_with_a_zero_weight_edge_take_the_heap(self, monkeypatch):
+        heap_graphs = []
+
+        def counted(g, source):
+            heap_graphs.append(g)
+            return dijkstra(g, source)
+
+        monkeypatch.setattr(oracle_module, "dijkstra", counted)
+        records = []
+        g = zero_weighted(tree_plus_chords(300, 400, 5))
+        _build(g, 0, records.append)
+        zero = [node.graph for node in records[1:] if any(e.weight == 0 for e in node.graph.edges)]
+        assert 0 < len(zero) < len(records) - 1
+        assert heap_graphs[0] is g
+        assert sorted(map(id, heap_graphs[1:])) == sorted(map(id, zero))
+
+    # The root's tree, and on point-sparse those of the 21 levels with a
+    # zero-weight edge: the right children of the two levels whose separator
+    # is their source, where the hub's shortcut to that source weighs 0, and
+    # the left descendants that keep the shortcut. Before trees were
+    # inherited, every level took one: 5,693 and 5,395.
+    @pytest.mark.parametrize(
+        "make, trees",
+        [(lambda: tree_plus_chords(4096, 8192, 42), 22), (lambda: nested_arcs(64)[0], 1)],
+        ids=["point-sparse", "ssrp-arcs"],
+    )
+    def test_heap_trees_per_benchmark_build(self, make, trees, monkeypatch):
+        g, perm = relabel(make(), 101)
+        calls = []
+        monkeypatch.setattr(oracle_module, "dijkstra", lambda *args: calls.append(1) or dijkstra(*args))
+        _build(g, perm[0], [].append)
+        assert len(calls) == trees
+
+    # Hand-made levels with virtual edges from a hub q = 2 or from the
+    # separator r = 1 itself. Side N is {r, 4}; vertex 3's tree edge is
+    # virtual, and the left child's shortcut from r to it is tight: it
+    # takes vertex 3 from q, whose key is larger, but not from r's own
+    # older edge, whose id is smaller.
+    @pytest.mark.parametrize(
+        "pred, child_pred",
+        [(2, 1), (1, 1)],
+        ids=["shortcut-wins", "older-edge-wins"],
+    )
+    def test_a_tight_shortcut_takes_a_vertex_by_the_heap_key(self, pred, child_pred):
+        from sdo.graphs import Edge
+
+        g = Graph(5, [Edge(0, 1), Edge(0, 2), Edge(1, 4), Edge(pred, 3, 2, True),
+                      Edge(4, 3, 1, True)])
+        spt = dijkstra(g, 0)
+        assert spt.parent[3] == pred and spt.dist[3] == 3
+        tree, (vmap, _) = oracle_module.make_left_child(spt, 1, [True, True, True, True, False])
+        heap = dijkstra(tree.graph, tree.source)
+        assert (tree.parent, tree.parent_edge, tree.dist, tree.depth) == (
+            heap.parent, heap.parent_edge, heap.dist, heap.depth)
+        assert tree.parent[vmap[3]] == vmap[child_pred]
+
+    def test_level_graphs_have_the_adjacency_graph_builds(self):
+        # child graphs skip the constructor's checks; rebuilding each one
+        # checks its edges and must give the same adjacency lists
+        def check(node):
+            assert node.graph.adj == Graph(node.graph.n, node.graph.edges).adj
+
+        for _, g, source in verify_corpus(seed=11, count=140, max_n=60):
+            _build(g, source, check)
+        _build(nested_arcs(32)[0], 0, check)
+        _build(ragged_multigraph(2048, 1024, 1), 0, check)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_build_pauses_the_collector_and_restores_it(collecting, monkeypatch):
+    g = tree_plus_chords(200, 300, 1)
+    seen = []
+    (gc.enable if collecting else gc.disable)()
+    try:
+        _build(g, 0, lambda node: seen.append(gc.isenabled()))
+        assert seen and not any(seen)
+        assert gc.isenabled() == collecting
+
+        def failing(node):
+            raise ArithmeticError("injected")
+
+        with pytest.raises(ArithmeticError, match="injected"):
+            _build(g, 0, failing)
+        assert gc.isenabled() == collecting
+        build_oracle(g, 0)
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
 
 
 class TestClassify:

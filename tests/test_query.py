@@ -28,6 +28,7 @@ from conftest import (
     path_graph,
     primary_positions,
     rejoin_gadget,
+    relabel,
     root_primary_candidates,
     source_tree,
     sr_base,
@@ -750,17 +751,6 @@ class TestChunkedDescent:
             ssrp(chunk_oracles["arcs(32)"])
             assert sorted(chunk_sizes) == sizes
             assert min(len(sizes) - 1, 1) <= len(started) <= len(sizes) - 1
-
-
-def relabel(g: Graph, seed: int) -> tuple[Graph, list[int]]:
-    """``g`` with its vertices renamed by a random permutation and its edges
-    shuffled; returns the copy and the permutation, old id -> new id."""
-    rng = random.Random(seed)
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    edges = [Edge(perm[e.u], perm[e.v], e.weight) for e in g.edges]
-    rng.shuffle(edges)
-    return Graph(g.n, edges), perm
 
 
 @pytest.mark.parametrize(
