@@ -21,7 +21,6 @@ is spliced in after the near side.
 
 from __future__ import annotations
 
-import gc
 import os
 import select
 import signal
@@ -121,10 +120,10 @@ def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> 
     return node
 
 
-# A child's canonical tree, whose graph and source are the child's, and its
-# (vertex, edge) id maps from the parent; and the callback that takes each
-# level's build record.
-Graft = tuple[ShortestPathTree, tuple[list[int], dict[int, int]]]
+# A child graph, its source, its canonical tree (None where ``dijkstra``
+# must build it) and its (vertex, edge) id maps from the parent; and the
+# callback that takes each level's build record.
+Graft = tuple[Graph, int, ShortestPathTree | None, tuple[list[int], dict[int, int]]]
 Emit = Callable[[OracleNode], object]
 
 
@@ -132,7 +131,7 @@ def _graft(spt: ShortestPathTree, inside: list[bool], r: int | None) -> Graft:
     """The child on one side of ``spt``'s split: the subgraph induced by
     ``inside`` plus a shortcut from a hub to each other vertex v, weighted by
     the best length from an origin to v avoiding every induced edge and left
-    out where that is ``INF``; and the child's canonical tree.
+    out where that is ``INF``; its source; and its canonical tree.
 
     On side M, given its separator ``r``, the origin and hub are r. On side
     N (``r`` None) the origin is the source and the hub a new last vertex,
@@ -152,7 +151,8 @@ def _graft(spt: ShortestPathTree, inside: list[bool], r: int | None) -> Graft:
     tie-break of ``dijkstra``, and side N's separator, whose tree edge
     leaves the side, takes its shortcut. The order is the parent's, the hub
     first. A child with a zero-weight edge, where a tight neighbour may
-    settle after its vertex, gets its tree from ``dijkstra``.
+    settle after its vertex, gets no tree here: whoever builds the child,
+    this process or a forked worker, runs ``dijkstra`` for it (``_tree``).
 
     The vertex map lists each parent vertex's child id, -1 outside: the
     store's child links on that side as the build appends them. The edge map
@@ -219,7 +219,7 @@ def _graft(spt: ShortestPathTree, inside: list[bool], r: int | None) -> Graft:
                 parent[lv], parent_edge[lv] = hub, ce
     child = Graph(n, edges, adj=adj)
     if zero:
-        return dijkstra(child, src), (vmap, emap)
+        return child, src, None, (vmap, emap)
     tree = ShortestPathTree(child, src)
     tree.parent, tree.parent_edge, tree.dist = parent, parent_edge, child_dist
     order = tree.order = [hub] if fresh else []
@@ -227,7 +227,12 @@ def _graft(spt: ShortestPathTree, inside: list[bool], r: int | None) -> Graft:
     depth = tree.depth
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
-    return tree, (vmap, emap)
+    return child, src, tree, (vmap, emap)
+
+
+def _tree(g: Graph, source: int, tree: ShortestPathTree | None) -> ShortestPathTree:
+    """A child's canonical tree: the one its graft derived, else the heap's."""
+    return dijkstra(g, source) if tree is None else tree
 
 
 def make_left_child(spt_s: ShortestPathTree, r: int, in_m: list[bool]) -> Graft:
@@ -325,13 +330,15 @@ FORK_MIN_VERTICES = 256
 ORPHAN_POLL_MS = 100
 
 
-def _fork(spt: ShortestPathTree, depth: int, cores: _Cores) -> tuple[int, int]:
-    """Build the subtree on ``spt`` in a forked worker; returns its pid and
-    the pipe its segment arrives on. The worker sends a status byte, then
-    the segment, or the failure's name, and leaves through ``os._exit`` on
-    every path, so it never returns into its caller's stack. A worker forked
-    by the build's own process leads a process group, which its own workers
-    join, so that one signal ends them all."""
+def _fork(
+    graft: tuple[Graph, int, ShortestPathTree | None], depth: int, cores: _Cores
+) -> tuple[int, int]:
+    """Build the subtree on the grafted child in a forked worker; returns
+    its pid and the pipe its segment arrives on. The worker sends a status
+    byte, then the segment, or the failure's name, and leaves through
+    ``os._exit`` on every path, so it never returns into its caller's stack.
+    A worker forked by the build's own process leads a process group, which
+    its own workers join, so that one signal ends them all."""
     forker = os.getpid()
     lead = forker == cores.owner
     rfd, wfd = os.pipe()
@@ -345,7 +352,7 @@ def _fork(spt: ShortestPathTree, depth: int, cores: _Cores) -> tuple[int, int]:
             os.close(rfd)
             try:
                 segment = open_segment()
-                build_node(spt, depth, segment, _discard, cores)
+                build_node(_tree(*graft), depth, segment, _discard, cores)
             except BaseException as exc:
                 # the worker's boundary: the failure goes to the parent,
                 # which raises it; nothing unwinds past os._exit
@@ -424,22 +431,23 @@ def build_node(
         node.dep, node.dep_stats = build_dep(g, spt_s, path)
         tables = (dist_r, node.sr_replacements, node.dep)
 
-    left, left_maps = make_left_child(spt_s, r, split.in_m)
-    right, right_maps = make_right_child(spt_s, split.in_n)
+    left_g, left_src, left_tree, left_maps = make_left_child(spt_s, r, split.in_m)
+    right_g, right_src, right_tree, right_maps = make_right_child(spt_s, split.in_n)
     i = append_node(store, g, depth, (), r, path.edge_ids, (left_maps, right_maps), tables)
     emit(node)
-    # The store holds all a query reads of this level. Each child tree is
-    # popped into its call, so a subtree builds with only the right one here.
-    grafts = [right, left]
+    # The store holds all a query reads of this level. Each child is popped
+    # into its call, so a subtree builds with only the right one here.
+    grafts = [(right_g, right_src, right_tree), (left_g, left_src, left_tree)]
     pid = rfd = None
-    if cores is not None and right.graph.n >= FORK_MIN_VERTICES and cores.take():
+    if cores is not None and right_g.n >= FORK_MIN_VERTICES and cores.take():
         pid, rfd = _fork(grafts.pop(0), depth + 1, cores)
-    del node, g, spt_s, split, path, tables, dist_r, left, left_maps, right, right_maps
+    del node, g, spt_s, split, path, tables, dist_r
+    del left_g, left_tree, left_maps, right_g, right_tree, right_maps
     try:
-        build_node(grafts.pop(), depth + 1, store, emit, cores)
+        build_node(_tree(*grafts.pop()), depth + 1, store, emit, cores)
         store.right[i] = len(store.left)
         if pid is None:
-            build_node(grafts.pop(), depth + 1, store, emit, cores)
+            build_node(_tree(*grafts.pop()), depth + 1, store, emit, cores)
         else:
             _join(pid, rfd, store, cores)
             pid = None
@@ -458,23 +466,15 @@ def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     """The query store of the oracle for ``g`` from ``source``; each level's
     record goes to ``emit`` in store order. Only a build that discards the
     records uses the host's other cores: a worker's records would stay in
-    the worker. The build's many tuples and lists are freed by their
-    reference counts, so the cyclic garbage collector, which would only
-    scan them over and over, is paused while it runs and then set back as
-    the caller had it."""
-    collecting = gc.isenabled()
-    gc.disable()
-    cores = None
+    the worker."""
+    spt = dijkstra(g, source)
+    store = open_store(spt)
+    cores = _Cores.open() if emit is _discard else None
     try:
-        spt = dijkstra(g, source)
-        store = open_store(spt)
-        cores = _Cores.open() if emit is _discard else None
         build_node(spt, 0, store, emit, cores)
     finally:
         if cores is not None:
             cores.close()
-        if collecting:
-            gc.enable()
     close_store(store)
     return store
 

@@ -156,16 +156,23 @@ def test_built_oracle_keeps_no_level_graph():
     assert sum(oracle.store.left[0] >= 0 for oracle in oracles) > 0
 
 
+def zero_weighted(g: Graph) -> Graph:
+    """``g`` with weights 0-3 taken from the edge id, a quarter of them 0."""
+    return with_weights(g, [(7 * eid + eid // 5) % 4 for eid in range(g.m)])
+
+
 class TestParallelBuild:
     """``build_oracle`` hands far sides to forked workers while a core is
     free, and splices their segments back in preorder."""
 
     # the ragged graph's root hands a worker a far side with unreached
-    # vertices, CROSS slots and parallel edges
+    # vertices, CROSS slots and parallel edges; on zero weights, a worker
+    # builds its far side's tree with dijkstra
     GRAPHS = {
         "arcs(32)": nested_arcs(32)[0],
         "chords(2048)": tree_plus_chords(2048, 4096, 17),
         "ragged(2048)": ragged_multigraph(2048, 1024, 1),
+        "zero-weighted chords(2048)": zero_weighted(tree_plus_chords(2048, 4096, 17)),
     }
 
     @pytest.fixture
@@ -447,11 +454,6 @@ class TestChildGraphs:
         ]
 
 
-def zero_weighted(g: Graph) -> Graph:
-    """``g`` with weights 0-3 taken from the edge id, a quarter of them 0."""
-    return with_weights(g, [(7 * eid + eid // 5) % 4 for eid in range(g.m)])
-
-
 def inherited_and_heap_stores(g: Graph, source: int):
     """The arrays of a serial build's store, and of the store built again
     with every child's tree from ``dijkstra`` instead of its parent's."""
@@ -461,8 +463,8 @@ def inherited_and_heap_stores(g: Graph, source: int):
             graft = getattr(oracle_module, name)
 
             def from_heap(*args, graft=graft):
-                tree, maps = graft(*args)
-                return dijkstra(tree.graph, tree.source), maps
+                child, source, _, maps = graft(*args)
+                return child, source, None, maps
 
             mp.setattr(oracle_module, name, from_heap)
         heap = dict(_build(g, source, [].append).arrays())
@@ -494,12 +496,25 @@ class TestInheritedTrees:
         assert inherited == heap
 
     def test_children_with_a_zero_weight_edge_take_the_heap(self, monkeypatch):
+        # the heap runs where the child is built, which may be a forked
+        # worker, and never inside its graft
         heap_graphs = []
+        grafting = []
 
         def counted(g, source):
+            assert not grafting
             heap_graphs.append(g)
             return dijkstra(g, source)
 
+        for name in ("make_left_child", "make_right_child"):
+            def marked(*args, graft=getattr(oracle_module, name)):
+                grafting.append(name)
+                try:
+                    return graft(*args)
+                finally:
+                    grafting.pop()
+
+            monkeypatch.setattr(oracle_module, name, marked)
         monkeypatch.setattr(oracle_module, "dijkstra", counted)
         records = []
         g = zero_weighted(tree_plus_chords(300, 400, 5))
@@ -543,8 +558,10 @@ class TestInheritedTrees:
                       Edge(4, 3, 1, True)])
         spt = dijkstra(g, 0)
         assert spt.parent[3] == pred and spt.dist[3] == 3
-        tree, (vmap, _) = oracle_module.make_left_child(spt, 1, [True, True, True, True, False])
-        heap = dijkstra(tree.graph, tree.source)
+        child, source, tree, (vmap, _) = oracle_module.make_left_child(
+            spt, 1, [True, True, True, True, False])
+        assert (tree.graph, tree.source) == (child, source)
+        heap = dijkstra(child, source)
         assert (tree.parent, tree.parent_edge, tree.dist, tree.depth) == (
             heap.parent, heap.parent_edge, heap.dist, heap.depth)
         assert tree.parent[vmap[3]] == vmap[child_pred]
@@ -559,28 +576,6 @@ class TestInheritedTrees:
             _build(g, source, check)
         _build(nested_arcs(32)[0], 0, check)
         _build(ragged_multigraph(2048, 1024, 1), 0, check)
-
-
-@pytest.mark.parametrize("collecting", [True, False])
-def test_build_pauses_the_collector_and_restores_it(collecting, monkeypatch):
-    g = tree_plus_chords(200, 300, 1)
-    seen = []
-    (gc.enable if collecting else gc.disable)()
-    try:
-        _build(g, 0, lambda node: seen.append(gc.isenabled()))
-        assert seen and not any(seen)
-        assert gc.isenabled() == collecting
-
-        def failing(node):
-            raise ArithmeticError("injected")
-
-        with pytest.raises(ArithmeticError, match="injected"):
-            _build(g, 0, failing)
-        assert gc.isenabled() == collecting
-        build_oracle(g, 0)
-        assert gc.isenabled() == collecting
-    finally:
-        gc.enable()
 
 
 class TestClassify:
