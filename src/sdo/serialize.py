@@ -1,30 +1,38 @@
-"""Oracle persistence: the query store's arrays, each at the narrowest width
-that holds it, behind a digest.
+"""Oracle persistence: the query store's arrays, each value local to its
+node and each array at the narrowest width that holds it, behind a digest.
 
 A file is ``MAGIC``, the SHA-256 digest of the payload, then the payload. The
 payload is the array count and one fixed-size entry per array (name,
 typecode, length), followed by the arrays themselves, little-endian, in
-``store.TABLE`` order: the query store's slot links as both walks read them,
-and no build state, so a loaded oracle builds nothing.
+``store.TABLE`` order, and no build state, so a loaded oracle builds
+nothing.
 
-Format ``SDO9`` writes each array at the narrowest of ``b``, ``h``, ``i`` and
-``q`` (1, 2, 4 and 8 bytes) that holds all its values, never wider than its
-type in ``TABLE``, and its entry names that typecode. A distance array
-written narrower than ``q`` stores ``INF`` as the narrow type's maximum, and
-every other value in it falls strictly below that maximum, so the maximum
-reads back as ``INF`` and nothing else does. Any other value that reaches
-the maximum, ``INF + 1`` included, takes a wider type.
+Format ``SDO10`` holds each array as the build appends it, before
+``close_store`` (``store.file_arrays``): the offsets ``vbase``, ``ebase``,
+``sbase`` and ``dep_off`` as per-node or per-slot counts, the child links as
+ids within their child, each leaf row link as an offset in its leaf's rows,
+and the path positions ``esr`` and ``dsr`` as positions on their node's
+path. So none holds a global position, and most fit a byte or two. It
+writes each array at the narrowest of ``b``, ``h``, ``i`` and ``q`` (1, 2, 4
+and 8 bytes) that holds all its values, never wider than its type in
+``TABLE``, and its entry names that typecode. A distance array written
+narrower than ``q`` stores ``INF`` as the narrow type's maximum, and every
+other value in it falls strictly below that maximum, so the maximum reads
+back as ``INF`` and nothing else does. Any other value that reaches the
+maximum, ``INF + 1`` included, takes a wider type.
 
 Loading checks the digest, then that the header lists each array of the
 table by name with a typecode no wider than the table's (a wider one would
 truncate) and that its lengths fill the payload. It allocates each array at
 its table width once and lets numpy cast the little-endian payload into it,
-so it runs no code named by the file. Last, the structural check of
-``store.check`` rejects a digest-valid but crafted file whose arrays would
-send a query outside them. The check runs as numpy operations over whole
-arrays, so a load costs about a digest plus a copy. Every failure is a
-ValueError naming the file. Writing the same store gives the same bytes, so
-serialize -> load -> serialize reproduces a file exactly.
+so it runs no code named by the file. Last, ``store.check_and_rebase`` sums
+the counts, bounds every count and local value, and rejects a digest-valid
+but crafted file whose arrays would send a query outside them, before it
+rebases the local values into the store that queries walk, the same store
+as the build's. It runs as numpy operations over whole arrays, so a load
+costs about a digest plus a few copies. Every failure is a ValueError
+naming the file. Writing the same store gives the same bytes, so serialize
+-> load -> serialize reproduces a file exactly.
 """
 
 from __future__ import annotations
@@ -38,9 +46,9 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .oracle import OracleTree
-from .store import INF, TABLE, QueryStore, check
+from .store import INF, TABLE, QueryStore, check_and_rebase, file_arrays
 
-MAGIC = b"SDO9-ORACLE\x00"
+MAGIC = b"SDO10-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _COUNT = struct.Struct("<I")
 # name (NUL padded), typecode, item count
@@ -57,32 +65,40 @@ _HEADER = [
 T = TypeVar("T")
 
 
-def _narrowest(a: array) -> tuple[str, np.ndarray]:
-    """The narrowest file typecode that holds ``a``'s values, and the values
-    at its type. Below ``q``, a distance array's ``INF`` becomes the type's
-    maximum, which its finite values must then stay below."""
-    v = np.frombuffer(a, dtype=a.typecode)
-    inf = v == INF if a.typecode == "q" else None
-    finite = v if inf is None else v[~inf]
-    lo, hi = (int(finite.min()), int(finite.max())) if len(finite) else (0, 0)
-    reserved = inf is not None  # the narrow type's maximum, kept for INF
+def _narrowest(v: np.ndarray, typecode: str) -> tuple[str, np.ndarray]:
+    """The narrowest file typecode that holds the values ``v`` of an array
+    of table type ``typecode``, and the values at its type. Below ``q``, a
+    distance array's ``INF`` becomes the type's maximum, which its finite
+    values must then stay below."""
+    lo, hi = (int(v.min()), int(v.max())) if len(v) else (0, 0)
+    reserved = typecode == "q"  # the narrow type's maximum, kept for INF
+    inf = None
+    if reserved and hi == INF:
+        # the finite values, all below INF here, bound the type
+        inf = v == INF
+        lo, hi = (lo, int(v.max(where=~inf, initial=lo))) if lo < INF else (0, 0)
     for code, dtype in _FILE.items():
         info = np.iinfo(dtype)
-        if code == a.typecode or (info.min <= lo and hi <= info.max - reserved):
+        if code == typecode or (info.min <= lo and hi <= info.max - reserved):
             break
     values = v.astype(dtype, copy=False)
-    if reserved and code != "q":
+    if inf is not None and code != "q":
         values[inf] = info.max
     return code, values
 
 
 def dump_oracle(oracle: OracleTree) -> bytes:
-    arrays = [(name, *_narrowest(a)) for name, a in oracle.store.arrays()]
+    arrays = [
+        (name, *_narrowest(v, code))
+        for (name, v), (_, code) in zip(file_arrays(oracle.store), TABLE)
+    ]
     parts = [_COUNT.pack(len(arrays))]
     parts += [_ENTRY.pack(name.encode(), code.encode(), len(v)) for name, code, v in arrays]
     parts += [v for _, _, v in arrays]
-    payload = b"".join(parts)
-    return MAGIC + hashlib.sha256(payload).digest() + payload
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return b"".join([MAGIC, digest.digest(), *parts])
 
 
 def save_oracle(oracle: OracleTree, path: str | Path) -> None:
@@ -124,7 +140,7 @@ def _read_store(payload: memoryview) -> QueryStore:
             v[data == np.iinfo(data.dtype).max] = INF
         setattr(store, name, a)
         at += size
-    check(store)
+    check_and_rebase(store)
     return store
 
 

@@ -8,15 +8,29 @@ exhaustive path enumeration on tiny graphs.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, ge, le, lt, sub
 
 from sdo.departing import DepArray
 from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.oracle import build_node
 from sdo.spt import ShortestPathTree, dijkstra
-from sdo.store import CROSS, INF, LEAF, LEFT, PRIMARY, RIGHT, QueryStore, open_store
+from sdo.store import (
+    CROSS,
+    INF,
+    LEAF,
+    LEFT,
+    OFFSETS,
+    PRIMARY,
+    RIGHT,
+    TABLE,
+    QueryStore,
+    check_and_rebase,
+    file_arrays,
+    open_store,
+)
 
 
 def bellman_ford(g: Graph, source: int, banned: set[int] | frozenset = frozenset()):
@@ -86,17 +100,39 @@ def best_departing(arr, pos: int):
     )
 
 
-def build_store(g: Graph, source: int = 0, depth: int = 0):
+def appended_store(g: Graph, source: int = 0, depth: int = 0):
     """The level records of the oracle built on ``g`` from ``source``, its
     root at ``depth``, and the store the build appends them to, as the
-    build leaves it: its child links still hold ids within the child, before
-    ``close_store`` adds the child's bases. The helpers below read such a
-    store."""
+    build leaves it before ``close_store``: every value local to its node,
+    as a file holds it."""
     spt = dijkstra(g, source)
     store = open_store(spt)
     records = []
     build_node(spt, depth, store, records.append)
     return records, store
+
+
+def build_store(g: Graph, source: int = 0, depth: int = 0):
+    """``appended_store``, with the counts of the offset arrays summed into
+    offsets here: the child links still hold ids within the child, the leaf
+    links offsets in the leaf's rows and the path positions positions on the
+    node's path, before ``close_store`` rebases them. The helpers below
+    read such a store."""
+    records, store = appended_store(g, source, depth)
+    for name in OFFSETS:
+        setattr(store, name, array("i", accumulate(getattr(store, name))))
+    return records, store
+
+
+def checked(store: QueryStore) -> QueryStore:
+    """A copy of ``store`` as a load makes it: its arrays as a file holds
+    them (``file_arrays``), at their table types, through
+    ``check_and_rebase``."""
+    copy = QueryStore()
+    for (name, values), (_, code) in zip(file_arrays(store), TABLE):
+        setattr(copy, name, array(code, values.astype(code).tobytes()))
+    check_and_rebase(copy)
+    return copy
 
 
 def distances(values) -> list:
@@ -134,11 +170,21 @@ def sr_base(records, i: int) -> int:
     return sum(len(node.sr_replacements or ()) for node in records[:i])
 
 
+def leaf_rows(store) -> list[int]:
+    """Where each node's leaf rows start in ``rows``: one row per LEAF slot,
+    one entry per vertex, in store order."""
+    sizes = (
+        edge_segment(store, "kind", i).count(LEAF) * (store.vbase[i + 1] - store.vbase[i])
+        for i in range(len(store.left))
+    )
+    return list(accumulate(sizes, initial=0))
+
+
 def leaf_table(store, i: int) -> dict[int, list]:
     """Leaf ``i``'s rows by original edge id: the source distances avoiding
     that edge, one per vertex of the leaf's graph. A LEAF slot's link is the
-    row's offset less the leaf's ``vbase``."""
-    lo, nv = store.vbase[i], store.vbase[i + 1] - store.vbase[i]
+    row's offset in the leaf's rows."""
+    lo, nv = leaf_rows(store)[i], store.vbase[i + 1] - store.vbase[i]
     return {
         eid: distances(store.rows[lo + at : lo + at + nv])
         for eid, (kind, at) in enumerate(
@@ -148,12 +194,11 @@ def leaf_table(store, i: int) -> dict[int, list]:
     }
 
 
-def primary_positions(store, records, i: int) -> dict[int, int]:
+def primary_positions(store, i: int) -> dict[int, int]:
     """Path position of each original edge on internal node ``i``'s primary
-    path: its ``sr`` index less the node's ``sr`` base."""
-    base = sr_base(records, i)
+    path, as its ``esr`` slot holds it."""
     return {
-        eid: at - base
+        eid: at
         for eid, (kind, at) in enumerate(
             zip(edge_segment(store, "kind", i), edge_segment(store, "esr", i))
         )
@@ -256,7 +301,7 @@ def root_primary_candidates(g: Graph, source: int, t: int, fault: tuple[int, int
     positions."""
     records, store = build_store(g, source)
     eid = g.edge_ids_between(*fault)[0]
-    pos = primary_positions(store, records, 0)[eid]
+    pos = primary_positions(store, 0)[eid]
     sr = distances(store.sr[sr_base(records, 0) : sr_base(records, 1)])[pos]
     dist_r = distances(vertex_segment(store, "dist_r", 0))[t]
     lo, hi = store.dep_off[store.vbase[0] + t], store.dep_off[store.vbase[0] + t + 1]
@@ -264,13 +309,16 @@ def root_primary_candidates(g: Graph, source: int, t: int, fault: tuple[int, int
     return [sr + dist_r, best_departing(segment, pos)]
 
 
-def node_walk(store: QueryStore, t: int, eid: int, d0: int, depth: int) -> tuple[int, int]:
+def node_walk(
+    store: QueryStore, rows_at: list[int], t: int, eid: int, d0: int, depth: int
+) -> tuple[int, int]:
     """The descent of ``_query_node`` in node ids, the reference both
-    descents must match: it walks a store as the build leaves it, by
+    descents must match: it walks a store as ``build_store`` leaves it, by
     ``left``, ``right`` and the bases, over child links that still hold ids
     within the child, rather than the slots ``close_store`` rebases them
-    to, so a fault in that rebase shows. Returns (distance with INF, depth
-    reached)."""
+    to, and over path positions and leaf row offsets local to their node
+    (``rows_at`` is ``leaf_rows(store)``), so a fault in that rebase shows.
+    Returns (distance with INF, depth reached)."""
     left, vbase, ebase = store.left, store.vbase, store.ebase
     kind, elink, vlink = store.kind, store.elink, store.vlink
     node = 0
@@ -284,7 +332,7 @@ def node_walk(store: QueryStore, t: int, eid: int, d0: int, depth: int) -> tuple
         side = kind[es]
         if side == PRIMARY:
             at = store.esr[es]
-            cand = store.sr[at] + store.dist_r[vs]
+            cand = store.sr[store.sbase[node] + at] + store.dist_r[vs]
             if cand < best:
                 best = cand
             # a destination on the path has an empty segment
@@ -312,7 +360,7 @@ def node_walk(store: QueryStore, t: int, eid: int, d0: int, depth: int) -> tuple
     if kind[es] != LEAF:
         # the leaf's source does not reach the fault
         return d0, depth
-    d = store.rows[elink[es] + vbase[node] + t]
+    d = store.rows[rows_at[node] + elink[es] + t]
     return (d if d < best else best), depth
 
 
@@ -333,10 +381,10 @@ def loop_check(s: QueryStore) -> None:
     need(n >= 1 and 0 <= source < n and nodes >= 1, "meta out of range")
     for name in ("parent", "parent_edge", "dist", "tin", "size"):
         need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
-    for name in ("vbase", "ebase"):
+    for name in ("vbase", "ebase", "sbase"):
         base = getattr(s, name)
         need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
-        need(_non_decreasing(base), f"{name} decreases")
+        need(_non_decreasing(base), f"{name} decreases: a count is negative or passes int32")
     for name in ("left", "right"):
         need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
     slots, edge_slots = s.vbase[-1], s.ebase[-1]
@@ -346,9 +394,10 @@ def loop_check(s: QueryStore) -> None:
     for name in ("kind", "elink", "esr"):
         need(len(getattr(s, name)) == edge_slots, f"{name} does not hold one entry per edge slot")
     need(len(s.dep_off) == slots + 1 and s.dep_off[0] == 0, "dep_off length")
-    need(_non_decreasing(s.dep_off), "dep_off decreases")
+    need(_non_decreasing(s.dep_off), "dep_off decreases: a count is negative or passes int32")
     need(s.dep_off[-1] == len(s.dep_len) == len(s.dsr) == entries,
          "dep_off does not end at the departing entries")
+    need(s.sbase[-1] == len(s.sr), "sbase does not end at the sr entries")
     for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
         need(all(0 <= d <= INF for d in getattr(s, name)), f"{name} holds a distance outside [0, INF]")
     need(all(map(lt, s.edge_keys, islice(s.edge_keys, 1, None))), "edge_keys not sorted")
@@ -391,26 +440,37 @@ def loop_check(s: QueryStore) -> None:
         node_depth[l] = node_depth[r] = node_depth[i] + 1
     need(max(node_depth) == depth, "meta depth differs from the tree")
 
-    # Each slot's links against the slot ranges of its node's children.
-    kind, elink = s.kind, s.elink
+    # Each slot's links against the slot ranges of its node's children, a
+    # leaf row against the leaf's own rows, a path position against its
+    # node's sr entries.
+    kind, elink, sbase = s.kind, s.elink, s.sbase
     for i, k in zip(edge_owner, kind):
         need(k in ((CROSS, LEAF) if left[i] < 0 else (CROSS, PRIMARY, LEFT, RIGHT)), "side code unknown")
     for side, child in enumerate((left, right)):
         for v, i in enumerate(vertex_owner):
             x, c = s.vlink[2 * v + side], child[i]
             need(x == -1 or (c >= 0 and vbase[c] <= x < vbase[c + 1]), "child vertex slot out of range")
+    first_row = [0] * (nodes + 1)
+    for i, k in zip(edge_owner, kind):
+        first_row[i + 1] += nv[i] if k == LEAF else 0
+    first_row = list(accumulate(first_row))
+    need(first_row[-1] == len(s.rows), "rows does not hold one row per leaf slot")
     for e, i in enumerate(edge_owner):
         k, x = kind[e], elink[e]
         if k == CROSS:
             ok = x == -1
         elif k == LEAF:
-            ok = x + vbase[i] >= 0 and x + vbase[i] + nv[i] <= len(s.rows)
+            ok = first_row[i] <= x + vbase[i] and x + vbase[i] + nv[i] <= first_row[i + 1]
         else:
             c = (right if k == RIGHT else left)[i]
             ok = c >= 0 and ebase[c] <= x < ebase[c + 1]
         need(ok, "child edge id or leaf row out of range")
-    for k, x in zip(kind, s.esr):
-        need(0 <= x < len(s.sr) if k == PRIMARY else x == -1, "path position out of range")
+    for i, k, x in zip(edge_owner, kind, s.esr):
+        need(sbase[i] <= x < sbase[i + 1] if k == PRIMARY else x == -1, "path position out of range")
+    # a route departs at a position on its node's path, the separator included
+    for v, i in enumerate(vertex_owner):
+        for x in s.dsr[s.dep_off[v] : s.dep_off[v + 1]]:
+            need(sbase[i] <= x <= sbase[i + 1], "departure position out of range")
 
     # departing segments: positions rise and lengths fall, except where a
     # segment starts

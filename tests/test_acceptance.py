@@ -177,7 +177,7 @@ def test_criterion_5_replacement_table_equivalence(corpus):
             if store.left[i] < 0:
                 continue
             path = node.primary_path
-            positions = primary_positions(store, nodes, i)
+            positions = primary_positions(store, i)
             assert positions == {
                 eid: pos
                 for pos, eid in enumerate(path.edge_ids)

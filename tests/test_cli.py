@@ -14,7 +14,7 @@ from sdo.generators import tree_plus_chords
 from sdo.oracle import OracleTree, build_oracle
 from sdo.query import SsrpOutput, query, ssrp
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
-from sdo.store import INF, LEAF, LEFT, PRIMARY, TABLE, QueryStore
+from sdo.store import INF, LEAF, LEFT, PRIMARY, TABLE, QueryStore, file_arrays
 
 from conftest import loop_check
 
@@ -168,6 +168,7 @@ def test_load_rejects_foreign_files(tmp_path):
         b"SDO1-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO5-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO6-ORACLE\x00" + blob[len(MAGIC) :],
+        b"SDO9-ORACLE\x00" + blob[len(MAGIC) :],
     ):
         p = tmp_path / "junk.oracle"
         p.write_bytes(junk)
@@ -334,8 +335,12 @@ def _esr_too_long(oracle, payload):
 
 
 def _sr_short_of_its_indexes(oracle, payload):
+    # the nodes' sr ranges end at the cut too, so sbase still ends at sr's end
     s = oracle.store
-    del s.sr[max(s.esr):]
+    cut = max(s.esr)
+    del s.sr[cut:]
+    for i, base in enumerate(s.sbase):
+        s.sbase[i] = min(base, cut)
 
 
 def _dep_off_too_long(oracle, payload):
@@ -457,6 +462,86 @@ def _path_position_past_the_path(oracle, payload):
     s.esr[s.kind.index(PRIMARY)] = len(s.sr)
 
 
+def _file_with(oracle, edit) -> bytes:
+    """The payload of a file that holds ``oracle``'s arrays as a file holds
+    them (counts and local values), each at its table type, once ``edit``
+    has changed them in place. ``edit`` gets the arrays by name and the
+    store they code."""
+    arrays = {name: v.astype(code) for (name, v), (_, code) in zip(file_arrays(oracle.store), TABLE)}
+    edit(arrays, oracle.store)
+    header = [len(TABLE).to_bytes(4, "little")]
+    header += [name.encode().ljust(12, b"\0") + code.encode() + len(arrays[name]).to_bytes(8, "little")
+               for name, code in TABLE]
+    return b"".join(header + [arrays[name].tobytes() for name, _ in TABLE])
+
+
+def _owner(base, slot: int) -> int:
+    return max(i for i in range(len(base) - 1) if base[i] <= slot)
+
+
+def _count_past_int32(oracle, payload):
+    def edit(arrays, s):
+        arrays["vbase"][2] = 2**31 - 1
+
+    return _file_with(oracle, edit)
+
+
+def _negative_count(oracle, payload):
+    def edit(arrays, s):
+        arrays["dep_off"][1] = -1
+
+    return _file_with(oracle, edit)
+
+
+def _vertex_link_at_the_child_count(oracle, payload):
+    # a root slot's left link, at node 1's vertex count
+    def edit(arrays, s):
+        v = next(v for v in range(s.vbase[1]) if s.vlink[2 * v] >= 0)
+        arrays["vlink"][2 * v] = arrays["vbase"][2]
+
+    return _file_with(oracle, edit)
+
+
+def _edge_link_at_the_child_count(oracle, payload):
+    def edit(arrays, s):
+        arrays["elink"][s.kind.index(LEFT)] = arrays["ebase"][2]
+
+    return _file_with(oracle, edit)
+
+
+def _leaf_row_past_its_leaf(oracle, payload):
+    # the first leaf's rows end where the next leaf's start, inside rows
+    def edit(arrays, s):
+        es = s.kind.index(LEAF)
+        i = _owner(s.ebase, es)
+        nv = s.vbase[i + 1] - s.vbase[i]
+        leaf_slots = list(s.kind[s.ebase[i] : s.ebase[i + 1]]).count(LEAF)
+        assert leaf_slots * nv < len(s.rows)
+        arrays["elink"][es] = leaf_slots * nv - nv + 1
+
+    return _file_with(oracle, edit)
+
+
+def _path_position_past_its_node(oracle, payload):
+    # the first path's sr entries end where the next node's start, inside sr
+    def edit(arrays, s):
+        es = s.kind.index(PRIMARY)
+        i = _owner(s.ebase, es)
+        assert s.sbase[i + 1] < len(s.sr)
+        arrays["esr"][es] = s.sbase[i + 1] - s.sbase[i]
+
+    return _file_with(oracle, edit)
+
+
+def _departure_past_its_node(oracle, payload):
+    # a route departs at the separator at most, at the path's sr count
+    def edit(arrays, s):
+        i = _owner(s.vbase, next(v for v in range(s.vbase[-1]) if s.dep_off[v + 1] > 0))
+        arrays["dsr"][0] = s.sbase[i + 1] - s.sbase[i] + 1
+
+    return _file_with(oracle, edit)
+
+
 # The payload header: a 4-byte count, then per array a 12-byte name, a
 # 1-byte typecode and an 8-byte length; the first array is "meta".
 def _header_length_disagrees(oracle, payload):
@@ -522,6 +607,13 @@ _vsep_declared_h = _declared("vsep", b"h")
         (_backward_vertex_link, "child vertex slot out of range"),
         (_leaf_row_past_the_rows, "child edge id or leaf row out of range"),
         (_path_position_past_the_path, "path position out of range"),
+        (_count_past_int32, "vbase decreases: a count is negative or passes int32"),
+        (_negative_count, "dep_off decreases: a count is negative or passes int32"),
+        (_vertex_link_at_the_child_count, "child vertex slot out of range"),
+        (_edge_link_at_the_child_count, "child edge id or leaf row out of range"),
+        (_leaf_row_past_its_leaf, "child edge id or leaf row out of range"),
+        (_path_position_past_its_node, "path position out of range"),
+        (_departure_past_its_node, "departure position out of range"),
         (_header_length_disagrees, "do not fill the payload"),
         (_unknown_typecode, "does not match the oracle's array table"),
         (_parent_declared_q, "does not match the oracle's array table"),

@@ -24,9 +24,10 @@ from sdo.oracle import OracleTree, _build, build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle
 from sdo.spt import dijkstra, separator_split
-from sdo.store import CROSS, INF, LEAF, RIGHT, close_store
+from sdo.store import CROSS, INF, LEAF, OFFSETS, RIGHT, TABLE, close_store, file_arrays
 
 from conftest import (
+    appended_store,
     balanced,
     bellman_ford,
     build_store,
@@ -80,14 +81,17 @@ def assert_child_distances_equal_parent_distances(g, source):
 def test_tree_nodes_are_store_nodes_in_preorder():
     for label, g, s in verify_corpus(seed=11, count=28, max_n=60):
         oracle = build_oracle(g, s)
-        # the serial build behind nodes(), with the store it appends to,
-        # of which close_store rebases the child links alone
-        nodes, store = build_store(g, s)
+        # the serial build behind nodes(), with the store it appends to, of
+        # which close_store sums the offsets and rebases the local values
+        # alone; the file holds the arrays as the build appends them
+        nodes, store = appended_store(g, s)
         appended = {name: a.tobytes() for name, a in store.arrays()}
         close_store(store)
         assert dump_oracle(OracleTree(store)) == dump_oracle(oracle), label
         changed = {name for name, a in store.arrays() if a.tobytes() != appended[name]}
-        assert changed <= {"meta", "vlink", "elink"}, label
+        assert changed <= {"meta", *OFFSETS, "vlink", "elink", "esr", "dsr"}, label
+        held = {name: v.astype(code).tobytes() for (name, v), (_, code) in zip(file_arrays(store), TABLE)}
+        assert {**held, "meta": b""} == {**appended, "meta": b""}, label
         assert len(nodes) == oracle.node_count, label
         for i, node in enumerate(nodes):
             original = sum(not e.virtual for e in node.graph.edges)
@@ -592,7 +596,7 @@ class TestClassify:
         g, records, store = self._root()
         eid = g.edge_ids_between(0, 6)[0]
         _, _, le, re = child_maps(store, 0, g)
-        assert eid in primary_positions(store, records, 0)
+        assert eid in primary_positions(store, 0)
         assert eid in le
         assert eid not in re
 
@@ -748,7 +752,7 @@ def test_child_maps_partition_ragged_multigraphs(n, extra, seed, data):
     records, store = build_store(g, source)
     for i, node in walk_internal(records, store):
         lv, rv, le, re = child_maps(store, i, node.graph)
-        primary = primary_positions(store, records, i)
+        primary = primary_positions(store, i)
         spt = dijkstra(node.graph, node.source)
         assert not le.keys() & re.keys()
         assert all(eid in le for eid in primary)

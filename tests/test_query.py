@@ -20,10 +20,12 @@ from sdo.oracle import build_oracle
 from sdo.query import SsrpOutput, _query_node, query, ssrp
 from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
-from sdo.store import INF, PRIMARY, TABLE, QueryStore, check
+from sdo.store import INF, PRIMARY, TABLE, QueryStore
 
 from conftest import (
     build_store,
+    checked,
+    leaf_rows,
     node_walk,
     path_graph,
     primary_positions,
@@ -387,13 +389,13 @@ def test_separate_builds_dump_identical_bytes():
 # seed 11. A change that leaves the file format alone must leave these bytes
 # alone too.
 PINNED_DUMPS = {
-    "tree": "c81dfb0e1539b97ce18b6a9ff743dcf025458c7c1ae376558b5f01d1cc2b97ed",
-    "tree+n/4": "c131a09598ad08c2aad7aebcaa8776ae95ce3873b3563416659282f0ccdde3f4",
-    "tree+n": "46bca0d17519569959f55d28106c11220569503b2538835d9b8e53fa191ae5ae",
-    "tree+dense": "6e3a65a7607aebaccca7851a9cb9fc1b52c54d75f14f829216ad3836428565fb",
-    "grid": "eeb081c08b9643040113ba9658b950baf04102881fd4a1943b37c9b20af84c0a",
-    "gadget": "9df4c93221460786271be04a791cc62e849418b03c4c9e965df4042b230364b7",
-    "ragged": "673fdc10e5152ff52b027acdf9e382dd3899d8e82cb15e8e4f04d360286e35b4",
+    "tree": "85485d32a05ff467413a8da7b5fe7cd55aad7f8f8f329d022a4b5958f5481ac1",
+    "tree+n/4": "f4414ddacb8c35abb4e1e31ac2caec2950e694b93ff60ba9019e473017ad9ded",
+    "tree+n": "a330d66887c29643197a2f02e69bf5eff567aeac212919fb4e1ca82c64bb64c0",
+    "tree+dense": "1c04d3e7ebee9379dc7a3cbea98d481a85b3c796978ca40cec6b42fe6c346ac7",
+    "grid": "d2efaed20698cd04b05ceb03de888db9ce980a969e171ef433e250183739633f",
+    "gadget": "4e19539e5a862dac2a4f4313870be95180d18699b19f3f41be65ad301e14f3f4",
+    "ragged": "f64fa9666ab39b64946df38ca7d014d6f3665acecdd97e531ad31768177d1774",
 }
 
 
@@ -415,18 +417,61 @@ def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
 # The same pins where departing segments grow long and equal lengths tie:
 # nested_arcs(32), and a weighted tree_plus_chords with zero weights.
 PINNED_DUMPS_AT_SCALE = {
-    "arcs(32)": "0e64bebeda091546e1c263ce1b92a09ea367b02552e68920f4bef3ca340ab1f2",
-    "chords(512)": "945c0c9f523aed50e606396b9f41f66eb4b06bb18dc59cc1a0362d9fb01b225a",
+    "arcs(32)": "57564c9a29b376844c2e3e28d5aa09370fcb236870b92ff35d43465e0ba80cb8",
+    "chords(512)": "ea8b614aaf6844e3a6389a247c7e8bdf45ac6daf1c9e9ffd73bd0bb5e33829be",
 }
 
 
+def at_scale_graphs() -> dict[str, Graph]:
+    return {"arcs(32)": nested_arcs(32)[0], "chords(512)": zero_weighted_chords(512, 1024, 5)}
+
+
 def test_dump_bytes_are_pinned_at_scale():
-    graphs = {"arcs(32)": nested_arcs(32)[0], "chords(512)": zero_weighted_chords(512, 1024, 5)}
     got = {
         label: hashlib.sha256(dump_oracle(build_oracle(g, 0))).hexdigest()
-        for label, g in graphs.items()
+        for label, g in at_scale_graphs().items()
     }
     assert got == PINNED_DUMPS_AT_SCALE
+
+
+def store_digest(store: QueryStore) -> str:
+    """SHA-256 of the store's arrays in TABLE order, each as its typecode,
+    its length and its bytes; ``sbase``, which format SDO10 added, is left
+    out."""
+    digest = hashlib.sha256()
+    for name, a in store.arrays():
+        if name != "sbase":
+            digest.update(a.typecode.encode() + len(a).to_bytes(8, "little"))
+            digest.update(a)
+    return digest.hexdigest()
+
+
+# store_digest of the loaded store for the graphs of PINNED_DUMPS and
+# PINNED_DUMPS_AT_SCALE. These were taken from format SDO9's files, and no
+# change of the file format alone may move them: a load must give the
+# store that queries walk, whatever the file holds.
+PINNED_STORES = {
+    "tree": "efc23af3a0530c895ca4643b7963ba8775a91511bd2649eac29eed5c8bd47fc2",
+    "tree+n/4": "c2dd4c7a75764eb09728ed3efee0153c45e0c566a48fc4caab4a695d87285663",
+    "tree+n": "877cdf12583e30ef676102dfad4b034c8dd97fef81aaa831ba43c4f03db664cc",
+    "tree+dense": "3ac9d91e8c6f298acc6af258a2c837e692fa0cd08716a0b4848a3e0d19cf9406",
+    "grid": "115cc8ea838126c2eb06bcfa935d53158d9093a831a5d51c7754e84f7463dfb3",
+    "gadget": "41c293427344423af83e490c2ec32bd52006134c3e4984ecdf75ffebf4d9d572",
+    "ragged": "59e8764f4670c3d8b1002df33598cdda23db99af70eecc16e3e31640ffdaa281",
+    "arcs(32)": "cbd27b36755c8b1765dff6b2e2d51f269b2603f21b9074faf885677ebf0d86a2",
+    "chords(512)": "f17b99c8d483c5aac389c607422f9d07d5eb303c12167ab8f855ecbf60a8fc63",
+}
+
+
+def test_loaded_stores_are_pinned(tmp_path):
+    graphs = {label.split("(")[0]: (g, s) for label, g, s in verify_corpus(seed=11, count=7, max_n=60)}
+    graphs.update((label, (g, 0)) for label, g in at_scale_graphs().items())
+    path = tmp_path / "g.oracle"
+    got = {}
+    for label, (g, s) in graphs.items():
+        save_oracle(build_oracle(g, s), path)
+        got[label] = store_digest(load_oracle(path).store)
+    assert got == PINNED_STORES
 
 
 # SHA-256 of ssrp(...).to_tsv(): the records and their text. A change to how
@@ -530,9 +575,10 @@ def assert_ssrp_matches_the_scalar_descent(oracle, build):
     in node ids on ``build``, the oracle's store as its build left it,
     whose child links are not yet rebased to slots."""
     store = oracle.store
+    rows_at = leaf_rows(build)
     for t, (x, y), d in ssrp(oracle).records:
         eid = store.parent_edge[y]
-        want, depth = node_walk(build, t, eid, store.dist[t], 0)
+        want, depth = node_walk(build, rows_at, t, eid, store.dist[t], 0)
         assert _query_node(store, t, eid, store.dist[t], 0) == (want, depth), (t, x, y)
         assert d == (UNREACHABLE if want >= INF else want), (t, x, y)
         assert d is UNREACHABLE or d >= 0
@@ -608,11 +654,11 @@ def test_inf_candidates_saturate_in_the_batched_descent():
     )
     eid = store.parent_edge[y]
     at = store.esr[eid]
-    assert at == build.esr[eid] == sr_base(records, 0) + primary_positions(build, records, 0)[eid]
+    assert at == build.esr[eid] == sr_base(records, 0) + primary_positions(build, 0)[eid]
     for s in (store, build):
         s.sr[at] = INF
         s.dist_r[t] = INF
-    check(store)
+    assert checked(store).arrays() == store.arrays()
     assert_ssrp_matches_the_scalar_descent(oracle, build)
 
 

@@ -1,19 +1,22 @@
-"""The file widths of format SDO9: each array at the narrowest type that
-holds it, a narrow distance array's INF at the type's maximum."""
+"""The file widths of formats SDO9 and SDO10: each array at the narrowest
+type that holds it, a narrow distance array's INF at the type's maximum; and
+SDO10's local coding, which a load turns back into the store exactly."""
 
 from array import array
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sdo import serialize
-from sdo.generators import nested_arcs, tree_plus_chords, verify_corpus
+from sdo import serialize, store as store_module
+from sdo.generators import nested_arcs, ragged_multigraph, tree_plus_chords, verify_corpus
 from sdo.graphs import Graph
 from sdo.oracle import OracleTree, build_oracle
 from sdo.query import ssrp
 from sdo.serialize import dump_oracle, file_entries, load_oracle, save_oracle
-from sdo.store import INF, TABLE, QueryStore
+from sdo.store import INF, OFFSETS, TABLE, QueryStore, file_arrays
 
-from conftest import with_weights
+from conftest import appended_store, checked, with_weights
 
 # (values, the file typecode they take) per table typecode. In a distance
 # array the type's maximum stands for INF, so a finite value there widens.
@@ -56,12 +59,18 @@ WIDTHS = {
 @pytest.mark.parametrize("name, code", TABLE, ids=[name for name, _ in TABLE])
 def test_each_width_edge_round_trips(name, code, tmp_path, monkeypatch):
     # the structural check would reject these stores; the widths alone are
-    # under test here
-    monkeypatch.setattr(serialize, "check", lambda store: None)
+    # under test here, so a load only sums the offset arrays' counts, and
+    # these stores' links are written as they are
+    monkeypatch.setattr(serialize, "check_and_rebase", store_module._sum_counts)
     target = tmp_path / "edge.oracle"
     for values, want in WIDTHS[code]:
         store = QueryStore()
-        setattr(store, name, array(code, values))
+        if name in OFFSETS:
+            # a file holds an offset array as counts: these are the counts
+            sums = np.cumsum(np.array(values, dtype=np.int32), dtype=np.int32)
+            setattr(store, name, array(code, sums.tobytes()))
+        else:
+            setattr(store, name, array(code, values))
         blob = dump_oracle(OracleTree(store))
         target.write_bytes(blob)
         entries = {entry[0]: entry[1:] for entry in file_entries(target)}
@@ -117,3 +126,48 @@ def test_weights_near_inf_keep_eight_bytes(tmp_path):
                 assert codes[name] == "q", name
                 top = max(top, max(finite))
         assert top > INF // 4
+
+
+def _assert_coding_round_trips(g, source):
+    # the file holds every array as the build appends it, and a load, or
+    # the check on those arrays, gives back the built store exactly
+    oracle = build_oracle(g, source)
+    _, appended = appended_store(g, source)
+    held = dict(file_arrays(oracle.store))
+    for (name, a), (_, code) in zip(appended.arrays(), TABLE):
+        if name != "meta":
+            assert held[name].astype(code).tolist() == a.tolist(), name
+    assert checked(oracle.store).arrays() == oracle.store.arrays()
+    loaded = serialize._read_store(memoryview(dump_oracle(oracle))[len(serialize.MAGIC) + 32 :])
+    assert loaded.arrays() == oracle.store.arrays()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ragged", "zero weights", "disconnected"]),
+    st.integers(1, 40),
+    st.integers(0, 40),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_decoding_an_encoded_store_is_the_identity(family, n, extra, seed, data):
+    """Ragged multigraphs (parallel edges), zero-weighted chords, roots that
+    are leaves (n <= 2) and inputs that the source does not wholly reach."""
+    if family == "ragged":
+        g = ragged_multigraph(n, extra, seed)
+    elif family == "zero weights":
+        base = tree_plus_chords(n, extra, seed)
+        g = with_weights(base, data.draw(st.lists(st.integers(0, 2), min_size=base.m, max_size=base.m)))
+    else:
+        # two copies of a tree plus chords side by side, and a lone vertex
+        base = tree_plus_chords(n, extra, seed)
+        pairs = [(e.u, e.v) for e in base.edges] + [(e.u + n, e.v + n) for e in base.edges]
+        g = Graph.from_pairs(2 * n + 1, pairs)
+    _assert_coding_round_trips(g, data.draw(st.integers(0, g.n - 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_root_leaf_round_trips(n):
+    g = Graph.from_pairs(n, [(0, n - 1)] * (n - 1) * 2)
+    _assert_coding_round_trips(g, 0)
+    _assert_coding_round_trips(g, n - 1)
