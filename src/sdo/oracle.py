@@ -12,11 +12,11 @@ from its parent's distances, in the pass that builds the child, and its
 canonical tree is its parent's, remapped: a heap ``dijkstra`` builds only
 the root's tree and those of children with a zero-weight edge. Each level
 appends its rows to the ``QueryStore``, the flat arrays that queries read
-and files hold, and drops its graph before it recurses; then
-``close_store`` rebases the child links. ``OracleTree.nodes()`` replays the
-build for the levels' records. On a host with a free core, a level may hand
-its far side to a forked worker, which builds it into a segment store that
-is spliced in after the near side.
+and files hold, and drops its graph before it recurses; then the finished
+store goes through ``check_and_rebase``, as a loaded file does.
+``OracleTree.nodes()`` replays the build for the levels' records. On a host
+with a free core, a level may hand its far side to a forked worker, which
+builds it into a segment store that is spliced in after the near side.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .store import (
     QueryStore,
     _original_count,
     append_node,
-    close_store,
+    check_and_rebase,
     open_segment,
     open_store,
     send_segment,
@@ -332,17 +332,25 @@ ORPHAN_POLL_MS = 100
 
 def _fork(
     graft: tuple[Graph, int, ShortestPathTree | None], depth: int, cores: _Cores
-) -> tuple[int, int]:
+) -> tuple[int, int] | tuple[None, None]:
     """Build the subtree on the grafted child in a forked worker; returns
     its pid and the pipe its segment arrives on. The worker sends a status
     byte, then the segment, or the failure's name, and leaves through
     ``os._exit`` on every path, so it never returns into its caller's stack.
     A worker forked by the build's own process leads a process group, which
-    its own workers join, so that one signal ends them all."""
+    its own workers join, so that one signal ends them all. Where the fork
+    fails (a process or memory limit), it closes the pipe, gives the core
+    back and returns None twice: the caller builds the subtree itself."""
     forker = os.getpid()
     lead = forker == cores.owner
     rfd, wfd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        cores.give()
+        return None, None
     if pid == 0:
         code = 1
         try:
@@ -440,7 +448,9 @@ def build_node(
     grafts = [(right_g, right_src, right_tree), (left_g, left_src, left_tree)]
     pid = rfd = None
     if cores is not None and right_g.n >= FORK_MIN_VERTICES and cores.take():
-        pid, rfd = _fork(grafts.pop(0), depth + 1, cores)
+        pid, rfd = _fork(grafts[0], depth + 1, cores)
+        if pid is not None:
+            del grafts[0]
     del node, g, spt_s, split, path, tables, dist_r
     del left_g, left_tree, left_maps, right_g, right_tree, right_maps
     try:
@@ -466,7 +476,8 @@ def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     """The query store of the oracle for ``g`` from ``source``; each level's
     record goes to ``emit`` in store order. Only a build that discards the
     records uses the host's other cores: a worker's records would stay in
-    the worker."""
+    the worker. The appended store, with every worker's segment, then goes
+    through the load's ``check_and_rebase``."""
     spt = dijkstra(g, source)
     store = open_store(spt)
     cores = _Cores.open() if emit is _discard else None
@@ -475,7 +486,9 @@ def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     finally:
         if cores is not None:
             cores.close()
-    close_store(store)
+    store.meta[2] = len(store.left)
+    store.meta[4] = len(store.dep_len)
+    check_and_rebase(store)
     return store
 
 

@@ -303,8 +303,9 @@ def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) 
     the compaction reads before it writes them. Each row is an array of its
     own, so a chunk of up to 2**19 records stays below the 4 MB at which
     numpy asks the kernel for huge pages. ``take`` into a row allocates
-    nothing; its ``clip`` mode never clips, because ``store.check`` bounds
-    every link a record that moves on reads.
+    nothing; its ``clip`` mode never clips, because ``check_and_rebase``
+    bounds every link a record that moves on reads, on built and loaded
+    stores alike.
     """
     kind, elink, vlink, esr = (_view(a) for a in (store.kind, store.elink, store.vlink, store.esr))
     vsep = _view(store.vsep).view(bool)

@@ -7,8 +7,8 @@ typecode, length), followed by the arrays themselves, little-endian, in
 ``store.TABLE`` order, and no build state, so a loaded oracle builds
 nothing.
 
-Format ``SDO10`` holds each array as the build appends it, before
-``close_store`` (``store.file_arrays``): the offsets ``vbase``, ``ebase``,
+Format ``SDO10`` holds each array as the build appends it, before its
+rebase (``store.file_arrays``): the offsets ``vbase``, ``ebase``,
 ``sbase`` and ``dep_off`` as per-node or per-slot counts, the child links as
 ids within their child, each leaf row link as an offset in its leaf's rows,
 and the path positions ``esr`` and ``dsr`` as positions on their node's
@@ -28,11 +28,11 @@ its table width once and lets numpy cast the little-endian payload into it,
 so it runs no code named by the file. Last, ``store.check_and_rebase`` sums
 the counts, bounds every count and local value, and rejects a digest-valid
 but crafted file whose arrays would send a query outside them, before it
-rebases the local values into the store that queries walk, the same store
-as the build's. It runs as numpy operations over whole arrays, so a load
-costs about a digest plus a few copies. Every failure is a ValueError
-naming the file. Writing the same store gives the same bytes, so serialize
--> load -> serialize reproduces a file exactly.
+rebases the local values into the store that queries walk, as it does a
+build's. It runs as numpy operations over whole arrays, so a load costs
+about a digest plus a few copies. Every failure is a ValueError naming the
+file. Writing the same store gives the same bytes, so serialize -> load ->
+serialize reproduces a file exactly.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ The build appends every value local to its node, the form a file holds
 and then one count per node or vertex slot; a child link as an id within
 its child; a leaf row as its offset in the leaf's own rows; a path position
 (``esr``, ``dsr``) as a position on the node's path. A subtree's arrays can
-then be appended anywhere as they are. ``close_store`` turns them into the
-store queries walk, the counts summed into offsets and each local value
-rebased to its slot, row or ``sr`` index; a load does the same behind
-``check_and_rebase``, which bounds each local value first, and a save runs
-the inverse (``file_arrays``). All three share ``_frame``, the base and
-range of every local value.
+then be appended anywhere as they are. ``check_and_rebase`` turns them into
+the store queries walk, for a finished build and a loaded file alike: it
+sums the counts into offsets and bounds each local value before it rebases
+it to its slot, row or ``sr`` index. A save runs the inverse
+(``file_arrays``). Both share ``_frame``, the base and range of every local
+value.
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -192,8 +192,8 @@ def append_node(
     departing count; the child links as ids within the child (both halves
     of ``vlink``, and ``elink`` at PRIMARY, LEFT and RIGHT slots); a leaf
     row as its offset in the leaf's rows; a path position, in ``esr`` and
-    ``dsr``, as it is. ``close_store`` turns them into the store queries
-    read."""
+    ``dsr``, as it is. ``check_and_rebase`` turns them into the store
+    queries read."""
     i = len(s.left)
     nv, ne = g.n, _original_count(g)
     first_row = len(s.rows)
@@ -240,16 +240,6 @@ def append_node(
     s.vbase.append(nv)
     s.ebase.append(ne)
     return i
-
-
-def close_store(s: QueryStore) -> None:
-    """Finish the store the build appended to, in place: sum the offset
-    arrays' counts and rebase every relative value (``_rebase``), and put
-    the node count and departing entries in ``meta``."""
-    s.meta[2] = len(s.left)
-    s.meta[4] = len(s.dep_len)
-    _sum_counts(s)
-    _rebase(s, _frame(s, check=False))
 
 
 # The offset arrays: the first vertex slot, edge slot and sr entry of each
@@ -381,35 +371,6 @@ def _frame(s: QueryStore, check: bool = True) -> _Frame:
     )
 
 
-def _rebase(s: QueryStore, f: _Frame, need: Callable[[bool, str], None] | None = None) -> None:
-    """Add to each relative value of ``s`` its base in ``f``, in place. With
-    ``need`` (and ``f`` made for a check), first check that each array's values lie
-    in their ranges, and before the leaf links that ``rows`` holds the
-    leaves' rows, each before the array is rebased."""
-    kind, vlink, elink, esr, dsr = map(_view, (s.kind, s.vlink, s.elink, s.esr, s.dsr))
-    if need is not None:
-        # each node's links on each side, by their least and greatest
-        most = np.maximum.reduceat(vlink.reshape(-1, 2), f.vlink_first, axis=0)
-        need(vlink.min() >= -1 and (most < f.vlink_bound).all(), "child vertex slot out of range")
-    np.multiply(f.vlink, vlink >= 0, out=f.vlink)
-    vlink += f.vlink
-    elink += kind == CROSS
-    if need is not None:
-        need(f.rows == len(s.rows), "rows does not hold one row per leaf slot")
-        need((elink.view(np.uint32) < f.elink_span).all(), "child edge id or leaf row out of range")
-    elink += f.elink
-    at = esr[f.primary]
-    if need is not None:
-        need(np.count_nonzero(esr == -1) == len(esr) - len(at) and (at.view(np.uint32) < f.esr_span).all(),
-             "path position out of range")
-    esr[f.primary] = at + f.esr
-    if need is not None:
-        # each node's departures, by their least and greatest
-        need(not len(dsr) or (dsr.min() >= 0 and (np.maximum.reduceat(dsr, f.dsr_first) <= f.dsr_bound).all()),
-             "departure position out of range")
-    dsr += f.dsr
-
-
 def _walkable(s: QueryStore) -> bool:
     """Whether ``_frame`` can index ``s``, a store as queries read it: its
     offsets start at 0, never decrease and match the lengths of the arrays
@@ -434,7 +395,8 @@ def _walkable(s: QueryStore) -> bool:
 def file_arrays(s: QueryStore) -> list[tuple[str, np.ndarray]]:
     """The arrays of ``s`` as a file holds them, in ``TABLE`` order: the
     offsets as counts (``_counts``) and every relative value less its base,
-    the inverse of ``close_store``'s sums and rebase. ``s`` is not changed.
+    the inverse of ``check_and_rebase``'s sums and rebase. ``s`` is not
+    changed.
 
     A store that ``check_and_rebase`` would reject before its links keeps
     its links as they are. Elsewhere a vertex link just below its child's
@@ -524,19 +486,21 @@ def splice_segment(s: QueryStore, fd: int) -> None:
 
 
 def check_and_rebase(s: QueryStore) -> None:
-    """Turn ``s``, the arrays as a file holds them, into the store queries
-    walk, in place, or raise ValueError unless they form a store that every
-    query can walk without leaving an array: consistent lengths and counts,
-    child nodes after their parent in preorder, every link inside the child
-    node its side names (so every walk ends), leaf rows inside their leaf's
-    rows, path positions inside their node's path, doubly monotone
-    departing segments, distances in [0, INF].
+    """Turn ``s``, the arrays as a build appends them and a file holds
+    them, into the store queries walk, in place, or raise ValueError unless
+    they form a store that every query can walk without leaving an array:
+    consistent lengths and counts, child nodes after their parent in
+    preorder, every link inside the child node its side names (so every
+    walk ends), leaf rows inside their leaf's rows, path positions inside
+    their node's path, doubly monotone departing segments, distances in
+    [0, INF]. A build's store passes it as a loaded file's does, so no
+    oracle is handed out before the check.
 
     The counts are summed into offsets first, which index nothing, and the
     offsets are checked as the store's. Each relative value is bounded
-    before the rebase adds its base (``_rebase``). Every check is
-    whole-array numpy work, about the cost of a copy; no value indexes an
-    array before an earlier check has bounded it."""
+    before the rebase adds its base. Every check is whole-array numpy work,
+    about the cost of a copy; no value indexes an array before an earlier
+    check has bounded it."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -624,13 +588,31 @@ def check_and_rebase(s: QueryStore) -> None:
     need(not len(kind) or (kind.min() >= CROSS and kind.max() <= LEAF), "side code unknown")
     f = _frame(s)
     need(f.known.all(), "side code unknown")
-    # Every link lands in the child node its side names, later in preorder,
-    # so every walk ends.
-    _rebase(s, f, need)
+    # Each array's local values are bounded before the rebase adds their
+    # base, so every link lands in the child node its side names, later in
+    # preorder, and every walk ends.
+    vlink, elink, esr, dsr = map(_view, (s.vlink, s.elink, s.esr, s.dsr))
+    # each node's links on each side, by their least and greatest
+    most = np.maximum.reduceat(vlink.reshape(-1, 2), f.vlink_first, axis=0)
+    need(vlink.min() >= -1 and (most < f.vlink_bound).all(), "child vertex slot out of range")
+    np.multiply(f.vlink, vlink >= 0, out=f.vlink)
+    vlink += f.vlink
+    elink += kind == CROSS
+    need(f.rows == len(s.rows), "rows does not hold one row per leaf slot")
+    need((elink.view(np.uint32) < f.elink_span).all(), "child edge id or leaf row out of range")
+    elink += f.elink
+    at = esr[f.primary]
+    need(np.count_nonzero(esr == -1) == len(esr) - len(at) and (at.view(np.uint32) < f.esr_span).all(),
+         "path position out of range")
+    esr[f.primary] = at + f.esr
+    # each node's departures, by their least and greatest
+    need(not len(dsr) or (dsr.min() >= 0 and (np.maximum.reduceat(dsr, f.dsr_first) <= f.dsr_bound).all()),
+         "departure position out of range")
+    dsr += f.dsr
 
     # departing segments: positions rise and lengths fall, except where a
     # segment starts
-    dsr, length = _view(s.dsr), _view(s.dep_len)
+    length = _view(s.dep_len)
     starts = np.zeros(entries + 1, dtype=bool)
     starts[dep_off] = True
     breaks = (dsr[1:] <= dsr[:-1]) | (length[1:] >= length[:-1])

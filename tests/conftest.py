@@ -103,8 +103,8 @@ def best_departing(arr, pos: int):
 def appended_store(g: Graph, source: int = 0, depth: int = 0):
     """The level records of the oracle built on ``g`` from ``source``, its
     root at ``depth``, and the store the build appends them to, as the
-    build leaves it before ``close_store``: every value local to its node,
-    as a file holds it."""
+    build leaves it before ``check_and_rebase``: every value local to its
+    node, as a file holds it."""
     spt = dijkstra(g, source)
     store = open_store(spt)
     records = []
@@ -116,8 +116,8 @@ def build_store(g: Graph, source: int = 0, depth: int = 0):
     """``appended_store``, with the counts of the offset arrays summed into
     offsets here: the child links still hold ids within the child, the leaf
     links offsets in the leaf's rows and the path positions positions on the
-    node's path, before ``close_store`` rebases them. The helpers below
-    read such a store."""
+    node's path, before ``check_and_rebase`` rebases them. The helpers
+    below read such a store."""
     records, store = appended_store(g, source, depth)
     for name in OFFSETS:
         setattr(store, name, array("i", accumulate(getattr(store, name))))
@@ -315,9 +315,10 @@ def node_walk(
     """The descent of ``_query_node`` in node ids, the reference both
     descents must match: it walks a store as ``build_store`` leaves it, by
     ``left``, ``right`` and the bases, over child links that still hold ids
-    within the child, rather than the slots ``close_store`` rebases them
-    to, and over path positions and leaf row offsets local to their node
-    (``rows_at`` is ``leaf_rows(store)``), so a fault in that rebase shows.
+    within the child, rather than the slots ``check_and_rebase`` rebases
+    them to, and over path positions and leaf row offsets local to their
+    node (``rows_at`` is ``leaf_rows(store)``), so a fault in that rebase
+    shows.
     Returns (distance with INF, depth reached)."""
     left, vbase, ebase = store.left, store.vbase, store.ebase
     kind, elink, vlink = store.kind, store.elink, store.vlink
@@ -369,8 +370,8 @@ def _non_decreasing(a) -> bool:
 
 
 def loop_check(s: QueryStore) -> None:
-    """``store.check`` element by element in plain Python, the reference
-    the numpy check must match message for message."""
+    """The checks of ``store.check_and_rebase`` element by element in plain
+    Python, the reference the numpy check must match message for message."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import math
 import os
@@ -24,7 +25,7 @@ from sdo.oracle import OracleTree, _build, build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle
 from sdo.spt import dijkstra, separator_split
-from sdo.store import CROSS, INF, LEAF, OFFSETS, RIGHT, TABLE, close_store, file_arrays
+from sdo.store import CROSS, INF, LEAF, OFFSETS, RIGHT, TABLE, check_and_rebase, file_arrays
 
 from conftest import (
     appended_store,
@@ -82,11 +83,13 @@ def test_tree_nodes_are_store_nodes_in_preorder():
     for label, g, s in verify_corpus(seed=11, count=28, max_n=60):
         oracle = build_oracle(g, s)
         # the serial build behind nodes(), with the store it appends to, of
-        # which close_store sums the offsets and rebases the local values
+        # which check_and_rebase, given the node and departing-entry counts
+        # as _build gives them, sums the offsets and rebases the local values
         # alone; the file holds the arrays as the build appends them
         nodes, store = appended_store(g, s)
         appended = {name: a.tobytes() for name, a in store.arrays()}
-        close_store(store)
+        store.meta[2], store.meta[4] = len(store.left), len(store.dep_len)
+        check_and_rebase(store)
         assert dump_oracle(OracleTree(store)) == dump_oracle(oracle), label
         changed = {name for name, a in store.arrays() if a.tobytes() != appended[name]}
         assert changed <= {"meta", *OFFSETS, "vlink", "elink", "esr", "dsr"}, label
@@ -274,6 +277,53 @@ class TestParallelBuild:
         with pytest.raises(ArithmeticError, match="injected in the build's own"):
             build_oracle(self.GRAPHS["chords(2048)"], 0)
         assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_fork_builds_the_far_side_here(self, monkeypatch):
+        # every fork fails as at a process limit: each far side is built in
+        # this process, the pipe opened for its worker is closed, and the
+        # core token comes back for the next level to try
+        g = tree_plus_chords(2000, 4000, 3)
+        serial = dump_oracle(OracleTree(_build(g, 0, [].append)))
+        tries = []
+
+        def failing():
+            tries.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing)
+        monkeypatch.setattr(oracle_module, "usable_cpus", lambda: 2)
+        fds = "/proc/self/fd"
+        before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+        assert dump_oracle(build_oracle(g, 0)) == serial
+        assert len(tries) >= 2
+        if before is not None:
+            assert len(os.listdir(fds)) == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_corrupt_build_fails_like_a_corrupt_file(self, cpus, forks, monkeypatch):
+        # the first internal level a process appends gets one left vertex
+        # link at its child's vertex count, one past the child's last id; on
+        # two cores only workers append it, so a spliced segment holds it
+        here, append_node = os.getpid(), oracle_module.append_node
+        done = []
+
+        def corrupt(s, g, depth, rows=(), r=-1, path_edges=(), maps=(), tables=None):
+            i = append_node(s, g, depth, rows, r, path_edges, maps, tables)
+            if maps and not done and (cpus == 1 or os.getpid() != here):
+                done.append(i)
+                vmap = maps[0][0]
+                v = next(v for v, c in enumerate(vmap) if c >= 0)
+                s.vlink[len(s.vlink) - 2 * g.n + 2 * v] = max(vmap) + 1
+            return i
+
+        monkeypatch.setattr(oracle_module, "append_node", corrupt)
+        monkeypatch.setattr(oracle_module, "usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="child vertex slot out of range"):
+            build_oracle(self.GRAPHS["chords(2048)"], 0)
+        assert bool(forks) == (cpus == 2)
+        assert bool(done) == (cpus == 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
