@@ -69,14 +69,16 @@ def cmd_stats(args) -> int:
     store = load_oracle(args.oracle).store
     n, source, nodes, depth, entries = store.meta
     print(f"n={n} source={source} nodes={nodes} depth={depth} dep_entries={entries}")
-    print(f"{'array':<12} {'type':>4} {'length':>10} {'bytes':>10} {'file':>4} {'file_bytes':>10}")
-    total = file_total = 0
-    for (name, a), (_, code, _, file_size) in zip(store.arrays(), file_entries(args.oracle)):
-        size = len(a) * a.itemsize
-        total += size
-        file_total += file_size
-        print(f"{name:<12} {a.typecode:>4} {len(a):>10} {size:>10} {code:>4} {file_size:>10}")
-    print(f"{'total':<12} {'':>4} {'':>10} {total:>10} {'':>4} {file_total:>10}")
+    tables = (
+        ("in memory:", [(name, a.typecode, len(a), len(a) * a.itemsize) for name, a in store.arrays()]),
+        ("in the file:", file_entries(args.oracle)),
+    )
+    for title, rows in tables:
+        print(title)
+        print(f"{'array':<12} {'type':>4} {'length':>10} {'bytes':>10}")
+        for name, code, length, size in rows:
+            print(f"{name:<12} {code:>4} {length:>10} {size:>10}")
+        print(f"{'total':<12} {'':>4} {'':>10} {sum(row[3] for row in rows):>10}")
     return 0
 
 

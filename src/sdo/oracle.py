@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Callable
 
 from .departing import DepBuildStats, DepTable, build_dep
-from .graphs import Edge, Graph
+from .graphs import UNREACHABLE, Edge, Graph
 from .pathrep import replacement_lengths_along_path
 from .spt import (
     PathOnTree,
@@ -109,10 +109,14 @@ class OracleTree:
 def _leaf_node(node: OracleNode, spt_s: ShortestPathTree, store: QueryStore) -> OracleNode:
     """Tabulate the source distances avoiding each original edge the source
     reaches (an edge with one reached end has both); a fault elsewhere never
-    descends here."""
+    descends here. An edge off the leaf's source tree leaves that tree
+    whole, so its row is the leaf's own distances, and only a tree edge
+    takes a sweep."""
     g = node.graph
+    tree = set(spt_s.parent_edge)
+    own = [INF if d is UNREACHABLE else d for d in spt_s.dist]
     rows = (
-        (eid, distances_from(g, node.source, (eid,)))
+        (eid, distances_from(g, node.source, (eid,)) if eid in tree else own)
         for eid in range(_original_count(g))
         if spt_s.reachable(g.edges[eid].u)
     )
@@ -154,9 +158,10 @@ def _graft(spt: ShortestPathTree, inside: list[bool], r: int | None) -> Graft:
     settle after its vertex, gets no tree here: whoever builds the child,
     this process or a forked worker, runs ``dijkstra`` for it (``_tree``).
 
-    The vertex map lists each parent vertex's child id, -1 outside: the
-    store's child links on that side as the build appends them. The edge map
-    is a dict from parent to child edge id. Both keep the parent's order."""
+    The vertex map lists each parent vertex's child id, -1 outside, and the
+    edge map is a dict from parent to child edge id. Both keep the parent's
+    order, so each child id is a rank among the side's vertices or edges,
+    which is how the store derives its child links."""
     g, dist, source = spt.graph, spt.dist, spt.source
     kept = list(compress(range(g.n), inside))
     vmap = [-1] * g.n
@@ -441,7 +446,8 @@ def build_node(
 
     left_g, left_src, left_tree, left_maps = make_left_child(spt_s, r, split.in_m)
     right_g, right_src, right_tree, right_maps = make_right_child(spt_s, split.in_n)
-    i = append_node(store, g, depth, (), r, path.edge_ids, (left_maps, right_maps), tables)
+    sides = ((split.in_m, left_maps[1]), (split.in_n, right_maps[1]))
+    i = append_node(store, g, depth, (), path.edge_ids, sides, tables)
     emit(node)
     # The store holds all a query reads of this level. Each child is popped
     # into its call, so a subtree builds with only the right one here.
@@ -451,7 +457,7 @@ def build_node(
         pid, rfd = _fork(grafts[0], depth + 1, cores)
         if pid is not None:
             del grafts[0]
-    del node, g, spt_s, split, path, tables, dist_r
+    del node, g, spt_s, split, path, tables, dist_r, sides
     del left_g, left_tree, left_maps, right_g, right_tree, right_maps
     try:
         build_node(_tree(*grafts.pop()), depth + 1, store, emit, cores)

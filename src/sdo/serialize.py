@@ -1,38 +1,52 @@
-"""Oracle persistence: the query store's arrays, each value local to its
+"""Oracle persistence: the arrays a build appends, each value local to its
 node and each array at the narrowest width that holds it, behind a digest.
 
 A file is ``MAGIC``, the SHA-256 digest of the payload, then the payload. The
 payload is the array count and one fixed-size entry per array (name,
 typecode, length), followed by the arrays themselves, little-endian, in
-``store.TABLE`` order, and no build state, so a loaded oracle builds
+``store.FILE`` order, and no build state, so a loaded oracle builds
 nothing.
 
-Format ``SDO10`` holds each array as the build appends it, before its
-rebase (``store.file_arrays``): the offsets ``vbase``, ``ebase``,
-``sbase`` and ``dep_off`` as per-node or per-slot counts, the child links as
-ids within their child, each leaf row link as an offset in its leaf's rows,
-and the path positions ``esr`` and ``dsr`` as positions on their node's
-path. So none holds a global position, and most fit a byte or two. It
-writes each array at the narrowest of ``b``, ``h``, ``i`` and ``q`` (1, 2, 4
-and 8 bytes) that holds all its values, never wider than its type in
-``TABLE``, and its entry names that typecode. A distance array written
-narrower than ``q`` stores ``INF`` as the narrow type's maximum, and every
-other value in it falls strictly below that maximum, so the maximum reads
-back as ``INF`` and nothing else does. Any other value that reaches the
-maximum, ``INF + 1`` included, takes a wider type.
+Format ``SDO11`` holds the arrays of ``store.FILE`` as the build appends
+them, before ``store.check_and_rebase`` derives and rebases the store that
+queries walk (``store.file_arrays`` gives them back from that store): the
+offsets ``vbase``, ``ebase``, ``sbase`` and ``dep_off`` as per-node or
+per-slot counts, and the path positions ``esr`` and ``dsr`` as positions
+on their node's path. It holds no child link and no separator flag. Each
+split is two bits per vertex slot (``vside``: in side M, in side N), and
+the load derives every link from those bits and the edge slots' side codes
+as a rank within its node: a child vertex id among the node's vertices on
+that side, a child edge id among its PRIMARY and LEFT slots or its RIGHT
+slots, a leaf row among the leaf's LEAF slots times its vertex count; the
+separator is the vertex on both sides. ``esr`` is held at PRIMARY slots
+only, and ``dist_r`` and ``dep_off`` at the slots of nodes with ``sr``
+entries only. So none holds a global position, and most fit a byte or two.
+
+Each array is written at the narrowest of ``b``, ``h``, ``i`` and ``q`` (1,
+2, 4 and 8 bytes) that holds all its values, never wider than its type in
+``FILE``, and its entry names that typecode. An array of 0s and 1s whose
+type is narrower than ``q`` is written as packed bits instead, typecode
+``?``: its first value in the high bit of the first byte, and the bits past
+its last value 0. A distance array written narrower than ``q`` stores
+``INF`` as the narrow type's maximum, and every other value in it falls
+strictly below that maximum, so the maximum reads back as ``INF`` and
+nothing else does. Any other value that reaches the maximum, ``INF + 1``
+included, takes a wider type.
 
 Loading checks the digest, then that the header lists each array of the
 table by name with a typecode no wider than the table's (a wider one would
 truncate) and that its lengths fill the payload. It allocates each array at
 its table width once and lets numpy cast the little-endian payload into it,
-so it runs no code named by the file. Last, ``store.check_and_rebase`` sums
-the counts, bounds every count and local value, and rejects a digest-valid
-but crafted file whose arrays would send a query outside them, before it
-rebases the local values into the store that queries walk, as it does a
-build's. It runs as numpy operations over whole arrays, so a load costs
-about a digest plus a few copies. Every failure is a ValueError naming the
-file. Writing the same store gives the same bytes, so serialize -> load ->
-serialize reproduces a file exactly.
+or unpack the bits into it (a bit set past the last value fails), so it
+runs no code named by the file. Last, ``store.check_and_rebase`` sums the
+counts, checks every count against the children it names and bounds every
+local value, and rejects a digest-valid but crafted file whose arrays would
+send a query outside them, before it derives the links and rebases the
+local values into the store that queries walk, as it does a build's. It
+runs as numpy operations over whole arrays, so a load costs about a digest
+plus a few copies. Every failure is a ValueError naming the file. Writing
+the same store gives the same bytes, so serialize -> load -> serialize
+reproduces a file exactly.
 """
 
 from __future__ import annotations
@@ -46,32 +60,42 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .oracle import OracleTree
-from .store import INF, TABLE, QueryStore, check_and_rebase, file_arrays
+from .store import FILE, INF, QueryStore, check_and_rebase, file_arrays
 
-MAGIC = b"SDO10-ORACLE\x00"
+MAGIC = b"SDO11-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _COUNT = struct.Struct("<I")
 # name (NUL padded), typecode, item count
 _ENTRY = struct.Struct("<12scQ")
-# The file typecodes, narrowest first, and the little-endian type each names.
+# The file typecodes of whole bytes, narrowest first, and the little-endian
+# type each names; _BITS packs an array of 0s and 1s eight to a byte.
 _FILE = {"b": np.dtype("<i1"), "h": np.dtype("<i2"), "i": np.dtype("<i4"), "q": np.dtype("<i8")}
+_BITS = "?"
 # Per array of the table: its padded name and the file typecodes it accepts.
 _HEADER = [
     (name.encode().ljust(12, b"\0"),
-     {c.encode() for c, dtype in _FILE.items() if dtype.itemsize <= _FILE[code].itemsize})
-    for name, code in TABLE
+     {c.encode() for c, dtype in _FILE.items() if dtype.itemsize <= _FILE[code].itemsize}
+     | ({_BITS.encode()} if code != "q" else set()))
+    for name, code in FILE
 ]
 
 T = TypeVar("T")
 
 
+def _size(code: str, length: int) -> int:
+    """The file bytes of ``length`` values at file typecode ``code``."""
+    return (length + 7) // 8 if code == _BITS else length * _FILE[code].itemsize
+
+
 def _narrowest(v: np.ndarray, typecode: str) -> tuple[str, np.ndarray]:
     """The narrowest file typecode that holds the values ``v`` of an array
-    of table type ``typecode``, and the values at its type. Below ``q``, a
-    distance array's ``INF`` becomes the type's maximum, which its finite
-    values must then stay below."""
+    of table type ``typecode``, and the values as the file holds them. Below
+    ``q``, 0s and 1s pack into bits; a distance array's ``INF`` becomes the
+    type's maximum, which its finite values must then stay below."""
     lo, hi = (int(v.min()), int(v.max())) if len(v) else (0, 0)
     reserved = typecode == "q"  # the narrow type's maximum, kept for INF
+    if not reserved and lo >= 0 and hi <= 1:
+        return _BITS, np.packbits(v)
     inf = None
     if reserved and hi == INF:
         # the finite values, all below INF here, bound the type
@@ -89,12 +113,12 @@ def _narrowest(v: np.ndarray, typecode: str) -> tuple[str, np.ndarray]:
 
 def dump_oracle(oracle: OracleTree) -> bytes:
     arrays = [
-        (name, *_narrowest(v, code))
-        for (name, v), (_, code) in zip(file_arrays(oracle.store), TABLE)
+        (name, len(v), *_narrowest(v, code))
+        for (name, v), (_, code) in zip(file_arrays(oracle.store), FILE)
     ]
     parts = [_COUNT.pack(len(arrays))]
-    parts += [_ENTRY.pack(name.encode(), code.encode(), len(v)) for name, code, v in arrays]
-    parts += [v for _, _, v in arrays]
+    parts += [_ENTRY.pack(name.encode(), code.encode(), length) for name, length, code, _ in arrays]
+    parts += [v for _, _, _, v in arrays]
     digest = hashlib.sha256()
     for part in parts:
         digest.update(part)
@@ -109,11 +133,11 @@ def _entries(payload: memoryview) -> list[tuple[str, str, int, int]]:
     """The name, file typecode, length and file bytes of each array, as the
     header lists them, once each matches the table and the arrays fill the
     payload."""
-    if len(payload) < _COUNT.size or _COUNT.unpack_from(payload)[0] != len(TABLE):
+    if len(payload) < _COUNT.size or _COUNT.unpack_from(payload)[0] != len(FILE):
         raise ValueError("header does not list the oracle's arrays")
     at = _COUNT.size
     entries = []
-    for (name, _), (padded, codes) in zip(TABLE, _HEADER):
+    for (name, _), (padded, codes) in zip(FILE, _HEADER):
         entry = payload[at : at + _ENTRY.size]
         if len(entry) < _ENTRY.size:
             raise ValueError("header does not match the oracle's array table")
@@ -121,7 +145,7 @@ def _entries(payload: memoryview) -> list[tuple[str, str, int, int]]:
         if got != padded or code not in codes:
             raise ValueError("header does not match the oracle's array table")
         code = code.decode()
-        entries.append((name, code, length, length * _FILE[code].itemsize))
+        entries.append((name, code, length, _size(code, length)))
         at += _ENTRY.size
     if at + sum(entry[3] for entry in entries) != len(payload):
         raise ValueError("header lengths do not fill the payload")
@@ -129,15 +153,21 @@ def _entries(payload: memoryview) -> list[tuple[str, str, int, int]]:
 
 
 def _read_store(payload: memoryview) -> QueryStore:
-    at = _COUNT.size + len(TABLE) * _ENTRY.size
+    at = _COUNT.size + len(FILE) * _ENTRY.size
     store = QueryStore()
-    for (name, code), (_, file_code, length, size) in zip(TABLE, _entries(payload)):
+    for (name, code), (_, file_code, length, size) in zip(FILE, _entries(payload)):
         a = array(code, [0]) * length
-        data = np.frombuffer(payload, dtype=_FILE[file_code], count=length, offset=at)
         v = np.frombuffer(a, dtype=code)
-        v[:] = data
-        if code == "q" and file_code != "q":
-            v[data == np.iinfo(data.dtype).max] = INF
+        if file_code == _BITS:
+            bits = np.frombuffer(payload, dtype=np.uint8, count=size, offset=at)
+            if length % 8 and bits[-1] & (0xFF >> length % 8):
+                raise ValueError(f"{name} sets a bit past its last value")
+            v[:] = np.unpackbits(bits, count=length)
+        else:
+            data = np.frombuffer(payload, dtype=_FILE[file_code], count=length, offset=at)
+            v[:] = data
+            if code == "q" and file_code != "q":
+                v[data == np.iinfo(data.dtype).max] = INF
         setattr(store, name, a)
         at += size
     check_and_rebase(store)

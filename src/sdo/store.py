@@ -11,18 +11,32 @@ are never faults and get no slot. The build appends each level to one
 ``QueryStore``, all that queries, on built and loaded oracles alike, read
 and files hold.
 
-The build appends every value local to its node, the form a file holds
-(format SDO10), so that each fits a byte or two: ``vbase``, ``ebase``,
-``sbase`` (each node's first ``sr`` entry) and ``dep_off`` as a leading 0
-and then one count per node or vertex slot; a child link as an id within
-its child; a leaf row as its offset in the leaf's own rows; a path position
-(``esr``, ``dsr``) as a position on the node's path. A subtree's arrays can
-then be appended anywhere as they are. ``check_and_rebase`` turns them into
-the store queries walk, for a finished build and a loaded file alike: it
-sums the counts into offsets and bounds each local value before it rebases
-it to its slot, row or ``sr`` index. A save runs the inverse
-(``file_arrays``). Both share ``_frame``, the base and range of every local
-value.
+The build appends the arrays of ``FILE``, the form a file holds (format
+SDO11), each value local to its node so that it fits a byte or two:
+``vbase``, ``ebase``, ``sbase`` (each node's first ``sr`` entry) and
+``dep_off`` as a leading 0 and then one count per node or slot; a path
+position (``esr``, ``dsr``) as a position on the node's path. A subtree's
+arrays can then be appended anywhere as they are. No child link is held:
+the build appends each split as two bits per vertex slot (``vside``: in
+side M, in side N), and since grafting keeps the parent's order, every link
+is a rank:
+
+- a vertex's id in a child is its rank among its node's vertices on that
+  side, and the separator is the one vertex on both sides (``vsep``);
+- a child edge id is the slot's rank among its node's PRIMARY and LEFT
+  slots (side M) or its RIGHT slots (side N); CROSS links nowhere (-1);
+- a leaf's row offset is the slot's rank among its leaf's LEAF slots, times
+  the leaf's vertex count.
+
+``dist_r`` and ``dep_off`` are held only at tabled nodes (an ``sbase``
+count above 0), and ``esr`` only at PRIMARY slots; everywhere else a query
+never reads them, and they hold INF, 0 and -1. ``check_and_rebase`` turns
+these arrays into the store queries walk, the arrays of ``TABLE``, for a
+finished build and a loaded file alike: it sums the counts into offsets,
+checks that each node's side counts equal its children's vertex and edge
+counts (so every derived link lands inside its child) and bounds each path
+position, then derives the links and rebases every local value to its
+slot, row or ``sr`` index. A save runs the inverse (``file_arrays``).
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
@@ -37,7 +51,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -54,8 +68,9 @@ INF = 2**62
 # leaf's slot is LEAF where the leaf holds a row for it, else CROSS.
 CROSS, PRIMARY, LEFT, RIGHT, LEAF = 0, 1, 2, 3, 4
 
-# (name, typecode) of every array of a query store, in file order.
-# Distances are "q" (they reach INF); ids, offsets and positions are "i".
+# (name, typecode) of every array of a query store, in the order ``arrays``
+# lists them. Distances are "q" (they reach INF); ids, offsets and positions
+# are "i".
 TABLE = (
     # n, source, node count, depth, departing entries
     ("meta", "q"),
@@ -74,9 +89,9 @@ TABLE = (
     ("sbase", "i"),
     ("left", "i"),
     ("right", "i"),
-    # per vertex slot: left and right child slots, two a slot (-1: none; a
-    # file: child vertex ids); 1 on the separator; distance from it;
-    # departing segment start (plus the end; a file: counts)
+    # per vertex slot: left and right child slots, two a slot (-1: none); 1
+    # on the separator; distance from it (INF: none); departing segment
+    # start (plus the end; a file: counts)
     ("vlink", "i"),
     ("vsep", "b"),
     ("dist_r", "q"),
@@ -85,10 +100,9 @@ TABLE = (
     # index; a file: the node's path position)
     ("dep_len", "q"),
     ("dsr", "i"),
-    # per edge slot: side code or LEAF; the child edge slot on that side (a
-    # file: the child edge id), or a leaf row's offset less the leaf's vbase
-    # (a file: the offset in the leaf's rows), CROSS: -1; PRIMARY's sr index
-    # (a file: the path position), else -1
+    # per edge slot: side code or LEAF; the child edge slot on that side, or
+    # a leaf row's offset less the leaf's vbase, CROSS: -1; PRIMARY's sr
+    # index (a file: the path position), else -1
     ("kind", "b"),
     ("elink", "i"),
     ("esr", "i"),
@@ -97,15 +111,34 @@ TABLE = (
     ("rows", "q"),
 )
 
+# (name, typecode) of every array a file holds, in file order: the arrays
+# the build appends, which ``check_and_rebase`` turns into ``TABLE``'s.
+FILE = (
+    *TABLE[: TABLE.index(("vlink", "i"))],
+    # per vertex slot: 1 if its vertex is in side M, then 1 if in side N
+    ("vside", "b"),
+    # per vertex slot of a tabled node only
+    ("dist_r", "q"),
+    ("dep_off", "i"),
+    ("dep_len", "q"),
+    ("dsr", "i"),
+    ("kind", "b"),
+    # per PRIMARY edge slot only
+    ("esr", "i"),
+    ("sr", "q"),
+    ("rows", "q"),
+)
+
 
 class QueryStore:
-    """Every table a query reads, one ``array`` per entry of ``TABLE``,
-    empty at first."""
+    """Every table a query reads, one ``array`` per entry of ``TABLE``, and
+    ``vside``, which only the arrays a build appends and a file holds use;
+    all empty at first."""
 
-    __slots__ = tuple(name for name, _ in TABLE)
+    __slots__ = tuple(dict.fromkeys(name for name, _ in TABLE + FILE))
 
     def __init__(self):
-        for name, code in TABLE:
+        for name, code in TABLE + FILE:
             setattr(self, name, array(code))
 
     def arrays(self) -> list[tuple[str, array]]:
@@ -160,74 +193,57 @@ def open_store(spt: ShortestPathTree) -> QueryStore:
     return s
 
 
-_NONE = array("i", [-1])
-
-
 def append_node(
     s: QueryStore,
     g: Graph,
     depth: int,
     rows: Iterable[tuple[int, list[int]]] = (),
-    r: int = -1,
     path_edges: Iterable[int] = (),
-    maps: tuple[tuple[list[int], dict[int, int]], ...] = (),
+    sides: tuple[tuple[list[bool], Iterable[int]], ...] = (),
     tables: tuple[list[int], list[int], DepTable] | None = None,
 ) -> int:
     """Append the next node in preorder, on graph ``g``; returns its id.
 
     A leaf gives ``rows``: the source distances avoiding each original edge
-    a fault can reach. An internal node gives its separator ``r``, primary
-    path and split: the vertex and edge maps of side M (the source side,
-    holding the path), then of side N. A vertex map, the child id of each
-    of ``g``'s vertices or -1, is its side's half of ``vlink``; an edge map
-    lists ``g``'s edge ids in ``g``'s order. The separator is in both sides,
-    and an edge in neither crosses the split. Its left child is appended
-    next; the caller sets ``right``. ``tables`` holds the distances from ``r``, the
-    replacement lengths along the path and the departing table, or None
-    when no input edge lies on the path. Distances are store integers,
-    ``INF`` for none, and go in as they are.
+    a fault can reach, by rising edge id. An internal node gives its
+    primary path and split: side M (the source side, holding the path),
+    then side N, each as whether each of ``g``'s vertices is in it and
+    ``g``'s edge ids in it, in ``g``'s order. The separator is in both
+    sides, and an edge in neither crosses the split. Its left child is
+    appended next; the caller sets ``right``. ``tables`` holds the
+    distances from the separator, the replacement lengths along the path
+    and the departing table, or None when no input edge lies on the path.
+    Distances are store integers, ``INF`` for none, and go in as they are.
 
-    Every value goes in local to the node, as a file holds it: the offsets
-    as the node's vertex, edge and ``sr`` counts and each vertex slot's
-    departing count; the child links as ids within the child (both halves
-    of ``vlink``, and ``elink`` at PRIMARY, LEFT and RIGHT slots); a leaf
-    row as its offset in the leaf's rows; a path position, in ``esr`` and
-    ``dsr``, as it is. ``check_and_rebase`` turns them into the store
-    queries read."""
+    Every value goes in as a file holds it (``FILE``): the offsets as the
+    node's vertex, edge and ``sr`` counts and, at a tabled node, each
+    vertex slot's departing count; each side as one bit per vertex slot and
+    each edge slot's side code, from which ``check_and_rebase`` derives the
+    links; a path position, in ``esr`` (at PRIMARY slots) and ``dsr``, as
+    it is."""
     i = len(s.left)
     nv, ne = g.n, _original_count(g)
-    first_row = len(s.rows)
     s.meta[3] = max(s.meta[3], depth)
-    s.left.append(i + 1 if maps else -1)
+    s.left.append(i + 1 if sides else -1)
     s.right.append(-1)
-    vlink, sep = _NONE * (2 * nv), array("b", [0]) * nv
-    kind, link, at = array("b", [CROSS]) * ne, _NONE * ne, _NONE * ne
+    vside, kind = array("b", bytes(2 * nv)), array("b", bytes(ne))
     for eid, row in rows:
         kind[eid] = LEAF
-        link[eid] = len(s.rows) - first_row
         s.rows.extend(row)
-    for side, (code, (vmap, emap)) in enumerate(zip((LEFT, RIGHT), maps)):
-        vlink[side::2] = array("i", vmap)
-        for eid, ce in emap.items():
+    for side, (code, (inside, eids)) in enumerate(zip((LEFT, RIGHT), sides)):
+        vside[side::2] = array("b", inside)
+        for eid in eids:
             if eid >= ne:  # the shortcuts, which follow the original edges
                 break
             kind[eid] = code
-            link[eid] = ce
     # shortcuts follow the original edges, so a path edge below ne can fail
-    for p, eid in enumerate(path_edges):
-        if eid < ne:
-            kind[eid] = PRIMARY
-            at[eid] = p
-    if maps:
-        sep[r] = 1
-    s.vlink.extend(vlink)
-    s.vsep.extend(sep)
+    primary = sorted((eid, p) for p, eid in enumerate(path_edges) if eid < ne)
+    for eid, _ in primary:
+        kind[eid] = PRIMARY
+    s.vside.extend(vside)
     s.kind.extend(kind)
-    s.elink.extend(link)
-    s.esr.extend(at)
+    s.esr.extend(p for _, p in primary)
     if tables is None:
-        s.dist_r.extend(array("q", [INF]) * nv)
-        s.dep_off.extend(array("i", [0]) * nv)
         s.sbase.append(0)
     else:
         dist_r, sr, dep = tables
@@ -245,180 +261,47 @@ def append_node(
 # The offset arrays: the first vertex slot, edge slot and sr entry of each
 # node, and the first departing entry of each vertex slot, each with one
 # extra entry, the total. The build appends, and a file holds, each as its
-# leading 0 and then one count per node or slot.
+# leading 0 and then one count per node or slot (for ``dep_off``, per slot
+# of a tabled node).
 OFFSETS = ("vbase", "ebase", "sbase", "dep_off")
 
 
-def _sum_counts(s: QueryStore) -> None:
-    """Sum each offset array's counts into offsets, in place, in int32
-    arithmetic that wraps: a negative count, or one that carries the sum
-    past int32, makes the offsets decrease."""
-    for name in OFFSETS:
-        v = _view(getattr(s, name))
-        np.cumsum(v, dtype=np.int32, out=v)
-
-
-def _counts(s: QueryStore, name: str) -> np.ndarray:
-    """Offset array ``name`` as the file holds it: its first entry, then the
+def _counts(v: np.ndarray) -> np.ndarray:
+    """The offsets ``v`` as a file holds them: the first entry, then the
     difference of each entry from the one before, in int32 arithmetic that
-    wraps, so ``_sum_counts`` gives back every int32 array exactly."""
-    v = _view(getattr(s, name))
+    wraps, so a cumulative int32 sum gives back every int32 array exactly."""
     c = np.empty_like(v)
     c[:1] = v[:1]
     np.subtract(v[1:], v[:-1], out=c[1:])
     return c
 
 
-class _Frame(NamedTuple):
-    """Per coded array of a store: the base each local value adds in the
-    rebase, and what bounds the local values. Vertex links and departure
-    positions are bounded per node, by their least and greatest; an edge
-    link or path position x one by one, where x plus an offset (1 at CROSS,
-    whose link is -1), as an unsigned 32-bit number, lies below its span.
-    The fields after ``rows`` are the check's own: None where they were not
-    asked for."""
-
-    # per vertex link: its child's first vertex slot
-    vlink: np.ndarray
-    # per edge slot: its link's base, less 1 at CROSS, whose link is -1
-    elink: np.ndarray
-    # the PRIMARY edge slots; at each, its node's first sr entry and sr count
-    primary: np.ndarray
-    esr: np.ndarray
-    esr_span: np.ndarray
-    # per departing entry: its node's first sr entry
-    dsr: np.ndarray
-    # the rows that the leaves' LEAF slots hold
-    rows: int
-    # per edge slot, whether its side code is one its node may hold
-    known: np.ndarray | None = None
-    # the first slot of each node that has one, and per side that node's
-    # child's vertex count
-    vlink_first: np.ndarray | None = None
-    vlink_bound: np.ndarray | None = None
-    # per edge slot, its link's span, for x + 1 at CROSS (-1), where the base
-    # of -1 restores it
-    elink_span: np.ndarray | None = None
-    # the first departing entry of each node that has one, and that node's
-    # sr count
-    dsr_first: np.ndarray | None = None
-    dsr_bound: np.ndarray | None = None
-
-
-def _frame(s: QueryStore, check: bool = True) -> _Frame:
-    """How each relative value of ``s`` maps to its absolute one, from the
-    summed offsets, ``left``, ``right`` and ``kind``, which must keep every
-    index here inside its array (``check_and_rebase`` and ``_walkable``
-    make sure):
-
-    - a vertex slot's two links: -1 (none), which stays, or an id below its
-      child's vertex count, plus the child's ``vbase``; a leaf's -1
-      children count 0 vertices;
-    - an edge slot's link: at PRIMARY and LEFT an id below the left child's
-      edge count, at RIGHT below the right child's, plus the child's
-      ``ebase``; at LEAF an offset into the leaf's own rows, at most one
-      row from their end, plus the leaf's first row less its ``vbase``; at
-      CROSS -1, which stays;
-    - ``esr``: at PRIMARY a position below the node's ``sr`` count, plus its
-      ``sbase``; elsewhere -1, which stays;
-    - ``dsr``: a position on its owner node's path, at most its ``sr`` count
-      (a route may depart at the separator, the path's last vertex), plus
-      the node's ``sbase``.
-
-    Edge slots gather theirs from per-node tables by side code. Every
-    per-value array is fresh, so a caller may write into it."""
-    left, right, kind = _view(s.left), _view(s.right), _view(s.kind)
-    vbase, ebase, sbase, dep_off = (_view(getattr(s, name)) for name in OFFSETS)
-    nodes, codes = len(left), LEAF + 1
-    nv, ne, ns = np.diff(vbase), np.diff(ebase), np.diff(sbase)
-    kids = np.stack([left, right], axis=1)
-    # each edge slot's entry in the per-node tables below, by side code:
-    # CROSS, PRIMARY, LEFT, RIGHT, LEAF
-    at = np.repeat(np.arange(0, nodes * codes, codes, dtype=np.int32), ne)
-    at += kind
-    rows = np.bincount(at[kind == LEAF] // codes, minlength=nodes) * nv.astype(np.int64)
-    base = np.full((nodes, codes), -1, dtype=np.int32)
-    base[:, PRIMARY] = base[:, LEFT] = ebase[left]
-    base[:, RIGHT] = ebase[right]
-    base[:, LEAF] = np.cumsum(rows) - rows - vbase[:-1]
-    primary = np.flatnonzero(kind == PRIMARY)
-    owner = at[primary] // codes
-    entries = dep_off[vbase[1:]] - dep_off[vbase[:-1]]
-    f = _Frame(
-        np.repeat(vbase[kids], nv, axis=0).ravel(), base.ravel().take(at),
-        primary, sbase[owner], ns[owner].astype(np.uint32),
-        np.repeat(sbase[:-1], entries), int(rows.sum()),
-    )
-    if not check:
-        return f
-    # a child's count sits at its id plus one, behind a 0 that a -1 reads
-    v_count, e_count = np.concatenate(([0], nv)), np.concatenate(([0], ne))
-    # a leaf's edge slots are LEAF or CROSS, an internal node's any other
-    leaf = left < 0
-    allowed = np.ones((nodes, codes), dtype=bool)
-    allowed[:, LEAF] = leaf
-    allowed[:, PRIMARY:LEAF] = ~leaf[:, None]
-    span = np.ones((nodes, codes), dtype=np.uint32)
-    span[:, PRIMARY] = span[:, LEFT] = e_count[left + 1]
-    span[:, RIGHT] = e_count[right + 1]
-    span[:, LEAF] = np.maximum(rows - nv + 1, 0)
-    departs, holds = np.flatnonzero(entries), np.flatnonzero(nv)
-    return f._replace(
-        known=allowed.ravel().take(at),
-        vlink_first=vbase[holds], vlink_bound=v_count[kids + 1][holds],
-        elink_span=span.ravel().take(at),
-        dsr_first=dep_off[vbase[departs]], dsr_bound=ns[departs],
-    )
-
-
-def _walkable(s: QueryStore) -> bool:
-    """Whether ``_frame`` can index ``s``, a store as queries read it: its
-    offsets start at 0, never decrease and match the lengths of the arrays
-    they cover, its children are node ids or -1 and its side codes known."""
-    nodes = len(s.left)
-    offsets = v, e, sr, dep_off = [_view(getattr(s, name)) for name in OFFSETS]
-    left, right, kind = _view(s.left), _view(s.right), _view(s.kind)
-    if not (nodes and len(right) == nodes and len(v) == len(e) == len(sr) == nodes + 1):
-        return False
-    slots = int(v[-1])
-    if len(dep_off) != slots + 1 or len(s.vlink) != 2 * slots:
-        return False
-    if not (len(kind) == len(s.elink) == len(s.esr) == e[-1] and dep_off[-1] == len(s.dsr)):
-        return False
-    return bool(
-        all(a[0] == 0 and not (a[1:] < a[:-1]).any() for a in offsets)
-        and min(left.min(), right.min()) >= -1 and max(left.max(), right.max()) < nodes
-        and (not len(kind) or (kind.min() >= CROSS and kind.max() <= LEAF))
-    )
-
-
 def file_arrays(s: QueryStore) -> list[tuple[str, np.ndarray]]:
-    """The arrays of ``s`` as a file holds them, in ``TABLE`` order: the
-    offsets as counts (``_counts``) and every relative value less its base,
-    the inverse of ``check_and_rebase``'s sums and rebase. ``s`` is not
-    changed.
-
-    A store that ``check_and_rebase`` would reject before its links keeps
-    its links as they are. Elsewhere a vertex link just below its child's
-    first slot becomes -2, not -1 (none), so that every value out of its
-    range stays out of range in the file, and the load rejects it."""
-    out = {name: _view(a) for name, a in s.arrays()}
-    for name in OFFSETS:
-        out[name] = _counts(s, name)
-    if _walkable(s):
-        f = _frame(s, check=False)
-        # each difference goes into the frame's own array, which is fresh
-        linked = out["vlink"] != -1
-        np.multiply(f.vlink, linked, out=f.vlink)
-        out["vlink"] = vlink = np.subtract(out["vlink"], f.vlink, out=f.vlink)
-        linked &= vlink == -1
-        vlink -= linked
-        elink = np.subtract(out["elink"], f.elink, out=f.elink)
-        out["elink"] = np.subtract(elink, out["kind"] == CROSS, out=elink)
-        out["esr"] = esr = out["esr"].copy()
-        esr[f.primary] -= f.esr
-        out["dsr"] = np.subtract(out["dsr"], f.dsr, out=f.dsr)
-    return list(out.items())
+    """The arrays of ``s``, a store as ``check_and_rebase`` leaves it, as a
+    file holds them, in ``FILE`` order: the inverse of the check's sums,
+    derivations and rebase. The offsets become counts, ``dep_off``'s at
+    tabled nodes only; the links give way to ``vside``, which marks each
+    vertex link that is not -1; ``dist_r`` keeps the slots of tabled nodes
+    and ``esr`` the PRIMARY slots; each path position loses its node's
+    ``sbase``. ``s`` is not changed. A value changed in ``s`` after its
+    check reaches the file where the file holds it, so a load rejects it
+    as it would the file."""
+    v = {name: _view(getattr(s, name)) for name, _ in TABLE}
+    vbase, ebase, sbase, dep_off = (v[name] for name in OFFSETS)
+    tabled = np.repeat(sbase[1:] > sbase[:-1], np.diff(vbase))
+    primary = np.flatnonzero(v["kind"] == PRIMARY)
+    dep_counts = _counts(dep_off)
+    v.update(
+        vbase=_counts(vbase),
+        ebase=_counts(ebase),
+        sbase=_counts(sbase),
+        vside=(v["vlink"] >= 0).view(np.int8),
+        dist_r=v["dist_r"][tabled],
+        dep_off=np.concatenate((dep_counts[:1], dep_counts[1:][tabled])),
+        esr=v["esr"][primary] - sbase[np.searchsorted(ebase, primary, "right") - 1],
+        dsr=v["dsr"] - np.repeat(sbase[:-1], dep_off[vbase[1:]] - dep_off[vbase[:-1]]),
+    )
+    return [(name, v[name]) for name, _ in FILE]
 
 
 def _view(a: array) -> np.ndarray:
@@ -428,7 +311,7 @@ def _view(a: array) -> np.ndarray:
 
 # The arrays a subtree appends to: all from vbase on. The ones before it,
 # meta and the input graph's source tree and edge keys, are the whole store's.
-SEGMENT = tuple(name for name, _ in TABLE[TABLE.index(("vbase", "i")):])
+SEGMENT = tuple(name for name, _ in FILE[FILE.index(("vbase", "i")):])
 
 
 def open_segment() -> QueryStore:
@@ -485,92 +368,146 @@ def splice_segment(s: QueryStore, fd: int) -> None:
         ids[ids >= 0] += nodes
 
 
-def check_and_rebase(s: QueryStore) -> None:
-    """Turn ``s``, the arrays as a build appends them and a file holds
-    them, into the store queries walk, in place, or raise ValueError unless
-    they form a store that every query can walk without leaving an array:
-    consistent lengths and counts, child nodes after their parent in
-    preorder, every link inside the child node its side names (so every
-    walk ends), leaf rows inside their leaf's rows, path positions inside
-    their node's path, doubly monotone departing segments, distances in
-    [0, INF]. A build's store passes it as a loaded file's does, so no
-    oracle is handed out before the check.
+def _steps(run: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, what the running count ``run`` adds over the node's slots
+    ``base[i]:base[i + 1]``, and what it holds before them."""
+    until = np.zeros(len(base) - 1, dtype=np.int64)
+    held = base[1:] > 0
+    until[held] = run[base[1:][held] - 1]
+    before = np.concatenate(([0], until[:-1]))
+    return until - before, before
 
-    The counts are summed into offsets first, which index nothing, and the
-    offsets are checked as the store's. Each relative value is bounded
-    before the rebase adds its base. Every check is whole-array numpy work,
-    about the cost of a copy; no value indexes an array before an earlier
-    check has bounded it."""
 
-    def need(ok: bool, what: str) -> None:
-        if not ok:
-            raise ValueError(f"inconsistent oracle store: {what}")
+def _start_at(x: np.ndarray, starts: np.ndarray, k: np.ndarray) -> None:
+    """Make a running sum of ``x`` add ``k[j]`` from ``starts[j]`` on, for
+    rising ``starts``: add each ``k``'s step from the one before at its
+    start, in int32 arithmetic that wraps like the sum."""
+    step = np.array(k, dtype=np.int64)
+    step[1:] -= k[:-1]
+    x[starts] += step.astype(np.int32)
 
-    _sum_counts(s)
-    need(len(s.meta) == 5, "meta is not 5 values")
-    n, source, nodes, depth, entries = s.meta
-    need(n >= 1 and 0 <= source < n and nodes >= 1, "meta out of range")
-    for name in ("parent", "parent_edge", "dist", "tin", "size"):
-        need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
-    for name in ("vbase", "ebase", "sbase"):
-        base = _view(getattr(s, name))
-        need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
-        need(not (base[1:] < base[:-1]).any(), f"{name} decreases: a count is negative or passes int32")
-    for name in ("left", "right"):
-        need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
-    slots, edge_slots = s.vbase[-1], s.ebase[-1]
-    need(len(s.vlink) == 2 * slots, "vlink does not hold two entries per vertex slot")
-    for name in ("vsep", "dist_r"):
-        need(len(getattr(s, name)) == slots, f"{name} does not hold one entry per vertex slot")
-    for name in ("kind", "elink", "esr"):
-        need(len(getattr(s, name)) == edge_slots, f"{name} does not hold one entry per edge slot")
-    dep_off = _view(s.dep_off)
-    need(len(dep_off) == slots + 1 and dep_off[0] == 0, "dep_off length")
-    need(not (dep_off[1:] < dep_off[:-1]).any(), "dep_off decreases: a count is negative or passes int32")
-    need(dep_off[-1] == len(s.dep_len) == len(s.dsr) == entries,
-         "dep_off does not end at the departing entries")
-    need(s.sbase[-1] == len(s.sr), "sbase does not end at the sr entries")
-    for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
-        d = _view(getattr(s, name))
-        need(not len(d) or (d.min() >= 0 and d.max() <= INF),
-             f"{name} holds a distance outside [0, INF]")
-    keys = _view(s.edge_keys)
-    need(not (keys[1:] <= keys[:-1]).any(), "edge_keys not sorted")
-    need(not len(keys) or (keys[0] >= 0 and keys[-1] < n * n), "edge key out of range")
 
-    need(s.vbase[1] == n, "the root does not hold the input vertices")
-    parent, parent_edge, dist, tin = map(_view, (s.parent, s.parent_edge, s.dist, s.tin))
-    need(parent[source] == -1 and dist[source] == 0, "source has a parent")
-    need(parent.min() >= -1 and parent.max() < n, "parent out of range")
-    need(((parent < 0) == (parent_edge < 0)).all(), "parent and parent edge disagree")
-    need(parent_edge.max() < s.ebase[1], "parent edge out of range")
-    # every reached vertex hangs below a reached vertex with a smaller
-    # preorder number, so climbing the tree ends at the source
-    v = np.flatnonzero((dist < INF) & (np.arange(n) != source))
-    p = parent[v]
-    up = np.maximum(p, 0)
-    need(not ((p < 0) | (dist[up] >= INF) | (tin[up] >= tin[v])).any(), "source tree is not a tree")
+# Per side code, as a bit mask by code: the slots that count on side M
+# (with the leaves' rows), and those that count on side N.
+_ON_M = 1 << PRIMARY | 1 << LEFT | 1 << LEAF
+_ON_N = 1 << RIGHT
 
-    vsep = _view(s.vsep)
-    need(((vsep == 0) | (vsep == 1)).all(), "vsep is not 0 or 1")
 
-    # the node checks name the first node that fails one; an internal node
-    # marks one separator slot, a leaf none
-    left, right = _view(s.left), _view(s.right)
+def _on(mask: int, kind: np.ndarray, out: np.ndarray) -> None:
+    """``out``: 1 at each slot whose side code ``kind`` is in ``mask``."""
+    np.right_shift(np.int32(mask), kind, out=out)
+    np.bitwise_and(out, 1, out=out)
+
+
+def _need(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"inconsistent oracle store: {what}")
+
+
+def _links(s: QueryStore, side: np.ndarray, leaf: np.ndarray) -> None:
+    """Check each node's side counts against its children and derive the
+    child links, ``vlink`` and ``elink``, from ``side``, the vertex slots'
+    two bits, and ``kind``, for ``check_and_rebase``: every link is a
+    running count of its side's slots, started at each node at its child's
+    first slot (at a leaf, at its first row less its first vertex slot,
+    where a LEAF slot weighs the leaf's vertex count), so the checked
+    counts keep each link inside its child. Side N's edges take a run of
+    their own, and CROSS links -1, as does a vertex slot off the side."""
+    vbase, ebase, kind, left, right = map(_view, (s.vbase, s.ebase, s.kind, s.left, s.right))
+    nodes = len(left)
+    nv, ne = np.diff(vbase), np.diff(ebase)
+    holds, edge_holds = np.flatnonzero(nv), np.flatnonzero(ne)
+    # Per node, its members of each side and its edge slots of each side
+    # code: the steps of running counts over its slots. Side M's edges are
+    # PRIMARY and LEFT, side N's RIGHT; a leaf's slots are LEAF or CROSS, an
+    # internal node's any other.
+    s.vlink = array("i", [0]) * (2 * len(side))
+    vlink = _view(s.vlink).reshape(-1, 2)
+    vlink[:] = side
+    np.cumsum(vlink, axis=0, dtype=np.int32, out=vlink)
+    vertex_steps = [_steps(vlink[:, c], vbase) for c in (0, 1)]
+    at_leaf = np.flatnonzero(kind == LEAF)
+    leaf_of = np.searchsorted(ebase, at_leaf, "right") - 1
+    on_leaf = np.bincount(leaf_of, minlength=nodes)
+    s.elink = array("i", [0]) * len(kind)
+    elink = _view(s.elink)
+    right_link = np.empty(len(kind), dtype=np.int32)
+    _on(_ON_M, kind, elink)
+    np.cumsum(elink, dtype=np.int32, out=elink)
+    on_m = _steps(elink, ebase)[0] - on_leaf
+    _on(_ON_N, kind, right_link)
+    np.cumsum(right_link, dtype=np.int32, out=right_link)
+    on_n, n_before = _steps(right_link, ebase)
+    _need(not (on_m[leaf].any() or on_n[leaf].any() or on_leaf[~leaf].any()), "side code unknown")
+    # each side's vertices and original edges are its child's, in order:
+    # side N's child adds its hub; a -1 child (a leaf's) reads a count of 0
+    kids = np.stack([left, right], axis=1)
+    child_nv, child_ne = np.concatenate(([0], nv))[kids + 1], np.concatenate(([0], ne))[kids + 1]
+    child_nv[:, 1] -= ~leaf
+    members = np.stack([count for count, _ in vertex_steps], axis=1)
+    sides = np.stack([on_m, on_n], axis=1)
+    for what, have, want in (
+        ("child vertex slot out of range", members, child_nv),
+        ("child edge id or leaf row out of range", sides, child_ne),
+    ):
+        bad = np.flatnonzero((have != want).any(axis=1))
+        if len(bad):
+            i = int(bad[0])
+            c = int(have[i, 0] == want[i, 0])
+            _need(False, f"{what}: node {i} side {'MN'[c]} holds {have[i, c]}, its child {want[i, c]}")
+    rows = on_leaf * nv
+    _need(rows.sum() == len(s.rows), "child edge id or leaf row out of range: "
+          f"the LEAF slots take {rows.sum()} rows, rows holds {len(s.rows)}")
+
+    # the links: each run again, started at every node
+    _on(_ON_M, kind, elink)
+    elink[at_leaf] = nv[leaf_of]
+    weight = on_m + rows
+    first = np.where(leaf, np.cumsum(rows) - rows - vbase[:-1] - nv, ebase[left] - 1)
+    _start_at(elink, ebase[edge_holds], (first - (np.cumsum(weight) - weight))[edge_holds])
+    np.cumsum(elink, dtype=np.int32, out=elink)
+    _on(_ON_N, kind, right_link)
+    on_right = right_link.astype(bool)
+    _start_at(right_link, ebase[edge_holds], (ebase[right] - 1 - n_before)[edge_holds])
+    np.cumsum(right_link, dtype=np.int32, out=right_link)
+    right_link -= elink
+    right_link *= on_right
+    elink += right_link
+    cross = kind == CROSS
+    elink *= ~cross
+    elink -= cross
+    vlink[:] = side
+    for c, (_, before) in enumerate(vertex_steps):
+        _start_at(vlink[:, c], vbase[holds], (vbase[kids[:, c]] - 1 - before)[holds])
+    np.cumsum(vlink, axis=0, dtype=np.int32, out=vlink)
+    np.multiply(vlink, side, out=vlink)
+    np.add(vlink, side, out=vlink)
+    np.subtract(vlink, 1, out=vlink)
+
+
+def _shape(s: QueryStore, vsep: np.ndarray) -> np.ndarray:
+    """Check the recursion tree of ``s`` for ``check_and_rebase``: children
+    after their parent in preorder, one separator slot at each internal
+    node and none at a leaf, the depth ``meta`` gives. Returns which nodes
+    are leaves."""
+    nodes, depth = s.meta[2], s.meta[3]
     vbase = _view(s.vbase)
+    # the node checks name the first node that fails one; an internal node
+    # has one separator slot, a leaf none
+    left, right = _view(s.left), _view(s.right)
     ids = np.arange(nodes)
     leaf = left < 0
     holds = np.flatnonzero(np.diff(vbase))
-    marks = np.zeros(nodes, dtype=np.int64)
-    marks[holds] = np.add.reduceat(vsep, vbase[holds], dtype=np.int64)
+    marks = np.zeros(nodes, dtype=np.int32)
+    marks[holds] = np.add.reduceat(vsep, vbase[holds], dtype=np.int32)
     one_child = leaf & ((left != -1) | (right != -1))
     out_of_order = ~leaf & ~((ids < left) & (left < nodes) & (ids < right) & (right < nodes))
     bad = np.flatnonzero(one_child | out_of_order | (marks != ~leaf))
     if len(bad):
         i = int(bad[0])
-        need(not one_child[i], f"node {i} has one child")
-        need(not out_of_order[i], f"node {i} has a child out of preorder")
-        need(False, f"node {i} separator marks {marks[i]} slots")
+        _need(not one_child[i], f"node {i} has one child")
+        _need(not out_of_order[i], f"node {i} has a child out of preorder")
+        _need(False, f"node {i} separator marks {marks[i]} slots")
     # a node is one deeper than the last node naming it as a child, as in a
     # preorder walk; pointer doubling sums the hops in log(depth) rounds
     inner = np.flatnonzero(~leaf)
@@ -581,39 +518,120 @@ def check_and_rebase(s: QueryStore) -> None:
     while (on := hop >= 0).any():
         node_depth[on] += node_depth[hop[on]]
         hop[on] = hop[hop[on]]
-    need(node_depth.max() == depth, "meta depth differs from the tree")
+    _need(node_depth.max() == depth, "meta depth differs from the tree")
+    return leaf
 
-    # every side code is known, and one its node may hold (``_frame``)
-    kind = _view(s.kind)
-    need(not len(kind) or (kind.min() >= CROSS and kind.max() <= LEAF), "side code unknown")
-    f = _frame(s)
-    need(f.known.all(), "side code unknown")
-    # Each array's local values are bounded before the rebase adds their
-    # base, so every link lands in the child node its side names, later in
-    # preorder, and every walk ends.
-    vlink, elink, esr, dsr = map(_view, (s.vlink, s.elink, s.esr, s.dsr))
-    # each node's links on each side, by their least and greatest
-    most = np.maximum.reduceat(vlink.reshape(-1, 2), f.vlink_first, axis=0)
-    need(vlink.min() >= -1 and (most < f.vlink_bound).all(), "child vertex slot out of range")
-    np.multiply(f.vlink, vlink >= 0, out=f.vlink)
-    vlink += f.vlink
-    elink += kind == CROSS
-    need(f.rows == len(s.rows), "rows does not hold one row per leaf slot")
-    need((elink.view(np.uint32) < f.elink_span).all(), "child edge id or leaf row out of range")
-    elink += f.elink
-    at = esr[f.primary]
-    need(np.count_nonzero(esr == -1) == len(esr) - len(at) and (at.view(np.uint32) < f.esr_span).all(),
-         "path position out of range")
-    esr[f.primary] = at + f.esr
-    # each node's departures, by their least and greatest
-    need(not len(dsr) or (dsr.min() >= 0 and (np.maximum.reduceat(dsr, f.dsr_first) <= f.dsr_bound).all()),
-         "departure position out of range")
-    dsr += f.dsr
 
+def check_and_rebase(s: QueryStore) -> None:
+    """Turn ``s``, the arrays of ``FILE`` as a build appends them and a file
+    holds them, into the store queries walk, the arrays of ``TABLE``, in
+    place, or raise ValueError unless they form a store that every query
+    can walk without leaving an array: consistent lengths and counts, child
+    nodes after their parent in preorder, one separator at each internal
+    node and none at a leaf, side counts equal to the vertex and edge counts
+    of the children they name (so every link derived from them lands in
+    that child, later in preorder, and every walk ends), one leaf row per
+    LEAF slot and leaf vertex, path positions inside their node's path,
+    doubly monotone departing segments, distances in [0, INF]. A build's
+    store passes it as a loaded file's does, so no oracle is handed out
+    before the check.
+
+    The counts are summed into offsets first, which index nothing, and the
+    offsets are checked as the store's. The side counts and path positions
+    are bounded before the links are derived and the positions rebased.
+    Each link is a running count of its side's slots, started at each node
+    at its child's first slot, so the checked counts bound it. Every check
+    is whole-array numpy work, about the cost of a copy; no value indexes
+    an array before an earlier check has bounded it."""
+
+    _need(len(s.meta) == 5, "meta is not 5 values")
+    n, source, nodes, depth, entries = s.meta
+    _need(n >= 1 and 0 <= source < n and nodes >= 1, "meta out of range")
+    for name in ("parent", "parent_edge", "dist", "tin", "size"):
+        _need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
+    for name in ("vbase", "ebase", "sbase"):
+        base = _view(getattr(s, name))
+        np.cumsum(base, dtype=np.int32, out=base)
+        _need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
+        _need(not (base[1:] < base[:-1]).any(), f"{name} decreases: a count is negative or passes int32")
+    _need(s.vbase[1] == n, "the root does not hold the input vertices")
+    for name in ("left", "right"):
+        _need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
+    vbase, ebase, sbase, kind = map(_view, (s.vbase, s.ebase, s.sbase, s.kind))
+    nv, ne, ns = np.diff(vbase), np.diff(ebase), np.diff(sbase)
+    slots, edge_slots = int(vbase[-1]), int(ebase[-1])
+    # the vertex slots of tabled nodes, those with sr entries
+    tabled = np.repeat(ns > 0, nv)
+    held = np.count_nonzero(tabled)
+    primary = np.flatnonzero(kind == PRIMARY)
+    _need(len(s.vside) == 2 * slots, "vside does not hold two entries per vertex slot")
+    _need(len(kind) == edge_slots, "kind does not hold one entry per edge slot")
+    _need(len(s.dist_r) == held, "dist_r does not hold one entry per tabled slot")
+    _need(len(s.esr) == len(primary), "esr does not hold one entry per PRIMARY slot")
+    counts = _view(s.dep_off)
+    _need(len(counts) == held + 1 and counts[0] == 0, "dep_off length")
+    s.dep_off = array("i", [0]) * (slots + 1)
+    dep_off = _view(s.dep_off)
+    dep_off[1:][tabled] = counts[1:]
+    np.cumsum(dep_off, dtype=np.int32, out=dep_off)
+    _need(not (dep_off[1:] < dep_off[:-1]).any(), "dep_off decreases: a count is negative or passes int32")
+    _need(dep_off[-1] == len(s.dep_len) == len(s.dsr) == entries,
+          "dep_off does not end at the departing entries")
+    _need(sbase[-1] == len(s.sr), "sbase does not end at the sr entries")
+    # each node's departures by their greatest, at most its sr count (a route
+    # may depart at the separator, the path's last vertex), then rebased
+    dsr = _view(s.dsr)
+    node_entries = dep_off[vbase[1:]] - dep_off[vbase[:-1]]
+    departs = np.flatnonzero(node_entries)
+    if len(dsr):
+        most = np.maximum.reduceat(dsr, dep_off[vbase[departs]])
+        _need(dsr.min() >= 0 and (most <= ns[departs]).all(), "departure position out of range")
+    dsr += np.repeat(sbase[:-1], node_entries)
     # departing segments: positions rise and lengths fall, except where a
     # segment starts
     length = _view(s.dep_len)
     starts = np.zeros(entries + 1, dtype=bool)
     starts[dep_off] = True
     breaks = (dsr[1:] <= dsr[:-1]) | (length[1:] >= length[:-1])
-    need(not (breaks & ~starts[1:-1]).any(), "departing segment not doubly monotone")
+    _need(not (breaks & ~starts[1:-1]).any(), "departing segment not doubly monotone")
+    del starts, breaks
+    for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
+        d = _view(getattr(s, name))
+        _need(not len(d) or (d.min() >= 0 and d.max() <= INF),
+              f"{name} holds a distance outside [0, INF]")
+    keys = _view(s.edge_keys)
+    _need(not (keys[1:] <= keys[:-1]).any(), "edge_keys not sorted")
+    _need(not len(keys) or (keys[0] >= 0 and keys[-1] < n * n), "edge key out of range")
+
+    parent, parent_edge, dist, tin = map(_view, (s.parent, s.parent_edge, s.dist, s.tin))
+    _need(parent[source] == -1 and dist[source] == 0, "source has a parent")
+    _need(parent.min() >= -1 and parent.max() < n, "parent out of range")
+    _need(((parent < 0) == (parent_edge < 0)).all(), "parent and parent edge disagree")
+    _need(parent_edge.max() < ebase[1], "parent edge out of range")
+    # every reached vertex hangs below a reached vertex with a smaller
+    # preorder number, so climbing the tree ends at the source
+    v = np.flatnonzero((dist < INF) & (np.arange(n) != source))
+    p = parent[v]
+    up = np.maximum(p, 0)
+    _need(not ((p < 0) | (dist[up] >= INF) | (tin[up] >= tin[v])).any(), "source tree is not a tree")
+
+    side = _view(s.vside).reshape(-1, 2)
+    _need(not (side.view(np.uint8) > 1).any(), "vside is not 0 or 1")
+    # the separator is the one vertex on both sides
+    s.vsep = array("b", [0]) * slots
+    vsep = _view(s.vsep)
+    np.bitwise_and(side[:, 0], side[:, 1], out=vsep)
+    leaf = _shape(s, vsep)
+    _need(not len(kind) or (kind.min() >= CROSS and kind.max() <= LEAF), "side code unknown")
+    # the path positions, by their node's sr count
+    owner = np.searchsorted(ebase, primary, "right") - 1
+    esr = _view(s.esr)
+    _need((esr.view(np.uint32) < ns[owner]).all(), "path position out of range")
+    _links(s, side, leaf)
+    # the values held only where queries read them, at their slots
+    s.esr = array("i", [-1]) * edge_slots
+    _view(s.esr)[primary] = esr + sbase[owner]
+    dist_r = _view(s.dist_r)
+    s.dist_r = array("q", [INF]) * slots
+    _view(s.dist_r)[tabled] = dist_r
+    s.vside = array("b")

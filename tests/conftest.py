@@ -11,7 +11,9 @@ import random
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, ge, le, lt, sub
+from operator import eq, ge, le, lt, mul, sub
+
+import numpy as np
 
 from sdo.departing import DepArray
 from sdo.graphs import Edge, Graph, UNREACHABLE
@@ -19,13 +21,12 @@ from sdo.oracle import build_node
 from sdo.spt import ShortestPathTree, dijkstra
 from sdo.store import (
     CROSS,
+    FILE,
     INF,
     LEAF,
     LEFT,
-    OFFSETS,
     PRIMARY,
     RIGHT,
-    TABLE,
     QueryStore,
     check_and_rebase,
     file_arrays,
@@ -113,14 +114,48 @@ def appended_store(g: Graph, source: int = 0, depth: int = 0):
 
 
 def build_store(g: Graph, source: int = 0, depth: int = 0):
-    """``appended_store``, with the counts of the offset arrays summed into
-    offsets here: the child links still hold ids within the child, the leaf
-    links offsets in the leaf's rows and the path positions positions on the
-    node's path, before ``check_and_rebase`` rebases them. The helpers
-    below read such a store."""
+    """``appended_store``, with the counts of ``vbase``, ``ebase`` and
+    ``sbase`` summed into offsets, and the arrays the build leaves out
+    derived here in plain Python from the ones it appends, by the rules
+    ``check_and_rebase`` follows: a vertex's child id on each side is its
+    rank among its node's vertices whose ``vside`` bit marks that side (-1
+    off it), and the separator the vertex on both; an edge's child id is its
+    rank among its node's PRIMARY and LEFT slots, or its RIGHT slots; a LEAF
+    slot's offset in its leaf's rows is its rank among the leaf's LEAF
+    slots times the leaf's vertex count; CROSS links -1. ``esr`` gets -1
+    off the path, and ``dist_r`` and ``dep_off`` INF and no entries at a
+    node without tables. The child links hold ids within the child, the
+    leaf links offsets in the leaf's rows and the path positions positions
+    on the node's path, before ``check_and_rebase`` rebases them. The
+    helpers below read such a store."""
     records, store = appended_store(g, source, depth)
-    for name in OFFSETS:
+    for name in ("vbase", "ebase", "sbase"):
         setattr(store, name, array("i", accumulate(getattr(store, name))))
+    vbase, ebase, sbase, side, kind = store.vbase, store.ebase, store.sbase, store.vside, store.kind
+    vlink, vsep, elink, esr, dist_r, dep_counts = (
+        array("i"), array("b"), array("i"), array("i"), array("q"), [0])
+    positions, tabled_dist, tabled_counts = iter(store.esr), iter(store.dist_r), iter(store.dep_off[1:])
+    for i in range(len(store.left)):
+        tabled = sbase[i + 1] > sbase[i]
+        ranks = [0, 0]
+        for v in range(vbase[i], vbase[i + 1]):
+            for c in (0, 1):
+                vlink.append(ranks[c] if side[2 * v + c] else -1)
+                ranks[c] += side[2 * v + c]
+            vsep.append(side[2 * v] & side[2 * v + 1])
+            dist_r.append(next(tabled_dist) if tabled else INF)
+            dep_counts.append(next(tabled_counts) if tabled else 0)
+        ranks = {LEFT: 0, RIGHT: 0, LEAF: 0}
+        for e in range(ebase[i], ebase[i + 1]):
+            k = LEFT if kind[e] == PRIMARY else kind[e]
+            if k == CROSS:
+                elink.append(-1)
+            else:
+                elink.append(ranks[k] * (vbase[i + 1] - vbase[i] if k == LEAF else 1))
+                ranks[k] += 1
+            esr.append(next(positions) if kind[e] == PRIMARY else -1)
+    store.vlink, store.vsep, store.elink, store.esr, store.dist_r = vlink, vsep, elink, esr, dist_r
+    store.dep_off = array("i", accumulate(dep_counts))
     return records, store
 
 
@@ -128,11 +163,18 @@ def checked(store: QueryStore) -> QueryStore:
     """A copy of ``store`` as a load makes it: its arrays as a file holds
     them (``file_arrays``), at their table types, through
     ``check_and_rebase``."""
-    copy = QueryStore()
-    for (name, values), (_, code) in zip(file_arrays(store), TABLE):
-        setattr(copy, name, array(code, values.astype(code).tobytes()))
+    copy = file_store(dict(file_arrays(store)))
     check_and_rebase(copy)
     return copy
+
+
+def file_store(arrays: dict) -> QueryStore:
+    """A store holding the file arrays ``arrays`` (by name, each at any
+    integer type) at their ``FILE`` types, as a load reads them."""
+    s = QueryStore()
+    for name, code in FILE:
+        setattr(s, name, array(code, np.asarray(arrays[name]).astype(code).tobytes()))
+    return s
 
 
 def distances(values) -> list:
@@ -369,9 +411,15 @@ def _non_decreasing(a) -> bool:
     return all(map(le, a, islice(a, 1, None)))
 
 
+def _int32_sums(counts) -> list[int]:
+    """The running sums of ``counts`` in int32 arithmetic that wraps."""
+    return [(x + 2**31) % 2**32 - 2**31 for x in accumulate(counts)]
+
+
 def loop_check(s: QueryStore) -> None:
     """The checks of ``store.check_and_rebase`` element by element in plain
-    Python, the reference the numpy check must match message for message."""
+    Python, on the arrays of ``FILE`` as a file holds them: the reference
+    the numpy check must match message for message."""
 
     def need(ok: bool, what: str) -> None:
         if not ok:
@@ -382,31 +430,49 @@ def loop_check(s: QueryStore) -> None:
     need(n >= 1 and 0 <= source < n and nodes >= 1, "meta out of range")
     for name in ("parent", "parent_edge", "dist", "tin", "size"):
         need(len(getattr(s, name)) == n, f"{name} does not hold n entries")
+    bases = []
     for name in ("vbase", "ebase", "sbase"):
-        base = getattr(s, name)
+        base = _int32_sums(getattr(s, name))
         need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
         need(_non_decreasing(base), f"{name} decreases: a count is negative or passes int32")
+        bases.append(base)
+    vbase, ebase, sbase = bases
+    need(vbase[1] == n, "the root does not hold the input vertices")
     for name in ("left", "right"):
         need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
-    slots, edge_slots = s.vbase[-1], s.ebase[-1]
-    need(len(s.vlink) == 2 * slots, "vlink does not hold two entries per vertex slot")
-    for name in ("vsep", "dist_r"):
-        need(len(getattr(s, name)) == slots, f"{name} does not hold one entry per vertex slot")
-    for name in ("kind", "elink", "esr"):
-        need(len(getattr(s, name)) == edge_slots, f"{name} does not hold one entry per edge slot")
-    need(len(s.dep_off) == slots + 1 and s.dep_off[0] == 0, "dep_off length")
-    need(_non_decreasing(s.dep_off), "dep_off decreases: a count is negative or passes int32")
-    need(s.dep_off[-1] == len(s.dep_len) == len(s.dsr) == entries,
+    nv, ne, ns = (list(map(sub, islice(base, 1, None), base)) for base in bases)
+    slots, edge_slots = vbase[-1], ebase[-1]
+    vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
+    edge_owner = list(chain.from_iterable(map(repeat, range(nodes), ne)))
+    tabled = [ns[i] > 0 for i in vertex_owner]
+    primary = [e for e, k in enumerate(s.kind) if k == PRIMARY]
+    need(len(s.vside) == 2 * slots, "vside does not hold two entries per vertex slot")
+    need(len(s.kind) == edge_slots, "kind does not hold one entry per edge slot")
+    need(len(s.dist_r) == sum(tabled), "dist_r does not hold one entry per tabled slot")
+    need(len(s.esr) == len(primary), "esr does not hold one entry per PRIMARY slot")
+    need(len(s.dep_off) == sum(tabled) + 1 and s.dep_off[0] == 0, "dep_off length")
+    counts = iter(s.dep_off[1:])
+    dep_off = _int32_sums([0] + [next(counts) if t else 0 for t in tabled])
+    need(_non_decreasing(dep_off), "dep_off decreases: a count is negative or passes int32")
+    need(dep_off[-1] == len(s.dep_len) == len(s.dsr) == entries,
          "dep_off does not end at the departing entries")
-    need(s.sbase[-1] == len(s.sr), "sbase does not end at the sr entries")
+    need(sbase[-1] == len(s.sr), "sbase does not end at the sr entries")
+    # a route departs at a position on its node's path, the separator included
+    for v, i in enumerate(vertex_owner):
+        for x in s.dsr[dep_off[v] : dep_off[v + 1]]:
+            need(0 <= x <= ns[i], "departure position out of range")
+    # departing segments: positions rise and lengths fall, except where a
+    # segment starts
+    starts = set(dep_off)
+    dsr, length = s.dsr, s.dep_len
+    for breaks in (map(le, islice(dsr, 1, None), dsr), map(ge, islice(length, 1, None), length)):
+        need(set(compress(count(1), breaks)) <= starts, "departing segment not doubly monotone")
     for name in ("dist", "dist_r", "sr", "rows", "dep_len"):
         need(all(0 <= d <= INF for d in getattr(s, name)), f"{name} holds a distance outside [0, INF]")
     need(all(map(lt, s.edge_keys, islice(s.edge_keys, 1, None))), "edge_keys not sorted")
     need(not s.edge_keys or (s.edge_keys[0] >= 0 and s.edge_keys[-1] < n * n),
          "edge key out of range")
 
-    vbase, ebase = s.vbase, s.ebase
-    need(vbase[1] == n, "the root does not hold the input vertices")
     parent, parent_edge, dist, tin = s.parent, s.parent_edge, s.dist, s.tin
     need(parent[source] == -1 and dist[source] == 0, "source has a parent")
     need(min(parent) >= -1 and max(parent) < n, "parent out of range")
@@ -420,16 +486,12 @@ def loop_check(s: QueryStore) -> None:
         if dist[v] < INF and v != source and (p < 0 or dist[p] >= INF or tin[p] >= tin[v]):
             need(False, "source tree is not a tree")
 
-    need(set(s.vsep) <= {0, 1}, "vsep is not 0 or 1")
-
+    need(set(s.vside) <= {0, 1}, "vside is not 0 or 1")
+    in_m, in_n = s.vside[0::2], s.vside[1::2]
     left, right = s.left, s.right
-    nv = list(map(sub, islice(vbase, 1, None), vbase))
-    ne = list(map(sub, islice(ebase, 1, None), ebase))
-    vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
-    edge_owner = list(chain.from_iterable(map(repeat, range(nodes), ne)))
     marks = [0] * nodes
-    for i, flag in zip(vertex_owner, s.vsep):
-        marks[i] += flag
+    for i, m, k in zip(vertex_owner, in_m, in_n):
+        marks[i] += m & k
     node_depth = [0] * nodes
     for i, l, r in zip(range(nodes), left, right):
         if l < 0:
@@ -441,41 +503,37 @@ def loop_check(s: QueryStore) -> None:
         node_depth[l] = node_depth[r] = node_depth[i] + 1
     need(max(node_depth) == depth, "meta depth differs from the tree")
 
-    # Each slot's links against the slot ranges of its node's children, a
-    # leaf row against the leaf's own rows, a path position against its
-    # node's sr entries.
-    kind, elink, sbase = s.kind, s.elink, s.sbase
+    kind = s.kind
+    need(all(CROSS <= k <= LEAF for k in kind), "side code unknown")
+    for e, x in zip(primary, s.esr):
+        need(0 <= x < ns[edge_owner[e]], "path position out of range")
     for i, k in zip(edge_owner, kind):
         need(k in ((CROSS, LEAF) if left[i] < 0 else (CROSS, PRIMARY, LEFT, RIGHT)), "side code unknown")
-    for side, child in enumerate((left, right)):
-        for v, i in enumerate(vertex_owner):
-            x, c = s.vlink[2 * v + side], child[i]
-            need(x == -1 or (c >= 0 and vbase[c] <= x < vbase[c + 1]), "child vertex slot out of range")
-    first_row = [0] * (nodes + 1)
+    # Each side's members and edges against its child's vertex and original
+    # edge counts (side N's child adds its hub), the LEAF slots' rows
+    # against rows.
+    members = [[0, 0] for _ in range(nodes)]
+    for i, m, k in zip(vertex_owner, in_m, in_n):
+        members[i][0] += m
+        members[i][1] += k
+    sides = [[0, 0] for _ in range(nodes)]
+    leaf_slots = [0] * nodes
     for i, k in zip(edge_owner, kind):
-        first_row[i + 1] += nv[i] if k == LEAF else 0
-    first_row = list(accumulate(first_row))
-    need(first_row[-1] == len(s.rows), "rows does not hold one row per leaf slot")
-    for e, i in enumerate(edge_owner):
-        k, x = kind[e], elink[e]
-        if k == CROSS:
-            ok = x == -1
+        if k in (PRIMARY, LEFT):
+            sides[i][0] += 1
+        elif k == RIGHT:
+            sides[i][1] += 1
         elif k == LEAF:
-            ok = first_row[i] <= x + vbase[i] and x + vbase[i] + nv[i] <= first_row[i + 1]
-        else:
-            c = (right if k == RIGHT else left)[i]
-            ok = c >= 0 and ebase[c] <= x < ebase[c + 1]
-        need(ok, "child edge id or leaf row out of range")
-    for i, k, x in zip(edge_owner, kind, s.esr):
-        need(sbase[i] <= x < sbase[i + 1] if k == PRIMARY else x == -1, "path position out of range")
-    # a route departs at a position on its node's path, the separator included
-    for v, i in enumerate(vertex_owner):
-        for x in s.dsr[s.dep_off[v] : s.dep_off[v + 1]]:
-            need(sbase[i] <= x <= sbase[i + 1], "departure position out of range")
-
-    # departing segments: positions rise and lengths fall, except where a
-    # segment starts
-    starts = set(s.dep_off)
-    dsr, length = s.dsr, s.dep_len
-    for breaks in (map(le, islice(dsr, 1, None), dsr), map(ge, islice(length, 1, None), length)):
-        need(set(compress(count(1), breaks)) <= starts, "departing segment not doubly monotone")
+            leaf_slots[i] += 1
+    for what, have, count_of in (
+        ("child vertex slot out of range", members, lambda c, hub: nv[c] - hub),
+        ("child edge id or leaf row out of range", sides, lambda c, hub: ne[c]),
+    ):
+        for i in range(nodes):
+            want = [0, 0] if left[i] < 0 else [count_of(left[i], 0), count_of(right[i], 1)]
+            if have[i] != want:
+                c = int(have[i][0] == want[0])
+                need(False, f"{what}: node {i} side {'MN'[c]} holds {have[i][c]}, its child {want[c]}")
+    rows = sum(map(mul, leaf_slots, nv))
+    need(rows == len(s.rows), f"child edge id or leaf row out of range: the LEAF slots take {rows} rows, "
+                              f"rows holds {len(s.rows)}")

@@ -6,17 +6,18 @@ import sys
 from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sdo import cli
+from sdo import cli, serialize
 from sdo.cli import main
 from sdo.generators import tree_plus_chords
-from sdo.oracle import OracleTree, build_oracle
+from sdo.oracle import build_oracle
 from sdo.query import SsrpOutput, query, ssrp
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
-from sdo.store import INF, LEAF, LEFT, PRIMARY, TABLE, QueryStore, file_arrays
+from sdo.store import CROSS, FILE, INF, LEAF, LEFT, PRIMARY, RIGHT, TABLE, file_arrays
 
-from conftest import loop_check
+from conftest import file_store, loop_check
 
 DIGEST = 32
 
@@ -169,6 +170,7 @@ def test_load_rejects_foreign_files(tmp_path):
         b"SDO5-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO6-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO9-ORACLE\x00" + blob[len(MAGIC) :],
+        b"SDO10-ORACLE\x00" + blob[len(MAGIC) :],
     ):
         p = tmp_path / "junk.oracle"
         p.write_bytes(junk)
@@ -225,22 +227,35 @@ def test_dep_growth_rejects_zero_size():
     assert "argument --sizes" in proc.stderr
 
 
+def _stats_tables(out: str):
+    """The meta line, then the in-memory and the file table of ``sdo
+    stats``, each as its header, its rows and its total line."""
+    lines = out.splitlines()
+    memory, file = lines.index("in memory:"), lines.index("in the file:")
+    return lines[0], (
+        (lines[memory + 1], lines[memory + 2 : file - 1], lines[file - 1]),
+        (lines[file + 1], lines[file + 2 : -1], lines[-1]),
+    )
+
+
 def test_stats_lists_every_array(path3, capsys):
     assert main(["build", str(path3), "0"]) == 0
     capsys.readouterr()
     oracle_path = path3.parent / "p3.graph.oracle"
     assert main(["stats", str(oracle_path)]) == 0
-    meta, header, *rows, total = capsys.readouterr().out.splitlines()
+    meta, ((header, rows, total), (file_header, file_rows, file_total)) = _stats_tables(
+        capsys.readouterr().out)
     assert meta == "n=3 source=0 nodes=3 depth=1 dep_entries=1"
-    assert header.split() == ["array", "type", "length", "bytes", "file", "file_bytes"]
-    names = [row.split()[0] for row in rows]
-    assert names[:3] == ["meta", "parent", "parent_edge"] and "dep_off" in names
+    assert header.split() == file_header.split() == ["array", "type", "length", "bytes"]
+    assert [row.split()[0] for row in rows] == [name for name, _ in TABLE]
+    assert [row.split()[0] for row in file_rows] == [name for name, _ in FILE]
+    in_memory = sum(int(row.split()[3]) for row in rows)
+    assert total.split() == ["total", str(in_memory)]
     # the payload is a 4-byte array count and a 21-byte entry per array,
     # then the arrays
-    arrays = oracle_path.stat().st_size - len(MAGIC) - DIGEST - 4 - 21 * len(rows)
-    assert sum(int(row.split()[5]) for row in rows) == arrays
-    in_memory = sum(int(row.split()[3]) for row in rows)
-    assert total.split() == ["total", str(in_memory), str(arrays)]
+    arrays = oracle_path.stat().st_size - len(MAGIC) - DIGEST - 4 - 21 * len(file_rows)
+    assert sum(int(row.split()[3]) for row in file_rows) == arrays
+    assert file_total.split() == ["total", str(arrays)]
 
 
 def test_stats_shows_each_array_at_its_file_width(tmp_path, capsys):
@@ -248,20 +263,23 @@ def test_stats_shows_each_array_at_its_file_width(tmp_path, capsys):
     oracle = build_oracle(tree_plus_chords(300, 600, 7), 0)
     save_oracle(oracle, target)
     assert main(["stats", str(target)]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:-1]
+    _, ((_, rows, _), (_, file_rows, _)) = _stats_tables(capsys.readouterr().out)
+    for row, (name, a) in zip(rows, oracle.store.arrays(), strict=True):
+        assert row.split() == [name, a.typecode, str(len(a)), str(len(a) * a.itemsize)]
     payload = target.read_bytes()[len(MAGIC) + DIGEST :]
-    width = {"b": 1, "h": 2, "i": 4, "q": 8}
+    width = {"b": 8, "h": 16, "i": 32, "q": 64, "?": 1}
     narrower = 0
-    for i, (row, (name, a)) in enumerate(zip(rows, oracle.store.arrays(), strict=True)):
+    for i, (row, (name, code)) in enumerate(zip(file_rows, FILE, strict=True)):
         entry = payload[4 + 21 * i : 4 + 21 * (i + 1)]
-        code, length = chr(entry[12]), int.from_bytes(entry[13:], "little")
-        assert row.split() == [
-            name, a.typecode, str(len(a)), str(len(a) * a.itemsize), code, str(length * width[code])
-        ]
-        assert length == len(a) and width[code] <= a.itemsize
-        narrower += width[code] < a.itemsize
-    # the 300 parent ids take 2 bytes each, distances below 127 one
-    assert [row.split()[4] for row in rows if row.split()[0] in ("dist", "parent")] == ["h", "b"]
+        file_code, length = chr(entry[12]), int.from_bytes(entry[13:], "little")
+        size = (length * width[file_code] + 7) // 8
+        assert row.split() == [name, file_code, str(length), str(size)]
+        assert width[file_code] <= width[code]
+        narrower += width[file_code] < width[code]
+    # the 300 parent ids take 2 bytes each, distances below 127 one, and the
+    # two side bits of each vertex slot one bit each
+    codes = {row.split()[0]: row.split()[1] for row in file_rows}
+    assert (codes["parent"], codes["dist"], codes["vside"]) == ("h", "b", "?")
     assert narrower >= 10
 
 
@@ -279,10 +297,6 @@ def _sealed(payload: bytes) -> bytes:
     return MAGIC + hashlib.sha256(payload).digest() + payload
 
 
-def _child_vertex_out_of_range(oracle, payload):
-    oracle.store.vlink[0] = 10**6
-
-
 def _child_node_points_upward(oracle, payload):
     left = oracle.store.left
     left[max(i for i in range(len(left)) if left[i] >= 0)] = 0
@@ -295,8 +309,14 @@ def _departing_segment_not_monotone(oracle, payload):
     s.dsr[a], s.dsr[a + 1] = s.dsr[a + 1], s.dsr[a]
 
 
+def _tabled(s) -> int:
+    """The first node with tables, whose dist_r slots the file holds."""
+    return next(i for i in range(len(s.left)) if s.sbase[i + 1] > s.sbase[i])
+
+
 def _negative_distance(oracle, payload):
-    oracle.store.dist_r[0] = -1
+    s = oracle.store
+    s.dist_r[s.vbase[_tabled(s)]] = -1
 
 
 def _meta_too_short(oracle, payload):
@@ -312,45 +332,13 @@ def _parent_too_long(oracle, payload):
     oracle.store.parent.append(-1)
 
 
-def _vbase_too_long(oracle, payload):
-    s = oracle.store
-    s.vbase.append(s.vbase[-1])
-
-
-def _vbase_decreases(oracle, payload):
-    s = oracle.store
-    s.vbase[1] = s.vbase[-1] + 1
-
-
 def _left_too_long(oracle, payload):
     oracle.store.left.append(-1)
 
 
-def _vlink_too_long(oracle, payload):
-    oracle.store.vlink.append(-1)
-
-
-def _esr_too_long(oracle, payload):
-    oracle.store.esr.append(-1)
-
-
-def _sr_short_of_its_indexes(oracle, payload):
-    # the nodes' sr ranges end at the cut too, so sbase still ends at sr's end
-    s = oracle.store
-    cut = max(s.esr)
-    del s.sr[cut:]
-    for i, base in enumerate(s.sbase):
-        s.sbase[i] = min(base, cut)
-
-
-def _dep_off_too_long(oracle, payload):
-    s = oracle.store
-    s.dep_off.append(s.dep_off[-1])
-
-
 def _dep_off_decreases(oracle, payload):
     s = oracle.store
-    s.dep_off[1] = s.dep_off[-1] + 1
+    s.dep_off[s.vbase[_tabled(s)] + 1] = s.dep_off[-1] + 1
 
 
 def _dep_off_short_of_the_entries(oracle, payload):
@@ -407,16 +395,6 @@ def _leaf_with_a_right_child(oracle, payload):
     s.right[s.left.index(-1)] = 0
 
 
-def _separator_past_the_root(oracle, payload):
-    s = oracle.store
-    s.vsep[s.vsep.index(1)] = 0
-    s.vsep[s.vbase[1]] = 1
-
-
-def _vsep_two(oracle, payload):
-    oracle.store.vsep[0] = 2
-
-
 def _meta_depth_too_deep(oracle, payload):
     oracle.store.meta[3] += 1
 
@@ -429,30 +407,6 @@ def _kind_five(oracle, payload):
     oracle.store.kind[0] = 5
 
 
-# The root's first LEFT slot links into node 1, its left child.
-def _child_edge_past_the_child(oracle, payload):
-    s = oracle.store
-    s.elink[s.kind.index(LEFT)] = s.ebase[2]
-
-
-def _edge_link_in_the_wrong_child(oracle, payload):
-    s = oracle.store
-    s.elink[s.kind.index(LEFT)] = s.ebase[s.right[0]]
-
-
-def _backward_vertex_link(oracle, payload):
-    s = oracle.store
-    v = next(v for v in range(s.vbase[1], s.vbase[-1]) if s.vlink[2 * v] >= 0)
-    s.vlink[2 * v] = 0
-
-
-def _leaf_row_past_the_rows(oracle, payload):
-    s = oracle.store
-    es = s.kind.index(LEAF)
-    i = max(i for i in range(len(s.left)) if s.ebase[i] <= es)
-    s.elink[es] = len(s.rows) - s.vbase[i + 1] + 1
-
-
 def _meta_depth_too_shallow(oracle, payload):
     oracle.store.meta[3] -= 1
 
@@ -462,21 +416,39 @@ def _path_position_past_the_path(oracle, payload):
     s.esr[s.kind.index(PRIMARY)] = len(s.sr)
 
 
+def _payload(arrays: dict) -> bytes:
+    """A payload that holds the file arrays ``arrays``, by name, each at
+    its ``FILE`` type."""
+    header = [len(FILE).to_bytes(4, "little")]
+    header += [name.encode().ljust(12, b"\0") + code.encode() + len(arrays[name]).to_bytes(8, "little")
+               for name, code in FILE]
+    return b"".join(header + [np.asarray(arrays[name]).astype(code).tobytes() for name, code in FILE])
+
+
 def _file_with(oracle, edit) -> bytes:
     """The payload of a file that holds ``oracle``'s arrays as a file holds
-    them (counts and local values), each at its table type, once ``edit``
-    has changed them in place. ``edit`` gets the arrays by name and the
-    store they code."""
-    arrays = {name: v.astype(code) for (name, v), (_, code) in zip(file_arrays(oracle.store), TABLE)}
+    them (counts, side bits and local values), each at its table type, once
+    ``edit`` has changed them. ``edit`` gets the arrays by name, as lists,
+    and the store they code."""
+    arrays = {name: v.tolist() for name, v in file_arrays(oracle.store)}
     edit(arrays, oracle.store)
-    header = [len(TABLE).to_bytes(4, "little")]
-    header += [name.encode().ljust(12, b"\0") + code.encode() + len(arrays[name]).to_bytes(8, "little")
-               for name, code in TABLE]
-    return b"".join(header + [arrays[name].tobytes() for name, _ in TABLE])
+    return _payload(arrays)
 
 
 def _owner(base, slot: int) -> int:
     return max(i for i in range(len(base) - 1) if base[i] <= slot)
+
+
+def _internal(s, i: int = 0) -> int:
+    """The ``i``-th internal node in preorder."""
+    return [j for j in range(len(s.left)) if s.left[j] >= 0][i]
+
+
+def _slot_on_one_side(s, node: int, side: int) -> int:
+    """The first vertex slot of ``node`` on side ``side`` (0: M, 1: N)
+    alone, whose link on that side is its only one."""
+    return next(v for v in range(s.vbase[node], s.vbase[node + 1])
+                if s.vlink[2 * v + side] >= 0 and s.vlink[2 * v + 1 - side] < 0)
 
 
 def _count_past_int32(oracle, payload):
@@ -493,31 +465,163 @@ def _negative_count(oracle, payload):
     return _file_with(oracle, edit)
 
 
-def _vertex_link_at_the_child_count(oracle, payload):
-    # a root slot's left link, at node 1's vertex count
+def _vbase_too_long(oracle, payload):
     def edit(arrays, s):
-        v = next(v for v in range(s.vbase[1]) if s.vlink[2 * v] >= 0)
-        arrays["vlink"][2 * v] = arrays["vbase"][2]
+        arrays["vbase"].append(0)
+
+    return _file_with(oracle, edit)
+
+
+def _vbase_decreases(oracle, payload):
+    def edit(arrays, s):
+        arrays["vbase"][2] = -1
+
+    return _file_with(oracle, edit)
+
+
+def _dep_off_too_long(oracle, payload):
+    def edit(arrays, s):
+        arrays["dep_off"].append(0)
+
+    return _file_with(oracle, edit)
+
+
+def _vside_too_long(oracle, payload):
+    def edit(arrays, s):
+        arrays["vside"].append(0)
+
+    return _file_with(oracle, edit)
+
+
+def _vside_two(oracle, payload):
+    def edit(arrays, s):
+        arrays["vside"][0] = 2
+
+    return _file_with(oracle, edit)
+
+
+def _esr_too_long(oracle, payload):
+    def edit(arrays, s):
+        arrays["esr"].append(0)
+
+    return _file_with(oracle, edit)
+
+
+def _esr_at_every_edge_slot(oracle, payload):
+    # as format SDO10 held it: -1 off the path
+    def edit(arrays, s):
+        positions = iter(arrays["esr"])
+        arrays["esr"] = [next(positions) if k == PRIMARY else -1 for k in s.kind]
+
+    return _file_with(oracle, edit)
+
+
+def _dist_r_at_every_slot(oracle, payload):
+    def edit(arrays, s):
+        arrays["dist_r"] = list(s.dist_r)
+
+    return _file_with(oracle, edit)
+
+
+def _sr_short_of_its_indexes(oracle, payload):
+    # a node's sr entries end below a path position one of its PRIMARY
+    # slots holds, though above every departure of the node
+    def edit(arrays, s):
+        for i in range(len(s.left)):
+            lo, hi = s.sbase[i], s.sbase[i + 1]
+            top = max((s.esr[e] - lo for e in range(s.ebase[i], s.ebase[i + 1]) if s.kind[e] == PRIMARY),
+                      default=0)
+            departs = s.dsr[s.dep_off[s.vbase[i]] : s.dep_off[s.vbase[i + 1]]]
+            if top and max(departs, default=lo) - lo <= top:
+                arrays["sbase"][i + 1] = top
+                del arrays["sr"][lo + top : hi]
+                return
+        raise AssertionError("no node to cut")
+
+    return _file_with(oracle, edit)
+
+
+def _child_vertex_out_of_range(oracle, payload):
+    # a root vertex of side M leaves it: one vertex short of the left child
+    def edit(arrays, s):
+        arrays["vside"][2 * _slot_on_one_side(s, 0, 0)] = 0
+
+    return _file_with(oracle, edit)
+
+
+def _side_count_off_by_one(oracle, payload):
+    # a root vertex of side N leaves it: one vertex short of the right child
+    def edit(arrays, s):
+        arrays["vside"][2 * _slot_on_one_side(s, 0, 1) + 1] = 0
+
+    return _file_with(oracle, edit)
+
+
+def _vertex_link_at_the_child_count(oracle, payload):
+    # a root vertex of side M moves to side N
+    def edit(arrays, s):
+        v = _slot_on_one_side(s, 0, 0)
+        arrays["vside"][2 * v : 2 * v + 2] = [0, 1]
+
+    return _file_with(oracle, edit)
+
+
+def _backward_vertex_link(oracle, payload):
+    def edit(arrays, s):
+        i = _internal(s, 1)
+        arrays["vside"][2 * _slot_on_one_side(s, i, 1) + 1] = 0
+
+    return _file_with(oracle, edit)
+
+
+def _two_separators(oracle, payload):
+    def edit(arrays, s):
+        arrays["vside"][2 * _slot_on_one_side(s, 0, 0) + 1] = 1
+
+    return _file_with(oracle, edit)
+
+
+def _separator_past_the_root(oracle, payload):
+    # the root's separator leaves side N, and node 1's first vertex joins it
+    def edit(arrays, s):
+        r = next(v for v in range(s.vbase[1]) if s.vsep[v])
+        arrays["vside"][2 * r + 1] = 0
+        arrays["vside"][2 * s.vbase[1] + 1] = 1
+
+    return _file_with(oracle, edit)
+
+
+def _child_edge_past_the_child(oracle, payload):
+    def edit(arrays, s):
+        arrays["kind"][s.kind.index(CROSS)] = LEFT
+
+    return _file_with(oracle, edit)
+
+
+def _edge_link_in_the_wrong_child(oracle, payload):
+    def edit(arrays, s):
+        arrays["kind"][s.kind.index(LEFT)] = RIGHT
 
     return _file_with(oracle, edit)
 
 
 def _edge_link_at_the_child_count(oracle, payload):
     def edit(arrays, s):
-        arrays["elink"][s.kind.index(LEFT)] = arrays["ebase"][2]
+        arrays["kind"][s.kind.index(RIGHT)] = CROSS
 
     return _file_with(oracle, edit)
 
 
 def _leaf_row_past_its_leaf(oracle, payload):
-    # the first leaf's rows end where the next leaf's start, inside rows
     def edit(arrays, s):
-        es = s.kind.index(LEAF)
-        i = _owner(s.ebase, es)
-        nv = s.vbase[i + 1] - s.vbase[i]
-        leaf_slots = list(s.kind[s.ebase[i] : s.ebase[i + 1]]).count(LEAF)
-        assert leaf_slots * nv < len(s.rows)
-        arrays["elink"][es] = leaf_slots * nv - nv + 1
+        arrays["kind"][s.kind.index(LEAF)] = CROSS
+
+    return _file_with(oracle, edit)
+
+
+def _leaf_row_past_the_rows(oracle, payload):
+    def edit(arrays, s):
+        arrays["rows"].pop()
 
     return _file_with(oracle, edit)
 
@@ -528,7 +632,7 @@ def _path_position_past_its_node(oracle, payload):
         es = s.kind.index(PRIMARY)
         i = _owner(s.ebase, es)
         assert s.sbase[i + 1] < len(s.sr)
-        arrays["esr"][es] = s.sbase[i + 1] - s.sbase[i]
+        arrays["esr"][0] = s.sbase[i + 1] - s.sbase[i]
 
     return _file_with(oracle, edit)
 
@@ -553,9 +657,14 @@ def _unknown_typecode(oracle, payload):
     return payload[:16] + b"Z" + payload[17:]
 
 
+def _entry(name: str) -> int:
+    """Where array ``name``'s header entry starts in the payload."""
+    return 4 + 21 * [n for n, _ in FILE].index(name)
+
+
 def _declared(name: str, code: bytes):
     """A craft that gives array ``name``'s header entry the typecode ``code``."""
-    at = 4 + 21 * [n for n, _ in TABLE].index(name) + 12
+    at = _entry(name) + 12
 
     def craft(oracle, payload):
         return payload[:at] + code + payload[at + 1 :]
@@ -565,13 +674,23 @@ def _declared(name: str, code: bytes):
 
 # both wider than the table: loading them would truncate
 _parent_declared_q = _declared("parent", b"q")
-_vsep_declared_h = _declared("vsep", b"h")
+_vside_declared_h = _declared("vside", b"h")
+
+
+def _bit_past_the_last_slot(oracle, payload):
+    # vside's bits end inside their last byte; the lowest bit is padding
+    at = 4 + 21 * len(FILE)
+    for name, code, length, size in serialize._entries(memoryview(payload)):
+        if name == "vside":
+            assert code == "?" and length % 8
+            end = at + size - 1
+            return payload[:end] + bytes([payload[end] | 1]) + payload[end + 1 :]
+        at += size
 
 
 @pytest.mark.parametrize(
     "craft, reason",
     [
-        (_child_vertex_out_of_range, "child vertex slot out of range"),
         (_child_node_points_upward, "child out of preorder"),
         (_departing_segment_not_monotone, "not doubly monotone"),
         (_negative_distance, "dist_r holds a distance outside [0, INF]"),
@@ -581,8 +700,10 @@ _vsep_declared_h = _declared("vsep", b"h")
         (_vbase_too_long, "vbase does not hold nodes + 1 entries"),
         (_vbase_decreases, "vbase decreases"),
         (_left_too_long, "left does not hold one entry per node"),
-        (_vlink_too_long, "vlink does not hold two entries per vertex slot"),
-        (_esr_too_long, "esr does not hold one entry per edge slot"),
+        (_vside_too_long, "vside does not hold two entries per vertex slot"),
+        (_esr_too_long, "esr does not hold one entry per PRIMARY slot"),
+        (_esr_at_every_edge_slot, "esr does not hold one entry per PRIMARY slot"),
+        (_dist_r_at_every_slot, "dist_r does not hold one entry per tabled slot"),
         (_sr_short_of_its_indexes, "path position out of range"),
         (_dep_off_too_long, "dep_off length"),
         (_dep_off_decreases, "dep_off decreases"),
@@ -597,27 +718,31 @@ _vsep_declared_h = _declared("vsep", b"h")
         (_vertex_is_its_own_parent, "source tree is not a tree"),
         (_leaf_with_a_right_child, "has one child"),
         (_separator_past_the_root, "node 0 separator marks 0 slots"),
-        (_vsep_two, "vsep is not 0 or 1"),
+        (_two_separators, "node 0 separator marks 2 slots"),
+        (_vside_two, "vside is not 0 or 1"),
         (_meta_depth_too_deep, "meta depth differs from the tree"),
         (_side_code_four, "side code unknown"),
         (_kind_five, "side code unknown"),
         (_meta_depth_too_shallow, "meta depth differs from the tree"),
-        (_child_edge_past_the_child, "child edge id or leaf row out of range"),
-        (_edge_link_in_the_wrong_child, "child edge id or leaf row out of range"),
+        (_child_vertex_out_of_range, "child vertex slot out of range: node 0 side M"),
+        (_side_count_off_by_one, "child vertex slot out of range: node 0 side N"),
+        (_vertex_link_at_the_child_count, "child vertex slot out of range: node 0 side M"),
         (_backward_vertex_link, "child vertex slot out of range"),
-        (_leaf_row_past_the_rows, "child edge id or leaf row out of range"),
+        (_child_edge_past_the_child, "child edge id or leaf row out of range: node 0 side M"),
+        (_edge_link_in_the_wrong_child, "child edge id or leaf row out of range: node 0 side M"),
+        (_edge_link_at_the_child_count, "child edge id or leaf row out of range: node 0 side N"),
+        (_leaf_row_past_its_leaf, "child edge id or leaf row out of range: the LEAF slots"),
+        (_leaf_row_past_the_rows, "child edge id or leaf row out of range: the LEAF slots"),
         (_path_position_past_the_path, "path position out of range"),
         (_count_past_int32, "vbase decreases: a count is negative or passes int32"),
         (_negative_count, "dep_off decreases: a count is negative or passes int32"),
-        (_vertex_link_at_the_child_count, "child vertex slot out of range"),
-        (_edge_link_at_the_child_count, "child edge id or leaf row out of range"),
-        (_leaf_row_past_its_leaf, "child edge id or leaf row out of range"),
         (_path_position_past_its_node, "path position out of range"),
         (_departure_past_its_node, "departure position out of range"),
         (_header_length_disagrees, "do not fill the payload"),
         (_unknown_typecode, "does not match the oracle's array table"),
         (_parent_declared_q, "does not match the oracle's array table"),
-        (_vsep_declared_h, "does not match the oracle's array table"),
+        (_vside_declared_h, "does not match the oracle's array table"),
+        (_bit_past_the_last_slot, "vside sets a bit past its last value"),
     ],
 )
 def test_crafted_file_with_valid_digest_is_rejected(craft, reason, tmp_path, capsys):
@@ -636,43 +761,44 @@ def test_crafted_file_with_valid_digest_is_rejected(craft, reason, tmp_path, cap
 
 def test_check_names_the_first_bad_node(tmp_path):
     target = tmp_path / "two.oracle"
-    oracle = build_oracle(tree_plus_chords(60, 60, 9), 0)
-    s = oracle.store
+    s = build_oracle(tree_plus_chords(60, 60, 9), 0).store
     leaves = [i for i in range(len(s.left)) if s.left[i] < 0]
     inner = [i for i in range(len(s.left)) if s.left[i] >= 0]
     sep = next(v for v in range(s.vbase[inner[1]], s.vbase[inner[1] + 1]) if s.vsep[v])
-    s.vsep[sep] = 0
-    s.right[leaves[-1]] = 0
-    target.write_bytes(dump_oracle(oracle))
+    arrays = dict(file_arrays(s))
+    vside, right = arrays["vside"].copy(), arrays["right"].copy()
+    arrays["vside"][2 * sep + 1] = 0
+    arrays["right"][leaves[-1]] = 0
+    target.write_bytes(_sealed(_payload(arrays)))
     with pytest.raises(ValueError, match=f"node {inner[1]} separator marks 0 slots"):
         load_oracle(target)
-    s.vsep[sep] = 1
-    s.right[leaves[0]] = 0
-    target.write_bytes(dump_oracle(oracle))
+    arrays["vside"] = vside
+    arrays["right"] = right
+    arrays["right"][leaves[0]] = 0
+    target.write_bytes(_sealed(_payload(arrays)))
     with pytest.raises(ValueError, match=f"node {leaves[0]} has one child"):
         load_oracle(target)
 
 
-def _fuzzed_stores(store: QueryStore, rounds: int, rng: random.Random):
-    """Copies of ``store`` with one entry changed, ``rounds`` per array and
-    edge value: -2, -1, 0, 1, 2, len - 1, len, 127, 128, 32767, 32768 and
-    2**31 - 1, and for distance arrays INF and INF + 1. 1 and 2 are side
-    codes and a flag past ``vsep``'s 0 or 1, and small ids; 127 to 32768
-    cross the edges of the file's 1- and 2-byte widths. Values the array's
-    type cannot hold are skipped."""
-    for name, a in store.arrays():
+def _fuzzed_files(arrays: dict, rounds: int, rng: random.Random):
+    """Copies of the file arrays ``arrays`` with one entry changed,
+    ``rounds`` per array and edge value: -2, -1, 0, 1, 2, len - 1, len,
+    127, 128, 32767, 32768 and 2**31 - 1, and for distance arrays INF and
+    INF + 1. 1 and 2 are side codes and bits past vside's 0 or 1, and small
+    ids and counts; 127 to 32768 cross the edges of the file's 1- and
+    2-byte widths. Values the array's type cannot hold are skipped."""
+    for name, code in FILE:
+        a = arrays[name]
         values = [-2, -1, 0, 1, 2, len(a) - 1, len(a), 127, 128, 32767, 32768, 2**31 - 1]
-        if a.typecode == "q":
+        if code == "q":
             values += [INF, INF + 1]
-        lo, hi = -(1 << (8 * a.itemsize - 1)), 1 << (8 * a.itemsize - 1)
+        bits = 8 * array(code).itemsize
         for value in values:
-            if not (a and lo <= value < hi):
+            if not (len(a) and -(1 << (bits - 1)) <= value < 1 << (bits - 1)):
                 continue
             for _ in range(rounds):
-                copy = QueryStore()
-                for other, b in store.arrays():
-                    setattr(copy, other, array(b.typecode, b))
-                getattr(copy, name)[rng.randrange(len(a))] = value
+                copy = {other: b.copy() for other, b in arrays.items()}
+                copy[name][rng.randrange(len(a))] = value
                 yield copy
 
 
@@ -689,14 +815,15 @@ def test_fuzzed_store_fails_only_with_value_error(tmp_path):
         while parent[v] >= 0:
             faults.append((t, (parent[v], v)))
             v = parent[v]
+    arrays = {name: np.asarray(v).astype(code) for (name, v), (_, code) in zip(file_arrays(store), FILE)}
     tried = loaded = 0
-    for fuzzed in _fuzzed_stores(store, 2, random.Random(13)):
+    for fuzzed in _fuzzed_files(arrays, 2, random.Random(13)):
         try:
-            loop_check(fuzzed)
+            loop_check(file_store(fuzzed))
             expected = None
         except ValueError as exc:
             expected = str(exc)
-        target.write_bytes(dump_oracle(OracleTree(fuzzed)))
+        target.write_bytes(_sealed(_payload(fuzzed)))
         tried += 1
         if expected is not None:
             with pytest.raises(ValueError, match="fuzzed.oracle") as exc:

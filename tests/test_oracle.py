@@ -24,8 +24,8 @@ from sdo.graphs import Graph, UNREACHABLE
 from sdo.oracle import OracleTree, _build, build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle
-from sdo.spt import dijkstra, separator_split
-from sdo.store import CROSS, INF, LEAF, OFFSETS, RIGHT, TABLE, check_and_rebase, file_arrays
+from sdo.spt import dijkstra, distances_from, separator_split
+from sdo.store import CROSS, FILE, INF, LEAF, OFFSETS, RIGHT, check_and_rebase, file_arrays
 
 from conftest import (
     appended_store,
@@ -84,16 +84,18 @@ def test_tree_nodes_are_store_nodes_in_preorder():
         oracle = build_oracle(g, s)
         # the serial build behind nodes(), with the store it appends to, of
         # which check_and_rebase, given the node and departing-entry counts
-        # as _build gives them, sums the offsets and rebases the local values
-        # alone; the file holds the arrays as the build appends them
+        # as _build gives them, sums the offsets, spreads the arrays held at
+        # some slots only, derives the links from vside and rebases the
+        # local values, and changes no other array the build appends; the
+        # file holds the arrays as the build appends them
         nodes, store = appended_store(g, s)
-        appended = {name: a.tobytes() for name, a in store.arrays()}
+        appended = {name: getattr(store, name).tobytes() for name, _ in FILE}
         store.meta[2], store.meta[4] = len(store.left), len(store.dep_len)
         check_and_rebase(store)
         assert dump_oracle(OracleTree(store)) == dump_oracle(oracle), label
-        changed = {name for name, a in store.arrays() if a.tobytes() != appended[name]}
-        assert changed <= {"meta", *OFFSETS, "vlink", "elink", "esr", "dsr"}, label
-        held = {name: v.astype(code).tobytes() for (name, v), (_, code) in zip(file_arrays(store), TABLE)}
+        changed = {name for name, _ in FILE if getattr(store, name).tobytes() != appended[name]}
+        assert changed <= {"meta", *OFFSETS, "vside", "dist_r", "esr", "dsr"}, label
+        held = {name: v.astype(code).tobytes() for (name, v), (_, code) in zip(file_arrays(store), FILE)}
         assert {**held, "meta": b""} == {**appended, "meta": b""}, label
         assert len(nodes) == oracle.node_count, label
         for i, node in enumerate(nodes):
@@ -303,24 +305,24 @@ class TestParallelBuild:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_corrupt_build_fails_like_a_corrupt_file(self, cpus, forks, monkeypatch):
-        # the first internal level a process appends gets one left vertex
-        # link at its child's vertex count, one past the child's last id; on
-        # two cores only workers append it, so a spliced segment holds it
+        # the first internal level a process appends loses one vertex from
+        # its side-M bits, one short of its left child's vertex count; on two
+        # cores only workers append it, so a spliced segment holds it
         here, append_node = os.getpid(), oracle_module.append_node
         done = []
 
-        def corrupt(s, g, depth, rows=(), r=-1, path_edges=(), maps=(), tables=None):
-            i = append_node(s, g, depth, rows, r, path_edges, maps, tables)
-            if maps and not done and (cpus == 1 or os.getpid() != here):
+        def corrupt(s, g, depth, rows=(), path_edges=(), sides=(), tables=None):
+            i = append_node(s, g, depth, rows, path_edges, sides, tables)
+            if sides and not done and (cpus == 1 or os.getpid() != here):
                 done.append(i)
-                vmap = maps[0][0]
-                v = next(v for v, c in enumerate(vmap) if c >= 0)
-                s.vlink[len(s.vlink) - 2 * g.n + 2 * v] = max(vmap) + 1
+                (in_m, _), (in_n, _) = sides
+                v = next(v for v in range(g.n) if in_m[v] and not in_n[v])
+                s.vside[len(s.vside) - 2 * g.n + 2 * v] = 0
             return i
 
         monkeypatch.setattr(oracle_module, "append_node", corrupt)
         monkeypatch.setattr(oracle_module, "usable_cpus", lambda: cpus)
-        with pytest.raises(ValueError, match="child vertex slot out of range"):
+        with pytest.raises(ValueError, match="child vertex slot out of range: node [0-9]+ side M"):
             build_oracle(self.GRAPHS["chords(2048)"], 0)
         assert bool(forks) == (cpus == 2)
         assert bool(done) == (cpus == 1)
@@ -398,6 +400,30 @@ class TestLeaves:
         assert store.left[0] < 0 and records[0].depth == 3
         for eid, dist in leaf_table(store, 0).items():
             assert dist == dijkstra(g, 0, {eid}).dist
+
+    def test_only_tree_edges_take_a_banned_sweep(self, monkeypatch):
+        # an edge off a leaf's source tree leaves that tree whole, so its
+        # row is the leaf's own distances, and no sweep runs for it
+        sweeps = []
+
+        def counted(g, source, banned_edges=()):
+            if banned_edges:
+                sweeps.append(banned_edges)
+            return distances_from(g, source, banned_edges)
+
+        monkeypatch.setattr(oracle_module, "distances_from", counted)
+        g = tree_plus_chords(60, 60, 9)
+        records, store = build_store(g)
+        tree_edges = rows = 0
+        for i, node in enumerate(records):
+            if store.left[i] >= 0:
+                continue
+            spt = dijkstra(node.graph, node.source)
+            tree_edges += sum(e is not None and not node.graph.edges[e].virtual for e in spt.parent_edge)
+            for eid, dist in leaf_table(store, i).items():
+                assert dist == dijkstra(node.graph, node.source, {eid}).dist, (i, eid)
+                rows += 1
+        assert len(sweeps) == tree_edges < rows
 
 
 class TestThreeVertexPath:

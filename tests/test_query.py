@@ -20,7 +20,7 @@ from sdo.oracle import build_oracle
 from sdo.query import SsrpOutput, _query_node, query, ssrp
 from sdo.serialize import dump_oracle, load_oracle, save_oracle
 from sdo.spt import tree_path
-from sdo.store import INF, PRIMARY, TABLE, QueryStore
+from sdo.store import FILE, INF, PRIMARY, TABLE, QueryStore
 
 from conftest import (
     build_store,
@@ -389,13 +389,13 @@ def test_separate_builds_dump_identical_bytes():
 # seed 11. A change that leaves the file format alone must leave these bytes
 # alone too.
 PINNED_DUMPS = {
-    "tree": "85485d32a05ff467413a8da7b5fe7cd55aad7f8f8f329d022a4b5958f5481ac1",
-    "tree+n/4": "f4414ddacb8c35abb4e1e31ac2caec2950e694b93ff60ba9019e473017ad9ded",
-    "tree+n": "a330d66887c29643197a2f02e69bf5eff567aeac212919fb4e1ca82c64bb64c0",
-    "tree+dense": "1c04d3e7ebee9379dc7a3cbea98d481a85b3c796978ca40cec6b42fe6c346ac7",
-    "grid": "d2efaed20698cd04b05ceb03de888db9ce980a969e171ef433e250183739633f",
-    "gadget": "4e19539e5a862dac2a4f4313870be95180d18699b19f3f41be65ad301e14f3f4",
-    "ragged": "f64fa9666ab39b64946df38ca7d014d6f3665acecdd97e531ad31768177d1774",
+    "tree": "1f1f21012dbe9bf10fe651d407e0115a8b0c45de710f116f20e0d39cf43f856e",
+    "tree+n/4": "efba60ed7bf4dec35c3ecbdddf81f7e8f0fa0703c69e57208340691b96e420e1",
+    "tree+n": "8e3aa053aec8ea87a67b74ad27421df4dade132a3fddf9bc1b9fba98dc2dfc03",
+    "tree+dense": "dabccd6a8a45ff8db5771f98bb2df9dc2e94f1f2d5558b1c77e4fffb1a51b105",
+    "grid": "910a129d075b4ebbfd1d2ee452267d05936d51ce80d3777a5514f7fda8c99311",
+    "gadget": "5c22a33aacc7529e8d37c589672a50a61268fb5608a32c74d2f3d9dd7161e4a7",
+    "ragged": "f97a60c0262acf0d0a48d0e5e247cee1cf9fb40b4f5fb56e93f944f1d1cd08dd",
 }
 
 
@@ -417,8 +417,8 @@ def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
 # The same pins where departing segments grow long and equal lengths tie:
 # nested_arcs(32), and a weighted tree_plus_chords with zero weights.
 PINNED_DUMPS_AT_SCALE = {
-    "arcs(32)": "57564c9a29b376844c2e3e28d5aa09370fcb236870b92ff35d43465e0ba80cb8",
-    "chords(512)": "ea8b614aaf6844e3a6389a247c7e8bdf45ac6daf1c9e9ffd73bd0bb5e33829be",
+    "arcs(32)": "a7d3866c32e4312107c5c9833a2cd56eb13bc9af7f44ef652193b8a1017f33a3",
+    "chords(512)": "70b637e76245d1a9b7245adf07c8cc0eb05d45981fdb5513590b726190358fe0",
 }
 
 
@@ -663,8 +663,10 @@ def test_inf_candidates_saturate_in_the_batched_descent():
 
 
 def test_the_store_holds_only_its_file_arrays():
-    # no state is kept beside the arrays, so a loaded store equals a built one
-    assert QueryStore.__slots__ == tuple(name for name, _ in TABLE)
+    # no state is kept beside the arrays, so a loaded store equals a built
+    # one; vside, which the build appends and the file holds instead of the
+    # links, is empty once they are derived
+    assert QueryStore.__slots__ == tuple(dict.fromkeys(name for name, _ in TABLE + FILE))
     oracle = build_oracle(tree_plus_chords(300, 600, 7), 0)
     faults = [(t, e) for t, e, _ in all_fault_pairs(oracle)]
     before = dump_oracle(oracle)
@@ -676,6 +678,7 @@ def test_the_store_holds_only_its_file_arrays():
         save_oracle(oracle, path)
         loaded = load_oracle(path)
     assert loaded.store.arrays() == oracle.store.arrays()
+    assert not oracle.store.vside and not loaded.store.vside
     assert [query(loaded, t, e) for t, e in faults] == want
     assert ssrp(loaded).records == records
 

@@ -1,6 +1,7 @@
-"""The file widths of formats SDO9 and SDO10: each array at the narrowest
-type that holds it, a narrow distance array's INF at the type's maximum; and
-SDO10's local coding, which a load turns back into the store exactly."""
+"""The file widths of formats SDO9 to SDO11: each array at the narrowest
+type that holds it, an array of 0s and 1s as packed bits, a narrow distance
+array's INF at the type's maximum; and the local coding of SDO10 and SDO11,
+which a load turns back into the store exactly."""
 
 from array import array
 
@@ -8,22 +9,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdo import serialize, store as store_module
+from sdo import serialize
 from sdo.generators import nested_arcs, ragged_multigraph, tree_plus_chords, verify_corpus
 from sdo.graphs import Graph
 from sdo.oracle import OracleTree, build_oracle
 from sdo.query import ssrp
 from sdo.serialize import dump_oracle, file_entries, load_oracle, save_oracle
-from sdo.store import INF, OFFSETS, TABLE, QueryStore, file_arrays
+from sdo.store import FILE, INF, QueryStore, file_arrays
 
 from conftest import appended_store, checked, with_weights
 
-# (values, the file typecode they take) per table typecode. In a distance
-# array the type's maximum stands for INF, so a finite value there widens.
+# (values, the file typecode they take) per table typecode. Below "q", 0s
+# and 1s (none at all included) pack into bits. In a distance array the
+# type's maximum stands for INF, so a finite value there widens.
 WIDTHS = {
-    "b": [([], "b"), ([-128, 0, 127], "b")],
+    "b": [([], "?"), ([0, 1, 1, 0, 1, 0, 0, 1, 1], "?"), ([-1, 1], "b"), ([2], "b"), ([-128, 0, 127], "b")],
     "i": [
-        ([], "b"),
+        ([], "?"),
+        ([1], "?"),
+        ([0, 1] * 8, "?"),
+        ([-1, 0], "b"),
         ([-128, -1, 127], "b"),
         ([-129], "h"),
         ([128], "h"),
@@ -34,6 +39,7 @@ WIDTHS = {
     ],
     "q": [
         ([], "b"),
+        ([0, 1], "b"),
         ([INF], "b"),
         ([-128, 126, INF], "b"),
         ([-1, 126], "b"),
@@ -54,32 +60,29 @@ WIDTHS = {
         ([-(2**63), 2**63 - 1], "q"),
     ],
 }
+BYTES = {"b": 1, "h": 2, "i": 4, "q": 8}
 
 
-@pytest.mark.parametrize("name, code", TABLE, ids=[name for name, _ in TABLE])
+@pytest.mark.parametrize("name, code", FILE, ids=[name for name, _ in FILE])
 def test_each_width_edge_round_trips(name, code, tmp_path, monkeypatch):
     # the structural check would reject these stores; the widths alone are
-    # under test here, so a load only sums the offset arrays' counts, and
-    # these stores' links are written as they are
-    monkeypatch.setattr(serialize, "check_and_rebase", store_module._sum_counts)
+    # under test here, so a save writes each store array of the file as it
+    # is, and a load checks nothing
+    monkeypatch.setattr(serialize, "file_arrays", lambda s: [
+        (other, np.frombuffer(getattr(s, other), dtype=c)) for other, c in FILE])
+    monkeypatch.setattr(serialize, "check_and_rebase", lambda s: None)
     target = tmp_path / "edge.oracle"
     for values, want in WIDTHS[code]:
         store = QueryStore()
-        if name in OFFSETS:
-            # a file holds an offset array as counts: these are the counts
-            sums = np.cumsum(np.array(values, dtype=np.int32), dtype=np.int32)
-            setattr(store, name, array(code, sums.tobytes()))
-        else:
-            setattr(store, name, array(code, values))
+        setattr(store, name, array(code, values))
         blob = dump_oracle(OracleTree(store))
         target.write_bytes(blob)
         entries = {entry[0]: entry[1:] for entry in file_entries(target)}
-        width = array(want).itemsize
-        assert entries[name] == (want, len(values), width * len(values)), values
-        assert all(entries[other][0] == "b" for other, _ in TABLE if other != name)
+        size = (len(values) + 7) // 8 if want == "?" else BYTES[want] * len(values)
+        assert entries[name] == (want, len(values), size), values
+        assert all(entries[other][0] == ("b" if c == "q" else "?") for other, c in FILE if other != name)
         loaded = load_oracle(target).store
-        assert loaded.arrays() == store.arrays(), values
-        assert all(a.typecode == c for (_, a), (_, c) in zip(loaded.arrays(), TABLE))
+        assert [getattr(loaded, other) for other, _ in FILE] == [getattr(store, other) for other, _ in FILE]
         assert dump_oracle(OracleTree(loaded)) == blob, values
 
 
@@ -134,9 +137,9 @@ def _assert_coding_round_trips(g, source):
     oracle = build_oracle(g, source)
     _, appended = appended_store(g, source)
     held = dict(file_arrays(oracle.store))
-    for (name, a), (_, code) in zip(appended.arrays(), TABLE):
+    for name, code in FILE:
         if name != "meta":
-            assert held[name].astype(code).tolist() == a.tolist(), name
+            assert held[name].astype(code).tolist() == getattr(appended, name).tolist(), name
     assert checked(oracle.store).arrays() == oracle.store.arrays()
     loaded = serialize._read_store(memoryview(dump_oracle(oracle))[len(serialize.MAGIC) + 32 :])
     assert loaded.arrays() == oracle.store.arrays()
