@@ -57,8 +57,8 @@ from .store import (
 class OracleNode:
     """The build record of one recursion level: its graph, primary path and
     the tables built on it. Queries never read it and the oracle keeps none;
-    the build passes it to ``emit``. Record ``i`` is store node ``i``, whose
-    ``left`` and ``right`` give its children and ``vsep`` its separator slot.
+    the build passes it to ``emit``. Record ``i`` is store node ``i``, in
+    preorder: an internal node's left child is the next record.
     """
 
     graph: Graph
@@ -386,7 +386,8 @@ def _fork(
 
 def _join(pid: int, rfd: int, store: QueryStore, cores: _Cores) -> None:
     """Splice the worker's segment onto ``store``, then reap the worker.
-    While it waits on the worker, this process gives back its core."""
+    While it waits on the worker, this process gives back its core. A
+    segment that ends early fails as any other worker failure does."""
     cores.give()
     cores.idle(rfd)
     if os.read(rfd, 1) != b"\0":
@@ -395,7 +396,10 @@ def _join(pid: int, rfd: int, store: QueryStore, cores: _Cores) -> None:
             chunks.append(chunk)
         why = b"".join(chunks).decode(errors="replace") or "it ended without sending its subtree"
         raise RuntimeError(f"an oracle build worker failed: {why}")
-    splice_segment(store, rfd)
+    try:
+        splice_segment(store, rfd)
+    except EOFError as exc:
+        raise RuntimeError(f"an oracle build worker failed: {exc}") from exc
     cores.wait()
     os.waitpid(pid, 0)
 
@@ -447,7 +451,7 @@ def build_node(
     left_g, left_src, left_tree, left_maps = make_left_child(spt_s, r, split.in_m)
     right_g, right_src, right_tree, right_maps = make_right_child(spt_s, split.in_n)
     sides = ((split.in_m, left_maps[1]), (split.in_n, right_maps[1]))
-    i = append_node(store, g, depth, (), path.edge_ids, sides, tables)
+    append_node(store, g, depth, (), path.edge_ids, sides, tables)
     emit(node)
     # The store holds all a query reads of this level. Each child is popped
     # into its call, so a subtree builds with only the right one here.
@@ -461,7 +465,6 @@ def build_node(
     del left_g, left_tree, left_maps, right_g, right_tree, right_maps
     try:
         build_node(_tree(*grafts.pop()), depth + 1, store, emit, cores)
-        store.right[i] = len(store.left)
         if pid is None:
             build_node(_tree(*grafts.pop()), depth + 1, store, emit, cores)
         else:
@@ -492,7 +495,7 @@ def _build(g: Graph, source: int, emit: Emit) -> QueryStore:
     finally:
         if cores is not None:
             cores.close()
-    store.meta[2] = len(store.left)
+    store.meta[2] = len(store.vbase) - 1
     store.meta[4] = len(store.dep_len)
     check_and_rebase(store)
     return store

@@ -203,7 +203,7 @@ def _query_node(
                 cand = store.dep_len[i - 1]
                 if cand < best:
                     best = cand
-            if store.vsep[vs] or ct < 0:
+            if ct < 0 or vlink[2 * vs + 1] >= 0:
                 return best, depth
         elif ct < 0:
             return d0, depth
@@ -291,7 +291,8 @@ def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) 
 
     Each level mirrors the scalar cases: a leaf reads its row, CROSS answers
     ``d0``, PRIMARY folds its candidates into ``best`` and stops at the
-    separator or where t has no left copy, and LEFT/RIGHT move to the child
+    separator (the vertex with a copy on both sides) or where t has no left
+    copy, and LEFT/RIGHT move to the child
     (``d0`` where t has no copy there). A PRIMARY record finds its departing
     candidate in its own segment, as ``_query_node`` does
     (``_bisect_segments``). Each answer, INF for UNREACHABLE, overwrites its
@@ -308,7 +309,6 @@ def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) 
     stores alike.
     """
     kind, elink, vlink, esr = (_view(a) for a in (store.kind, store.elink, store.vlink, store.esr))
-    vsep = _view(store.vsep).view(bool)
     dist_r, sr, rows = _view(store.dist_r), _view(store.sr), _view(store.rows)
     dep_off, dsr, dep_len = _view(store.dep_off), _view(store.dsr), _view(store.dep_len)
 
@@ -343,7 +343,7 @@ def _descend(store: QueryStore, t: np.ndarray, eid: np.ndarray, d0: np.ndarray) 
             cand[has] = np.minimum(cand[has], dep_len[i[has] - 1])
             pb = np.minimum(best[prim], cand)
             best[prim] = pb
-            stop = vsep[pvs] | (ct[prim] < 0)
+            stop = (ct[prim] < 0) | (vlink[2 * pvs + 1] >= 0)
             d0[idx[prim[stop]]] = pb[stop]
             go[prim[stop]] = False
         keep = np.flatnonzero(go)

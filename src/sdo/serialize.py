@@ -7,20 +7,19 @@ typecode, length), followed by the arrays themselves, little-endian, in
 ``store.FILE`` order, and no build state, so a loaded oracle builds
 nothing.
 
-Format ``SDO11`` holds the arrays of ``store.FILE`` as the build appends
+Format ``SDO12`` holds the arrays of ``store.FILE`` as the build appends
 them, before ``store.check_and_rebase`` derives and rebases the store that
 queries walk (``store.file_arrays`` gives them back from that store): the
 offsets ``vbase``, ``ebase``, ``sbase`` and ``dep_off`` as per-node or
 per-slot counts, and the path positions ``esr`` and ``dsr`` as positions
-on their node's path. It holds no child link and no separator flag. Each
-split is two bits per vertex slot (``vside``: in side M, in side N), and
-the load derives every link from those bits and the edge slots' side codes
-as a rank within its node: a child vertex id among the node's vertices on
-that side, a child edge id among its PRIMARY and LEFT slots or its RIGHT
-slots, a leaf row among the leaf's LEAF slots times its vertex count; the
-separator is the vertex on both sides. ``esr`` is held at PRIMARY slots
-only, and ``dist_r`` and ``dep_off`` at the slots of nodes with ``sr``
-entries only. So none holds a global position, and most fit a byte or two.
+on their node's path. It holds no node id, child link or separator flag.
+Each split is two bits per vertex slot (``vside``: in side M, in side N);
+the load derives the tree from those bits (a node with a vertex on both
+sides is internal) and every link from them and the edge slots' side
+codes, as a rank within its node (``sdo.store``). ``esr`` is held at
+PRIMARY slots only, and ``dist_r`` and ``dep_off`` at the slots of nodes
+with ``sr`` entries only. So none holds a global position, and most fit a
+byte or two.
 
 Each array is written at the narrowest of ``b``, ``h``, ``i`` and ``q`` (1,
 2, 4 and 8 bytes) that holds all its values, never wider than its type in
@@ -39,7 +38,7 @@ truncate) and that its lengths fill the payload. It allocates each array at
 its table width once and lets numpy cast the little-endian payload into it,
 or unpack the bits into it (a bit set past the last value fails), so it
 runs no code named by the file. Last, ``store.check_and_rebase`` sums the
-counts, checks every count against the children it names and bounds every
+counts, derives the tree, checks every count against its child, bounds every
 local value, and rejects a digest-valid but crafted file whose arrays would
 send a query outside them, before it derives the links and rebases the
 local values into the store that queries walk, as it does a build's. It
@@ -62,7 +61,7 @@ import numpy as np
 from .oracle import OracleTree
 from .store import FILE, INF, QueryStore, check_and_rebase, file_arrays
 
-MAGIC = b"SDO11-ORACLE\x00"
+MAGIC = b"SDO12-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _COUNT = struct.Struct("<I")
 # name (NUL padded), typecode, item count

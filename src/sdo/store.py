@@ -12,17 +12,18 @@ are never faults and get no slot. The build appends each level to one
 and files hold.
 
 The build appends the arrays of ``FILE``, the form a file holds (format
-SDO11), each value local to its node so that it fits a byte or two:
+SDO12), each value local to its node so that it fits a byte or two:
 ``vbase``, ``ebase``, ``sbase`` (each node's first ``sr`` entry) and
 ``dep_off`` as a leading 0 and then one count per node or slot; a path
-position (``esr``, ``dsr``) as a position on the node's path. A subtree's
-arrays can then be appended anywhere as they are. No child link is held:
-the build appends each split as two bits per vertex slot (``vside``: in
-side M, in side N), and since grafting keeps the parent's order, every link
-is a rank:
+position (``esr``, ``dsr``) as a position on the node's path. No node id
+is held, so a subtree's arrays can be appended anywhere as they are. The
+build appends each split as two bits per vertex slot (``vside``: in side
+M, in side N); a node with a vertex on both, the separator, is internal,
+which gives the tree (``_shape``), and as grafting keeps the parent's
+order, every link is a rank:
 
 - a vertex's id in a child is its rank among its node's vertices on that
-  side, and the separator is the one vertex on both sides (``vsep``);
+  side; the separator has an id on both;
 - a child edge id is the slot's rank among its node's PRIMARY and LEFT
   slots (side M) or its RIGHT slots (side N); CROSS links nowhere (-1);
 - a leaf's row offset is the slot's rank among its leaf's LEAF slots, times
@@ -33,10 +34,10 @@ count above 0), and ``esr`` only at PRIMARY slots; everywhere else a query
 never reads them, and they hold INF, 0 and -1. ``check_and_rebase`` turns
 these arrays into the store queries walk, the arrays of ``TABLE``, for a
 finished build and a loaded file alike: it sums the counts into offsets,
-checks that each node's side counts equal its children's vertex and edge
-counts (so every derived link lands inside its child) and bounds each path
-position, then derives the links and rebases every local value to its
-slot, row or ``sr`` index. A save runs the inverse (``file_arrays``).
+derives the tree, checks that each node's side counts equal its children's
+vertex and edge counts (so every derived link lands inside its child) and
+bounds each path position, then derives the links and rebases every local
+value to its slot, row or ``sr`` index. ``file_arrays`` is the inverse.
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
@@ -87,13 +88,10 @@ TABLE = (
     ("vbase", "i"),
     ("ebase", "i"),
     ("sbase", "i"),
-    ("left", "i"),
-    ("right", "i"),
-    # per vertex slot: left and right child slots, two a slot (-1: none); 1
-    # on the separator; distance from it (INF: none); departing segment
-    # start (plus the end; a file: counts)
+    # per vertex slot: left and right child slots, two a slot (-1: none; the
+    # separator has both); distance from the separator (INF: none);
+    # departing segment start (plus the end; a file: counts)
     ("vlink", "i"),
-    ("vsep", "b"),
     ("dist_r", "q"),
     ("dep_off", "i"),
     # departing candidates, each segment by rising departure position (an sr
@@ -201,16 +199,16 @@ def append_node(
     path_edges: Iterable[int] = (),
     sides: tuple[tuple[list[bool], Iterable[int]], ...] = (),
     tables: tuple[list[int], list[int], DepTable] | None = None,
-) -> int:
-    """Append the next node in preorder, on graph ``g``; returns its id.
+) -> None:
+    """Append the next node in preorder, on graph ``g``.
 
     A leaf gives ``rows``: the source distances avoiding each original edge
     a fault can reach, by rising edge id. An internal node gives its
     primary path and split: side M (the source side, holding the path),
     then side N, each as whether each of ``g``'s vertices is in it and
     ``g``'s edge ids in it, in ``g``'s order. The separator is in both
-    sides, and an edge in neither crosses the split. Its left child is
-    appended next; the caller sets ``right``. ``tables`` holds the
+    sides, and an edge in neither crosses the split. Its left child's
+    subtree is appended next, then its right child's. ``tables`` holds the
     distances from the separator, the replacement lengths along the path
     and the departing table, or None when no input edge lies on the path.
     Distances are store integers, ``INF`` for none, and go in as they are.
@@ -221,11 +219,8 @@ def append_node(
     each edge slot's side code, from which ``check_and_rebase`` derives the
     links; a path position, in ``esr`` (at PRIMARY slots) and ``dsr``, as
     it is."""
-    i = len(s.left)
     nv, ne = g.n, _original_count(g)
     s.meta[3] = max(s.meta[3], depth)
-    s.left.append(i + 1 if sides else -1)
-    s.right.append(-1)
     vside, kind = array("b", bytes(2 * nv)), array("b", bytes(ne))
     for eid, row in rows:
         kind[eid] = LEAF
@@ -255,7 +250,6 @@ def append_node(
         s.dsr.frombytes(dep.dp_depths.tobytes())
     s.vbase.append(nv)
     s.ebase.append(ne)
-    return i
 
 
 # The offset arrays: the first vertex slot, edge slot and sr entry of each
@@ -315,9 +309,9 @@ SEGMENT = tuple(name for name, _ in FILE[FILE.index(("vbase", "i")):])
 
 
 def open_segment() -> QueryStore:
-    """An empty store for a subtree built apart from the store it joins: its
-    node ids start at 0, and ``splice_segment`` shifts them to where the
-    subtree lands. Each offset array holds its leading 0."""
+    """An empty store for a subtree built apart from the store it joins,
+    which ``splice_segment`` appends as it is. Each offset array holds its
+    leading 0."""
     s = QueryStore()
     s.meta = array("q", [0] * 5)
     for name in OFFSETS:
@@ -356,16 +350,12 @@ def send_segment(s: QueryStore, fd: int) -> None:
 def splice_segment(s: QueryStore, fd: int) -> None:
     """Append the segment sent on ``fd`` to ``s`` as its next subtree in
     preorder. Each array's bytes go onto the end of ``s``'s as they are, an
-    offset array's less its leading 0: every value but a child node id is
-    local to its node, so only those ids are shifted, in place, by ``s``'s
-    node count. The depth is the deeper of the two."""
-    nodes = len(s.left)
+    offset array's less its leading 0: every value is local to its node, so
+    nothing is shifted. The depth is the deeper of the two."""
     s.meta[3] = max(s.meta[3], array("q", _receive(fd, 8))[0])
     for name in SEGMENT:
         data = _receive(fd, array("q", _receive(fd, 8))[0])
         getattr(s, name).frombytes(memoryview(data)[4:] if name in OFFSETS else data)
-    for ids in (_view(s.left)[nodes:], _view(s.right)[nodes:]):
-        ids[ids >= 0] += nodes
 
 
 def _steps(run: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,17 +394,18 @@ def _need(ok: bool, what: str) -> None:
         raise ValueError(f"inconsistent oracle store: {what}")
 
 
-def _links(s: QueryStore, side: np.ndarray, leaf: np.ndarray) -> None:
-    """Check each node's side counts against its children and derive the
-    child links, ``vlink`` and ``elink``, from ``side``, the vertex slots'
-    two bits, and ``kind``, for ``check_and_rebase``: every link is a
+def _links(s: QueryStore, side: np.ndarray, kids: np.ndarray) -> None:
+    """Check each node's side counts against its children ``kids`` (from
+    ``_shape``) and derive the child links, ``vlink`` and ``elink``, from
+    ``side``, the vertex slots' two bits, and ``kind``: every link is a
     running count of its side's slots, started at each node at its child's
     first slot (at a leaf, at its first row less its first vertex slot,
     where a LEAF slot weighs the leaf's vertex count), so the checked
     counts keep each link inside its child. Side N's edges take a run of
     their own, and CROSS links -1, as does a vertex slot off the side."""
-    vbase, ebase, kind, left, right = map(_view, (s.vbase, s.ebase, s.kind, s.left, s.right))
-    nodes = len(left)
+    vbase, ebase, kind = map(_view, (s.vbase, s.ebase, s.kind))
+    nodes, leaf = len(kids), kids[:, 0] < 0
+    left, right = kids.T
     nv, ne = np.diff(vbase), np.diff(ebase)
     holds, edge_holds = np.flatnonzero(nv), np.flatnonzero(ne)
     # Per node, its members of each side and its edge slots of each side
@@ -441,7 +432,6 @@ def _links(s: QueryStore, side: np.ndarray, leaf: np.ndarray) -> None:
     _need(not (on_m[leaf].any() or on_n[leaf].any() or on_leaf[~leaf].any()), "side code unknown")
     # each side's vertices and original edges are its child's, in order:
     # side N's child adds its hub; a -1 child (a leaf's) reads a count of 0
-    kids = np.stack([left, right], axis=1)
     child_nv, child_ne = np.concatenate(([0], nv))[kids + 1], np.concatenate(([0], ne))[kids + 1]
     child_nv[:, 1] -= ~leaf
     members = np.stack([count for count, _ in vertex_steps], axis=1)
@@ -485,52 +475,62 @@ def _links(s: QueryStore, side: np.ndarray, leaf: np.ndarray) -> None:
     np.subtract(vlink, 1, out=vlink)
 
 
-def _shape(s: QueryStore, vsep: np.ndarray) -> np.ndarray:
-    """Check the recursion tree of ``s`` for ``check_and_rebase``: children
-    after their parent in preorder, one separator slot at each internal
-    node and none at a leaf, the depth ``meta`` gives. Returns which nodes
-    are leaves."""
+def _shape(s: QueryStore, side: np.ndarray) -> np.ndarray:
+    """Derive the recursion tree of ``s`` from ``side``, the vertex slots'
+    two bits, and check it for ``check_and_rebase``. In preorder, a node
+    with a separator slot (on both sides) is internal, its left child the
+    next node, and a node with none a leaf. The subtrees still to come
+    number 1 before the root, one more after an internal node and one fewer
+    after a leaf; the nodes form one tree when that count is at least 1
+    before every node and 0 after the last, and an internal node's right
+    child is the next node with its count before it. Returns each node's
+    left and right child, -1 at a leaf."""
     nodes, depth = s.meta[2], s.meta[3]
-    vbase = _view(s.vbase)
-    # the node checks name the first node that fails one; an internal node
-    # has one separator slot, a leaf none
-    left, right = _view(s.left), _view(s.right)
-    ids = np.arange(nodes)
-    leaf = left < 0
-    holds = np.flatnonzero(np.diff(vbase))
-    marks = np.zeros(nodes, dtype=np.int32)
-    marks[holds] = np.add.reduceat(vsep, vbase[holds], dtype=np.int32)
-    one_child = leaf & ((left != -1) | (right != -1))
-    out_of_order = ~leaf & ~((ids < left) & (left < nodes) & (ids < right) & (right < nodes))
-    bad = np.flatnonzero(one_child | out_of_order | (marks != ~leaf))
+    # a slot's two bits, read as one int16, are 0x0101 on both sides
+    separators = np.flatnonzero(side.view(np.int16) == 0x0101)
+    marks = np.bincount(np.searchsorted(_view(s.vbase), separators, "right") - 1, minlength=nodes)
+    leaf = marks == 0
+    open_after = 1 + np.cumsum(np.where(leaf, -1, 1))
+    before = np.concatenate(([1], open_after[:-1]))
+    # the node checks name the first node that fails one
+    bad = np.flatnonzero((before < 1) | (marks > 1))
     if len(bad):
         i = int(bad[0])
-        _need(not one_child[i], f"node {i} has one child")
-        _need(not out_of_order[i], f"node {i} has a child out of preorder")
+        _need(before[i] >= 1, f"node {i} follows the end of the tree")
         _need(False, f"node {i} separator marks {marks[i]} slots")
-    # a node is one deeper than the last node naming it as a child, as in a
-    # preorder walk; pointer doubling sums the hops in log(depth) rounds
-    inner = np.flatnonzero(~leaf)
-    hop = np.full(nodes, -1, dtype=np.int64)
-    np.maximum.at(hop, left[inner], inner)
-    np.maximum.at(hop, right[inner], inner)
-    node_depth = (hop >= 0).astype(np.int64)
-    while (on := hop >= 0).any():
-        node_depth[on] += node_depth[hop[on]]
-        hop[on] = hop[hop[on]]
+    _need(open_after[-1] == 0, f"the tree leaves {open_after[-1]} subtrees open after its last node, {nodes - 1}")
+    # the node before each node with the same count before it; a stable
+    # sort of small counts is a radix sort
+    order = np.argsort(before.astype(np.min_scalar_type(before.max())), kind="stable")
+    same = np.empty(nodes, dtype=np.int64)
+    same[order[1:]] = order[:-1]
+    # a node's parent is the node before it, or after a leaf, that node
+    ids = np.arange(nodes)
+    parent, rights = ids - 1, np.flatnonzero(leaf[:-1]) + 1
+    parent[rights] = same[rights]
+    kids = np.full((nodes, 2), -1, dtype=np.int64)
+    kids[~leaf, 0] = ids[~leaf] + 1
+    kids[parent[rights], 1] = rights
+    # a node is one deeper than its parent; pointer doubling sums the hops
+    # to the root, which hops to itself, in log(depth) rounds
+    parent[0] = 0
+    hop, node_depth = parent, np.minimum(ids, 1)
+    while hop.any():
+        node_depth += node_depth[hop]
+        hop = hop[hop]
     _need(node_depth.max() == depth, "meta depth differs from the tree")
-    return leaf
+    return kids
 
 
 def check_and_rebase(s: QueryStore) -> None:
     """Turn ``s``, the arrays of ``FILE`` as a build appends them and a file
     holds them, into the store queries walk, the arrays of ``TABLE``, in
     place, or raise ValueError unless they form a store that every query
-    can walk without leaving an array: consistent lengths and counts, child
-    nodes after their parent in preorder, one separator at each internal
-    node and none at a leaf, side counts equal to the vertex and edge counts
-    of the children they name (so every link derived from them lands in
-    that child, later in preorder, and every walk ends), one leaf row per
+    can walk without leaving an array: consistent lengths and counts, at
+    most one separator slot per node, marks that give one tree in preorder
+    (``_shape``), side counts equal to the vertex and edge counts of the
+    children the tree gives (so every link derived from them lands in that
+    child, later in preorder, and every walk ends), one leaf row per
     LEAF slot and leaf vertex, path positions inside their node's path,
     doubly monotone departing segments, distances in [0, INF]. A build's
     store passes it as a loaded file's does, so no oracle is handed out
@@ -555,8 +555,6 @@ def check_and_rebase(s: QueryStore) -> None:
         _need(len(base) == nodes + 1 and base[0] == 0, f"{name} does not hold nodes + 1 entries")
         _need(not (base[1:] < base[:-1]).any(), f"{name} decreases: a count is negative or passes int32")
     _need(s.vbase[1] == n, "the root does not hold the input vertices")
-    for name in ("left", "right"):
-        _need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
     vbase, ebase, sbase, kind = map(_view, (s.vbase, s.ebase, s.sbase, s.kind))
     nv, ne, ns = np.diff(vbase), np.diff(ebase), np.diff(sbase)
     slots, edge_slots = int(vbase[-1]), int(ebase[-1])
@@ -617,17 +615,13 @@ def check_and_rebase(s: QueryStore) -> None:
 
     side = _view(s.vside).reshape(-1, 2)
     _need(not (side.view(np.uint8) > 1).any(), "vside is not 0 or 1")
-    # the separator is the one vertex on both sides
-    s.vsep = array("b", [0]) * slots
-    vsep = _view(s.vsep)
-    np.bitwise_and(side[:, 0], side[:, 1], out=vsep)
-    leaf = _shape(s, vsep)
+    kids = _shape(s, side)
     _need(not len(kind) or (kind.min() >= CROSS and kind.max() <= LEAF), "side code unknown")
     # the path positions, by their node's sr count
     owner = np.searchsorted(ebase, primary, "right") - 1
     esr = _view(s.esr)
     _need((esr.view(np.uint32) < ns[owner]).all(), "path position out of range")
-    _links(s, side, leaf)
+    _links(s, side, kids)
     # the values held only where queries read them, at their slots
     s.esr = array("i", [-1]) * edge_slots
     _view(s.esr)[primary] = esr + sbase[owner]

@@ -119,7 +119,7 @@ def build_store(g: Graph, source: int = 0, depth: int = 0):
     derived here in plain Python from the ones it appends, by the rules
     ``check_and_rebase`` follows: a vertex's child id on each side is its
     rank among its node's vertices whose ``vside`` bit marks that side (-1
-    off it), and the separator the vertex on both; an edge's child id is its
+    off it), so the separator has an id on both; an edge's child id is its
     rank among its node's PRIMARY and LEFT slots, or its RIGHT slots; a LEAF
     slot's offset in its leaf's rows is its rank among the leaf's LEAF
     slots times the leaf's vertex count; CROSS links -1. ``esr`` gets -1
@@ -132,17 +132,15 @@ def build_store(g: Graph, source: int = 0, depth: int = 0):
     for name in ("vbase", "ebase", "sbase"):
         setattr(store, name, array("i", accumulate(getattr(store, name))))
     vbase, ebase, sbase, side, kind = store.vbase, store.ebase, store.sbase, store.vside, store.kind
-    vlink, vsep, elink, esr, dist_r, dep_counts = (
-        array("i"), array("b"), array("i"), array("i"), array("q"), [0])
+    vlink, elink, esr, dist_r, dep_counts = array("i"), array("i"), array("i"), array("q"), [0]
     positions, tabled_dist, tabled_counts = iter(store.esr), iter(store.dist_r), iter(store.dep_off[1:])
-    for i in range(len(store.left)):
+    for i in range(len(vbase) - 1):
         tabled = sbase[i + 1] > sbase[i]
         ranks = [0, 0]
         for v in range(vbase[i], vbase[i + 1]):
             for c in (0, 1):
                 vlink.append(ranks[c] if side[2 * v + c] else -1)
                 ranks[c] += side[2 * v + c]
-            vsep.append(side[2 * v] & side[2 * v + 1])
             dist_r.append(next(tabled_dist) if tabled else INF)
             dep_counts.append(next(tabled_counts) if tabled else 0)
         ranks = {LEFT: 0, RIGHT: 0, LEAF: 0}
@@ -154,7 +152,7 @@ def build_store(g: Graph, source: int = 0, depth: int = 0):
                 elink.append(ranks[k] * (vbase[i + 1] - vbase[i] if k == LEAF else 1))
                 ranks[k] += 1
             esr.append(next(positions) if kind[e] == PRIMARY else -1)
-    store.vlink, store.vsep, store.elink, store.esr, store.dist_r = vlink, vsep, elink, esr, dist_r
+    store.vlink, store.elink, store.esr, store.dist_r = vlink, elink, esr, dist_r
     store.dep_off = array("i", accumulate(dep_counts))
     return records, store
 
@@ -200,10 +198,31 @@ def child_ids(store, i: int, side: int):
 
 
 def separator(store, i: int) -> int:
-    """Node ``i``'s separator vertex, the one its ``vsep`` flags; -1 at a
-    leaf."""
-    flags = vertex_segment(store, "vsep", i)
-    return flags.index(1) if 1 in flags else -1
+    """Node ``i``'s separator vertex, the one vertex whose two child links
+    are both >= 0; -1 at a leaf."""
+    links = store.vlink[2 * store.vbase[i] : 2 * store.vbase[i + 1]]
+    both = [v for v in range(len(links) // 2) if links[2 * v] >= 0 and links[2 * v + 1] >= 0]
+    assert len(both) <= 1, (i, both)
+    return both[0] if both else -1
+
+
+def children(store) -> list[tuple[int, int]]:
+    """Each node's (left, right) child, (-1, -1) at a leaf, read off the
+    separator marks with a stack of the children still to come, apart from
+    the store's own derivation: in preorder, each node is the innermost
+    child still to come, and a node with a separator is internal and then
+    waits for its two children, the left one first."""
+    kids: list[list[int]] = []
+    to_come = [(-1, 0)]  # (parent, 0 left or 1 right), the innermost last
+    for i in range(len(store.vbase) - 1):
+        parent, side = to_come.pop()
+        if parent >= 0:
+            kids[parent][side] = i
+        kids.append([-1, -1])
+        if separator(store, i) >= 0:
+            to_come += [(i, 1), (i, 0)]
+    assert not to_come, to_come
+    return list(map(tuple, kids))
 
 
 def sr_base(records, i: int) -> int:
@@ -217,7 +236,7 @@ def leaf_rows(store) -> list[int]:
     one entry per vertex, in store order."""
     sizes = (
         edge_segment(store, "kind", i).count(LEAF) * (store.vbase[i + 1] - store.vbase[i])
-        for i in range(len(store.left))
+        for i in range(len(store.vbase) - 1)
     )
     return list(accumulate(sizes, initial=0))
 
@@ -351,23 +370,31 @@ def root_primary_candidates(g: Graph, source: int, t: int, fault: tuple[int, int
     return [sr + dist_r, best_departing(segment, pos)]
 
 
+def walk_tables(store) -> tuple[list, list[int], list[int]]:
+    """What ``node_walk`` reads beside ``store``: each node's children, its
+    separator and where its leaf rows start."""
+    separators = [separator(store, i) for i in range(len(store.vbase) - 1)]
+    return children(store), separators, leaf_rows(store)
+
+
 def node_walk(
-    store: QueryStore, rows_at: list[int], t: int, eid: int, d0: int, depth: int
+    store: QueryStore, tables: tuple, t: int, eid: int, d0: int, depth: int
 ) -> tuple[int, int]:
     """The descent of ``_query_node`` in node ids, the reference both
     descents must match: it walks a store as ``build_store`` leaves it, by
-    ``left``, ``right`` and the bases, over child links that still hold ids
+    ``children`` and the bases, over child links that still hold ids
     within the child, rather than the slots ``check_and_rebase`` rebases
     them to, and over path positions and leaf row offsets local to their
-    node (``rows_at`` is ``leaf_rows(store)``), so a fault in that rebase
+    node (``tables`` is ``walk_tables(store)``), so a fault in that rebase
     shows.
     Returns (distance with INF, depth reached)."""
-    left, vbase, ebase = store.left, store.vbase, store.ebase
+    kids, separators, rows_at = tables
+    vbase, ebase = store.vbase, store.ebase
     kind, elink, vlink = store.kind, store.elink, store.vlink
     node = 0
     best = INF
     while True:
-        child = left[node]
+        child = kids[node][0]
         if child < 0:
             break
         es = ebase[node] + eid
@@ -387,12 +414,12 @@ def node_walk(
                 if cand < best:
                     best = cand
             ct = vlink[2 * vs]
-            if store.vsep[vs] or ct < 0:
+            if t == separators[node] or ct < 0:
                 return best, depth
         elif side == LEFT:
             ct = vlink[2 * vs]
         elif side == RIGHT:
-            child = store.right[node]
+            child = kids[node][1]
             ct = vlink[2 * vs + 1]
         else:
             return d0, depth
@@ -438,8 +465,6 @@ def loop_check(s: QueryStore) -> None:
         bases.append(base)
     vbase, ebase, sbase = bases
     need(vbase[1] == n, "the root does not hold the input vertices")
-    for name in ("left", "right"):
-        need(len(getattr(s, name)) == nodes, f"{name} does not hold one entry per node")
     nv, ne, ns = (list(map(sub, islice(base, 1, None), base)) for base in bases)
     slots, edge_slots = vbase[-1], ebase[-1]
     vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
@@ -488,19 +513,24 @@ def loop_check(s: QueryStore) -> None:
 
     need(set(s.vside) <= {0, 1}, "vside is not 0 or 1")
     in_m, in_n = s.vside[0::2], s.vside[1::2]
-    left, right = s.left, s.right
     marks = [0] * nodes
     for i, m, k in zip(vertex_owner, in_m, in_n):
         marks[i] += m & k
+    # in preorder, each node is the innermost child still to come, and a
+    # node with a separator then waits for its two children, the left first
+    left, right = [-1] * nodes, [-1] * nodes
     node_depth = [0] * nodes
-    for i, l, r in zip(range(nodes), left, right):
-        if l < 0:
-            need(l == r == -1, f"node {i} has one child")
-            need(marks[i] == 0, f"node {i} separator marks {marks[i]} slots")
-            continue
-        need(i < l < nodes and i < r < nodes, f"node {i} has a child out of preorder")
-        need(marks[i] == 1, f"node {i} separator marks {marks[i]} slots")
-        node_depth[l] = node_depth[r] = node_depth[i] + 1
+    to_come = [(-1, 0)]
+    for i in range(nodes):
+        need(bool(to_come), f"node {i} follows the end of the tree")
+        need(marks[i] <= 1, f"node {i} separator marks {marks[i]} slots")
+        parent, side = to_come.pop()
+        if parent >= 0:
+            (left, right)[side][parent] = i
+            node_depth[i] = node_depth[parent] + 1
+        if marks[i]:
+            to_come += [(i, 1), (i, 0)]
+    need(not to_come, f"the tree leaves {len(to_come)} subtrees open after its last node, {nodes - 1}")
     need(max(node_depth) == depth, "meta depth differs from the tree")
 
     kind = s.kind

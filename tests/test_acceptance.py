@@ -114,9 +114,9 @@ def test_criterion_2_gadget_regression():
 def test_criterion_3_dep_invariants_and_equivalence(corpus):
     nodes_checked = pairs_checked = 0
     for label, g, s, oracle in corpus:
-        left = oracle.store.left
+        store = oracle.store
         for i, node in enumerate(oracle.nodes()):
-            if left[i] < 0 or node.dep is None:
+            if separator(store, i) < 0 or node.dep is None:
                 continue
             nodes_checked += 1
             path = node.primary_path
@@ -174,7 +174,7 @@ def test_criterion_5_replacement_table_equivalence(corpus):
     for label, g, s, oracle in corpus:
         nodes, store = build_store(g, s)
         for i, node in enumerate(nodes):
-            if store.left[i] < 0:
+            if separator(store, i) < 0:
                 continue
             path = node.primary_path
             positions = primary_positions(store, i)
@@ -217,7 +217,7 @@ def test_criterion_6_structural_bounds(corpus):
         assert oracle.depth <= depth_cap, (label, oracle.depth, depth_cap)
         nodes, store = build_store(g, s)
         for i, node in enumerate(nodes):
-            if store.left[i] < 0:
+            if separator(store, i) < 0:
                 continue
             nr, nm, nn = split_sizes(store, i, node)
             assert balanced(nr, nm), (label, nr, nm, nn)

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -17,7 +18,7 @@ from sdo.query import SsrpOutput, query, ssrp
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
 from sdo.store import CROSS, FILE, INF, LEAF, LEFT, PRIMARY, RIGHT, TABLE, file_arrays
 
-from conftest import file_store, loop_check
+from conftest import children, file_store, loop_check, separator
 
 DIGEST = 32
 
@@ -171,6 +172,7 @@ def test_load_rejects_foreign_files(tmp_path):
         b"SDO6-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO9-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO10-ORACLE\x00" + blob[len(MAGIC) :],
+        b"SDO11-ORACLE\x00" + blob[len(MAGIC) :],
     ):
         p = tmp_path / "junk.oracle"
         p.write_bytes(junk)
@@ -298,8 +300,12 @@ def _sealed(payload: bytes) -> bytes:
 
 
 def _child_node_points_upward(oracle, payload):
-    left = oracle.store.left
-    left[max(i for i in range(len(left)) if left[i] >= 0)] = 0
+    # the last internal node's separator leaves side N, so that node reads
+    # as a leaf and the tree ends before the store does
+    def edit(arrays, s):
+        arrays["vside"][2 * _separator_slot(s, _internal(s, -1)) + 1] = 0
+
+    return _file_with(oracle, edit)
 
 
 def _departing_segment_not_monotone(oracle, payload):
@@ -311,7 +317,7 @@ def _departing_segment_not_monotone(oracle, payload):
 
 def _tabled(s) -> int:
     """The first node with tables, whose dist_r slots the file holds."""
-    return next(i for i in range(len(s.left)) if s.sbase[i + 1] > s.sbase[i])
+    return next(i for i in range(len(s.sbase) - 1) if s.sbase[i + 1] > s.sbase[i])
 
 
 def _negative_distance(oracle, payload):
@@ -333,7 +339,12 @@ def _parent_too_long(oracle, payload):
 
 
 def _left_too_long(oracle, payload):
-    oracle.store.left.append(-1)
+    # the root's separator leaves side N: the tree ends after node 0, and
+    # the store holds nodes past it
+    def edit(arrays, s):
+        arrays["vside"][2 * _separator_slot(s, 0) + 1] = 0
+
+    return _file_with(oracle, edit)
 
 
 def _dep_off_decreases(oracle, payload):
@@ -391,8 +402,13 @@ def _vertex_is_its_own_parent(oracle, payload):
 
 
 def _leaf_with_a_right_child(oracle, payload):
-    s = oracle.store
-    s.right[s.left.index(-1)] = 0
+    # the first leaf's first vertex joins both sides: the leaf reads as an
+    # internal node, whose two subtrees never come
+    def edit(arrays, s):
+        v = s.vbase[_leaf(s, 0)]
+        arrays["vside"][2 * v : 2 * v + 2] = [1, 1]
+
+    return _file_with(oracle, edit)
 
 
 def _meta_depth_too_deep(oracle, payload):
@@ -441,7 +457,17 @@ def _owner(base, slot: int) -> int:
 
 def _internal(s, i: int = 0) -> int:
     """The ``i``-th internal node in preorder."""
-    return [j for j in range(len(s.left)) if s.left[j] >= 0][i]
+    return [j for j, (left, _) in enumerate(children(s)) if left >= 0][i]
+
+
+def _leaf(s, i: int = 0) -> int:
+    """The ``i``-th leaf in preorder."""
+    return [j for j, (left, _) in enumerate(children(s)) if left < 0][i]
+
+
+def _separator_slot(s, i: int) -> int:
+    """Internal node ``i``'s separator vertex slot."""
+    return s.vbase[i] + separator(s, i)
 
 
 def _slot_on_one_side(s, node: int, side: int) -> int:
@@ -527,7 +553,7 @@ def _sr_short_of_its_indexes(oracle, payload):
     # a node's sr entries end below a path position one of its PRIMARY
     # slots holds, though above every departure of the node
     def edit(arrays, s):
-        for i in range(len(s.left)):
+        for i in range(len(s.sbase) - 1):
             lo, hi = s.sbase[i], s.sbase[i + 1]
             top = max((s.esr[e] - lo for e in range(s.ebase[i], s.ebase[i + 1]) if s.kind[e] == PRIMARY),
                       default=0)
@@ -584,7 +610,7 @@ def _two_separators(oracle, payload):
 def _separator_past_the_root(oracle, payload):
     # the root's separator leaves side N, and node 1's first vertex joins it
     def edit(arrays, s):
-        r = next(v for v in range(s.vbase[1]) if s.vsep[v])
+        r = _separator_slot(s, 0)
         arrays["vside"][2 * r + 1] = 0
         arrays["vside"][2 * s.vbase[1] + 1] = 1
 
@@ -691,7 +717,7 @@ def _bit_past_the_last_slot(oracle, payload):
 @pytest.mark.parametrize(
     "craft, reason",
     [
-        (_child_node_points_upward, "child out of preorder"),
+        (_child_node_points_upward, "follows the end of the tree"),
         (_departing_segment_not_monotone, "not doubly monotone"),
         (_negative_distance, "dist_r holds a distance outside [0, INF]"),
         (_meta_too_short, "meta is not 5 values"),
@@ -699,7 +725,7 @@ def _bit_past_the_last_slot(oracle, payload):
         (_parent_too_long, "parent does not hold n entries"),
         (_vbase_too_long, "vbase does not hold nodes + 1 entries"),
         (_vbase_decreases, "vbase decreases"),
-        (_left_too_long, "left does not hold one entry per node"),
+        (_left_too_long, "node 1 follows the end of the tree"),
         (_vside_too_long, "vside does not hold two entries per vertex slot"),
         (_esr_too_long, "esr does not hold one entry per PRIMARY slot"),
         (_esr_at_every_edge_slot, "esr does not hold one entry per PRIMARY slot"),
@@ -716,8 +742,8 @@ def _bit_past_the_last_slot(oracle, payload):
         (_parent_without_parent_edge, "parent and parent edge disagree"),
         (_parent_edge_past_the_root, "parent edge out of range"),
         (_vertex_is_its_own_parent, "source tree is not a tree"),
-        (_leaf_with_a_right_child, "has one child"),
-        (_separator_past_the_root, "node 0 separator marks 0 slots"),
+        (_leaf_with_a_right_child, "the tree leaves 2 subtrees open after its last node"),
+        (_separator_past_the_root, "node 1 follows the end of the tree"),
         (_two_separators, "node 0 separator marks 2 slots"),
         (_vside_two, "vside is not 0 or 1"),
         (_meta_depth_too_deep, "meta depth differs from the tree"),
@@ -760,24 +786,37 @@ def test_crafted_file_with_valid_digest_is_rejected(craft, reason, tmp_path, cap
 
 
 def test_check_names_the_first_bad_node(tmp_path):
+    # two faults in the separator bits of one file: the check names the
+    # first node at which either shows
     target = tmp_path / "two.oracle"
     s = build_oracle(tree_plus_chords(60, 60, 9), 0).store
-    leaves = [i for i in range(len(s.left)) if s.left[i] < 0]
-    inner = [i for i in range(len(s.left)) if s.left[i] >= 0]
-    sep = next(v for v in range(s.vbase[inner[1]], s.vbase[inner[1] + 1]) if s.vsep[v])
-    arrays = dict(file_arrays(s))
-    vside, right = arrays["vside"].copy(), arrays["right"].copy()
-    arrays["vside"][2 * sep + 1] = 0
-    arrays["right"][leaves[-1]] = 0
-    target.write_bytes(_sealed(_payload(arrays)))
-    with pytest.raises(ValueError, match=f"node {inner[1]} separator marks 0 slots"):
-        load_oracle(target)
-    arrays["vside"] = vside
-    arrays["right"] = right
-    arrays["right"][leaves[0]] = 0
-    target.write_bytes(_sealed(_payload(arrays)))
-    with pytest.raises(ValueError, match=f"node {leaves[0]} has one child"):
-        load_oracle(target)
+    leaves = [i for i in range(len(s.vbase) - 1) if separator(s, i) < 0 and s.vbase[i + 1] - s.vbase[i] >= 2]
+    first, last = leaves[0], leaves[-1]
+    inner = _internal(s, -1)
+    assert 1 < first < inner < last
+
+    def load(*faults):
+        arrays = dict(file_arrays(s))
+        for fault, i in faults:
+            fault(arrays["vside"], i)
+        target.write_bytes(_sealed(_payload(arrays)))
+        with pytest.raises(ValueError) as exc:
+            load_oracle(target)
+        return str(exc.value)
+
+    def two_separators(vside, i):
+        # node i's first two vertices join both sides
+        v = s.vbase[i]
+        vside[2 * v : 2 * v + 4] = 1
+
+    def no_separator(vside, i):
+        vside[2 * _separator_slot(s, i) + 1] = 0
+
+    assert load((two_separators, last), (two_separators, first)).endswith(f"node {first} separator marks 2 slots")
+    assert load((two_separators, first), (no_separator, 0)).endswith("node 1 follows the end of the tree")
+    assert load((no_separator, inner), (two_separators, first)).endswith(f"node {first} separator marks 2 slots")
+    ended = re.search(r"node (\d+) follows the end of the tree$", load((two_separators, last), (no_separator, inner)))
+    assert ended and inner < int(ended[1]) < last
 
 
 def _fuzzed_files(arrays: dict, rounds: int, rng: random.Random):

@@ -25,7 +25,7 @@ from sdo.oracle import OracleTree, _build, build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle
 from sdo.spt import dijkstra, distances_from, separator_split
-from sdo.store import CROSS, FILE, INF, LEAF, OFFSETS, RIGHT, check_and_rebase, file_arrays
+from sdo.store import CROSS, FILE, INF, LEAF, OFFSETS, RIGHT, SEGMENT, check_and_rebase, file_arrays
 
 from conftest import (
     appended_store,
@@ -33,6 +33,7 @@ from conftest import (
     bellman_ford,
     build_store,
     child_maps,
+    children,
     distances,
     leaf_table,
     path_graph,
@@ -51,8 +52,9 @@ from conftest import (
 def walk_internal(records, store):
     """(store id, record) of every internal node of a built store; record
     ``i`` is store node ``i``."""
+    kids = children(store)
     for i, node in enumerate(records):
-        if store.left[i] >= 0:
+        if kids[i][0] >= 0:
             yield i, node
 
 
@@ -63,15 +65,16 @@ def assert_child_distances_equal_parent_distances(g, source):
     root = nodes[0]
     original = {v: v for v in range(root.graph.n)}
     input_dist = dijkstra(g, source).dist
+    kids = children(store)
     stack = [(0, original, dijkstra(root.graph, root.source).dist)]
     while stack:
         i, original, dist = stack.pop()
         for v, ov in original.items():
             assert dist[v] == input_dist[ov]
-        if store.left[i] < 0:
+        if kids[i][0] < 0:
             continue
         lv, rv, _, _ = child_maps(store, i, nodes[i].graph)
-        for child, vmap in ((store.left[i], lv), (store.right[i], rv)):
+        for child, vmap in zip(kids[i], (lv, rv)):
             child_dist = dijkstra(nodes[child].graph, nodes[child].source).dist
             for v, cv in vmap.items():
                 assert child_dist[cv] == dist[v]
@@ -90,7 +93,7 @@ def test_tree_nodes_are_store_nodes_in_preorder():
         # file holds the arrays as the build appends them
         nodes, store = appended_store(g, s)
         appended = {name: getattr(store, name).tobytes() for name, _ in FILE}
-        store.meta[2], store.meta[4] = len(store.left), len(store.dep_len)
+        store.meta[2], store.meta[4] = len(store.vbase) - 1, len(store.dep_len)
         check_and_rebase(store)
         assert dump_oracle(OracleTree(store)) == dump_oracle(oracle), label
         changed = {name for name, _ in FILE if getattr(store, name).tobytes() != appended[name]}
@@ -98,17 +101,48 @@ def test_tree_nodes_are_store_nodes_in_preorder():
         held = {name: v.astype(code).tobytes() for (name, v), (_, code) in zip(file_arrays(store), FILE)}
         assert {**held, "meta": b""} == {**appended, "meta": b""}, label
         assert len(nodes) == oracle.node_count, label
+        kids = children(store)
         for i, node in enumerate(nodes):
             original = sum(not e.virtual for e in node.graph.edges)
             assert store.vbase[i + 1] - store.vbase[i] == node.graph.n, (label, i)
             assert store.ebase[i + 1] - store.ebase[i] == original, (label, i)
-            if store.left[i] < 0:
-                assert store.left[i] == store.right[i] == separator(store, i) == -1, (label, i)
+            if node.primary_path is None:
+                assert kids[i] == (-1, -1) and separator(store, i) == -1, (label, i)
                 continue
             assert separator(store, i) == node.primary_path.vertices[-1], (label, i)
-            assert store.left[i] == i + 1 < store.right[i], (label, i)
-            for child in (store.left[i], store.right[i]):
+            assert kids[i][0] == i + 1 < kids[i][1], (label, i)
+            for child in kids[i]:
                 assert nodes[child].depth == node.depth + 1, (label, i, child)
+
+
+def test_the_build_only_appends(monkeypatch):
+    # every array a subtree appends to only grows while a serial build runs:
+    # no value is changed once appended, so a worker's segment can be
+    # spliced in as it is
+    append_node, check = oracle_module.append_node, oracle_module.check_and_rebase
+    snapshots, final = [], {}
+
+    def segment_arrays(s):
+        return {name: getattr(s, name).tobytes() for name in SEGMENT}
+
+    def append_and_snapshot(s, *args):
+        append_node(s, *args)
+        snapshots.append(segment_arrays(s))
+
+    def check_the_final(s):
+        final.update(segment_arrays(s))
+        check(s)
+
+    monkeypatch.setattr(oracle_module, "append_node", append_and_snapshot)
+    monkeypatch.setattr(oracle_module, "check_and_rebase", check_the_final)
+    for g in (tree_plus_chords(300, 600, 7), nested_arcs(16)[0], ragged_multigraph(200, 100, 1)):
+        snapshots.clear()
+        records = []
+        _build(g, 0, records.append)
+        assert len(snapshots) == len(records) > 1
+        for snapshot in snapshots:
+            for name in SEGMENT:
+                assert final[name].startswith(snapshot[name]), name
 
 
 def assert_links_point_ahead_into_their_child(store):
@@ -116,7 +150,8 @@ def assert_links_point_ahead_into_their_child(store):
     slot past its own, in the child node its side names: the left child for
     a vertex's first link and for PRIMARY and LEFT edge slots, the right
     child for the second and for RIGHT. CROSS edge slots link nowhere."""
-    vbase, ebase, left, right = store.vbase, store.ebase, store.left, store.right
+    vbase, ebase = store.vbase, store.ebase
+    left, right = zip(*children(store))
 
     def owner(base, slot):
         return bisect_right(base, slot) - 1
@@ -162,7 +197,7 @@ def test_built_oracle_keeps_no_level_graph():
     oracles = [build_oracle(g, s) for _, g, s in corpus]
     assert live_graphs() == before
     assert all(oracle.graph is g for oracle, (_, g, _) in zip(oracles, corpus))
-    assert sum(oracle.store.left[0] >= 0 for oracle in oracles) > 0
+    assert sum(separator(oracle.store, 0) >= 0 for oracle in oracles) > 0
 
 
 def zero_weighted(g: Graph) -> Graph:
@@ -312,13 +347,12 @@ class TestParallelBuild:
         done = []
 
         def corrupt(s, g, depth, rows=(), path_edges=(), sides=(), tables=None):
-            i = append_node(s, g, depth, rows, path_edges, sides, tables)
+            append_node(s, g, depth, rows, path_edges, sides, tables)
             if sides and not done and (cpus == 1 or os.getpid() != here):
-                done.append(i)
                 (in_m, _), (in_n, _) = sides
                 v = next(v for v in range(g.n) if in_m[v] and not in_n[v])
                 s.vside[len(s.vside) - 2 * g.n + 2 * v] = 0
-            return i
+                done.append(v)
 
         monkeypatch.setattr(oracle_module, "append_node", corrupt)
         monkeypatch.setattr(oracle_module, "usable_cpus", lambda: cpus)
@@ -326,6 +360,18 @@ class TestParallelBuild:
             build_oracle(self.GRAPHS["chords(2048)"], 0)
         assert bool(forks) == (cpus == 2)
         assert bool(done) == (cpus == 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_segment_that_ends_early_fails_the_build(self, forks, monkeypatch):
+        # each worker sends its status byte, then two bytes of its segment
+        def cut_short(segment, fd):
+            os.write(fd, b"\0\0")
+
+        monkeypatch.setattr(oracle_module, "send_segment", cut_short)
+        with pytest.raises(RuntimeError, match="an oracle build worker failed: .*the segment ends early"):
+            build_oracle(self.GRAPHS["chords(2048)"], 0)
+        assert len(forks) >= 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -385,19 +431,19 @@ build_oracle(tree_plus_chords(16384, 32768, 42), 0)
 class TestLeaves:
     def test_single_edge_root_is_leaf(self):
         g = Graph.from_pairs(2, [(0, 1)])
-        assert build_oracle(g, 0).store.left[0] < 0
+        assert separator(build_oracle(g, 0).store, 0) < 0
         assert leaf_table(build_store(g)[1], 0) == {0: [0, UNREACHABLE]}
 
     def test_small_non_root_nodes_are_leaves(self):
         records, store = build_store(path_graph(4), depth=1)
-        assert store.left[0] < 0
-        assert len(records) == 1 and store.right[0] == -1
+        assert separator(store, 0) < 0
+        assert len(records) == 1 and children(store) == [(-1, -1)]
         assert set(leaf_table(store, 0)) == {0, 1, 2}
 
     def test_leaf_tables_match_banned_dijkstra(self):
         g = tree_plus_chords(4, 2, 8)
         records, store = build_store(g, depth=3)
-        assert store.left[0] < 0 and records[0].depth == 3
+        assert separator(store, 0) < 0 and records[0].depth == 3
         for eid, dist in leaf_table(store, 0).items():
             assert dist == dijkstra(g, 0, {eid}).dist
 
@@ -416,7 +462,7 @@ class TestLeaves:
         records, store = build_store(g)
         tree_edges = rows = 0
         for i, node in enumerate(records):
-            if store.left[i] >= 0:
+            if separator(store, i) >= 0:
                 continue
             spt = dijkstra(node.graph, node.source)
             tree_edges += sum(e is not None and not node.graph.edges[e].virtual for e in spt.parent_edge)
@@ -430,10 +476,9 @@ class TestThreeVertexPath:
     def test_root_splits_with_leaf_children(self):
         oracle = build_oracle(path_graph(3), 0)
         store = build_store(path_graph(3))[1]
-        assert store.left[0] >= 0
         assert separator(store, 0) == 1
         assert oracle.depth == 1
-        assert store.left[store.left[0]] < 0 and store.left[store.right[0]] < 0
+        assert children(store) == [(1, 2), (-1, -1), (-1, -1)]
 
 
 class TestDegenerateSeparator:
@@ -449,7 +494,7 @@ class TestDegenerateSeparator:
         assert sr_base(nodes, 1) == 0
         assert root.sr_replacements is None
         assert root.dep is None
-        assert store.left[0] >= 0 and store.right[0] >= 0
+        assert min(children(store)[0]) >= 0
 
 
 class TestChildGraphs:
@@ -463,7 +508,7 @@ class TestChildGraphs:
         assert separator(store, 0) == 1
         lmap, _, left_edge_map, _ = child_maps(store, 0, nodes[0].graph)
         banned = set(left_edge_map)
-        virtuals = [e for e in nodes[store.left[0]].graph.edges if e.virtual]
+        virtuals = [e for e in nodes[children(store)[0][0]].graph.edges if e.virtual]
         assert virtuals == [Edge(lmap[1], lmap[3], 2, virtual=True)]
         assert dijkstra(g, 1, banned).dist[3] == 2
 
@@ -473,10 +518,9 @@ class TestChildGraphs:
 
     def test_fresh_shortcuts_incident_to_separator_and_new_source(self):
         nodes, store = build_store(tree_plus_chords(40, 20, 4))
-        for i, node in enumerate(nodes):
-            if store.left[i] < 0:
-                continue
-            left, right = nodes[store.left[i]], nodes[store.right[i]]
+        kids = children(store)
+        for i, node in walk_internal(nodes, store):
+            left, right = (nodes[child] for child in kids[i])
             lv, _, le, re = child_maps(store, i, node.graph)
             r_left = lv[separator(store, i)]
             for eid in range(len(le), left.graph.m):
@@ -498,14 +542,14 @@ class TestChildGraphs:
                   (with_weights(ragged, [1 + eid % 7 for eid in range(ragged.m)]), 3)]
         for g, source in cases:
             nodes, store = build_store(g, source)
-            for i, node in enumerate(nodes):
-                if store.left[i] < 0:
-                    continue
+            kids = children(store)
+            for i, node in walk_internal(nodes, store):
                 r = separator(store, i)
                 lv, rv, le, re = child_maps(store, i, node.graph)
+                left, right = (nodes[child] for child in kids[i])
                 for child, vmap, emap, hub, origin in (
-                    (nodes[store.left[i]], lv, le, lv[r], r),
-                    (nodes[store.right[i]], rv, re, nodes[store.right[i]].source, node.source),
+                    (left, lv, le, lv[r], r),
+                    (right, rv, re, right.source, node.source),
                 ):
                     avoid = bellman_ford(node.graph, origin, set(emap))
                     want = [Edge(hub, c, avoid[v], True) for v, c in sorted(vmap.items())
@@ -516,7 +560,7 @@ class TestChildGraphs:
         # pure path: the far side is unreachable once its edges are banned,
         # so the left child gains no shortcut edges at all
         nodes, store = build_store(path_graph(9))
-        root, left, right = nodes[0], nodes[store.left[0]], nodes[store.right[0]]
+        root, (left, right) = nodes[0], (nodes[child] for child in children(store)[0])
         r = separator(store, 0)
         lv, rv, le, _ = child_maps(store, 0, root.graph)
         m_side = [v for v in lv if v not in rv]
@@ -741,7 +785,7 @@ class TestStructure:
         oracle = build_oracle(g, 0)
         assert oracle.graph is g
         assert oracle.nodes()[0].graph is g
-        assert oracle.store.left[0] >= 0
+        assert separator(oracle.store, 0) >= 0
         lv, rv, _, _ = child_maps(build_store(g)[1], 0, g)
         for v in (3, 4, 5):
             assert v not in lv
@@ -752,7 +796,7 @@ class TestStructure:
         n = 20_000
         g = Graph.from_pairs(n, [(v, v + 1) for v in range(1, n - 1)])
         oracle = build_oracle(g, 0)
-        assert oracle.store.left[0] < 0
+        assert separator(oracle.store, 0) < 0
         assert leaf_table(build_store(g)[1], 0) == {}
         assert ssrp(oracle).records == []
 
@@ -760,7 +804,7 @@ class TestStructure:
         n = 20_000
         g = Graph.from_pairs(n, [(0, 1)] + [(v, v + 1) for v in range(2, n - 1)])
         oracle = build_oracle(g, 0)
-        assert oracle.store.left[0] < 0
+        assert separator(oracle.store, 0) < 0
         assert list(leaf_table(build_store(g)[1], 0)) == [source_tree(oracle).parent_edge[1]]
         assert ssrp(oracle).records == brute_ssrp(g, 0).records
         assert query(oracle, 1, (0, 1)).distance is UNREACHABLE

@@ -25,7 +25,6 @@ from sdo.store import FILE, INF, PRIMARY, TABLE, QueryStore
 from conftest import (
     build_store,
     checked,
-    leaf_rows,
     node_walk,
     path_graph,
     primary_positions,
@@ -34,6 +33,7 @@ from conftest import (
     root_primary_candidates,
     source_tree,
     sr_base,
+    walk_tables,
     with_weights,
 )
 
@@ -389,13 +389,13 @@ def test_separate_builds_dump_identical_bytes():
 # seed 11. A change that leaves the file format alone must leave these bytes
 # alone too.
 PINNED_DUMPS = {
-    "tree": "1f1f21012dbe9bf10fe651d407e0115a8b0c45de710f116f20e0d39cf43f856e",
-    "tree+n/4": "efba60ed7bf4dec35c3ecbdddf81f7e8f0fa0703c69e57208340691b96e420e1",
-    "tree+n": "8e3aa053aec8ea87a67b74ad27421df4dade132a3fddf9bc1b9fba98dc2dfc03",
-    "tree+dense": "dabccd6a8a45ff8db5771f98bb2df9dc2e94f1f2d5558b1c77e4fffb1a51b105",
-    "grid": "910a129d075b4ebbfd1d2ee452267d05936d51ce80d3777a5514f7fda8c99311",
-    "gadget": "5c22a33aacc7529e8d37c589672a50a61268fb5608a32c74d2f3d9dd7161e4a7",
-    "ragged": "f97a60c0262acf0d0a48d0e5e247cee1cf9fb40b4f5fb56e93f944f1d1cd08dd",
+    "tree": "ae07043120d74b61a3aa8d58edbf611e83ab0308c9f1a406140e44091b2daf65",
+    "tree+n/4": "5f4ca19910095cc86dc17fcb16e7fad394b38f6d3b58d0eb1b8518abf814a5d0",
+    "tree+n": "1c10bd70a1c50116d20da458322f62f9e0f6cb6463e31144d60d2567cee1d01b",
+    "tree+dense": "665525f4832c2792eb345ad282cff61e031195f45ba8bd3020855c245d0650e5",
+    "grid": "0aa7eceb7a6ce368ddd79dd1162bc8c1dc6c8dd8da9919341772cdd37fe58bd8",
+    "gadget": "a31a2574430d145e48bd44cc87049e50479c35242fb92b7201f6345fbe2985df",
+    "ragged": "31a3bb66986d2f098bec1916b69b6bf313fb445231b903c18bca005cc36b2f0f",
 }
 
 
@@ -417,8 +417,8 @@ def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
 # The same pins where departing segments grow long and equal lengths tie:
 # nested_arcs(32), and a weighted tree_plus_chords with zero weights.
 PINNED_DUMPS_AT_SCALE = {
-    "arcs(32)": "a7d3866c32e4312107c5c9833a2cd56eb13bc9af7f44ef652193b8a1017f33a3",
-    "chords(512)": "70b637e76245d1a9b7245adf07c8cc0eb05d45981fdb5513590b726190358fe0",
+    "arcs(32)": "eb03659d523094f020070cf5cd8950c90bd6055348faab226fe58633647b4514",
+    "chords(512)": "051b6079e28e753ff8377c9ef10b93eb643dfb4f8c3ae4003cd551df90fdd3ec",
 }
 
 
@@ -447,19 +447,20 @@ def store_digest(store: QueryStore) -> str:
 
 
 # store_digest of the loaded store for the graphs of PINNED_DUMPS and
-# PINNED_DUMPS_AT_SCALE. These were taken from format SDO9's files, and no
-# change of the file format alone may move them: a load must give the
-# store that queries walk, whatever the file holds.
+# PINNED_DUMPS_AT_SCALE. These were taken from format SDO11's stores, over
+# the arrays that TABLE keeps since format SDO12 dropped ``left``, ``right``
+# and ``vsep``, and no change of the file format alone may move them: a
+# load must give the store that queries walk, whatever the file holds.
 PINNED_STORES = {
-    "tree": "efc23af3a0530c895ca4643b7963ba8775a91511bd2649eac29eed5c8bd47fc2",
-    "tree+n/4": "c2dd4c7a75764eb09728ed3efee0153c45e0c566a48fc4caab4a695d87285663",
-    "tree+n": "877cdf12583e30ef676102dfad4b034c8dd97fef81aaa831ba43c4f03db664cc",
-    "tree+dense": "3ac9d91e8c6f298acc6af258a2c837e692fa0cd08716a0b4848a3e0d19cf9406",
-    "grid": "115cc8ea838126c2eb06bcfa935d53158d9093a831a5d51c7754e84f7463dfb3",
-    "gadget": "41c293427344423af83e490c2ec32bd52006134c3e4984ecdf75ffebf4d9d572",
-    "ragged": "59e8764f4670c3d8b1002df33598cdda23db99af70eecc16e3e31640ffdaa281",
-    "arcs(32)": "cbd27b36755c8b1765dff6b2e2d51f269b2603f21b9074faf885677ebf0d86a2",
-    "chords(512)": "f17b99c8d483c5aac389c607422f9d07d5eb303c12167ab8f855ecbf60a8fc63",
+    "tree": "10d67730d772878926046074ee066e3046cbf9678be533ecbf0850ea18007ce7",
+    "tree+n/4": "914ebe1f9f34a54bc9365f743bbf3815d28a704571945a0f433f1a95301d630d",
+    "tree+n": "61a3b8437f25a33e13ac91c04dedcfc92aabd0fe3fc34d470ad8e9e7d75c908c",
+    "tree+dense": "841c428c8b6010ffba36768188c5b23949287a55056f753afb3db3ee4e854532",
+    "grid": "4f8337134f3279bb8c5fec1b239f7caeeca3675b0274075f209b9740e367fbf6",
+    "gadget": "48020900cac613e9f50909b23578cd65eaa3f5f4a83a6b2d91154ae63e5dfa85",
+    "ragged": "b371dcab6bde4d0e9e3d5d24264515c9bc1a69782597470f6f9a20c69b0294aa",
+    "arcs(32)": "afbeeb45676da97a2d9f8ac054e9ef6ef9706a0403e39c6c6a25736f2fafbe55",
+    "chords(512)": "d47cef757b70d02297e54e91508676aa4b40d6d769cb10c0ce9838320d3e38d0",
 }
 
 
@@ -575,10 +576,10 @@ def assert_ssrp_matches_the_scalar_descent(oracle, build):
     in node ids on ``build``, the oracle's store as its build left it,
     whose child links are not yet rebased to slots."""
     store = oracle.store
-    rows_at = leaf_rows(build)
+    tables = walk_tables(build)
     for t, (x, y), d in ssrp(oracle).records:
         eid = store.parent_edge[y]
-        want, depth = node_walk(build, rows_at, t, eid, store.dist[t], 0)
+        want, depth = node_walk(build, tables, t, eid, store.dist[t], 0)
         assert _query_node(store, t, eid, store.dist[t], 0) == (want, depth), (t, x, y)
         assert d == (UNREACHABLE if want >= INF else want), (t, x, y)
         assert d is UNREACHABLE or d >= 0
