@@ -7,7 +7,7 @@ typecode, length), followed by the arrays themselves, little-endian, in
 ``store.FILE`` order, and no build state, so a loaded oracle builds
 nothing.
 
-Format ``SDO12`` holds the arrays of ``store.FILE`` as the build appends
+Format ``SDO13`` holds the arrays of ``store.FILE`` as the build appends
 them, before ``store.check_and_rebase`` derives and rebases the store that
 queries walk (``store.file_arrays`` gives them back from that store): the
 offsets ``vbase``, ``ebase``, ``sbase`` and ``dep_off`` as per-node or
@@ -16,32 +16,36 @@ on their node's path. It holds no node id, child link or separator flag.
 Each split is two bits per vertex slot (``vside``: in side M, in side N);
 the load derives the tree from those bits (a node with a vertex on both
 sides is internal) and every link from them and the edge slots' side
-codes, as a rank within its node (``sdo.store``). ``esr`` is held at
+codes, as a rank within its node (``sdo.store``). A side code is one of
+four: a leaf's LEAF slots hold PRIMARY's code, which no leaf holds
+otherwise, and the load turns them back into LEAF. ``esr`` is held at
 PRIMARY slots only, and ``dist_r`` and ``dep_off`` at the slots of nodes
 with ``sr`` entries only. So none holds a global position, and most fit a
-byte or two.
+few bits.
 
-Each array is written at the narrowest of ``b``, ``h``, ``i`` and ``q`` (1,
-2, 4 and 8 bytes) that holds all its values, never wider than its type in
-``FILE``, and its entry names that typecode. An array of 0s and 1s whose
-type is narrower than ``q`` is written as packed bits instead, typecode
-``?``: its first value in the high bit of the first byte, and the bits past
-its last value 0. A distance array written narrower than ``q`` stores
-``INF`` as the narrow type's maximum, and every other value in it falls
-strictly below that maximum, so the maximum reads back as ``INF`` and
-nothing else does. Any other value that reaches the maximum, ``INF + 1``
-included, takes a wider type.
+Each array is written at the narrowest width that holds all its values,
+never wider than its type in ``FILE``, and its entry names that width's
+typecode. An array whose values all lie in ``[0, 2**k)``, for the least k
+of 1, 2 and 4, is packed k bits a value, typecode ``1``, ``2`` or ``4``:
+8 // k values to a byte, the first in the high bits of the first byte, and
+the bits after the last value 0. Any other array takes the narrowest of
+``b``, ``h``, ``i`` and ``q`` (1, 2, 4 and 8 bytes), a value to a
+little-endian item. A distance array written narrower than ``q`` stores
+``INF`` as the width's top value (``2**k - 1`` packed, the type's maximum
+in bytes), and every other value in it falls strictly below that value, so
+the top value reads back as ``INF`` and nothing else does. Any other value
+that reaches it, ``INF + 1`` included, takes a wider width.
 
 Loading checks the digest, then that the header lists each array of the
 table by name with a typecode no wider than the table's (a wider one would
 truncate) and that its lengths fill the payload. It allocates each array at
 its table width once and lets numpy cast the little-endian payload into it,
-or unpack the bits into it (a bit set past the last value fails), so it
-runs no code named by the file. Last, ``store.check_and_rebase`` sums the
-counts, derives the tree, checks every count against its child, bounds every
-local value, and rejects a digest-valid but crafted file whose arrays would
-send a query outside them, before it derives the links and rebases the
-local values into the store that queries walk, as it does a build's. It
+or unpack the packed values into it (a bit set after the last value fails),
+so it runs no code named by the file. Last, ``store.check_and_rebase`` sums
+the counts, derives the tree, checks every count against its child, bounds
+every local value, and rejects a digest-valid but crafted file whose arrays
+would send a query outside them, before it derives the links and rebases
+the local values into the store that queries walk, as it does a build's. It
 runs as numpy operations over whole arrays, so a load costs about a digest
 plus a few copies. Every failure is a ValueError naming the file. Writing
 the same store gives the same bytes, so serialize -> load -> serialize
@@ -61,20 +65,22 @@ import numpy as np
 from .oracle import OracleTree
 from .store import FILE, INF, QueryStore, check_and_rebase, file_arrays
 
-MAGIC = b"SDO12-ORACLE\x00"
+MAGIC = b"SDO13-ORACLE\x00"
 _DIGEST = hashlib.sha256().digest_size
 _COUNT = struct.Struct("<I")
 # name (NUL padded), typecode, item count
 _ENTRY = struct.Struct("<12scQ")
 # The file typecodes of whole bytes, narrowest first, and the little-endian
-# type each names; _BITS packs an array of 0s and 1s eight to a byte.
+# type each names.
 _FILE = {"b": np.dtype("<i1"), "h": np.dtype("<i2"), "i": np.dtype("<i4"), "q": np.dtype("<i8")}
-_BITS = "?"
+# The file typecodes of packed values, narrowest first, and the bits k each
+# value takes: 8 // k values to a byte, the first in the high bits.
+_PACKED = {"1": 1, "2": 2, "4": 4}
 # Per array of the table: its padded name and the file typecodes it accepts.
 _HEADER = [
     (name.encode().ljust(12, b"\0"),
      {c.encode() for c, dtype in _FILE.items() if dtype.itemsize <= _FILE[code].itemsize}
-     | ({_BITS.encode()} if code != "q" else set()))
+     | {c.encode() for c in _PACKED})
     for name, code in FILE
 ]
 
@@ -83,23 +89,78 @@ T = TypeVar("T")
 
 def _size(code: str, length: int) -> int:
     """The file bytes of ``length`` values at file typecode ``code``."""
-    return (length + 7) // 8 if code == _BITS else length * _FILE[code].itemsize
+    if code in _PACKED:
+        return (length * _PACKED[code] + 7) // 8
+    return length * _FILE[code].itemsize
+
+
+def _word(bits: int) -> tuple[np.dtype, int, int]:
+    """The little-endian word that holds the per = 8 // ``bits`` values of
+    one packed byte, value j in byte j; the multiplier sum(2**((8 + bits)
+    * j)) that moves them between that word and the byte; and the mask of
+    each byte's low ``bits`` bits. Times the word, the multiplier moves
+    value j up (8 + bits) * (per - 1 - j) bits, to bit 8 - bits * (j + 1)
+    of the top byte. Times the byte, then shifted down 8 - bits, it moves
+    value j to the low bits of byte j. No two shifted copies of a value
+    overlap, so a product carries nothing into the bits kept."""
+    per = 8 // bits
+    word = np.dtype(f"<u{per}")
+    times = sum(1 << (8 + bits) * j for j in range(per))
+    low = ((1 << bits) - 1) * sum(1 << 8 * j for j in range(per))
+    return word, word.type(times), word.type(low)
+
+
+_WORDS = {bits: _word(bits) for bits in _PACKED.values()}
+
+
+def _pack(v: np.ndarray, bits: int, inf: np.ndarray | None) -> np.ndarray:
+    """The values ``v``, each below ``2**bits``, packed ``8 // bits`` to a
+    byte, the first in the high bits, the padding after the last 0; at the
+    slots ``inf``, the width's top value. ``np.packbits`` packs single
+    bits, INF included, as it sets a bit for any value but 0; wider values
+    take one multiply per word, which gathers its bytes' values into its
+    top byte, its last."""
+    if bits == 1:
+        return np.packbits(v)
+    word, times, _ = _WORDS[bits]
+    values = np.zeros(-(-len(v) // word.itemsize) * word.itemsize, dtype=np.uint8)
+    values[: len(v)] = v
+    if inf is not None:
+        values[: len(v)][inf] = (1 << bits) - 1
+    np.multiply(values.view(word), times, out=values.view(word))
+    return np.ascontiguousarray(values[word.itemsize - 1 :: word.itemsize])
+
+
+def _unpack(packed: np.ndarray, bits: int, v: np.ndarray) -> None:
+    """Fill ``v`` with the values ``_pack`` packed into ``packed``: one
+    multiply per byte spreads its values to the bytes of a word, and a
+    shift and a mask keep each value's bits alone in its byte."""
+    word, times, low = _WORDS[bits]
+    spread = packed.astype(word)
+    spread *= times
+    spread >>= 8 - bits
+    spread &= low
+    v[:] = spread.view(np.uint8)[: len(v)]
 
 
 def _narrowest(v: np.ndarray, typecode: str) -> tuple[str, np.ndarray]:
     """The narrowest file typecode that holds the values ``v`` of an array
-    of table type ``typecode``, and the values as the file holds them. Below
-    ``q``, 0s and 1s pack into bits; a distance array's ``INF`` becomes the
-    type's maximum, which its finite values must then stay below."""
+    of table type ``typecode``, and the values as the file holds them.
+    Values in ``[0, 2**k)`` pack at k bits, for the least k of 1, 2 and 4
+    that holds them, before any whole byte. A distance array's ``INF``
+    becomes the width's top value, which its finite values must then stay
+    below."""
     lo, hi = (int(v.min()), int(v.max())) if len(v) else (0, 0)
-    reserved = typecode == "q"  # the narrow type's maximum, kept for INF
-    if not reserved and lo >= 0 and hi <= 1:
-        return _BITS, np.packbits(v)
+    reserved = typecode == "q"  # the width's top value, kept for INF
     inf = None
     if reserved and hi == INF:
         # the finite values, all below INF here, bound the type
         inf = v == INF
         lo, hi = (lo, int(v.max(where=~inf, initial=lo))) if lo < INF else (0, 0)
+    if lo >= 0:
+        for code, bits in _PACKED.items():
+            if hi < (1 << bits) - reserved:
+                return code, _pack(v, bits, inf)
     for code, dtype in _FILE.items():
         info = np.iinfo(dtype)
         if code == typecode or (info.min <= lo and hi <= info.max - reserved):
@@ -157,11 +218,15 @@ def _read_store(payload: memoryview) -> QueryStore:
     for (name, code), (_, file_code, length, size) in zip(FILE, _entries(payload)):
         a = array(code, [0]) * length
         v = np.frombuffer(a, dtype=code)
-        if file_code == _BITS:
-            bits = np.frombuffer(payload, dtype=np.uint8, count=size, offset=at)
-            if length % 8 and bits[-1] & (0xFF >> length % 8):
+        if file_code in _PACKED:
+            bits = _PACKED[file_code]
+            packed = np.frombuffer(payload, dtype=np.uint8, count=size, offset=at)
+            pad = -length * bits % 8
+            if pad and packed[-1] & ((1 << pad) - 1):
                 raise ValueError(f"{name} sets a bit past its last value")
-            v[:] = np.unpackbits(bits, count=length)
+            _unpack(packed, bits, v)
+            if code == "q":
+                v[v == (1 << bits) - 1] = INF
         else:
             data = np.frombuffer(payload, dtype=_FILE[file_code], count=length, offset=at)
             v[:] = data

@@ -12,15 +12,16 @@ are never faults and get no slot. The build appends each level to one
 and files hold.
 
 The build appends the arrays of ``FILE``, the form a file holds (format
-SDO12), each value local to its node so that it fits a byte or two:
+SDO13), each value local to its node so that it fits a few bits:
 ``vbase``, ``ebase``, ``sbase`` (each node's first ``sr`` entry) and
 ``dep_off`` as a leading 0 and then one count per node or slot; a path
 position (``esr``, ``dsr``) as a position on the node's path. No node id
 is held, so a subtree's arrays can be appended anywhere as they are. The
 build appends each split as two bits per vertex slot (``vside``: in side
 M, in side N); a node with a vertex on both, the separator, is internal,
-which gives the tree (``_shape``), and as grafting keeps the parent's
-order, every link is a rank:
+which gives the tree (``_shape``). Each edge slot gets its side code, a
+leaf's LEAF slot PRIMARY's, as no leaf holds a PRIMARY slot, so the codes
+fit two bits. As grafting keeps the parent's order, every link is a rank:
 
 - a vertex's id in a child is its rank among its node's vertices on that
   side; the separator has an id on both;
@@ -34,10 +35,11 @@ count above 0), and ``esr`` only at PRIMARY slots; everywhere else a query
 never reads them, and they hold INF, 0 and -1. ``check_and_rebase`` turns
 these arrays into the store queries walk, the arrays of ``TABLE``, for a
 finished build and a loaded file alike: it sums the counts into offsets,
-derives the tree, checks that each node's side counts equal its children's
-vertex and edge counts (so every derived link lands inside its child) and
-bounds each path position, then derives the links and rebases every local
-value to its slot, row or ``sr`` index. ``file_arrays`` is the inverse.
+derives the tree, turns a leaf's PRIMARY codes into LEAF, checks that each
+node's side counts equal its children's vertex and edge counts (so every
+derived link lands inside its child) and bounds each path position, then
+derives the links and rebases every local value to its slot, row or ``sr``
+index. ``file_arrays`` is the inverse.
 
 Distances are integers up to ``INF = 2**62``, which stands for UNREACHABLE:
 a candidate sum at or above INF never wins, and the API turns INF back into
@@ -66,7 +68,8 @@ if TYPE_CHECKING:
 INF = 2**62
 
 # Side codes of an edge slot at an internal node: where the fault lies. A
-# leaf's slot is LEAF where the leaf holds a row for it, else CROSS.
+# leaf's slot is LEAF where the leaf holds a row for it, else CROSS; the
+# build appends, and a file holds, LEAF as PRIMARY.
 CROSS, PRIMARY, LEFT, RIGHT, LEAF = 0, 1, 2, 3, 4
 
 # (name, typecode) of every array of a query store, in the order ``arrays``
@@ -120,6 +123,7 @@ FILE = (
     ("dep_off", "i"),
     ("dep_len", "q"),
     ("dsr", "i"),
+    # a leaf's LEAF slots as PRIMARY
     ("kind", "b"),
     # per PRIMARY edge slot only
     ("esr", "i"),
@@ -223,7 +227,7 @@ def append_node(
     s.meta[3] = max(s.meta[3], depth)
     vside, kind = array("b", bytes(2 * nv)), array("b", bytes(ne))
     for eid, row in rows:
-        kind[eid] = LEAF
+        kind[eid] = PRIMARY  # LEAF, as a leaf holds no PRIMARY slot
         s.rows.extend(row)
     for side, (code, (inside, eids)) in enumerate(zip((LEFT, RIGHT), sides)):
         vside[side::2] = array("b", inside)
@@ -275,16 +279,18 @@ def file_arrays(s: QueryStore) -> list[tuple[str, np.ndarray]]:
     file holds them, in ``FILE`` order: the inverse of the check's sums,
     derivations and rebase. The offsets become counts, ``dep_off``'s at
     tabled nodes only; the links give way to ``vside``, which marks each
-    vertex link that is not -1; ``dist_r`` keeps the slots of tabled nodes
-    and ``esr`` the PRIMARY slots; each path position loses its node's
-    ``sbase``. ``s`` is not changed. A value changed in ``s`` after its
-    check reaches the file where the file holds it, so a load rejects it
-    as it would the file."""
+    vertex link that is not -1; a LEAF code becomes PRIMARY's; ``dist_r``
+    keeps the slots of tabled nodes and ``esr`` the PRIMARY slots; each
+    path position loses its node's ``sbase``. ``s`` is not changed. A
+    value changed in ``s`` after its check reaches the file where the file
+    holds it, so a load rejects it as it would the file."""
     v = {name: _view(getattr(s, name)) for name, _ in TABLE}
     vbase, ebase, sbase, dep_off = (v[name] for name in OFFSETS)
     tabled = np.repeat(sbase[1:] > sbase[:-1], np.diff(vbase))
     primary = np.flatnonzero(v["kind"] == PRIMARY)
     dep_counts = _counts(dep_off)
+    # LEAF takes PRIMARY's code, by arithmetic: a select branches per slot
+    v["kind"] = v["kind"] - (v["kind"] == LEAF) * np.int8(LEAF - PRIMARY)
     v.update(
         vbase=_counts(vbase),
         ebase=_counts(ebase),
@@ -429,7 +435,6 @@ def _links(s: QueryStore, side: np.ndarray, kids: np.ndarray) -> None:
     _on(_ON_N, kind, right_link)
     np.cumsum(right_link, dtype=np.int32, out=right_link)
     on_n, n_before = _steps(right_link, ebase)
-    _need(not (on_m[leaf].any() or on_n[leaf].any() or on_leaf[~leaf].any()), "side code unknown")
     # each side's vertices and original edges are its child's, in order:
     # side N's child adds its hub; a -1 child (a leaf's) reads a count of 0
     child_nv, child_ne = np.concatenate(([0], nv))[kids + 1], np.concatenate(([0], ne))[kids + 1]
@@ -528,13 +533,14 @@ def check_and_rebase(s: QueryStore) -> None:
     place, or raise ValueError unless they form a store that every query
     can walk without leaving an array: consistent lengths and counts, at
     most one separator slot per node, marks that give one tree in preorder
-    (``_shape``), side counts equal to the vertex and edge counts of the
-    children the tree gives (so every link derived from them lands in that
-    child, later in preorder, and every walk ends), one leaf row per
-    LEAF slot and leaf vertex, path positions inside their node's path,
-    doubly monotone departing segments, distances in [0, INF]. A build's
-    store passes it as a loaded file's does, so no oracle is handed out
-    before the check.
+    (``_shape``), side codes that fit their node (a leaf's CROSS or, as
+    PRIMARY's code, LEAF), side counts equal to the vertex and edge counts
+    of the children the tree gives (so every link derived from them lands
+    in that child, later in preorder, and every walk ends), one leaf row
+    per LEAF slot and leaf vertex, path positions inside their node's
+    path, doubly monotone departing segments, distances in [0, INF]. A
+    build's store passes it as a loaded file's does, so no oracle is handed
+    out before the check.
 
     The counts are summed into offsets first, which index nothing, and the
     offsets are checked as the store's. The side counts and path positions
@@ -561,11 +567,9 @@ def check_and_rebase(s: QueryStore) -> None:
     # the vertex slots of tabled nodes, those with sr entries
     tabled = np.repeat(ns > 0, nv)
     held = np.count_nonzero(tabled)
-    primary = np.flatnonzero(kind == PRIMARY)
     _need(len(s.vside) == 2 * slots, "vside does not hold two entries per vertex slot")
     _need(len(kind) == edge_slots, "kind does not hold one entry per edge slot")
     _need(len(s.dist_r) == held, "dist_r does not hold one entry per tabled slot")
-    _need(len(s.esr) == len(primary), "esr does not hold one entry per PRIMARY slot")
     counts = _view(s.dep_off)
     _need(len(counts) == held + 1 and counts[0] == 0, "dep_off length")
     s.dep_off = array("i", [0]) * (slots + 1)
@@ -616,7 +620,15 @@ def check_and_rebase(s: QueryStore) -> None:
     side = _view(s.vside).reshape(-1, 2)
     _need(not (side.view(np.uint8) > 1).any(), "vside is not 0 or 1")
     kids = _shape(s, side)
-    _need(not len(kind) or (kind.min() >= CROSS and kind.max() <= LEAF), "side code unknown")
+    # a leaf's slot is CROSS or, coded as PRIMARY, LEAF; an internal node's
+    # any code up to RIGHT
+    leaf_slot = np.repeat(kids[:, 0] < 0, ne)
+    _need(not len(kind) or (kind.min() >= CROSS and kind.max() <= RIGHT
+                            and kind.max(where=leaf_slot, initial=CROSS) <= PRIMARY), "side code unknown")
+    kind[leaf_slot & (kind == PRIMARY)] = LEAF
+    del leaf_slot
+    primary = np.flatnonzero(kind == PRIMARY)
+    _need(len(s.esr) == len(primary), "esr does not hold one entry per PRIMARY slot")
     # the path positions, by their node's sr count
     owner = np.searchsorted(ebase, primary, "right") - 1
     esr = _view(s.esr)

@@ -122,7 +122,8 @@ def build_store(g: Graph, source: int = 0, depth: int = 0):
     off it), so the separator has an id on both; an edge's child id is its
     rank among its node's PRIMARY and LEFT slots, or its RIGHT slots; a LEAF
     slot's offset in its leaf's rows is its rank among the leaf's LEAF
-    slots times the leaf's vertex count; CROSS links -1. ``esr`` gets -1
+    slots times the leaf's vertex count; CROSS links -1. A leaf's LEAF
+    slots, which the build appends as PRIMARY, become LEAF. ``esr`` gets -1
     off the path, and ``dist_r`` and ``dep_off`` INF and no entries at a
     node without tables. The child links hold ids within the child, the
     leaf links offsets in the leaf's rows and the path positions positions
@@ -144,7 +145,10 @@ def build_store(g: Graph, source: int = 0, depth: int = 0):
             dist_r.append(next(tabled_dist) if tabled else INF)
             dep_counts.append(next(tabled_counts) if tabled else 0)
         ranks = {LEFT: 0, RIGHT: 0, LEAF: 0}
+        leaf = not any(side[2 * v] and side[2 * v + 1] for v in range(vbase[i], vbase[i + 1]))
         for e in range(ebase[i], ebase[i + 1]):
+            if leaf and kind[e] == PRIMARY:
+                kind[e] = LEAF
             k = LEFT if kind[e] == PRIMARY else kind[e]
             if k == CROSS:
                 elink.append(-1)
@@ -470,11 +474,9 @@ def loop_check(s: QueryStore) -> None:
     vertex_owner = list(chain.from_iterable(map(repeat, range(nodes), nv)))
     edge_owner = list(chain.from_iterable(map(repeat, range(nodes), ne)))
     tabled = [ns[i] > 0 for i in vertex_owner]
-    primary = [e for e, k in enumerate(s.kind) if k == PRIMARY]
     need(len(s.vside) == 2 * slots, "vside does not hold two entries per vertex slot")
     need(len(s.kind) == edge_slots, "kind does not hold one entry per edge slot")
     need(len(s.dist_r) == sum(tabled), "dist_r does not hold one entry per tabled slot")
-    need(len(s.esr) == len(primary), "esr does not hold one entry per PRIMARY slot")
     need(len(s.dep_off) == sum(tabled) + 1 and s.dep_off[0] == 0, "dep_off length")
     counts = iter(s.dep_off[1:])
     dep_off = _int32_sums([0] + [next(counts) if t else 0 for t in tabled])
@@ -533,12 +535,14 @@ def loop_check(s: QueryStore) -> None:
     need(not to_come, f"the tree leaves {len(to_come)} subtrees open after its last node, {nodes - 1}")
     need(max(node_depth) == depth, "meta depth differs from the tree")
 
-    kind = s.kind
-    need(all(CROSS <= k <= LEAF for k in kind), "side code unknown")
+    # a leaf's slot is CROSS or, coded as PRIMARY, LEAF
+    for i, k in zip(edge_owner, s.kind):
+        need(k in ((CROSS, PRIMARY) if left[i] < 0 else (CROSS, PRIMARY, LEFT, RIGHT)), "side code unknown")
+    kind = [LEAF if left[i] < 0 and k == PRIMARY else k for i, k in zip(edge_owner, s.kind)]
+    primary = [e for e, k in enumerate(kind) if k == PRIMARY]
+    need(len(s.esr) == len(primary), "esr does not hold one entry per PRIMARY slot")
     for e, x in zip(primary, s.esr):
         need(0 <= x < ns[edge_owner[e]], "path position out of range")
-    for i, k in zip(edge_owner, kind):
-        need(k in ((CROSS, LEAF) if left[i] < 0 else (CROSS, PRIMARY, LEFT, RIGHT)), "side code unknown")
     # Each side's members and edges against its child's vertex and original
     # edge counts (side N's child adds its hub), the LEAF slots' rows
     # against rows.

@@ -173,6 +173,7 @@ def test_load_rejects_foreign_files(tmp_path):
         b"SDO9-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO10-ORACLE\x00" + blob[len(MAGIC) :],
         b"SDO11-ORACLE\x00" + blob[len(MAGIC) :],
+        b"SDO12-ORACLE\x00" + blob[len(MAGIC) :],
     ):
         p = tmp_path / "junk.oracle"
         p.write_bytes(junk)
@@ -269,7 +270,7 @@ def test_stats_shows_each_array_at_its_file_width(tmp_path, capsys):
     for row, (name, a) in zip(rows, oracle.store.arrays(), strict=True):
         assert row.split() == [name, a.typecode, str(len(a)), str(len(a) * a.itemsize)]
     payload = target.read_bytes()[len(MAGIC) + DIGEST :]
-    width = {"b": 8, "h": 16, "i": 32, "q": 64, "?": 1}
+    width = {"b": 8, "h": 16, "i": 32, "q": 64, "1": 1, "2": 2, "4": 4}
     narrower = 0
     for i, (row, (name, code)) in enumerate(zip(file_rows, FILE, strict=True)):
         entry = payload[4 + 21 * i : 4 + 21 * (i + 1)]
@@ -278,10 +279,11 @@ def test_stats_shows_each_array_at_its_file_width(tmp_path, capsys):
         assert row.split() == [name, file_code, str(length), str(size)]
         assert width[file_code] <= width[code]
         narrower += width[file_code] < width[code]
-    # the 300 parent ids take 2 bytes each, distances below 127 one, and the
-    # two side bits of each vertex slot one bit each
+    # the 300 parent ids take 2 bytes each, distances below 15 four bits
+    # (15 stands for INF), the side codes of the edge slots two bits each,
+    # and the two side bits of each vertex slot one bit each
     codes = {row.split()[0]: row.split()[1] for row in file_rows}
-    assert (codes["parent"], codes["dist"], codes["vside"]) == ("h", "b", "?")
+    assert (codes["parent"], codes["dist"], codes["kind"], codes["vside"]) == ("h", "4", "2", "1")
     assert narrower >= 10
 
 
@@ -415,12 +417,15 @@ def _meta_depth_too_deep(oracle, payload):
     oracle.store.meta[3] += 1
 
 
-def _side_code_four(oracle, payload):
-    oracle.store.kind[0] = LEAF
+def _left_code_at_a_leaf(oracle, payload):
+    # a leaf's slot is CROSS or LEAF, which the file codes as PRIMARY
+    s = oracle.store
+    s.kind[s.kind.index(LEAF)] = LEFT
 
 
-def _kind_five(oracle, payload):
-    oracle.store.kind[0] = 5
+def _right_code_at_a_leaf(oracle, payload):
+    s = oracle.store
+    s.kind[s.kind.index(LEAF)] = RIGHT
 
 
 def _meta_depth_too_shallow(oracle, payload):
@@ -703,15 +708,26 @@ _parent_declared_q = _declared("parent", b"q")
 _vside_declared_h = _declared("vside", b"h")
 
 
-def _bit_past_the_last_slot(oracle, payload):
-    # vside's bits end inside their last byte; the lowest bit is padding
-    at = 4 + 21 * len(FILE)
-    for name, code, length, size in serialize._entries(memoryview(payload)):
-        if name == "vside":
-            assert code == "?" and length % 8
-            end = at + size - 1
-            return payload[:end] + bytes([payload[end] | 1]) + payload[end + 1 :]
-        at += size
+def _padding_set(name: str, bits: int, craft_name: str):
+    """A craft that sets the lowest bit of array ``name``'s last byte, where
+    its values, packed at ``bits`` bits each, end before the byte does."""
+
+    def craft(oracle, payload):
+        at = 4 + 21 * len(FILE)
+        for got, code, length, size in serialize._entries(memoryview(payload)):
+            if got == name:
+                assert code == str(bits) and length * bits % 8
+                end = at + size - 1
+                return payload[:end] + bytes([payload[end] | 1]) + payload[end + 1 :]
+            at += size
+
+    craft.__name__ = craft_name
+    return craft
+
+
+_bit_past_the_last_slot = _padding_set("vside", 1, "_bit_past_the_last_slot")
+_side_code_past_the_last_slot = _padding_set("kind", 2, "_side_code_past_the_last_slot")
+_length_past_the_last_entry = _padding_set("dep_len", 4, "_length_past_the_last_entry")
 
 
 @pytest.mark.parametrize(
@@ -747,8 +763,8 @@ def _bit_past_the_last_slot(oracle, payload):
         (_two_separators, "node 0 separator marks 2 slots"),
         (_vside_two, "vside is not 0 or 1"),
         (_meta_depth_too_deep, "meta depth differs from the tree"),
-        (_side_code_four, "side code unknown"),
-        (_kind_five, "side code unknown"),
+        (_left_code_at_a_leaf, "side code unknown"),
+        (_right_code_at_a_leaf, "side code unknown"),
         (_meta_depth_too_shallow, "meta depth differs from the tree"),
         (_child_vertex_out_of_range, "child vertex slot out of range: node 0 side M"),
         (_side_count_off_by_one, "child vertex slot out of range: node 0 side N"),
@@ -769,6 +785,8 @@ def _bit_past_the_last_slot(oracle, payload):
         (_parent_declared_q, "does not match the oracle's array table"),
         (_vside_declared_h, "does not match the oracle's array table"),
         (_bit_past_the_last_slot, "vside sets a bit past its last value"),
+        (_side_code_past_the_last_slot, "kind sets a bit past its last value"),
+        (_length_past_the_last_entry, "dep_len sets a bit past its last value"),
     ],
 )
 def test_crafted_file_with_valid_digest_is_rejected(craft, reason, tmp_path, capsys):

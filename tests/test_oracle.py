@@ -25,7 +25,7 @@ from sdo.oracle import OracleTree, _build, build_oracle
 from sdo.query import query, ssrp
 from sdo.serialize import dump_oracle
 from sdo.spt import dijkstra, distances_from, separator_split
-from sdo.store import CROSS, FILE, INF, LEAF, OFFSETS, RIGHT, SEGMENT, check_and_rebase, file_arrays
+from sdo.store import CROSS, FILE, INF, LEAF, LEFT, OFFSETS, RIGHT, SEGMENT, check_and_rebase, file_arrays
 
 from conftest import (
     appended_store,
@@ -89,15 +89,16 @@ def test_tree_nodes_are_store_nodes_in_preorder():
         # which check_and_rebase, given the node and departing-entry counts
         # as _build gives them, sums the offsets, spreads the arrays held at
         # some slots only, derives the links from vside and rebases the
-        # local values, and changes no other array the build appends; the
-        # file holds the arrays as the build appends them
+        # local values, turns a leaf's PRIMARY codes into LEAF, and changes
+        # no other array the build appends; the file holds the arrays as the
+        # build appends them
         nodes, store = appended_store(g, s)
         appended = {name: getattr(store, name).tobytes() for name, _ in FILE}
         store.meta[2], store.meta[4] = len(store.vbase) - 1, len(store.dep_len)
         check_and_rebase(store)
         assert dump_oracle(OracleTree(store)) == dump_oracle(oracle), label
         changed = {name for name, _ in FILE if getattr(store, name).tobytes() != appended[name]}
-        assert changed <= {"meta", *OFFSETS, "vside", "dist_r", "esr", "dsr"}, label
+        assert changed <= {"meta", *OFFSETS, "vside", "dist_r", "kind", "esr", "dsr"}, label
         held = {name: v.astype(code).tobytes() for (name, v), (_, code) in zip(file_arrays(store), FILE)}
         assert {**held, "meta": b""} == {**appended, "meta": b""}, label
         assert len(nodes) == oracle.node_count, label
@@ -113,6 +114,20 @@ def test_tree_nodes_are_store_nodes_in_preorder():
             assert kids[i][0] == i + 1 < kids[i][1], (label, i)
             for child in kids[i]:
                 assert nodes[child].depth == node.depth + 1, (label, i, child)
+
+
+@pytest.mark.parametrize("code", [-1, LEFT, RIGHT, LEAF, 5])
+def test_the_check_rejects_a_side_code_a_build_cannot_append(code):
+    # a build appends a leaf's LEAF slots as PRIMARY, so LEAF itself, a code
+    # past it and a side of an internal node are unknown at a leaf, and any
+    # code past RIGHT anywhere
+    nodes, store = appended_store(tree_plus_chords(60, 60, 9), 0)
+    store.meta[2], store.meta[4] = len(store.vbase) - 1, len(store.dep_len)
+    leaf = next(i for i, node in enumerate(nodes) if node.primary_path is None and store.ebase[i + 1])
+    slot = sum(store.ebase[: leaf + 1])
+    store.kind[slot if code in (LEFT, RIGHT) else 0] = code
+    with pytest.raises(ValueError, match="side code unknown"):
+        check_and_rebase(store)
 
 
 def test_the_build_only_appends(monkeypatch):

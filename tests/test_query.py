@@ -389,13 +389,13 @@ def test_separate_builds_dump_identical_bytes():
 # seed 11. A change that leaves the file format alone must leave these bytes
 # alone too.
 PINNED_DUMPS = {
-    "tree": "ae07043120d74b61a3aa8d58edbf611e83ab0308c9f1a406140e44091b2daf65",
-    "tree+n/4": "5f4ca19910095cc86dc17fcb16e7fad394b38f6d3b58d0eb1b8518abf814a5d0",
-    "tree+n": "1c10bd70a1c50116d20da458322f62f9e0f6cb6463e31144d60d2567cee1d01b",
-    "tree+dense": "665525f4832c2792eb345ad282cff61e031195f45ba8bd3020855c245d0650e5",
-    "grid": "0aa7eceb7a6ce368ddd79dd1162bc8c1dc6c8dd8da9919341772cdd37fe58bd8",
-    "gadget": "a31a2574430d145e48bd44cc87049e50479c35242fb92b7201f6345fbe2985df",
-    "ragged": "31a3bb66986d2f098bec1916b69b6bf313fb445231b903c18bca005cc36b2f0f",
+    "tree": "c643a349190cc8a18cfce152324cb4b2c963145a6c7fa3413dacd3b4c5d58b8d",
+    "tree+n/4": "028be636fda6ac3ad08889c50c10f00095c63fca5f4717b91f5006a131397168",
+    "tree+n": "01f2b2570c1c99395397816debab7cbc064c833fb9d4e10583e66b63f42e3cf1",
+    "tree+dense": "bdbac2992cc9c623ae98896b02e385da393c85d076b062f646a9e1358981fb4d",
+    "grid": "acd6e3f55aae968ef20ce9fa9cc33100fe9659145c672e1b708b354ae0e68cfe",
+    "gadget": "89254c5bfa97d14d51a236372111e7fa6998377edca2448b35d94c5a81afc4a4",
+    "ragged": "78b6cfedc80378e05c6ebb5dbc5560e6553c380ea7dfa74010289e04574867a7",
 }
 
 
@@ -417,8 +417,8 @@ def zero_weighted_chords(n: int, chords: int, seed: int) -> Graph:
 # The same pins where departing segments grow long and equal lengths tie:
 # nested_arcs(32), and a weighted tree_plus_chords with zero weights.
 PINNED_DUMPS_AT_SCALE = {
-    "arcs(32)": "eb03659d523094f020070cf5cd8950c90bd6055348faab226fe58633647b4514",
-    "chords(512)": "051b6079e28e753ff8377c9ef10b93eb643dfb4f8c3ae4003cd551df90fdd3ec",
+    "arcs(32)": "099f889fe225ecdbf88d18bda5fb4018c142baea7cc6a4dad63a5dc0ee5b6360",
+    "chords(512)": "4c684d3b83306a8ba4cd7eaaf6c1e02766502e31270cbcf97f401fd82d95febf",
 }
 
 

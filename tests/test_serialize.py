@@ -1,9 +1,10 @@
-"""The file widths of formats SDO9 to SDO11: each array at the narrowest
-type that holds it, an array of 0s and 1s as packed bits, a narrow distance
-array's INF at the type's maximum; and the local coding of SDO10 and SDO11,
-which a load turns back into the store exactly."""
+"""The file widths of formats SDO9 to SDO13: each array at the narrowest
+width that holds it, values in [0, 2**k) packed k bits each for k = 1, 2 or
+4, a narrow distance array's INF at the width's top value; and the local
+coding of SDO10 to SDO13, which a load turns back into the store exactly."""
 
 from array import array
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,15 +20,33 @@ from sdo.store import FILE, INF, QueryStore, file_arrays
 
 from conftest import appended_store, checked, with_weights
 
-# (values, the file typecode they take) per table typecode. Below "q", 0s
-# and 1s (none at all included) pack into bits. In a distance array the
-# type's maximum stands for INF, so a finite value there widens.
+# (values, the file typecode they take) per table typecode. Values in
+# [0, 2**k) (none at all included) pack at k = 1, 2 or 4 bits; others take
+# whole bytes. In a distance array the width's top value stands for INF, so
+# a finite value there widens. The lengths include ones that end inside a
+# byte.
 WIDTHS = {
-    "b": [([], "?"), ([0, 1, 1, 0, 1, 0, 0, 1, 1], "?"), ([-1, 1], "b"), ([2], "b"), ([-128, 0, 127], "b")],
+    "b": [
+        ([], "1"),
+        ([0, 1, 1, 0, 1, 0, 0, 1, 1], "1"),
+        ([3], "2"),
+        ([0, 2, 3, 1, 3], "2"),
+        ([4], "4"),
+        ([15, 0, 7], "4"),
+        ([16], "b"),
+        ([-1, 0], "b"),
+        ([-1, 1], "b"),
+        ([-128, 0, 127], "b"),
+    ],
     "i": [
-        ([], "?"),
-        ([1], "?"),
-        ([0, 1] * 8, "?"),
+        ([], "1"),
+        ([1], "1"),
+        ([0, 1] * 8, "1"),
+        ([3], "2"),
+        ([2, 3, 0, 1, 2, 3, 1], "2"),
+        ([4], "4"),
+        ([15] * 5, "4"),
+        ([16], "b"),
         ([-1, 0], "b"),
         ([-128, -1, 127], "b"),
         ([-129], "h"),
@@ -38,9 +57,20 @@ WIDTHS = {
         ([-(2**31), 2**31 - 1], "i"),
     ],
     "q": [
-        ([], "b"),
-        ([0, 1], "b"),
-        ([INF], "b"),
+        ([], "1"),
+        ([0], "1"),
+        ([INF], "1"),
+        ([0, INF, 0], "1"),
+        ([1], "2"),
+        ([0, 1], "2"),
+        ([2, INF], "2"),
+        ([0, 1, 2, INF, 2], "2"),
+        ([3], "4"),
+        ([3, INF, 0], "4"),
+        ([14, INF], "4"),
+        ([15], "b"),
+        ([15, INF], "b"),
+        ([-1, 0], "b"),
         ([-128, 126, INF], "b"),
         ([-1, 126], "b"),
         ([127], "h"),
@@ -60,30 +90,68 @@ WIDTHS = {
         ([-(2**63), 2**63 - 1], "q"),
     ],
 }
-BYTES = {"b": 1, "h": 2, "i": 4, "q": 8}
+BITS = {"1": 1, "2": 2, "4": 4, "b": 8, "h": 16, "i": 32, "q": 64}
 
 
-@pytest.mark.parametrize("name, code", FILE, ids=[name for name, _ in FILE])
-def test_each_width_edge_round_trips(name, code, tmp_path, monkeypatch):
+@contextmanager
+def _widths_only():
     # the structural check would reject these stores; the widths alone are
     # under test here, so a save writes each store array of the file as it
     # is, and a load checks nothing
-    monkeypatch.setattr(serialize, "file_arrays", lambda s: [
-        (other, np.frombuffer(getattr(s, other), dtype=c)) for other, c in FILE])
-    monkeypatch.setattr(serialize, "check_and_rebase", lambda s: None)
-    target = tmp_path / "edge.oracle"
-    for values, want in WIDTHS[code]:
-        store = QueryStore()
-        setattr(store, name, array(code, values))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "file_arrays", lambda s: [
+            (other, np.frombuffer(getattr(s, other), dtype=c)) for other, c in FILE])
+        mp.setattr(serialize, "check_and_rebase", lambda s: None)
+        yield
+
+
+def _width_round_trip(name: str, code: str, values: list, target) -> tuple[str, bytes]:
+    """The file typecode and the file bytes of array ``name`` holding
+    ``values``, every other array empty, once the file loads back to the
+    same arrays and re-saves to the same bytes."""
+    store = QueryStore()
+    setattr(store, name, array(code, values))
+    with _widths_only():
         blob = dump_oracle(OracleTree(store))
         target.write_bytes(blob)
         entries = {entry[0]: entry[1:] for entry in file_entries(target)}
-        size = (len(values) + 7) // 8 if want == "?" else BYTES[want] * len(values)
-        assert entries[name] == (want, len(values), size), values
-        assert all(entries[other][0] == ("b" if c == "q" else "?") for other, c in FILE if other != name)
         loaded = load_oracle(target).store
         assert [getattr(loaded, other) for other, _ in FILE] == [getattr(store, other) for other, _ in FILE]
         assert dump_oracle(OracleTree(loaded)) == blob, values
+    want, length, size = entries[name]
+    assert (length, size) == (len(values), (len(values) * BITS[want] + 7) // 8), values
+    assert all(entries[other][0] == "1" for other, _ in FILE if other != name)
+    # every other array is empty, so this one ends the file
+    return want, blob[len(blob) - size :]
+
+
+@pytest.mark.parametrize("name, code", FILE, ids=[name for name, _ in FILE])
+def test_each_width_edge_round_trips(name, code, tmp_path):
+    for values, want in WIDTHS[code]:
+        assert _width_round_trip(name, code, values, tmp_path / "edge.oracle")[0] == want, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry=st.sampled_from(FILE), bits=st.sampled_from([1, 2, 4]), data=st.data())
+def test_packed_values_round_trip_at_every_width(entry, bits, data, tmp_path_factory):
+    """Random arrays of values in [0, 2**bits), a distance array's below its
+    top value or INF, take the narrowest packed width k that holds them,
+    each value's k bits high bit first, INF as 2**k - 1, 0s after the
+    last."""
+    name, code = entry
+    reserved = code == "q"
+    values = st.integers(0, (1 << bits) - 1 - reserved)
+    if reserved:
+        values |= st.just(INF)
+    values = data.draw(st.lists(values, max_size=40))
+    hi = max((x for x in values if x != INF), default=0)
+    want = next(k for k in ("1", "2", "4") if hi < (1 << BITS[k]) - reserved)
+    target = tmp_path_factory.mktemp("packed") / "packed.oracle"
+    k = BITS[want]
+    bit_string = "".join(format((1 << k) - 1 if x == INF else x, f"0{k}b") for x in values)
+    bit_string += "0" * (-len(bit_string) % 8)
+    held = bytes(int(bit_string[i : i + 8], 2) for i in range(0, len(bit_string), 8))
+    assert _width_round_trip(name, code, values, target) == (want, held)
 
 
 def _round_trip(oracle: OracleTree, path) -> OracleTree:
