@@ -116,12 +116,8 @@ _WORDS = {bits: _word(bits) for bits in _PACKED.values()}
 def _pack(v: np.ndarray, bits: int, inf: np.ndarray | None) -> np.ndarray:
     """The values ``v``, each below ``2**bits``, packed ``8 // bits`` to a
     byte, the first in the high bits, the padding after the last 0; at the
-    slots ``inf``, the width's top value. ``np.packbits`` packs single
-    bits, INF included, as it sets a bit for any value but 0; wider values
-    take one multiply per word, which gathers its bytes' values into its
-    top byte, its last."""
-    if bits == 1:
-        return np.packbits(v)
+    slots ``inf``, the width's top value. One multiply per word gathers
+    its bytes' values into its top byte, its last."""
     word, times, _ = _WORDS[bits]
     values = np.zeros(-(-len(v) // word.itemsize) * word.itemsize, dtype=np.uint8)
     values[: len(v)] = v

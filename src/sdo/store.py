@@ -283,7 +283,9 @@ def file_arrays(s: QueryStore) -> list[tuple[str, np.ndarray]]:
     keeps the slots of tabled nodes and ``esr`` the PRIMARY slots; each
     path position loses its node's ``sbase``. ``s`` is not changed. A
     value changed in ``s`` after its check reaches the file where the file
-    holds it, so a load rejects it as it would the file."""
+    holds it, so a load rejects it as it would the file, with one
+    exception: a LEAF code is saved as PRIMARY's wherever it stands, so a
+    LEAF written at an internal node's slot reaches the file as PRIMARY."""
     v = {name: _view(getattr(s, name)) for name, _ in TABLE}
     vbase, ebase, sbase, dep_off = (v[name] for name in OFFSETS)
     tabled = np.repeat(sbase[1:] > sbase[:-1], np.diff(vbase))

@@ -428,6 +428,11 @@ def _right_code_at_a_leaf(oracle, payload):
     s.kind[s.kind.index(LEAF)] = RIGHT
 
 
+def _kind_five(oracle, payload):
+    # past every side code: kind then takes 4 bits in the file
+    oracle.store.kind[0] = 5
+
+
 def _meta_depth_too_shallow(oracle, payload):
     oracle.store.meta[3] -= 1
 
@@ -765,6 +770,7 @@ _length_past_the_last_entry = _padding_set("dep_len", 4, "_length_past_the_last_
         (_meta_depth_too_deep, "meta depth differs from the tree"),
         (_left_code_at_a_leaf, "side code unknown"),
         (_right_code_at_a_leaf, "side code unknown"),
+        (_kind_five, "side code unknown"),
         (_meta_depth_too_shallow, "meta depth differs from the tree"),
         (_child_vertex_out_of_range, "child vertex slot out of range: node 0 side M"),
         (_side_count_off_by_one, "child vertex slot out of range: node 0 side N"),
