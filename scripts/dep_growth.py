@@ -39,7 +39,7 @@ def main() -> None:
         g, t = nested_arcs(k)
         spt = dijkstra(g, 0)
         dep, _ = build_dep(g, spt, tree_path(spt, 0, k))
-        print(f"  n={g.n:>6}  |Dep(t)|={len(dep[t]):>4}  sqrt(n)={g.n ** 0.5:6.1f}")
+        print(f"  n={g.n:>6}  |Dep(t)|={int(dep.counts[t]):>4}  sqrt(n)={g.n ** 0.5:6.1f}")
 
 
 if __name__ == "__main__":

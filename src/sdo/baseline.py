@@ -1,9 +1,11 @@
 """Brute-force oracles used to validate the real oracle; correctness only.
 
-Deliberately shares nothing with the oracle machinery beyond the Graph type:
-a separate Dijkstra whose priority-queue tie-breaks match the canonical rule,
-so tree shapes (and hence enumerated fault sets) agree. ``brute_departing``
-reads only the source distances and the path vertices it is handed.
+Deliberately shares nothing with the oracle machinery beyond the Graph type
+and ``query.SsrpOutput``, the record columns ``brute_ssrp`` returns so that
+they compare with ``ssrp``'s. It runs a separate Dijkstra whose
+priority-queue tie-breaks match the canonical rule, so tree shapes (and
+hence enumerated fault sets) agree. ``brute_departing`` reads only the
+source distances and the path vertices it is handed.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .baseline import brute_ssrp
 from .generators import path_faults, tree_plus_chords, verify_corpus
 from .graphs import UNREACHABLE, GraphFormatError, read_graph, write_graph
@@ -112,8 +114,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         oracle = build_oracle(g, 0)
         build_s = time.perf_counter() - t0
-        off = oracle.store.dep_off
-        max_dep = max((b - a for a, b in zip(off, off[1:])), default=0)
+        max_dep = int(np.diff(oracle.store.dep_off).max(initial=0))
         cases = path_faults(dijkstra(g, 0), args.queries, rng)
         query(oracle, *cases[0])  # an untimed warm-up query
         t0 = time.perf_counter()

@@ -6,9 +6,10 @@ short list of candidate routes whose lengths strictly increase while their
 departure points climb strictly toward the source; a fault is then answered by
 a binary search for the first candidate departing at or above it.
 
-``build_dep`` writes a level's arrays in CSR form, one ``DepTable``: every
-array concatenated plus one offset per destination, so an empty array costs
-one offset and the oracle's flat store takes the table as it is.
+``build_dep`` writes a level's arrays as the query store appends them, one
+``DepTable``: one count per destination and every destination's candidates
+concatenated by rising departure position, so an empty array costs one
+count and ``store.append_node`` appends the table as it is.
 """
 
 from __future__ import annotations
@@ -25,45 +26,32 @@ from .store import INF
 
 
 class DepArray:
-    """A copy of one destination's candidates, for inspection: lengths
-    strictly increasing and departure positions strictly decreasing."""
-
-    __slots__ = ("lengths", "dp_depths")
-
-    def __init__(self, lengths: array, dp_depths: array):
-        self.lengths = lengths
-        self.dp_depths = dp_depths
-
-    def __len__(self) -> int:
-        return len(self.lengths)
+    """An empty placeholder: the benchmark's span table still names
+    ``DepArray.query`` and looks its owner up by name, so the name stays
+    until the benchmark drops it."""
 
 
 class DepTable:
-    """One level's candidate arrays in CSR form, as numpy int32 offsets and
-    positions and int64 lengths. Destination t owns entries
-    ``offsets[t]:offsets[t + 1]`` of ``lengths`` and ``dp_depths``, stored by
-    rising departure position (so falling length), the order in which the
-    query store's binary search reads them. Indexing or iterating yields
-    ``DepArray`` copies, shortest candidate first."""
+    """One level's candidate arrays as the store appends them: numpy int32
+    ``counts`` and ``dp_depths`` and int64 ``lengths``. Destination t owns
+    the next ``counts[t]`` entries of ``lengths`` and ``dp_depths``, stored
+    by rising departure position (so falling length), the order in which
+    the query store's binary search reads them. Iterating yields each
+    destination's ``lengths`` as a view."""
 
-    __slots__ = ("offsets", "lengths", "dp_depths")
+    __slots__ = ("counts", "lengths", "dp_depths")
 
-    def __init__(self, offsets: np.ndarray, lengths: np.ndarray, dp_depths: np.ndarray):
-        self.offsets = offsets
+    def __init__(self, counts: np.ndarray, lengths: np.ndarray, dp_depths: np.ndarray):
+        self.counts = counts
         self.lengths = lengths
         self.dp_depths = dp_depths
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, t: int) -> DepArray:
-        a, b = self.offsets[t], self.offsets[t + 1]
-        return DepArray(
-            array("q", reversed(self.lengths[a:b])), array("q", reversed(self.dp_depths[a:b]))
-        )
+        return len(self.counts)
 
     def __iter__(self):
-        return (self[t] for t in range(len(self)))
+        ends = np.cumsum(self.counts).tolist()
+        return (self.lengths[a:b] for a, b in zip([0, *ends], ends))
 
 
 @dataclass(slots=True)
@@ -151,8 +139,7 @@ def _group_by_destination(
     each candidate's round, which departs at that path position."""
     v = np.frombuffer(vs, dtype=np.int32)
     at = np.argsort(v, kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(v, minlength=n), out=offsets[1:])
+    counts = np.bincount(v, minlength=n).astype(np.int32)
     lengths, dpis = np.frombuffer(lengths, dtype=np.int64), np.frombuffer(dpis, dtype=np.int32)
-    return DepTable(offsets, lengths[at], dpis[at])
+    return DepTable(counts, lengths[at], dpis[at])
 

@@ -103,9 +103,13 @@ class SsrpOutput:
     def _edges(self, edge) -> Iterator:
         """``edge(x, y)`` per record. In every ssrp ``x`` is ``y``'s tree
         parent, so one object serves each lower vertex, and one numpy
-        gather hands it to the records."""
+        gather hands it to the records. That table, one entry per id up to
+        the largest lower end, is built only while it stays within a few
+        entries per record, as an ssrp's does on a connected graph (one
+        record or more per vertex but the source); otherwise each record
+        gets its own object."""
         x, y = self.x, self.y
-        if y.min() >= 0:
+        if y.min() >= 0 and y.max() < 4 * len(y):
             upper = np.full(y.max() + 1, -1, dtype=np.int64)
             upper[y] = x
             if np.array_equal(upper[y], x):

@@ -86,8 +86,9 @@ TABLE = (
     ("size", "i"),
     # sorted distinct min * n + max keys of the input edges
     ("edge_keys", "q"),
-    # per node, read by the check only: its first vertex slot, edge slot and
-    # sr entry, each with one extra entry, the total (a file: counts)
+    # per node, read by the check and by file_arrays, not by queries: its
+    # first vertex slot, edge slot and sr entry, each with one extra entry,
+    # the total (a file: counts)
     ("vbase", "i"),
     ("ebase", "i"),
     ("sbase", "i"),
@@ -249,7 +250,7 @@ def append_node(
         s.dist_r.extend(dist_r)
         s.sr.extend(sr)
         s.sbase.append(len(sr))
-        s.dep_off.frombytes(np.diff(dep.offsets).tobytes())
+        s.dep_off.frombytes(dep.counts.tobytes())
         s.dep_len.frombytes(dep.lengths.tobytes())
         s.dsr.frombytes(dep.dp_depths.tobytes())
     s.vbase.append(nv)

@@ -15,7 +15,6 @@ from operator import eq, ge, le, lt, mul, sub
 
 import numpy as np
 
-from sdo.departing import DepArray
 from sdo.graphs import Edge, Graph, UNREACHABLE
 from sdo.oracle import build_node
 from sdo.spt import ShortestPathTree, dijkstra
@@ -92,11 +91,23 @@ def source_tree(oracle) -> ShortestPathTree:
     return dijkstra(oracle.graph, oracle.original_source)
 
 
-def best_departing(arr, pos: int):
+def dep_segment(dep, t: int) -> tuple:
+    """Destination ``t``'s candidates in one level's ``DepTable``: its
+    slices of ``lengths`` and ``dp_depths``, by rising departure position,
+    as the store appends them."""
+    lo = int(dep.counts[:t].sum())
+    hi = lo + int(dep.counts[t])
+    return dep.lengths[lo:hi], dep.dp_depths[lo:hi]
+
+
+def best_departing(segment, pos: int):
     """The departing answer by definition: the least candidate length among
-    those departing at or above path position ``pos``, else UNREACHABLE."""
+    those departing at or above path position ``pos``, else UNREACHABLE.
+    ``segment`` is one destination's candidates as a (lengths, departure
+    positions) pair, such as ``dep_segment`` gives."""
+    lengths, positions = segment
     return min(
-        (length for length, dpi in zip(arr.lengths, arr.dp_depths) if dpi <= pos),
+        (length for length, dpi in zip(lengths, positions) if dpi <= pos),
         default=UNREACHABLE,
     )
 
@@ -370,8 +381,7 @@ def root_primary_candidates(g: Graph, source: int, t: int, fault: tuple[int, int
     sr = distances(store.sr[sr_base(records, 0) : sr_base(records, 1)])[pos]
     dist_r = distances(vertex_segment(store, "dist_r", 0))[t]
     lo, hi = store.dep_off[store.vbase[0] + t], store.dep_off[store.vbase[0] + t + 1]
-    segment = DepArray(store.dep_len[lo:hi], store.dsr[lo:hi])
-    return [sr + dist_r, best_departing(segment, pos)]
+    return [sr + dist_r, best_departing((store.dep_len[lo:hi], store.dsr[lo:hi]), pos)]
 
 
 def walk_tables(store) -> tuple[list, list[int], list[int]]:

@@ -114,18 +114,25 @@ def test_criterion_2_gadget_regression():
 def test_criterion_3_dep_invariants_and_equivalence(corpus):
     nodes_checked = pairs_checked = 0
     for label, g, s, oracle in corpus:
+        # the store's own segments, which a query bisects; dsr holds sr
+        # indexes, so a path position is an entry less the node's sbase
         store = oracle.store
+        dep_off, dep_len, dsr = store.dep_off, store.dep_len, store.dsr
         for i, node in enumerate(oracle.nodes()):
-            if separator(store, i) < 0 or node.dep is None:
+            if separator(store, i) < 0 or store.sbase[i + 1] == store.sbase[i]:
                 continue
             nodes_checked += 1
             path = node.primary_path
-            for end, arr in enumerate(node.dep):
-                lengths = arr.lengths
-                depths = arr.dp_depths
-                for i in range(len(lengths) - 1):
-                    assert lengths[i] < lengths[i + 1], (label, end)
-                    assert depths[i] > depths[i + 1], (label, end)
+            base = store.sbase[i]
+            segments = []
+            for end in range(store.vbase[i], store.vbase[i + 1]):
+                lo, hi = dep_off[end], dep_off[end + 1]
+                lengths = dep_len[lo:hi]
+                depths = [at - base for at in dsr[lo:hi]]
+                for k in range(len(lengths) - 1):
+                    assert lengths[k] > lengths[k + 1], (label, end)
+                    assert depths[k] < depths[k + 1], (label, end)
+                segments.append((lengths, depths))
             spt_s = dijkstra(node.graph, node.source)
             brute = brute_departing(node.graph, spt_s, path)
             on_path = set(path.vertices)
@@ -135,7 +142,7 @@ def test_criterion_3_dep_invariants_and_equivalence(corpus):
                 for pos, eid in enumerate(path.edge_ids):
                     if node.graph.edges[eid].virtual:
                         continue
-                    got = best_departing(node.dep[t], pos)
+                    got = best_departing(segments[t], pos)
                     assert got == brute[t][pos], (label, node.depth, t, pos)
                     pairs_checked += 1
     _report(

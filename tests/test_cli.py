@@ -12,10 +12,11 @@ import pytest
 
 from sdo import cli, serialize
 from sdo.cli import main
-from sdo.generators import tree_plus_chords
+from sdo.generators import path_faults, tree_plus_chords
 from sdo.oracle import build_oracle
 from sdo.query import SsrpOutput, query, ssrp
 from sdo.serialize import MAGIC, dump_oracle, load_oracle, save_oracle
+from sdo.spt import dijkstra
 from sdo.store import CROSS, FILE, INF, LEAF, LEFT, PRIMARY, RIGHT, TABLE, file_arrays
 
 from conftest import children, file_store, loop_check, separator
@@ -132,6 +133,14 @@ def test_bench_prints_table(capsys):
     assert len(out) == 3
     assert out[0].split() == ["n", "m", "build_s", "max_dep", "query_us", "ssrp_s", "load_s"]
     assert all(len(row.split()) == 7 for row in out[1:])
+    # max_dep is the longest departing segment of the store of the same
+    # graph, drawn as bench draws it, its faults taken from the same stream
+    rng = random.Random(0)
+    for n, row in zip((32, 64), out[1:]):
+        g = tree_plus_chords(n, 2 * n, rng.randrange(1 << 30))
+        off = build_oracle(g, 0).store.dep_off
+        assert int(row.split()[3]) == max(b - a for a, b in zip(off, off[1:]))
+        path_faults(dijkstra(g, 0), 50, rng)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +13,7 @@ from sdo.oracle import build_oracle
 from sdo.query import query, ssrp
 from sdo.spt import dijkstra, tree_path
 
-from conftest import best_departing, naive_lca, with_weights
+from conftest import best_departing, dep_segment, naive_lca, with_weights
 
 
 def dep_for(g: Graph, s: int, r: int):
@@ -27,7 +31,7 @@ def check_against_brute(g: Graph, s: int, r: int):
         if t in on_path:
             continue
         for pos in range(len(path.edge_ids)):
-            assert best_departing(dep[t], pos) == brute[t][pos], (t, pos)
+            assert best_departing(dep_segment(dep, t), pos) == brute[t][pos], (t, pos)
     return spt, path, dep
 
 
@@ -36,10 +40,10 @@ class TestBuildDep:
         # chain 0-1-2-3 is the primary path, destination 4 hangs off the source
         g = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
         _, path, dep, _ = dep_for(g, 0, 3)
-        arr = dep[4]
-        assert len(arr) == 1
-        assert arr.lengths[0] == 1
-        assert arr.dp_depths[0] == 0 and path.vertices[arr.dp_depths[0]] == 0
+        lengths, depths = dep_segment(dep, 4)
+        assert len(lengths) == 1
+        assert lengths[0] == 1
+        assert depths[0] == 0 and path.vertices[depths[0]] == 0
 
     def test_equal_length_keeps_higher_departure(self):
         # primary 0-1-2; destination 4 reachable at length 2 both through the
@@ -48,12 +52,14 @@ class TestBuildDep:
         g = Graph.from_pairs(5, [(0, 1), (1, 2), (1, 4), (0, 3), (3, 4)])
         spt, path, dep, _ = dep_for(g, 0, 2)
         assert path.vertices == [0, 1, 2]
-        arr = dep[4]
-        assert len(arr) == 1
-        assert arr.lengths[0] == 2
-        assert arr.dp_depths[0] == 0 and path.vertices[arr.dp_depths[0]] == 0
+        lengths, depths = dep_segment(dep, 4)
+        assert len(lengths) == 1
+        assert lengths[0] == 2
+        assert depths[0] == 0 and path.vertices[depths[0]] == 0
 
-    def test_first_entry_is_shortest_with_high_departure(self):
+    def test_last_entry_is_shortest_with_high_departure(self):
+        # by rising departure position the last entry is the shortest, t's
+        # tree route, departing at or above where t's tree path leaves r's
         for seed in range(8):
             g = tree_plus_chords(25, 12, seed * 13 + 1)
             spt = dijkstra(g, 0)
@@ -64,8 +70,9 @@ class TestBuildDep:
             for t in range(g.n):
                 if t in on_path:
                     continue
-                assert dep[t].lengths[0] == spt.dist[t]
-                assert dep[t].dp_depths[0] <= path.vertices.index(naive_lca(spt, t, r))
+                lengths, depths = dep_segment(dep, t)
+                assert lengths[-1] == spt.dist[t]
+                assert depths[-1] <= path.vertices.index(naive_lca(spt, t, r))
 
     def test_double_monotonicity(self):
         for seed in range(10):
@@ -73,11 +80,12 @@ class TestBuildDep:
             spt = dijkstra(g, 0)
             r = max(range(g.n), key=lambda v: (spt.depth[v], -v))
             dep, _ = build_dep(g, spt, tree_path(spt, 0, r))
-            for arr in dep:
-                lengths = list(arr.lengths)
-                depths = list(arr.dp_depths)
-                assert all(a < b for a, b in zip(lengths, lengths[1:]))
-                assert all(a > b for a, b in zip(depths, depths[1:]))
+            assert int(dep.counts.sum()) == len(dep.lengths) == len(dep.dp_depths)
+            for t, own in enumerate(dep):
+                lengths, depths = map(list, dep_segment(dep, t))
+                assert list(own) == lengths
+                assert all(a > b for a, b in zip(lengths, lengths[1:]))
+                assert all(a < b for a, b in zip(depths, depths[1:]))
 
     def test_heap_accounting_bound(self):
         g = tree_plus_chords(40, 30, 99)
@@ -146,8 +154,9 @@ class TestEquivalence:
     def test_nested_arcs_every_arc_is_a_candidate(self):
         g, t = nested_arcs(6)
         spt, path, dep = check_against_brute(g, 0, 6)
-        assert len(dep[t]) == 7
-        assert list(dep[t].dp_depths) == [6, 5, 4, 3, 2, 1, 0]
+        lengths, depths = dep_segment(dep, t)
+        assert len(lengths) == 7
+        assert list(depths) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_sublinear_growth_on_nested_arcs(self):
         # quadrupling the vertex count must grow the largest array by no more
@@ -177,3 +186,25 @@ def test_matches_brute_departing(n, extra, seed, ragged, data):
     spt = dijkstra(g, 0)
     r = max(range(g.n), key=lambda v: (spt.depth[v], -v))
     check_against_brute(g, 0, r)
+
+
+# scripts/dep_growth.py --sizes 64,128 --seeds 11, as it printed when it read
+# DepTable's shortest-first copies: at the root, the largest departing count
+# of each random sparse graph and the arcs' destination's count
+DEP_GROWTH_TEXT = """\
+random sparse (m ~ 3n), max |Dep| at the root over seeds:
+  n=    64  max|Dep|=2
+  n=   128  max|Dep|=2
+nested arcs, |Dep(t)| against sqrt(n):
+  n=    82  |Dep(t)|=   9  sqrt(n)=   9.1
+  n=   290  |Dep(t)|=  17  sqrt(n)=  17.0
+  n=  1090  |Dep(t)|=  33  sqrt(n)=  33.0
+  n=  4226  |Dep(t)|=  65  sqrt(n)=  65.0
+"""
+
+
+def test_dep_growth_script_prints_its_pinned_text():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "dep_growth.py"
+    argv = [sys.executable, str(script), "--sizes", "64,128", "--seeds", "11"]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    assert done.stdout == DEP_GROWTH_TEXT

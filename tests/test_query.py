@@ -276,6 +276,19 @@ class TestRecordsView:
             assert list(out.records) == records and out.records == records
             assert [out.records[i] for i in range(len(records))] == records
 
+    def test_a_far_lower_end_reads_back_per_record(self):
+        # a table with one entry per lower-end id up to 10**11 would need
+        # hundreds of GiB; so few records get one edge tuple each
+        records = [(0, (0, 10**11), 1)]
+        out = SsrpOutput(records)
+        assert out.to_tsv() == f"0\t0\t{10**11}\t1\n"
+        assert list(out.records) == records and out.records == records
+
+    def test_an_ssrp_shares_one_edge_tuple_per_lower_vertex(self, out):
+        edges = {}
+        for _, edge, _ in out.records:
+            assert edges.setdefault(edge[1], edge) is edge
+
     def test_columns_are_read_only(self, out):
         for column in (out.t, out.x, out.y, out.dist):
             assert column.dtype == np.int64
